@@ -993,21 +993,40 @@ let timing () =
       in
       measure (fun () -> ignore (Core.Word_untyped.implies ~sigma phi)));
 
+  (* One schema for the whole sweep, so that only |Sigma| varies; the
+     cell draws from its own generator so its inputs do not depend on
+     the cells before it. *)
+  let cubic_rng = Random.State.make [| 0xC0BE |] in
+  let schema = Mschema.random_m ~rng:cubic_rng ~classes:6 ~fields:3 ~atoms:2 in
+  let closure_paths = Obs.Counter.make "typed_m.closure_paths" in
+  let last_paths = ref 0 in
   record_cell ~cell_name:"m-cubic-certified" ~claim:"cubic"
     "P_c implication under M (cubic claim), |Sigma| = n"
     (shrink [ 4; 8; 16; 32; 64 ])
     (fun n ->
-      let schema = Mschema.random_m ~rng:rng0 ~classes:6 ~fields:3 ~atoms:2 in
       let sigma =
-        Core.Typed_m.random_constraints ~rng:rng0 ~schema ~count:n ~max_len:4
+        Core.Typed_m.random_constraints ~rng:cubic_rng ~schema ~count:n
+          ~max_len:4
       in
       let phi =
         match
-          Core.Typed_m.random_constraints ~rng:rng0 ~schema ~count:1 ~max_len:5
+          Core.Typed_m.random_constraints ~rng:cubic_rng ~schema ~count:1
+            ~max_len:5
         with
         | [ c ] -> c
         | _ -> assert false
       in
+      (* an exponent only means something if the closure grows with n *)
+      let before = Obs.Counter.value closure_paths in
+      ignore (Core.Typed_m.decide schema ~sigma ~phi);
+      let paths = Obs.Counter.value closure_paths - before in
+      if paths <= !last_paths then
+        failwith
+          (Printf.sprintf
+             "m-cubic-certified: typed_m.closure_paths did not grow (%d, then \
+              %d at n = %d)"
+             !last_paths paths n);
+      last_paths := paths;
       measure (fun () -> ignore (Core.Typed_m.decide schema ~sigma ~phi)));
 
   record_cell ~cell_name:"untyped-local-extent" ~claim:"PTIME"

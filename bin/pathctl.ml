@@ -504,7 +504,7 @@ let chase_cmd =
                       Par.with_pool ~jobs (fun pool ->
                           Core.Engine.Cancel.with_sigint cancel (fun () ->
                               if escalate then
-                                Core.Semidecide.implies_escalating ~timeout
+                                Core.Decide.chase_escalating ~timeout
                                   ~cancel ?pool ~sigma phi
                               else
                                 let budget =
@@ -525,7 +525,7 @@ let chase_cmd =
                                            .engine_peak_nodes s)
                                         budget
                                 in
-                                Core.Semidecide.implies ~ctl ?pool ?park
+                                Core.Decide.chase ~ctl ?pool ?park
                                   ?resume:resume_snap ~sigma phi))
                     in
                     (match (!parked, snapshot) with
@@ -1700,13 +1700,13 @@ let profile_cmd =
                     Ok
                       (fun pool ->
                         ignore
-                          (Core.Semidecide.implies
+                          (Core.Decide.chase
                              ~ctl:
                                (Core.Engine.start Core.Engine.Budget.default)
                              ?pool ~sigma phi))
                 | `Word -> (
                     let phi = phi () in
-                    match Core.Word_untyped.implies ~sigma phi with
+                    match Core.Decide.word ~sigma phi with
                     | Error (Core.Word_untyped.Not_word_constraint c) ->
                         Error
                           (Format.asprintf
@@ -1716,7 +1716,7 @@ let profile_cmd =
                     | Ok _ ->
                         Ok
                           (fun _pool ->
-                            ignore (Core.Word_untyped.implies ~sigma phi)))
+                            ignore (Core.Decide.word ~sigma phi)))
                 | `Compare ->
                     let phi = phi () in
                     Ok
@@ -1830,123 +1830,6 @@ let profile_cmd =
        $ workload_arg $ jobs_sweep_arg $ format_arg $ trace_arg $ flame_arg
        $ metrics_arg))
 
-(* --- metrics-serve --------------------------------------------------------------- *)
-
-let metrics_serve_cmd =
-  let socket_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "socket" ] ~docv:"PATH"
-          ~doc:
-            "Bind a Unix-domain stream socket at $(docv) and answer each \
-             HTTP request with the current OpenMetrics exposition.  A stale \
-             socket file at $(docv) is replaced.")
-  in
-  let requests_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "requests" ] ~docv:"N"
-          ~doc:
-            "Serve $(docv) requests, then exit and remove the socket \
-             (default 1: one scrape, e.g. curl --unix-socket).")
-  in
-  let sigma_opt_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "s"; "sigma" ] ~docv:"FILE"
-          ~doc:
-            "Optional constraint file: together with $(i,PHI), run one \
-             budgeted chase before serving so the exposition reflects a \
-             real workload.")
-  in
-  let phi_opt_arg =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"PHI"
-          ~doc:"Optional goal constraint for the warm-up chase.")
-  in
-  let run socket requests sigma_file phi_src jobs =
-    if requests <= 0 then die "--requests must be positive"
-    else begin
-      Obs.enable ();
-      let workload =
-        match (sigma_file, phi_src) with
-        | None, None -> Ok ()
-        | Some sf, Some ps -> (
-            match (load_constraints sf, parse_constraint ps) with
-            | Error m, _ | _, Error m -> Error m
-            | Ok sigma, Ok phi ->
-                (* with -j > 1 the warm-up runs on a domain pool, so the
-                   exposition served below includes merged per-domain
-                   shards — what the CI domains-smoke job scrapes for *)
-                Par.with_pool ~jobs (fun pool ->
-                    ignore
-                      (Core.Semidecide.implies
-                         ~ctl:(Core.Engine.start Core.Engine.Budget.default)
-                         ?pool ~sigma phi));
-                Ok ())
-        | _ ->
-            Error "metrics-serve needs both --sigma and PHI, or neither"
-      in
-      match workload with
-      | Error m -> die "%s" m
-      | Ok () ->
-          (try if Sys.file_exists socket then Sys.remove socket
-           with Sys_error _ -> ());
-          let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          Fun.protect
-            ~finally:(fun () ->
-              (try Unix.close srv with Unix.Unix_error _ -> ());
-              try Sys.remove socket with Sys_error _ -> ())
-            (fun () ->
-              Unix.bind srv (Unix.ADDR_UNIX socket);
-              Unix.listen srv 8;
-              Printf.eprintf
-                "pathctl: serving OpenMetrics on %s for %d request(s)\n%!"
-                socket requests;
-              let buf = Bytes.create 4096 in
-              for _ = 1 to requests do
-                let client, _ = Unix.accept srv in
-                (* drain (part of) the request head; every path gets the
-                   same document, so we never need to parse it *)
-                (try ignore (Unix.read client buf 0 (Bytes.length buf))
-                 with Unix.Unix_error _ -> ());
-                let body = Obs.Openmetrics.render () in
-                let resp =
-                  Printf.sprintf
-                    "HTTP/1.0 200 OK\r\n\
-                     Content-Type: application/openmetrics-text; \
-                     version=1.0.0; charset=utf-8\r\n\
-                     Content-Length: %d\r\n\
-                     \r\n\
-                     %s"
-                    (String.length body) body
-                in
-                (try
-                   ignore
-                     (Unix.write_substring client resp 0 (String.length resp))
-                 with Unix.Unix_error _ -> ());
-                try Unix.close client with Unix.Unix_error _ -> ()
-              done;
-              `Ok ())
-    end
-  in
-  Cmd.v
-    (Cmd.info "metrics-serve"
-       ~doc:
-         "One-shot Prometheus/OpenMetrics endpoint on a Unix-domain socket: \
-          optionally run a warm-up chase, then answer N HTTP scrapes with \
-          the current exposition and exit.  Zero dependencies beyond the \
-          OCaml runtime; pair it with a sidecar or \
-          'curl --unix-socket PATH http://localhost/metrics'.")
-    Term.(
-      ret
-        (const run $ socket_arg $ requests_arg $ sigma_opt_arg $ phi_opt_arg
-       $ jobs_arg))
-
 (* --- main ------------------------------------------------------------------------ *)
 
 let () =
@@ -1991,5 +1874,4 @@ let () =
             interact_cmd;
             query_cmd;
             profile_cmd;
-            metrics_serve_cmd;
           ]))

@@ -1,8 +1,8 @@
 (* The constraint-interaction analyzer: the PC7xx family.
 
    Three whole-set analyses over one parsed constraint set, all driven
-   through the hash-consed {!Pathlang.Store} and the shared decision
-   procedures of {!Passes.make_decider}:
+   through the hash-consed {!Pathlang.Store} and the decision router
+   {!Core.Decide}:
 
    - PC700: a minimal unsatisfiable core of Sigma over the schema,
      found by deletion-based minimization with the store's typed sort
@@ -36,12 +36,12 @@
 
 module Path = Pathlang.Path
 module Constr = Pathlang.Constr
-module Fragment = Pathlang.Fragment
 module Store = Pathlang.Store
 module Mschema = Schema.Mschema
 module Mtype = Schema.Mtype
 module Schema_graph = Schema.Schema_graph
 module Engine = Core.Engine
+module Decide = Core.Decide
 
 let diag ~file ?span code severity msg =
   Diagnostic.make ~code ~severity ~file ?span msg
@@ -69,14 +69,14 @@ let unsat_core ?budget ~schema constrs =
   else if sat schema constrs then None
   else begin
     let budget = Option.value budget ~default:Engine.Budget.default in
-    let clock = Passes.clock_of budget in
+    let clock = Decide.clock budget in
     (* deletion minimization: drop each constraint whose removal keeps
        the set unsatisfiable; what survives is a minimal core *)
     let core = ref (List.mapi (fun i c -> (i, c)) constrs) in
     let complete = ref true in
     List.iteri
       (fun i _ ->
-        if Passes.expired clock then complete := false
+        if Decide.expired clock then complete := false
         else begin
           let without = List.filter (fun (j, _) -> j <> i) !core in
           if
@@ -87,35 +87,6 @@ let unsat_core ?budget ~schema constrs =
       constrs;
     Some (List.map fst !core, !complete)
   end
-
-(* --- untyped verdict for the provenance check ------------------------------ *)
-
-(* Definitive "not implied on untyped data"?  [Some true] / [Some false]
-   are proven; [None] is inconclusive (budget, or the incomplete word
-   fragment).  The word procedure decides rule-derivability, which is
-   complete for implication only without equality-generating (eps-RHS)
-   constraints; with EGDs present the budgeted chase's [Refuted] — a
-   concrete countermodel — is the only definitive negative. *)
-let untyped_not_implied ~budget ~clock ~sigma phi =
-  let egd_free =
-    List.for_all (fun c -> not (Path.is_empty (Constr.rhs c))) (phi :: sigma)
-  in
-  if List.for_all Fragment.in_pw (phi :: sigma) && egd_free then
-    match Core.Word_untyped.implies ~sigma phi with
-    | Ok b -> Some (not b)
-    | Error _ -> None
-  else
-    let per_call =
-      Engine.Budget.v
-        ?max_steps:budget.Engine.Budget.max_steps
-        ?max_nodes:budget.Engine.Budget.max_nodes
-        ~timeout:(Float.max 0.01 (Float.min 1.0 (Passes.remaining_s clock)))
-        ?cancel:clock.Passes.cancel ()
-    in
-    match Core.Semidecide.implies ~ctl:(Engine.start per_call) ~sigma phi with
-    | Core.Verdict.Implied -> Some false
-    | Core.Verdict.Refuted _ -> Some true
-    | Core.Verdict.Unknown _ -> None
 
 (* The class declarations the typed derivation walks: the sorts at the
    proper prefixes of every root-anchored path of the witness set and
@@ -154,7 +125,7 @@ let join_lines ls = String.concat ", " (List.map string_of_int ls)
 
 let pass ~sigma_file ?schema ?budget ?(explain = false) spanned =
   let budget = Option.value budget ~default:Engine.Budget.default in
-  let clock = Passes.clock_of budget in
+  let clock = Decide.clock budget in
   let constrs = List.map fst spanned in
   if constrs = [] then []
   else begin
@@ -231,39 +202,28 @@ let pass ~sigma_file ?schema ?budget ?(explain = false) spanned =
     (* (b) PC701 + (c) PC702: only meaningful on a satisfiable set (an
        unsatisfiable Sigma entails everything) *)
     if not unsat then begin
-      let decide, _exact, how =
-        Passes.make_decider ?schema ~budget ~clock constrs
-      in
-      let typed_route =
-        match schema with
-        | Some s ->
-            Mschema.kind s = Mschema.M
-            && List.for_all
-                 (fun c ->
-                   Result.is_ok (Schema_graph.check_constraint_paths s c))
-                 constrs
-        | None -> false
-      in
+      let plan = Decide.plan ?schema clock constrs in
+      let implied phi rest = Decide.decide plan ~sigma:rest phi = Some true in
       let indexed = List.mapi (fun i (c, _) -> (i, c)) spanned in
       List.iter
         (fun (i, c) ->
-          if Passes.expired clock then incr gave_up
+          if Decide.expired clock then incr gave_up
           else begin
             let rest_idx = List.filter (fun (j, _) -> j <> i) indexed in
             let rest = List.map snd rest_idx in
-            if rest <> [] && decide c rest = Passes.V_implied then begin
+            if rest <> [] && implied c rest then begin
               (* minimize the witnessing antecedent subset by deletion *)
               let witness = ref rest_idx in
               List.iter
                 (fun (j, _) ->
-                  if Passes.expired clock then incr gave_up
+                  if Decide.expired clock then incr gave_up
                   else begin
                     let w' =
                       List.filter (fun (k, _) -> k <> j) !witness
                     in
                     if
                       List.length w' < List.length !witness
-                      && decide c (List.map snd w') = Passes.V_implied
+                      && implied c (List.map snd w')
                     then witness := w'
                   end)
                 rest_idx;
@@ -284,11 +244,18 @@ let pass ~sigma_file ?schema ?budget ?(explain = false) spanned =
                       "entailed by the constraint(s) at line(s) %s (%s): a \
                        minimal antecedent subset — removing any one of them \
                        breaks the derivation%s"
-                      (join_lines wlines) how detail));
-              (* provenance: does the entailment survive on paths alone? *)
-              if typed_route then begin
-                match untyped_not_implied ~budget ~clock ~sigma:rest c with
-                | Some true ->
+                      (join_lines wlines)
+                      (Decide.how (Decide.route plan))
+                      detail));
+              (* provenance: does the entailment survive on paths alone?
+                 Only a definitive untyped "no" counts, so the question
+                 is a refutation under untyped semantics *)
+              if Decide.route plan = Decide.Typed_m then begin
+                let untyped =
+                  Decide.plan ~question:Decide.Refutation clock (c :: rest)
+                in
+                match Decide.decide untyped ~sigma:rest c with
+                | Some false ->
                     let schema = Option.get schema in
                     let decls =
                       declarations_walked schema (c :: List.map snd !witness)
@@ -320,7 +287,7 @@ let pass ~sigma_file ?schema ?budget ?(explain = false) spanned =
                                    along the walked paths)"
                                   (String.concat ", " ds))
                             chains))
-                | Some false -> ()
+                | Some true -> ()
                 | None -> incr gave_up
               end
             end

@@ -3,8 +3,7 @@
     A whole-constraint-set static analysis of how the constraints of
     Sigma interact — with each other and with the schema's type
     constraints — driven through the hash-consed {!Pathlang.Store}
-    (syntactic pre-filters) and the shared decision procedures of
-    {!Passes.make_decider}:
+    (syntactic pre-filters) and the decision router {!Core.Decide}:
 
     - [PC700] (error): each member of a {e minimal unsatisfiable core}
       of Sigma over a kind-M schema, found by deletion-based

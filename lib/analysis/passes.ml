@@ -1,12 +1,12 @@
 module Path = Pathlang.Path
 module Label = Pathlang.Label
 module Constr = Pathlang.Constr
-module Fragment = Pathlang.Fragment
 module Store = Pathlang.Store
 module Mschema = Schema.Mschema
 module Mtype = Schema.Mtype
 module Schema_graph = Schema.Schema_graph
 module Engine = Core.Engine
+module Decide = Core.Decide
 
 type spanned = (Constr.t * Pathlang.Span.t) list
 
@@ -39,31 +39,6 @@ let vacuity ~sigma_file ~schema sigma =
                     (Path.to_string p))))
     sigma
 
-(* --- shared deadline plumbing --------------------------------------------- *)
-
-type clock = { deadline : int64 option; cancel : Engine.Cancel.t option }
-
-let clock_of (budget : Engine.Budget.t) =
-  {
-    deadline =
-      Option.map
-        (fun t -> Int64.add (Engine.now_ns ()) (Int64.of_float (t *. 1e9)))
-        budget.Engine.Budget.timeout;
-    cancel = budget.Engine.Budget.cancel;
-  }
-
-let remaining_s clock =
-  match clock.deadline with
-  | None -> infinity
-  | Some d -> Int64.to_float (Int64.sub d (Engine.now_ns ())) /. 1e9
-
-let expired clock =
-  remaining_s clock <= 0.
-  ||
-  match clock.cancel with
-  | Some c -> Engine.Cancel.is_cancelled c
-  | None -> false
-
 (* --- redundancy ----------------------------------------------------------- *)
 
 type redundancy_report = {
@@ -73,75 +48,15 @@ type redundancy_report = {
   gave_up : int;
 }
 
-type verdict3 = V_implied | V_not | V_unknown
-
-(* Pick the strongest sound procedure for the instance's cell:
-   - kind-M schema with all paths in Paths(Delta): the cubic typed-M
-     procedure (complete for the typed semantics);
-   - all constraints in P_w: the PTIME word procedure (complete
-     untyped; still sound under a schema, since U(Delta) structures are
-     a subclass of all structures);
-   - otherwise: the budgeted chase (sound only).
-   Each route is fronted by the store's syntactic pre-filter (sound
-   under the route's own semantics), so the bulk of the positive
-   verdicts never reach the decision procedure. *)
-let make_decider ?schema ~budget ~clock sigma_all =
-  match schema with
-  | Some s
-    when Mschema.kind s = Mschema.M
-         && List.for_all
-              (fun c ->
-                Result.is_ok (Schema_graph.check_constraint_paths s c))
-              sigma_all ->
-      let decide phi rest =
-        if Store.implies_syntactic (Store.of_constraints ~typed:true rest) phi
-        then V_implied
-        else
-          match Core.Typed_m.implies s ~sigma:rest ~phi with
-          | Ok true -> V_implied
-          | Ok false -> V_not
-          | Error _ -> V_unknown
-      in
-      (decide, true, "cubic typed-M procedure, Theorem 4.2")
-  | _ ->
-      if List.for_all Fragment.in_pw sigma_all then
-        let decide phi rest =
-          if Store.implies_syntactic (Store.of_constraints rest) phi then
-            V_implied
-          else
-            match Core.Word_untyped.implies ~sigma:rest phi with
-            | Ok true -> V_implied
-            | Ok false -> V_not
-            | Error _ -> V_unknown
-        in
-        let exact = schema = None in
-        (decide, exact, "PTIME word procedure")
-      else
-        let decide phi rest =
-          let per_call =
-            Engine.Budget.v
-              ?max_steps:budget.Engine.Budget.max_steps
-              ?max_nodes:budget.Engine.Budget.max_nodes
-              ~timeout:(Float.max 0.01 (Float.min 1.0 (remaining_s clock)))
-              ?cancel:clock.cancel ()
-          in
-          match
-            Core.Semidecide.implies ~ctl:(Engine.start per_call) ~sigma:rest
-              phi
-          with
-          | Core.Verdict.Implied -> V_implied
-          | Core.Verdict.Refuted _ -> V_not
-          | Core.Verdict.Unknown _ -> V_unknown
-        in
-        (decide, false, "budgeted chase, sound verdicts only")
-
 (* [sigma] minus the occurrence at position [i] *)
 let drop_nth i l = List.filteri (fun j _ -> j <> i) l
 
 let redundancy_report ?schema ?(budget = Engine.Budget.default) sigma =
-  let clock = clock_of budget in
+  let clock = Decide.clock budget in
   let constrs = List.map fst sigma in
-  let decide, exact, _ = make_decider ?schema ~budget ~clock constrs in
+  let plan = Decide.plan ?schema clock constrs in
+  let implied phi rest = Decide.decide plan ~sigma:rest phi = Some true in
+  let exact = Decide.exact plan in
   (* inconsistent Sigma makes every constraint "redundant"; leave that
      to the inconsistency pass *)
   let unsat =
@@ -158,8 +73,8 @@ let redundancy_report ?schema ?(budget = Engine.Budget.default) sigma =
     let gave_up = ref 0 in
     List.iteri
       (fun i (c, span) ->
-        if expired clock then incr gave_up
-        else if decide c (drop_nth i constrs) = V_implied then
+        if Decide.expired clock then incr gave_up
+        else if implied c (drop_nth i constrs) then
           removable := (c, span) :: !removable)
       sigma;
     (* greedy minimal cover: drop constraints that stay implied by what
@@ -171,10 +86,10 @@ let redundancy_report ?schema ?(budget = Engine.Budget.default) sigma =
       List.rev_map snd
         (Store.completed_subsumption_ordering (Store.of_constraints constrs))
     in
-    if not (expired clock) then
+    if not (Decide.expired clock) then
       List.iter
         (fun c ->
-          if not (expired clock) then begin
+          if not (Decide.expired clock) then begin
             let rest =
               (* remove one occurrence of [c] from the current cover *)
               let dropped = ref false in
@@ -188,7 +103,7 @@ let redundancy_report ?schema ?(budget = Engine.Budget.default) sigma =
                 !cover
             in
             if List.length rest < List.length !cover
-               && decide c rest = V_implied
+               && implied c rest
             then cover := rest
           end)
         candidates;
@@ -204,9 +119,11 @@ let redundancy ~sigma_file ?schema ?(budget = Engine.Budget.default) sigma =
   let n = List.length sigma in
   if n <= 1 then []
   else begin
-    let _, exact, how = make_decider ?schema ~budget ~clock:(clock_of budget)
-                          (List.map fst sigma) in
     let report = redundancy_report ?schema ~budget sigma in
+    let route, exact =
+      Decide.route_of Decide.Entailment
+        (Decide.cell ?schema (List.map fst sigma))
+    in
     let per_constraint =
       List.map
         (fun (_, span) ->
@@ -214,7 +131,7 @@ let redundancy ~sigma_file ?schema ?(budget = Engine.Budget.default) sigma =
             (Printf.sprintf
                "implied by the rest of Sigma (%s)%s: removing it preserves \
                 the constraint theory"
-               how
+               (Decide.how route)
                (if exact then "" else " — best-effort, sound")))
         report.removable
     in

@@ -3,45 +3,12 @@
 
     Each pass takes the parsed, span-carrying constraint list (and the
     schema when one was supplied) and returns diagnostics.  The
-    redundancy pass is resource-governed: exact procedures are used on
-    decidable cells (the PTIME word procedure, the cubic typed-M
+    redundancy pass asks {!Core.Decide} for its route: exact procedures
+    on decidable cells (the PTIME word procedure, the cubic typed-M
     procedure) and a budgeted chase otherwise, all under one wall-clock
     deadline. *)
 
 type spanned = (Pathlang.Constr.t * Pathlang.Span.t) list
-
-(** {2 Shared resource governance}
-
-    One wall-clock deadline (plus cancellation token) derived from a
-    budget governs a whole pass; {!Interact} reuses the same plumbing. *)
-
-type clock = {
-  deadline : int64 option;
-  cancel : Core.Engine.Cancel.t option;
-}
-
-val clock_of : Core.Engine.Budget.t -> clock
-val expired : clock -> bool
-
-val remaining_s : clock -> float
-(** Seconds to the deadline; [infinity] without one. *)
-
-type verdict3 = V_implied | V_not | V_unknown
-
-val make_decider :
-  ?schema:Schema.Mschema.t ->
-  budget:Core.Engine.Budget.t ->
-  clock:clock ->
-  Pathlang.Constr.t list ->
-  (Pathlang.Constr.t -> Pathlang.Constr.t list -> verdict3)
-  * bool
-  * string
-(** [(decide, exact, how)] — the strongest sound implication procedure
-    for the instance's Table 1 cell ([decide phi rest] asks
-    [rest |= phi]), whether it is complete for that cell, and its
-    human-readable name.  Every route is fronted by the constraint
-    store's syntactic pre-filter, which short-circuits positive
-    verdicts before the decision procedure runs. *)
 
 val vacuity :
   sigma_file:string -> schema:Schema.Mschema.t -> spanned -> Diagnostic.t list

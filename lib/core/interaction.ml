@@ -17,11 +17,6 @@ type report = {
   typed : typed_outcome option;
 }
 
-let try_word ~sigma phi =
-  match Word_untyped.implies ~sigma phi with
-  | Ok b -> Some b
-  | Error _ -> None
-
 let try_local ~sigma phi =
   (* use the canonical bound inferred from phi (the split at its last
      prefix label), if the whole set fits Definition 2.3 *)
@@ -32,10 +27,12 @@ let try_local ~sigma phi =
       | Error _ -> None)
     (Bounded.infer_bound phi)
 
-let try_typed ~budget ?search_bounds schema ~sigma phi =
+(* The typed row: the cubic procedure under M; under M+ only a bounded
+   refutation, implication itself being undecidable (Theorem 5.2). *)
+let typed_row ~budget ?search_bounds schema ~sigma phi =
   match Mschema.kind schema with
   | Mschema.M -> (
-      match Typed_m.decide schema ~sigma ~phi with
+      match Decide.typed_m schema ~sigma phi with
       | Ok outcome -> M_decided outcome
       | Error e -> Typed_error e)
   | Mschema.M_plus -> (
@@ -46,8 +43,7 @@ let try_typed ~budget ?search_bounds schema ~sigma phi =
           { budget with Engine.Budget.max_steps = None; max_nodes = None }
       in
       match
-        Typed_search.find_countermodel ~ctl ?bounds:search_bounds schema ~sigma
-          ~phi
+        Decide.typed_search ~ctl ?bounds:search_bounds schema ~sigma phi
       with
       | Ok (Some t) -> Mplus_refuted t
       | Ok None -> (
@@ -108,17 +104,18 @@ let compare ?schema ?(budget = Engine.Budget.default) ?search_bounds ~sigma phi
       let r =
         {
           word_untyped =
-            Obs.Span.with_ "interaction.word" (fun () -> try_word ~sigma phi);
+            Obs.Span.with_ "interaction.word" (fun () ->
+                Result.to_option (Decide.word ~sigma phi));
           local_extent =
             Obs.Span.with_ "interaction.local" (fun () -> try_local ~sigma phi);
           chase =
             Obs.Span.with_ "interaction.chase" (fun () ->
-                Semidecide.implies ~ctl:(Engine.start budget) ~sigma phi);
+                Decide.chase ~ctl:(Engine.start budget) ~sigma phi);
           typed =
             Option.map
               (fun s ->
                 Obs.Span.with_ "interaction.typed" (fun () ->
-                    try_typed ~budget ?search_bounds s ~sigma phi))
+                    typed_row ~budget ?search_bounds s ~sigma phi))
               schema;
         }
       in

@@ -1,149 +1,4 @@
-module Constr = Pathlang.Constr
-module Label = Pathlang.Label
-
-let src =
-  Logs.Src.create "pathcons.semidecide" ~doc:"chase + enumeration semi-decider"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
-let c_enum_fallbacks =
-  Obs.Counter.make ~unit_:"calls" "semidecide.enum_fallbacks"
-
-let c_prefilter_hits =
-  Obs.Counter.make ~unit_:"calls" "semidecide.prefilter_hits"
-
-let c_prefilter_misses =
-  Obs.Counter.make ~unit_:"calls" "semidecide.prefilter_misses"
-
-(* Decision provenance: which procedure answered, as one labeled
-   family ([decision.route{route="chase"}], ...) plus a per-route
-   latency histogram and — when the audit journal is on — one JSONL
-   record per decision. *)
-let f_routes = Obs.Counter.family ~unit_:"decisions" ~label:"route" "decision.route"
-
-let latency_buckets = [| 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9 |]
-
-let f_latency =
-  Obs.Histogram.family ~unit_:"ns" ~buckets:latency_buckets ~label:"route"
-    "decision.latency_ns"
-
-let route_counters =
-  [
-    ("store-prefilter", (Obs.Counter.tag f_routes "store-prefilter",
-                         Obs.Histogram.tag f_latency "store-prefilter"));
-    ("chase", (Obs.Counter.tag f_routes "chase", Obs.Histogram.tag f_latency "chase"));
-    ("enum", (Obs.Counter.tag f_routes "enum", Obs.Histogram.tag f_latency "enum"));
-  ]
-
-let audit_verdict = function
-  | Verdict.Implied -> [ ("verdict", Obs.Json.String "implied") ]
-  | Verdict.Refuted _ -> [ ("verdict", Obs.Json.String "refuted") ]
-  | Verdict.Unknown e ->
-      [
-        ("verdict", Obs.Json.String "unknown");
-        ("reason", Obs.Json.String (Verdict.reason_keyword e.Verdict.reason));
-        ("rounds", Obs.Json.Int e.Verdict.rounds);
-      ]
-
-let audit_budgets ctl =
-  [
-    ("steps", Obs.Json.Int (Engine.steps ctl));
-    ("peak_nodes", Obs.Json.Int (Engine.peak_nodes ctl));
-    ("elapsed_ns", Obs.Json.Int (Int64.to_int (Engine.elapsed_ns ctl)));
-  ]
-
-let implies ?ctl ?pool ?(enum_nodes = 3) ?park ?resume ~sigma phi =
-  let ctl = match ctl with Some c -> c | None -> Engine.default () in
-  Obs.Span.with_ "semidecide.implies" (fun () ->
-  let t0 = if Obs.enabled () || Obs.Audit.enabled () then Obs.now_ns () else 0L in
-  let finish ~route ~prefilter v =
-    (match List.assoc_opt route route_counters with
-    | Some (c, h) ->
-        Obs.Counter.incr c;
-        Obs.Histogram.observe h
-          (Int64.to_float (Int64.sub (Obs.now_ns ()) t0))
-    | None -> ());
-    if Obs.Audit.enabled () then
-      Obs.Audit.emit "decision"
-        ~fields:
-          (( "route", Obs.Json.String route )
-          :: ( "prefilter", Obs.Json.String prefilter )
-          :: (audit_verdict v @ audit_budgets ctl));
-    v
-  in
-  let prefilter_skipped = park <> None || resume <> None in
-  (* Syntactic pre-filter: a containment derivation in the hash-consed
-     store is a sound positive verdict that costs no chase budget.  Only
-     when neither crash-injection hook is in play — a parked or resumed
-     chase must actually run so its snapshot discipline is exercised. *)
-  if
-    (not prefilter_skipped)
-    && Pathlang.Store.implies_syntactic (Pathlang.Store.of_constraints sigma)
-         phi
-  then begin
-    Obs.Counter.incr c_prefilter_hits;
-    finish ~route:"store-prefilter" ~prefilter:"hit" Verdict.Implied
-  end
-  else begin
-  if not prefilter_skipped then Obs.Counter.incr c_prefilter_misses;
-  let prefilter = if prefilter_skipped then "skipped" else "miss" in
-  let finish ~route v = finish ~route ~prefilter v in
-  match Chase.implies ~ctl ?park ?resume ~sigma phi with
-  | (Verdict.Implied | Verdict.Refuted _) as v -> finish ~route:"chase" v
-  | Verdict.Unknown ({ Verdict.reason = Verdict.Crashed; _ } as e) ->
-      (* A crash parked the chase state; enumeration would start a
-         fresh search the interrupted operator did not ask for — the
-         verdict must say "resume me", not burn more budget. *)
-      finish ~route:"chase" (Verdict.Unknown e)
-  | Verdict.Unknown _ ->
-      if enum_nodes <= 0 || not (Engine.ok ctl) then
-        finish ~route:"chase" (Verdict.Unknown (Engine.exhaustion ctl))
-      else begin
-        let labels =
-          Label.Set.elements
-            (List.fold_left
-               (fun acc c -> Label.Set.union acc (Constr.labels_used c))
-               (Constr.labels_used phi) sigma)
-        in
-        let labels = if labels = [] then [ Label.make "a" ] else labels in
-        (* Keep the brute-force search tractable — and say so: the cost
-           is 2^(L*n^2), so a third label forces the size cap down. *)
-        let max_nodes =
-          if List.length labels > 2 && enum_nodes > 2 then begin
-            let msg =
-              Printf.sprintf
-                "enumeration cap clamped from %d to 2 nodes (%d labels in \
-                 play, search cost 2^(L*n^2))"
-                enum_nodes (List.length labels)
-            in
-            Log.warn (fun m -> m "%s" msg);
-            Engine.note ctl msg;
-            2
-          end
-          else enum_nodes
-        in
-        Obs.Counter.incr c_enum_fallbacks;
-        match
-          Obs.Span.with_ "semidecide.enumerate"
-            ~args:[ ("max_nodes", string_of_int max_nodes) ]
-            (fun () ->
-              Sgraph.Enumerate.find_countermodel
-                ~interrupt:(Engine.interrupted ctl) ?pool ~max_nodes ~labels
-                ~sigma ~phi ())
-        with
-        | Some g -> finish ~route:"enum" (Verdict.Refuted g)
-        | None -> finish ~route:"enum" (Verdict.Unknown (Engine.exhaustion ctl))
-      end
-  end)
-
-let implies_escalating ?base_steps ?base_nodes ?factor ?max_rounds ?timeout
-    ?cancel ?pool ?(enum_nodes = 3) ~sigma phi =
-  (* The enumeration space depends only on [enum_nodes] and the label
-     alphabet, not on the chase budget: searching it once (in the first
-     round) is enough. *)
-  let enum_done = ref false in
-  Engine.escalate ?base_steps ?base_nodes ?factor ?max_rounds ?timeout ?cancel
-    (fun ctl ->
-      let enum_nodes = if !enum_done then 0 else enum_nodes in
-      enum_done := true;
-      implies ~ctl ?pool ~enum_nodes ~sigma phi)
+(* The chase route lives in the decision router; this module keeps its
+   historical entry points. *)
+let implies = Decide.chase
+let implies_escalating = Decide.chase_escalating

@@ -19,7 +19,11 @@
     size discipline — still honors the controller's deadline and
     cancellation token.  When the label alphabet forces the enumeration
     cap down (the search cost is [2^(L*n^2)]), the clamp is recorded in
-    the exhaustion diagnostics and logged, never applied invisibly. *)
+    the exhaustion diagnostics and logged, never applied invisibly.
+
+    Both entry points are the chase route of the decision router
+    ({!Decide.chase}, {!Decide.chase_escalating}), so every call records
+    its decision there. *)
 
 val implies :
   ?ctl:Engine.t ->

@@ -27,17 +27,6 @@ let to_word_equality c =
 
 let c_unions = Obs.Counter.make ~unit_:"merges" "typed_m.unions"
 
-let c_route_typed_m =
-  Obs.Counter.tag
-    (Obs.Counter.family ~unit_:"decisions" ~label:"route" "decision.route")
-    "typed-m"
-
-let h_latency_typed_m =
-  Obs.Histogram.tag
-    (Obs.Histogram.family ~unit_:"ns"
-       ~buckets:[| 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9 |]
-       ~label:"route" "decision.latency_ns")
-    "typed-m"
 let c_congruences =
   Obs.Counter.make ~unit_:"propagations" "typed_m.congruence_propagations"
 let c_classes = Obs.Counter.make ~unit_:"paths" "typed_m.closure_paths"
@@ -323,23 +312,6 @@ let run_closure schema ~sigma ~extra_paths =
             | () -> Ok (`Closed (st, node))
             | exception Clash msg -> Ok (`Clash msg))
 
-let audit_typed_m phi outcome elapsed_ns =
-  if Obs.Audit.enabled () then
-    Obs.Audit.emit "decision"
-      ~fields:
-        [
-          ("route", Obs.Json.String "typed-m");
-          ("prefilter", Obs.Json.String "n/a");
-          ( "verdict",
-            Obs.Json.String
-              (match outcome with
-              | Implied _ -> "implied"
-              | Not_implied _ -> "refuted"
-              | Vacuous _ -> "vacuous") );
-          ("phi", Obs.Json.String (Format.asprintf "%a" Constr.pp phi));
-          ("elapsed_ns", Obs.Json.Int (Int64.to_int elapsed_ns));
-        ]
-
 let decide schema ~sigma ~phi =
   match SG.check_constraint_paths schema phi with
   | Error rho ->
@@ -348,22 +320,10 @@ let decide schema ~sigma ~phi =
            Constr.pp phi Path.pp rho)
   | Ok () -> (
       Obs.Span.with_ "typed_m.decide" (fun () ->
-      let t0 =
-        if Obs.enabled () || Obs.Audit.enabled () then Obs.now_ns () else 0L
-      in
-      let finish outcome =
-        if Obs.enabled () || Obs.Audit.enabled () then begin
-          let elapsed = Int64.sub (Obs.now_ns ()) t0 in
-          Obs.Counter.incr c_route_typed_m;
-          Obs.Histogram.observe h_latency_typed_m (Int64.to_float elapsed);
-          audit_typed_m phi outcome elapsed
-        end;
-        Ok outcome
-      in
       let s_path, t_path = to_word_equality phi in
       match run_closure schema ~sigma ~extra_paths:[ s_path; t_path ] with
       | Error _ as e -> e
-      | Ok (`Clash msg) -> finish (Vacuous msg)
+      | Ok (`Clash msg) -> Ok (Vacuous msg)
       | Ok (`Closed (st, node)) ->
           let s = node s_path and t = node t_path in
           if find st s = find st t then begin
@@ -371,10 +331,10 @@ let decide schema ~sigma ~phi =
               Obs.Span.with_ "typed_m.explain" (fun () ->
                   explain st ~before:max_int s t)
             in
-            finish (Implied (wrap_for phi d))
+            Ok (Implied (wrap_for phi d))
           end
           else
-            finish
+            Ok
               (Not_implied
                  (Obs.Span.with_ "typed_m.countermodel" (fun () ->
                       countermodel schema st)))))

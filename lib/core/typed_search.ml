@@ -257,7 +257,9 @@ let count_structures_value ~bounds schema ~classes ~atoms =
     0
     (count_vectors (List.length classes) bounds.max_per_class)
 
-let find_countermodel_inner ?ctl ?pool ~bounds schema ~sigma ~phi =
+let find_countermodel ?ctl ?pool ?(bounds = default_bounds) schema ~sigma ~phi
+    =
+  Obs.Span.with_ "typed_search.find_countermodel" (fun () ->
   match supported schema with
   | Error _ as e -> e
   | Ok () -> (
@@ -286,18 +288,7 @@ let find_countermodel_inner ?ctl ?pool ~bounds schema ~sigma ~phi =
              && count_structures_value ~bounds schema ~classes ~atoms
                 >= parallel_threshold ->
           find_par ~pool:p ~ctl ~bounds schema ~sigma ~phi ~classes ~atoms
-      | _ -> seq ())
-
-let c_route_typed_search =
-  Obs.Counter.tag
-    (Obs.Counter.family ~unit_:"decisions" ~label:"route" "decision.route")
-    "typed-search"
-
-let find_countermodel ?ctl ?pool ?(bounds = default_bounds) schema ~sigma ~phi
-    =
-  Obs.Span.with_ "typed_search.find_countermodel" (fun () ->
-      Obs.Counter.incr c_route_typed_search;
-      find_countermodel_inner ?ctl ?pool ~bounds schema ~sigma ~phi)
+      | _ -> seq ()))
 
 let count_structures ?(bounds = default_bounds) schema =
   match supported schema with

@@ -7,30 +7,6 @@ type error = Not_word_constraint of Pathlang.Constr.t
 
 let c_systems = Obs.Counter.make ~unit_:"compilations" "word.systems_compiled"
 
-let c_route_word =
-  Obs.Counter.tag
-    (Obs.Counter.family ~unit_:"decisions" ~label:"route" "decision.route")
-    "word"
-
-let h_latency_word =
-  Obs.Histogram.tag
-    (Obs.Histogram.family ~unit_:"ns"
-       ~buckets:[| 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9 |]
-       ~label:"route" "decision.latency_ns")
-    "word"
-
-let audit_word phi b elapsed_ns =
-  if Obs.Audit.enabled () then
-    Obs.Audit.emit "decision"
-      ~fields:
-        [
-          ("route", Obs.Json.String "word");
-          ("prefilter", Obs.Json.String "n/a");
-          ("verdict", Obs.Json.String (if b then "implied" else "refuted"));
-          ("phi", Obs.Json.String (Format.asprintf "%a" Constr.pp phi));
-          ("elapsed_ns", Obs.Json.Int (Int64.to_int elapsed_ns));
-        ]
-
 let check_word sigma =
   match List.find_opt (fun c -> not (Constr.is_word c)) sigma with
   | Some c -> Error (Not_word_constraint c)
@@ -59,20 +35,7 @@ let with_word_instance ~sigma phi f =
           let system = system_of ~sigma ~extra:(Constr.labels_used phi) in
           Ok (f system (Constr.lhs phi) (Constr.rhs phi)))
 
-let implies ~sigma phi =
-  if not (Obs.enabled () || Obs.Audit.enabled ()) then
-    with_word_instance ~sigma phi PR.derives
-  else begin
-    let t0 = Obs.now_ns () in
-    match with_word_instance ~sigma phi PR.derives with
-    | Ok b as r ->
-        let elapsed = Int64.sub (Obs.now_ns ()) t0 in
-        Obs.Counter.incr c_route_word;
-        Obs.Histogram.observe h_latency_word (Int64.to_float elapsed);
-        audit_word phi b elapsed;
-        r
-    | Error _ as e -> e
-  end
+let implies ~sigma phi = with_word_instance ~sigma phi PR.derives
 
 let implies_exn ~sigma phi =
   match implies ~sigma phi with

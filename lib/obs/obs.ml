@@ -588,9 +588,9 @@ module Audit = struct
       ~finally:(fun () -> close_out oc)
       (fun () -> output_string oc (to_jsonl ()))
 
-  (* Minimal schema check shared by tests and future [pathctld]
-     ingestion: every record has the envelope; decision records name a
-     route and a verdict. *)
+  (* Minimal schema check shared by tests and journal consumers: every
+     record has the envelope; decision records name a route, the
+     pre-filter outcome and a verdict. *)
   let validate j =
     let ( let* ) = Result.bind in
     let field name =
@@ -618,8 +618,10 @@ module Audit = struct
         if s < 0 then Error "negative seq"
         else if event = "decision" then
           let* _ = string_field "route" in
+          let* prefilter = string_field "prefilter" in
           let* _ = string_field "verdict" in
-          Ok ()
+          if List.mem prefilter [ "hit"; "miss"; "skipped" ] then Ok ()
+          else Error (Printf.sprintf "prefilter %S is not hit|miss|skipped" prefilter)
         else Ok ()
     | _ -> Error "record is not a JSON object"
 end

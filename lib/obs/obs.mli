@@ -271,7 +271,8 @@ module Audit : sig
   val validate : Json.t -> (unit, string) result
   (** Schema check: the [seq]/[ts_ns]/[event] envelope on every record;
       ["decision"] records must also carry string [route] and
-      [verdict] fields. *)
+      [verdict] fields and a [prefilter] of ["hit"], ["miss"] or
+      ["skipped"]. *)
 end
 
 (** Aggregated statistics: every counter, gauge, histogram, and

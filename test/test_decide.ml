@@ -1,0 +1,246 @@
+(* Differential suite for the decision router: over six seeded regions of
+   the paper's Table 1, Core.Decide must pick the same procedure, claim
+   the same completeness, print the same name and reach the same verdict
+   as the route selection it replaced (kept below as the reference), and
+   every region must land in exactly one row of the route table. *)
+
+open Testutil
+module Decide = Core.Decide
+module Engine = Core.Engine
+module Store = Pathlang.Store
+module Mschema = Schema.Mschema
+module Schema_graph = Schema.Schema_graph
+
+(* --- the reference: the pre-router selection ---------------------------- *)
+
+type clock = { deadline : int64 option; cancel : Engine.Cancel.t option }
+
+let clock_of (budget : Engine.Budget.t) =
+  {
+    deadline =
+      Option.map
+        (fun t -> Int64.add (Engine.now_ns ()) (Int64.of_float (t *. 1e9)))
+        budget.Engine.Budget.timeout;
+    cancel = budget.Engine.Budget.cancel;
+  }
+
+let remaining_s clock =
+  match clock.deadline with
+  | None -> infinity
+  | Some d -> Int64.to_float (Int64.sub d (Engine.now_ns ())) /. 1e9
+
+let per_call ~budget ~clock =
+  Engine.Budget.v ?max_steps:budget.Engine.Budget.max_steps
+    ?max_nodes:budget.Engine.Budget.max_nodes
+    ~timeout:(Float.max 0.01 (Float.min 1.0 (remaining_s clock)))
+    ?cancel:clock.cancel ()
+
+let of_result = function Ok b -> Some b | Error _ -> None
+
+(* (decide, exact, how) for "rest |= phi" over the set's Table 1 cell *)
+let ref_make_decider ?schema ~budget ~clock sigma_all =
+  match schema with
+  | Some s
+    when Mschema.kind s = Mschema.M
+         && List.for_all
+              (fun c ->
+                Result.is_ok (Schema_graph.check_constraint_paths s c))
+              sigma_all ->
+      let decide phi rest =
+        if Store.implies_syntactic (Store.of_constraints ~typed:true rest) phi
+        then Some true
+        else of_result (Core.Typed_m.implies s ~sigma:rest ~phi)
+      in
+      (decide, true, "cubic typed-M procedure, Theorem 4.2")
+  | _ ->
+      if List.for_all Pathlang.Fragment.in_pw sigma_all then
+        let decide phi rest =
+          if Store.implies_syntactic (Store.of_constraints rest) phi then
+            Some true
+          else of_result (Core.Word_untyped.implies ~sigma:rest phi)
+        in
+        (decide, schema = None, "PTIME word procedure")
+      else
+        let decide phi rest =
+          match
+            Core.Semidecide.implies
+              ~ctl:(Engine.start (per_call ~budget ~clock))
+              ~sigma:rest phi
+          with
+          | Core.Verdict.Implied -> Some true
+          | Core.Verdict.Refuted _ -> Some false
+          | Core.Verdict.Unknown _ -> None
+        in
+        (decide, false, "budgeted chase, sound verdicts only")
+
+(* definitive "not implied on untyped data", or [None] *)
+let ref_untyped_not_implied ~budget ~clock ~sigma phi =
+  let egd_free =
+    List.for_all (fun c -> not (Path.is_empty (Constr.rhs c))) (phi :: sigma)
+  in
+  if List.for_all Pathlang.Fragment.in_pw (phi :: sigma) && egd_free then
+    Option.map not (of_result (Core.Word_untyped.implies ~sigma phi))
+  else
+    match
+      Core.Semidecide.implies
+        ~ctl:(Engine.start (per_call ~budget ~clock))
+        ~sigma phi
+    with
+    | Core.Verdict.Implied -> Some false
+    | Core.Verdict.Refuted _ -> Some true
+    | Core.Verdict.Unknown _ -> None
+
+(* --- seeded regions ------------------------------------------------------- *)
+
+let rng = Random.State.make [| 0xDEC1DE |]
+let pick l = List.nth l (Random.State.int rng (List.length l))
+
+let path ~min ~max alphabet =
+  let n = min + Random.State.int rng (max - min + 1) in
+  Path.of_labels (List.init n (fun _ -> Label.make (pick alphabet)))
+
+(* few labels keep the enumeration fallback's space (2^(L*n^2)) small,
+   so every chase call settles well inside its one-second slice and the
+   verdicts do not depend on the clock *)
+let ab = [ "a"; "b" ]
+let word ?(eps = false) () =
+  Constr.word ~lhs:(path ~min:1 ~max:3 ab)
+    ~rhs:(if eps then Path.empty else path ~min:1 ~max:3 ab)
+
+let general () =
+  let prefix = path ~min:1 ~max:2 [ "a" ] in
+  let lhs = path ~min:1 ~max:2 [ "a" ] and rhs = path ~min:0 ~max:2 [ "a" ] in
+  if Random.State.bool rng then Constr.forward ~prefix ~lhs ~rhs
+  else Constr.backward ~prefix ~lhs ~rhs
+
+let bib_word () =
+  let p s = Path.of_string s in
+  pick
+    [
+      Constr.word ~lhs:(p "book.author") ~rhs:(p "person");
+      Constr.word ~lhs:(p "person.wrote") ~rhs:(p "book");
+      Constr.word ~lhs:(p "book.author.wrote") ~rhs:(p "book");
+      Constr.word ~lhs:(p "book.ref") ~rhs:(p "book");
+      Constr.word ~lhs:(p "book.ref.author") ~rhs:(p "person");
+    ]
+
+let sets = 6
+
+let regions =
+  let typed_m n =
+    Core.Typed_m.random_constraints ~rng ~schema:Mschema.bib_m ~count:n
+      ~max_len:2
+  in
+  [
+    ("untyped P_w, eps-free", None, fun () -> List.init 4 (fun _ -> word ()));
+    ( "untyped P_w with an eps conclusion",
+      None,
+      fun () -> word ~eps:true () :: List.init 3 (fun _ -> word ()) );
+    ( "untyped general P_c",
+      None,
+      fun () ->
+        general () :: List.init 2 (fun _ -> pick [ word (); general () ]) );
+    ("M, all paths in Paths(Delta)", Some Mschema.bib_m, fun () -> typed_m 4);
+    ( "M, one path outside Paths(Delta)",
+      Some Mschema.bib_m,
+      fun () ->
+        Constr.word ~lhs:(Path.of_string "book.isbn")
+          ~rhs:(Path.of_string "book")
+        :: typed_m 3 );
+    ( "M+",
+      Some Mschema.example_3_1,
+      fun () ->
+        if Random.State.bool rng then List.init 4 (fun _ -> bib_word ())
+        else general () :: List.init 2 (fun _ -> general ()) );
+  ]
+
+let instances =
+  List.map
+    (fun (name, schema, gen) ->
+      (name, schema, List.init sets (fun _ -> gen ())))
+    regions
+
+let budget = Engine.Budget.v ~max_steps:64 ~max_nodes:64 ~timeout:60. ()
+
+let drop i l = List.filteri (fun j _ -> j <> i) l
+
+let show = function
+  | Some true -> "implied"
+  | Some false -> "not implied"
+  | None -> "unknown"
+
+(* --- checks ------------------------------------------------------------- *)
+
+let test_region (name, schema, sets) () =
+  List.iter
+    (fun constrs ->
+      let what =
+        name ^ ": " ^ String.concat "; " (List.map Constr.to_string constrs)
+      in
+      let ref_decide, ref_exact, ref_how =
+        ref_make_decider ?schema ~budget ~clock:(clock_of budget) constrs
+      in
+      let plan = Decide.plan ?schema (Decide.clock budget) constrs in
+      check_bool (what ^ ": exact") ref_exact (Decide.exact plan);
+      check_string (what ^ ": how") ref_how (Decide.how (Decide.route plan));
+      List.iteri
+        (fun i phi ->
+          let rest = drop i constrs in
+          check_string
+            (what ^ ": verdict on " ^ Constr.to_string phi)
+            (show (ref_decide phi rest))
+            (show (Decide.decide plan ~sigma:rest phi));
+          (* the provenance question: a definitive untyped refutation *)
+          let untyped =
+            Decide.plan ~question:Decide.Refutation (Decide.clock budget)
+              (phi :: rest)
+          in
+          check_string
+            (what ^ ": untyped refutation of " ^ Constr.to_string phi)
+            (show
+               (Option.map not
+                  (ref_untyped_not_implied ~budget ~clock:(clock_of budget)
+                     ~sigma:rest phi)))
+            (show (Decide.decide untyped ~sigma:rest phi)))
+        constrs)
+    sets
+
+let row = function
+  | Decide.Untyped_word -> "untyped word"
+  | Decide.Untyped_word_eps -> "untyped word with eps"
+  | Decide.Untyped_general -> "untyped general"
+  | Decide.M_typed -> "M typed"
+  | Decide.M_off_paths _ -> "M off Paths(Delta)"
+  | Decide.M_plus _ -> "M+"
+
+let test_table_covers_regions () =
+  let rows =
+    List.map
+      (fun (name, schema, sets) ->
+        match
+          List.sort_uniq String.compare
+            (List.map (fun cs -> row (Decide.cell ?schema cs)) sets)
+        with
+        | [ r ] -> r
+        | rs ->
+            Alcotest.failf "region %s spans %d table rows: %s" name
+              (List.length rs) (String.concat ", " rs))
+      instances
+  in
+  check_int "six regions, six distinct rows" (List.length regions)
+    (List.length (List.sort_uniq String.compare rows))
+
+let () =
+  Alcotest.run "decide"
+    [
+      ( "differential",
+        List.map
+          (fun ((name, _, _) as r) ->
+            Alcotest.test_case name `Quick (test_region r))
+          instances );
+      ( "table",
+        [
+          Alcotest.test_case "covers every region once" `Quick
+            test_table_covers_regions;
+        ] );
+    ]

@@ -421,6 +421,72 @@ let test_audit_roundtrip () =
   check_string "prefilter" "miss" (field "prefilter");
   check_string "verdict" "refuted" (field "verdict")
 
+(* Every decision of a lint run — store pre-filter hits included — is one
+   audit record and one count in the route family, in a single record
+   shape. *)
+let test_lint_decisions_match_routes () =
+  let lint_dir =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      (Filename.concat "examples" (Filename.concat "data" "lint"))
+  in
+  let fixture name = Filename.quote (Filename.concat lint_dir name) in
+  List.iter
+    (fun schema ->
+      let audit_file = Filename.temp_file "obs_lint_audit" ".jsonl" in
+      let metrics_file = Filename.temp_file "obs_lint_metrics" ".txt" in
+      let code, _ =
+        run_stderr
+          (Printf.sprintf "lint -s %s%s --audit %s --metrics %s"
+             (fixture "redundant.constraints")
+             (match schema with
+             | None -> ""
+             | Some s -> " --schema " ^ fixture s)
+             (Filename.quote audit_file)
+             (Filename.quote metrics_file))
+      in
+      let audit = In_channel.with_open_text audit_file In_channel.input_all in
+      let metrics =
+        In_channel.with_open_text metrics_file In_channel.input_all
+      in
+      Sys.remove audit_file;
+      Sys.remove metrics_file;
+      let what = Option.value schema ~default:"untyped" in
+      check_int (what ^ ": warnings only, exit 0") 0 code;
+      let decisions =
+        List.filter
+          (fun l -> contains l "\"event\":\"decision\"")
+          (String.split_on_char '\n' audit)
+      in
+      check_bool (what ^ ": some decisions") true (decisions <> []);
+      List.iter
+        (fun l ->
+          check_bool (what ^ ": no n/a field in " ^ l) false (contains l "n/a");
+          match Obs.Json.parse l with
+          | Ok r -> (
+              match Obs.Audit.validate r with
+              | Ok () -> ()
+              | Error m -> Alcotest.fail ("decision record invalid: " ^ m))
+          | Error m -> Alcotest.fail ("audit line does not parse: " ^ m))
+        decisions;
+      let prefix = "pathcons_decision_route_total{" in
+      let routed =
+        List.fold_left
+          (fun acc l ->
+            if String.starts_with ~prefix l then
+              acc
+              + int_of_string
+                  (String.sub l
+                     (String.rindex l ' ' + 1)
+                     (String.length l - String.rindex l ' ' - 1))
+            else acc)
+          0
+          (String.split_on_char '\n' metrics)
+      in
+      check_int (what ^ ": one record per routed decision") routed
+        (List.length decisions))
+    [ None; Some "lint.schema" ]
+
 (* --- folded stacks from a real chase trace ----------------------------- *)
 
 let test_folded_stacks () =
@@ -495,6 +561,8 @@ let () =
             test_golden_openmetrics;
           Alcotest.test_case "--audit journal round-trip" `Quick
             test_audit_roundtrip;
+          Alcotest.test_case "lint decisions match the route family" `Quick
+            test_lint_decisions_match_routes;
         ] );
       ( "flame",
         [ Alcotest.test_case "folded stacks from a chase" `Quick
