@@ -2,10 +2,7 @@ module Label = Pathlang.Label
 
 let c_trans = Obs.Counter.make ~unit_:"transitions" "saturation.trans_added"
 
-let c_frontier =
-  Obs.Counter.make ~unit_:"transitions" "saturation.frontier_peak"
-
-(* distribution of per-call saturation work, across all three engines *)
+(* distribution of per-call pre* work *)
 let h_trans = Obs.Histogram.make ~unit_:"transitions" "saturation.trans_per_call"
 
 let check_states (pds : Pds.t) (a : Nfa.t) =
@@ -32,64 +29,6 @@ let pre_star (pds : Pds.t) a =
               changed := true
             end)
           targets)
-      pds.rules
-  done;
-  if Obs.enabled () then Obs.Histogram.observe h_trans (float_of_int !added);
-  a)
-
-(* Esparza-Hansel-Rossmanith-Schwoon pre*: process every transition once.
-   rel: transitions already added; delta2: for rules <p,g> -> <q,g' g''>,
-   pending "when (s, g'', s') appears, add (p, g, s')" obligations indexed
-   by (s, g''). *)
-let pre_star_worklist (pds : Pds.t) a =
-  check_states pds a;
-  List.iter
-    (fun (r : Pds.rule) ->
-      if List.length r.push > 2 then
-        invalid_arg "Saturation.pre_star_worklist: PDS not normalized")
-    pds.rules;
-  Obs.Span.with_ "saturation.pre_star_worklist" (fun () ->
-  let a = Nfa.copy a in
-  let worklist = Queue.create () in
-  let added = ref 0 in
-  let enqueue (p, g, s) =
-    if not (Nfa.mem_trans a p g s) then begin
-      Nfa.add_trans a p g s;
-      Obs.Counter.incr c_trans;
-      incr added;
-      Queue.add (p, g, s) worklist;
-      Obs.Counter.set_max c_frontier (Queue.length worklist)
-    end
-  in
-  (* existing transitions seed the worklist *)
-  List.iter (fun t -> Queue.add t worklist) (Nfa.transitions a);
-  (* pop rules <p,g> -> <q,eps> contribute immediately *)
-  List.iter
-    (fun (r : Pds.rule) ->
-      match r.push with [] -> enqueue (r.p, r.gamma, r.q) | _ -> ())
-    pds.rules;
-  let delta2 = Hashtbl.create 64 in
-  let add_obligation key v =
-    Hashtbl.replace delta2 key
-      (v :: Option.value ~default:[] (Hashtbl.find_opt delta2 key))
-  in
-  while not (Queue.is_empty worklist) do
-    let q, g, s = Queue.pop worklist in
-    (* discharged obligations *)
-    List.iter
-      (fun (p, gamma) -> enqueue (p, gamma, s))
-      (Option.value ~default:[] (Hashtbl.find_opt delta2 (q, g)));
-    List.iter
-      (fun (r : Pds.rule) ->
-        match r.push with
-        | [ g' ] when r.q = q && Label.equal g' g -> enqueue (r.p, r.gamma, s)
-        | [ g'; g'' ] when r.q = q && Label.equal g' g ->
-            (* need (s, g'', s') for each s'; register and replay *)
-            add_obligation (s, g'') (r.p, r.gamma);
-            Nfa.State_set.iter
-              (fun s' -> enqueue (r.p, r.gamma, s'))
-              (Nfa.reach a s [ g'' ])
-        | _ -> ())
       pds.rules
   done;
   if Obs.enabled () then Obs.Histogram.observe h_trans (float_of_int !added);

@@ -19,15 +19,6 @@ val pre_star : Pds.t -> Nfa.t -> Nfa.t
 (** @raise Invalid_argument if the automaton has fewer states than the
     PDS has control states. *)
 
-val pre_star_worklist : Pds.t -> Nfa.t -> Nfa.t
-(** The worklist-optimal algorithm of Esparza–Hansel–Rossmanith–Schwoon:
-    each transition is processed once, with [O(rules)] work per
-    transition, instead of re-scanning all rules to a fixpoint.
-    Requires a normalized PDS (pushes of length at most 2, see
-    {!Pds.normalize}); same language as {!pre_star} (property-tested).
-    @raise Invalid_argument on an unnormalized PDS or missing control
-    states. *)
-
 val post_star : Pds.t -> Nfa.t -> Nfa.t
 (** @raise Invalid_argument if the PDS has a rule pushing more than two
     symbols, or if the automaton has fewer states than the PDS has

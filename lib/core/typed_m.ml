@@ -38,34 +38,37 @@ type forest_edge = { other : int; reason : reason; stamp : int }
 type state = {
   paths : Path.t array;
   sorts : Mtype.t array;
+  ids : int Path.Map.t;  (** path -> node *)
   parent : int array;
   rank : int array;
-  succ : (int, (int * int) Label.Map.t) Hashtbl.t;
+  succ : (int * int) Label.Map.t array;
       (** rep -> label -> (successor node, witness parent node); the
           witness [w] satisfies [paths.(succ) = paths.(w) . label] *)
-  forest : (int, forest_edge list) Hashtbl.t;
+  forest : forest_edge list array;
   mutable clock : int;
 }
 
 exception Clash of string
 
+(* Compresses paths, but writes nothing once [n]'s parent is a root:
+   the closed state of a context is only read (see [compress]). *)
 let rec find st n =
   let p = st.parent.(n) in
   if p = n then n
   else begin
     let r = find st p in
-    st.parent.(n) <- r;
+    if r <> p then st.parent.(n) <- r;
     r
   end
 
-let succ_map st r = Option.value ~default:Label.Map.empty (Hashtbl.find_opt st.succ r)
+let compress st = Array.iteri (fun i _ -> ignore (find st i)) st.parent
+let node st p = Path.Map.find p st.ids
 
 let forest_add st a b reason =
   let stamp = st.clock in
   st.clock <- stamp + 1;
   let push n e =
-    Hashtbl.replace st.forest n
-      (e :: Option.value ~default:[] (Hashtbl.find_opt st.forest n))
+    st.forest.(n) <- e :: st.forest.(n)
   in
   push a { other = b; reason; stamp };
   push b { other = a; reason; stamp }
@@ -90,8 +93,8 @@ let rec union st a b reason =
     let big, small = if st.rank.(ra) >= st.rank.(rb) then (ra, rb) else (rb, ra) in
     st.parent.(small) <- big;
     if st.rank.(big) = st.rank.(small) then st.rank.(big) <- st.rank.(big) + 1;
-    let ms = succ_map st small and mb = succ_map st big in
-    Hashtbl.remove st.succ small;
+    let ms = st.succ.(small) and mb = st.succ.(big) in
+    st.succ.(small) <- Label.Map.empty;
     let merged, pending =
       Label.Map.fold
         (fun l (sn, wn) (acc, pending) ->
@@ -100,7 +103,7 @@ let rec union st a b reason =
           | None -> (Label.Map.add l (sn, wn) acc, pending))
         ms (mb, [])
     in
-    Hashtbl.replace st.succ big merged;
+    st.succ.(big) <- merged;
     List.iter
       (fun (sn, sn', wn, wn', l) -> union st sn sn' (By_congruence (wn, wn', l)))
       pending
@@ -129,7 +132,7 @@ let rec explain st ~before a b =
               Hashtbl.add prev e.other (Some (n, e));
               Queue.add e.other q
             end)
-          (Option.value ~default:[] (Hashtbl.find_opt st.forest n));
+          st.forest.(n);
         bfs ()
       end
     in
@@ -205,10 +208,11 @@ let build_state schema all_paths =
     {
       paths;
       sorts;
+      ids;
       parent = Array.init n Fun.id;
       rank = Array.make n 0;
-      succ = Hashtbl.create (2 * n);
-      forest = Hashtbl.create (2 * n);
+      succ = Array.make n Label.Map.empty;
+      forest = Array.make n [];
       clock = 0;
     }
   in
@@ -218,9 +222,9 @@ let build_state schema all_paths =
       | None -> ()
       | Some (parent_path, l) ->
           let pi = Path.Map.find parent_path ids in
-          Hashtbl.replace st.succ pi (Label.Map.add l (i, pi) (succ_map st pi)))
+          st.succ.(pi) <- Label.Map.add l (i, pi) st.succ.(pi))
     paths;
-  (st, ids)
+  st
 
 (* Countermodel: congruence classes plus generic per-sort nodes. *)
 let countermodel schema st =
@@ -258,7 +262,7 @@ let countermodel schema st =
   in
   Hashtbl.iter
     (fun r gnode ->
-      let map = succ_map st r in
+      let map = st.succ.(r) in
       List.iter
         (fun (l, ft) ->
           match Label.Map.find_opt l map with
@@ -268,51 +272,128 @@ let countermodel schema st =
     (Hashtbl.copy class_node);
   typed
 
-(* Shared setup: validate, convert, materialize, saturate.  Returns the
-   closed state (or the clash message) together with the node lookup. *)
-let run_closure schema ~sigma ~extra_paths =
-  if Mschema.kind schema <> Mschema.M then
-    Error "Typed_m: schema is not of kind M"
-  else
-    let bad =
-      List.find_map
-        (fun c ->
-          match SG.check_constraint_paths schema c with
-          | Ok () -> None
-          | Error rho -> Some (c, rho))
-        sigma
-    in
-    match bad with
-    | Some (c, rho) ->
-        Error
-          (Format.asprintf "constraint %a mentions %a, not in Paths(Delta)"
-             Constr.pp c Path.pp rho)
-    | None ->
-        let inputs =
-          List.map (fun c -> (to_word_equality c, input_derivation c)) sigma
-        in
-        let all_paths =
-          (* the empty path is always materialized so that the root class
-             exists even for empty inputs *)
-          Path.empty :: extra_paths
-          @ List.concat_map (fun ((u, v), _) -> [ u; v ]) inputs
-        in
-        Obs.Span.with_ "typed_m.closure"
-          ~args:[ ("sigma", string_of_int (List.length sigma)) ]
-          (fun () ->
-            let st, ids = build_state schema all_paths in
-            Obs.Counter.add c_classes (Array.length st.paths);
-            let node p = Path.Map.find p ids in
-            let run () =
-              List.iter
-                (fun ((u, v), d) -> union st (node u) (node v) (By_input d))
-                inputs
-            in
-            match run () with
-            | () -> Ok (`Closed (st, node))
-            | exception Clash msg -> Ok (`Clash msg))
+(* ------------------------------------------------------------------ *)
+(* Decision contexts: the closure of Sigma, built once per Sigma.       *)
+(* ------------------------------------------------------------------ *)
 
-let decide schema ~sigma ~phi =
+type closure = Closed of state | Clashed of string
+
+type context = { schema : Mschema.t; closure : (closure, string) result }
+
+(* Validate, convert, materialize, saturate: everything that depends on
+   Sigma alone.  The closed state is compressed and then only read. *)
+let context schema ~sigma =
+  let closure =
+    if Mschema.kind schema <> Mschema.M then
+      Error "Typed_m: schema is not of kind M"
+    else
+      let bad =
+        List.find_map
+          (fun c ->
+            match SG.check_constraint_paths schema c with
+            | Ok () -> None
+            | Error rho -> Some (c, rho))
+          sigma
+      in
+      match bad with
+      | Some (c, rho) ->
+          Error
+            (Format.asprintf "constraint %a mentions %a, not in Paths(Delta)"
+               Constr.pp c Path.pp rho)
+      | None ->
+          let inputs =
+            List.map (fun c -> (to_word_equality c, input_derivation c)) sigma
+          in
+          let all_paths =
+            (* the empty path is always materialized so that the root
+               class exists even for empty inputs *)
+            Path.empty :: List.concat_map (fun ((u, v), _) -> [ u; v ]) inputs
+          in
+          Obs.Span.with_ "typed_m.closure"
+            ~args:[ ("sigma", string_of_int (List.length sigma)) ]
+            (fun () ->
+              let st = build_state schema all_paths in
+              Obs.Counter.add c_classes (Array.length st.paths);
+              match
+                List.iter
+                  (fun ((u, v), d) ->
+                    union st (node st u) (node st v) (By_input d))
+                  inputs
+              with
+              | () ->
+                  compress st;
+                  Ok (Closed st)
+              | exception Clash msg -> Ok (Clashed msg))
+  in
+  { schema; closure }
+
+(* [st] with the prefix closure of [paths] materialized: [st] itself
+   when nothing is new, else an extended copy.  Extending never merges
+   two existing classes: a new node [p.l] joins the [l]-successor of
+   [p]'s class when there is one (same sort, so no clash), and otherwise
+   starts a class of its own.  Parents come before children in shortlex
+   order, so each new node finds its parent in place. *)
+let extend schema st paths =
+  let fresh =
+    List.fold_left
+      (fun acc p ->
+        List.fold_left
+          (fun acc q -> if Path.Map.mem q st.ids then acc else Path.Set.add q acc)
+          acc (Path.prefixes p))
+      Path.Set.empty paths
+  in
+  if Path.Set.is_empty fresh then st
+  else begin
+    let extra = Array.of_list (Path.Set.elements fresh) in
+    let n0 = Array.length st.paths and k = Array.length extra in
+    Obs.Counter.add c_classes k;
+    let st =
+      {
+        paths = Array.append st.paths extra;
+        sorts =
+          Array.append st.sorts
+            (Array.map (fun p -> Option.get (SG.type_of_path schema p)) extra);
+        ids =
+          Array.fold_left
+            (fun (m, i) p -> (Path.Map.add p i m, i + 1))
+            (st.ids, n0) extra
+          |> fst;
+        parent = Array.append st.parent (Array.init k (fun j -> n0 + j));
+        rank = Array.append st.rank (Array.make k 0);
+        succ = Array.append st.succ (Array.make k Label.Map.empty);
+        forest = Array.append st.forest (Array.make k []);
+        clock = st.clock;
+      }
+    in
+    Array.iteri
+      (fun k p ->
+        let i = n0 + k in
+        match Path.split_last p with
+        | None -> assert false (* the empty path is always materialized *)
+        | Some (parent_path, l) -> (
+            let pi = node st parent_path in
+            let r = find st pi in
+            match Label.Map.find_opt l st.succ.(r) with
+            | Some (sn, wn) -> union st sn i (By_congruence (wn, pi, l))
+            | None ->
+                st.succ.(r) <- Label.Map.add l (i, pi) st.succ.(r)))
+      extra;
+    st
+  end
+
+let memo = Memo.create ()
+
+let same_key (schema, sigma) (schema', sigma') =
+  (schema == schema' || schema = schema')
+  && (sigma == sigma' || List.equal Constr.equal sigma sigma')
+
+let memo_context schema ~sigma =
+  Memo.find_or_add memo ~same:same_key (schema, sigma) (fun () ->
+      context schema ~sigma)
+
+(* [get ()] supplies the context once [phi] is known to be well-formed,
+   inside the decide span. *)
+let decide_with schema get ~phi =
   match SG.check_constraint_paths schema phi with
   | Error rho ->
       Error
@@ -321,11 +402,12 @@ let decide schema ~sigma ~phi =
   | Ok () -> (
       Obs.Span.with_ "typed_m.decide" (fun () ->
       let s_path, t_path = to_word_equality phi in
-      match run_closure schema ~sigma ~extra_paths:[ s_path; t_path ] with
+      match (get ()).closure with
       | Error _ as e -> e
-      | Ok (`Clash msg) -> Ok (Vacuous msg)
-      | Ok (`Closed (st, node)) ->
-          let s = node s_path and t = node t_path in
+      | Ok (Clashed msg) -> Ok (Vacuous msg)
+      | Ok (Closed st) ->
+          let st = extend schema st [ s_path; t_path ] in
+          let s = node st s_path and t = node st t_path in
           if find st s = find st t then begin
             let d =
               Obs.Span.with_ "typed_m.explain" (fun () ->
@@ -339,6 +421,11 @@ let decide schema ~sigma ~phi =
                  (Obs.Span.with_ "typed_m.countermodel" (fun () ->
                       countermodel schema st)))))
 
+let decide_in ctx ~phi = decide_with ctx.schema (fun () -> ctx) ~phi
+
+let decide schema ~sigma ~phi =
+  decide_with schema (fun () -> memo_context schema ~sigma) ~phi
+
 let implies schema ~sigma ~phi =
   match decide schema ~sigma ~phi with
   | Ok (Implied _ | Vacuous _) -> Ok true
@@ -346,21 +433,22 @@ let implies schema ~sigma ~phi =
   | Error e -> Error e
 
 let satisfiable schema ~sigma =
-  match run_closure schema ~sigma ~extra_paths:[] with
+  match (memo_context schema ~sigma).closure with
   | Error e -> Error e
-  | Ok (`Clash _) -> Ok false
-  | Ok (`Closed _) -> Ok true
+  | Ok (Clashed _) -> Ok false
+  | Ok (Closed _) -> Ok true
 
 let equivalence_classes schema ~sigma ~max_len =
-  let universe = SG.paths_up_to schema max_len in
-  match run_closure schema ~sigma ~extra_paths:universe with
+  match (memo_context schema ~sigma).closure with
   | Error e -> Error e
-  | Ok (`Clash msg) -> Error ("unsatisfiable: " ^ msg)
-  | Ok (`Closed (st, node)) ->
+  | Ok (Clashed msg) -> Error ("unsatisfiable: " ^ msg)
+  | Ok (Closed st) ->
+      let universe = SG.paths_up_to schema max_len in
+      let st = extend schema st universe in
       let by_rep = Hashtbl.create 64 in
       List.iter
         (fun p ->
-          let r = find st (node p) in
+          let r = find st (node st p) in
           Hashtbl.replace by_rep r
             (p :: Option.value ~default:[] (Hashtbl.find_opt by_rep r)))
         universe;
@@ -369,10 +457,10 @@ let equivalence_classes schema ~sigma ~max_len =
         |> List.sort (fun a b -> Path.compare (List.hd a) (List.hd b)))
 
 let canonical_model schema ~sigma =
-  match run_closure schema ~sigma ~extra_paths:[] with
+  match (memo_context schema ~sigma).closure with
   | Error e -> Error e
-  | Ok (`Clash msg) -> Error ("unsatisfiable: " ^ msg)
-  | Ok (`Closed (st, _)) -> Ok (countermodel schema st)
+  | Ok (Clashed msg) -> Error ("unsatisfiable: " ^ msg)
+  | Ok (Closed st) -> Ok (countermodel schema st)
 
 (* ------------------------------------------------------------------ *)
 

@@ -48,7 +48,27 @@ val decide :
   (outcome, string) result
 (** [Error] when the schema is not of kind M, or some constraint
     mentions a path outside [Paths(Delta)] (the offending path is
-    named). *)
+    named).  [decide] keeps the {!context} of the last (schema, [Sigma])
+    it saw (one per domain, see {!Memo}), as do {!implies},
+    {!satisfiable}, {!equivalence_classes} and {!canonical_model}: a run
+    of goals against one [Sigma] closes it once. *)
+
+(** {2 Decision contexts} *)
+
+type context
+(** The closed congruence state of [Sigma] over a schema, or its sort
+    clash, or the validation error.  A goal's paths extend it without
+    merging any two of its classes: a new node [p.l] joins the
+    [l]-successor of [p]'s class or starts a class of its own.  A goal
+    whose paths are all there reads it and copies nothing. *)
+
+val context : Schema.Mschema.t -> sigma:Pathlang.Constr.t list -> context
+(** Builds a context, always (span [typed_m.closure]); {!decide}
+    reuses one. *)
+
+val decide_in : context -> phi:Pathlang.Constr.t -> (outcome, string) result
+(** [decide_in ctx ~phi] is [decide schema ~sigma ~phi] for the schema
+    and [Sigma] of [ctx]. *)
 
 val implies :
   Schema.Mschema.t ->

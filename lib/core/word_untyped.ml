@@ -5,37 +5,46 @@ module PR = Automata.Prefix_rewrite
 
 type error = Not_word_constraint of Pathlang.Constr.t
 
-let c_systems = Obs.Counter.make ~unit_:"compilations" "word.systems_compiled"
+let c_systems = Obs.Counter.make ~unit_:"contexts" "word.systems_compiled"
 
 let check_word sigma =
   match List.find_opt (fun c -> not (Constr.is_word c)) sigma with
   | Some c -> Error (Not_word_constraint c)
   | None -> Ok ()
 
-let system_of ~sigma ~extra =
-  Obs.Counter.incr c_systems;
-  let rules =
-    List.map (fun c -> { PR.lhs = Constr.lhs c; rhs = Constr.rhs c }) sigma
-  in
-  let alphabet =
-    Label.Set.elements
-      (List.fold_left
-         (fun acc c -> Label.Set.union acc (Constr.labels_used c))
-         extra sigma)
-  in
-  PR.compile ~alphabet rules
+let rules_of sigma =
+  List.map (fun c -> { PR.lhs = Constr.lhs c; rhs = Constr.rhs c }) sigma
 
-let with_word_instance ~sigma phi f =
-  match check_word (phi :: sigma) with
-  | Error _ as e -> e
-  | Ok () ->
+type context = PR.context
+
+let context ~sigma =
+  Result.map
+    (fun () ->
       Obs.Span.with_ "word.instance"
         ~args:[ ("sigma", string_of_int (List.length sigma)) ]
         (fun () ->
-          let system = system_of ~sigma ~extra:(Constr.labels_used phi) in
-          Ok (f system (Constr.lhs phi) (Constr.rhs phi)))
+          Obs.Counter.incr c_systems;
+          PR.context (rules_of sigma)))
+    (check_word sigma)
 
-let implies ~sigma phi = with_word_instance ~sigma phi PR.derives
+let memo = Memo.create ()
+
+let same_sigma a b = a == b || List.equal Constr.equal a b
+
+(* The goal is checked before Sigma, as [check_word (phi :: sigma)]
+   would. *)
+let with_context ~sigma phi f =
+  if not (Constr.is_word phi) then Error (Not_word_constraint phi)
+  else
+    Result.map
+      (fun ctx -> f ctx (Constr.lhs phi) (Constr.rhs phi))
+      (Memo.find_or_add memo ~same:same_sigma sigma (fun () -> context ~sigma))
+
+let implies_in ctx phi =
+  if not (Constr.is_word phi) then Error (Not_word_constraint phi)
+  else Ok (PR.derives_in ctx (Constr.lhs phi) (Constr.rhs phi))
+
+let implies ~sigma phi = with_context ~sigma phi PR.derives_in
 
 let implies_exn ~sigma phi =
   match implies ~sigma phi with
@@ -45,14 +54,22 @@ let implies_exn ~sigma phi =
         (Format.asprintf "Word_untyped.implies_exn: %a is not a word constraint"
            Constr.pp c)
 
-let implies_via_post ~sigma phi = with_word_instance ~sigma phi PR.derives_via_post
+(* The reference engines compile the whole pushdown system per call
+   (the rules' labels join the alphabet by themselves). *)
+let with_system ~sigma phi f =
+  Result.map
+    (fun () ->
+      let alphabet = Label.Set.elements (Constr.labels_used phi) in
+      f (PR.compile ~alphabet (rules_of sigma)) (Constr.lhs phi) (Constr.rhs phi))
+    (check_word (phi :: sigma))
 
-let implies_via_worklist ~sigma phi =
-  with_word_instance ~sigma phi PR.derives_worklist
+let implies_via_post ~sigma phi = with_system ~sigma phi PR.derives_via_post
 
 let derivation ?(max_frontier = 4096) ~sigma phi =
-  with_word_instance ~sigma phi (fun system alpha beta ->
-      if not (PR.derives system alpha beta) then Error "not implied"
+  with_context ~sigma phi (fun ctx alpha beta ->
+      (* pre*({beta}) once; every candidate below is one walk *)
+      let goal = PR.target ctx beta in
+      if not (PR.accepts goal alpha) then Error "not implied"
       else if Path.equal alpha beta then Ok (Axioms.Reflexivity alpha)
       else begin
         (* BFS from alpha through words that still derive beta; the target
@@ -75,12 +92,12 @@ let derivation ?(max_frontier = 4096) ~sigma phi =
                 match Path.strip_prefix ~prefix:r.PR.lhs w with
                 | Some suffix -> Some (Path.concat r.PR.rhs suffix, r, suffix)
                 | None -> None)
-              (PR.rules system)
+              (PR.context_rules ctx)
           in
           List.iter
             (fun (w', r, suffix) ->
               if (not !found) && not (Hashtbl.mem parent (key w')) then
-                if PR.derives system w' beta then begin
+                if PR.accepts goal w' then begin
                   decr frontier_budget;
                   if !frontier_budget >= 0 then begin
                     Hashtbl.add parent (key w') (Some (w, r, suffix));
@@ -117,13 +134,13 @@ let derivation ?(max_frontier = 4096) ~sigma phi =
       end)
 
 let derivation_bfs ?max_configs ~sigma phi =
-  with_word_instance ~sigma phi (fun s a b -> PR.derives_bfs ?max_configs s a b)
+  with_system ~sigma phi (fun s a b -> PR.derives_bfs ?max_configs s a b)
 
 let consequences_sample ~sigma ~from ~max_steps =
   match check_word sigma with
   | Error _ -> []
   | Ok () ->
-      let system = system_of ~sigma ~extra:(Path.labels_used from) in
+      let rules = rules_of sigma in
       let seen = Hashtbl.create 64 in
       let key = Path.to_string in
       let q = Queue.create () in
@@ -141,6 +158,6 @@ let consequences_sample ~sigma ~from ~max_steps =
               Hashtbl.add seen (key w') ();
               Queue.add w' q
             end)
-          (PR.one_step system w)
+          (PR.one_step rules w)
       done;
       List.rev !acc

@@ -45,7 +45,24 @@ val implies :
   Pathlang.Constr.t ->
   (bool, error) result
 (** [implies ~sigma phi] decides [Sigma |= phi] (equivalently
-    [Sigma |=_f phi]) for word constraints. *)
+    [Sigma |=_f phi]) for word constraints.  It keeps the {!context} of
+    the last [Sigma] it saw (one per domain, see {!Memo}): a run of
+    goals against one [Sigma] builds the context once, and each goal
+    costs one goal phase of pre* and one walk. *)
+
+(** {2 Decision contexts} *)
+
+type context
+(** The part of the decision that depends on [Sigma] alone
+    ({!Automata.Prefix_rewrite.context}). *)
+
+val context : sigma:Pathlang.Constr.t list -> (context, error) result
+(** Builds a context, always (span [word.instance], counter
+    [word.systems_compiled]); {!implies} reuses one. *)
+
+val implies_in : context -> Pathlang.Constr.t -> (bool, error) result
+(** [implies_in ctx phi] is [implies ~sigma phi] for the [Sigma] of
+    [ctx]. *)
 
 val implies_exn : sigma:Pathlang.Constr.t list -> Pathlang.Constr.t -> bool
 
@@ -59,21 +76,17 @@ val derivation :
     right-congruence, each step an {!Axioms.t} node), making the
     completeness theorem of [4] executable: the certificate re-checks
     with {!Axioms.check}.  The search walks a shortest rewriting
-    sequence, pruning words that stop being on a derivation path (each
-    prune test is one pre* query, so extraction is polynomial per
-    step); [max_frontier] caps the breadth (default 4096).  Outer
-    [Error]: some input is not a word constraint.  Inner [Error]: [phi]
+    sequence, pruning words that stop being on a derivation path
+    (pre* of [{beta}] is saturated once and each prune test is one walk
+    of it, so extraction is polynomial per step); [max_frontier] caps
+    the breadth (default 4096).  Outer [Error]: some input is not a word constraint.  Inner [Error]: [phi]
     is not implied, or the frontier cap was hit. *)
 
 val implies_via_post :
   sigma:Pathlang.Constr.t list -> Pathlang.Constr.t -> (bool, error) result
-(** Same question decided with the dual post* saturation — an
-    independent second implementation used for cross-validation and the
-    ablation bench. *)
-
-val implies_via_worklist :
-  sigma:Pathlang.Constr.t list -> Pathlang.Constr.t -> (bool, error) result
-(** Third engine: the worklist-optimal pre* saturation. *)
+(** Same question decided with the dual post* saturation over a freshly
+    compiled system — an independent implementation used for
+    cross-validation and the ablation bench. *)
 
 val derivation_bfs :
   ?max_configs:int ->

@@ -144,11 +144,11 @@ let prop_pre_vs_post =
       let s = PR.compile ~alphabet:labels rules in
       PR.derives s a b = PR.derives_via_post s a b)
 
-let prop_pre_vs_worklist =
-  q ~count:200 "naive pre* and worklist pre* agree" arb_instance
+let prop_pre_vs_context =
+  q ~count:200 "naive and context pre* agree" arb_instance
     (fun (rules, a, b) ->
       let s = PR.compile ~alphabet:labels rules in
-      PR.derives s a b = PR.derives_worklist s a b)
+      PR.derives s a b = PR.derives_in (PR.context rules) a b)
 
 let prop_pre_vs_bfs =
   q ~count:100 "pre* agrees with BFS when BFS is definitive" arb_instance
@@ -163,13 +163,13 @@ let prop_one_step_in_closure =
     QCheck.(pair (QCheck.make gen_system ~print:print_system) arb_path)
     (fun (rules, a) ->
       let s = PR.compile ~alphabet:labels rules in
-      List.for_all (fun b -> PR.derives s a b) (PR.one_step s a))
+      List.for_all (fun b -> PR.derives s a b) (PR.one_step rules a))
 
 let prop_transitive_closure =
   q ~count:80 "derivability is transitive" arb_instance (fun (rules, a, b) ->
       let s = PR.compile ~alphabet:labels rules in
       if PR.derives s a b then
-        List.for_all (fun c -> PR.derives s a c) (PR.one_step s b)
+        List.for_all (fun c -> PR.derives s a c) (PR.one_step rules b)
       else true)
 
 (* --- DFA operations ---------------------------------------------------------- *)
@@ -283,7 +283,7 @@ let () =
       ( "cross-validation",
         [
           prop_pre_vs_post;
-          prop_pre_vs_worklist;
+          prop_pre_vs_context;
           prop_pre_vs_bfs;
           prop_one_step_in_closure;
           prop_transitive_closure;
