@@ -6,10 +6,26 @@
      implies        word constraint implication (untyped, PTIME)
      implies-local  local extent constraint implication (Theorem 5.1)
      implies-typed  P_c implication under an M schema (Theorem 4.2)
+     check-proof    verify an I_r certificate
      chase          semi-decide general P_c implication (untyped)
-     encode         print the monoid reductions (Theorems 4.3 / 5.2)
+     compare        one instance through every applicable procedure
+     encode         print the monoid reductions (Theorems 4.3 / 5.2 / 6.1)
+     word-problem   attack a monoid word problem instance
+     optimize       prune and rewrite a union-of-paths query
+     consequences   sample paths implied from a starting path
+     rpq            evaluate a regular path query on a graph
      dot            render a graph file as DOT
-     validate       check a typed graph against a schema  *)
+     index          sizes of the bisimulation 1-index and DataGuide
+     validate       check a typed graph against a schema
+     odl            split an ODL declaration into type and path constraints
+     lint           static analysis of a constraint file (PC0xx-PC7xx)
+     interact       the constraint-interaction report (PC7xx)
+     query          typed RPQ files: lint, eval, explain (PC8xx)
+     profile        phase attribution of a workload over N runs
+
+   The instrumented commands take the observability flags as one term
+   ([obs_term]); lint, interact and query lint/explain share the report
+   term ([report_term]) and the one analyzer driver (Analysis.Driver). *)
 
 open Cmdliner
 
@@ -17,10 +33,9 @@ let die fmt = Format.kasprintf (fun s -> `Error (false, s)) fmt
 
 (* Every CLI input read goes through the fault-injectable I/O layer, so
    torn/truncated reads can be rehearsed end-to-end ([cli.read] site);
-   disarmed, this is a plain file read. *)
-let fs_cli_read = Fault.site "cli.read"
-
-let read_file path = Fault.Io.read_file ~site:fs_cli_read path
+   disarmed, this is a plain file read.  The analyzer driver reads its
+   inputs through the same function. *)
+let read_file = Analysis.Driver.read_file
 
 (* Machine-readable diagnostic on stderr for snapshot degradation:
    operators grep these out of service logs. *)
@@ -101,6 +116,20 @@ let audit_arg =
            outcome, budgets spent, verdict) plus snapshot park/resume \
            events.")
 
+(* The four observability flags, as the one argument every instrumented
+   command takes ([profile] keeps its own subset). *)
+type obs = {
+  trace : string option;
+  stats : [ `Text | `Json ] option;
+  metrics : string option;
+  audit : string option;
+}
+
+let obs_term =
+  Term.(
+    const (fun trace stats metrics audit -> { trace; stats; metrics; audit })
+    $ trace_arg $ stats_arg $ metrics_arg $ audit_arg)
+
 (* Instrumentation bracket: enable the requested observability, run [f]
    under a root span, then flush the trace file, the OpenMetrics
    exposition, the audit journal and the stats before handing back
@@ -108,7 +137,7 @@ let audit_arg =
    from [f] — calling [exit] inside would skip the flush.  [always]
    keeps counters on even without --stats, so that exhaustion
    diagnostics can report what the budget was spent on. *)
-let with_obs ~cmd ?(always = false) ?metrics ?audit ~trace ~stats f =
+let with_obs ~cmd ?(always = false) { trace; stats; metrics; audit } f =
   if trace <> None then Obs.enable_tracing ()
   else if always || stats <> None || metrics <> None then Obs.enable ();
   if audit <> None then Obs.Audit.enable ();
@@ -175,11 +204,11 @@ let check_cmd =
       & info [ "max-violations" ] ~docv:"N"
           ~doc:"Print at most $(docv) violating pairs per failing constraint.")
   in
-  let run graph_file sigma_file max_violations trace stats metrics audit =
+  let run graph_file sigma_file max_violations obs =
     match (load_graph graph_file, load_constraints sigma_file) with
     | Error m, _ | _, Error m -> die "%s" m
     | Ok g, Ok sigma ->
-        with_obs ~cmd:"check" ?metrics ?audit ~trace ~stats (fun () ->
+        with_obs ~cmd:"check" obs (fun () ->
             let ok = ref true in
             List.iter
               (fun c ->
@@ -206,8 +235,7 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Model-check constraints against a graph")
     Term.(
       ret
-        (const run $ graph_arg $ sigma_arg $ max_violations_arg $ trace_arg
-       $ stats_arg $ metrics_arg $ audit_arg))
+        (const run $ graph_arg $ sigma_arg $ max_violations_arg $ obs_term))
 
 (* --- implies (word, untyped) ------------------------------------------- *)
 
@@ -436,7 +464,7 @@ let chase_cmd =
              e.g. 'chase.repair:3:crash'.  Overrides \\$PATHCTL_FAULT.")
   in
   let run sigma_file phi steps nodes timeout escalate snapshot resume fault
-      jobs trace stats metrics audit =
+      jobs obs =
     let fault_err =
       match fault with
       | None -> None
@@ -462,8 +490,7 @@ let chase_cmd =
               (* counters stay on even without --stats so an Unknown verdict
                  can say what the budget was spent on *)
               let code =
-                with_obs ~cmd:"chase" ~always:true ?metrics ?audit ~trace
-                  ~stats (fun () ->
+                with_obs ~cmd:"chase" ~always:true obs (fun () ->
                     let cancel = Core.Engine.Cancel.create () in
                     (* A bad resume file degrades to a cold start: a parked
                        snapshot is an optimization, never a correctness
@@ -585,7 +612,7 @@ let chase_cmd =
       ret
         (const run $ sigma_arg $ phi_arg $ steps_arg $ nodes_arg $ timeout_arg
        $ escalate_arg $ snapshot_arg $ resume_arg $ fault_arg $ jobs_arg
-       $ trace_arg $ stats_arg $ metrics_arg $ audit_arg))
+       $ obs_term))
 
 (* --- encode ---------------------------------------------------------------------- *)
 
@@ -964,6 +991,90 @@ let index_cmd =
           1-index, strong DataGuide) for a graph")
     Term.(ret (const run $ graph_arg))
 
+(* --- analyzer front end -------------------------------------------------------- *)
+
+(* lint, interact and query lint/explain print one diagnostic report *)
+type report = { format : [ `Text | `Json | `Sarif ]; output : string option }
+
+let report_term =
+  let format_arg =
+    Arg.(
+      value
+      & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ]) `Text
+      & info [ "format" ] ~docv:"FMT"
+          ~doc:
+            "Output format: human-readable $(b,text), JSON lines ($(b,json)), \
+             or SARIF 2.1.0 ($(b,sarif)) for CI annotation.")
+  in
+  let output_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "o"; "output" ] ~docv:"FILE"
+          ~doc:"Write the report to $(docv) instead of standard output.")
+  in
+  Term.(const (fun format output -> { format; output }) $ format_arg $ output_arg)
+
+let render { format; output } diags =
+  let rendered =
+    match format with
+    | `Text -> Analysis.Diagnostic.render_text diags
+    | `Json -> Analysis.Diagnostic.render_json diags
+    | `Sarif -> Analysis.Diagnostic.render_sarif diags
+  in
+  match output with
+  | None -> print_string rendered
+  | Some file ->
+      Out_channel.with_open_text file (fun oc ->
+          Out_channel.output_string oc rendered)
+
+let max_warnings_arg ~doc =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "max-warnings" ] ~docv:"N"
+        ~doc:
+          ("Exit 1 when more than $(docv) warning-severity diagnostics fire \
+            (errors always exit 1)" ^ doc ^ "."))
+
+(* the warning threshold may come from the config file; the explicit
+   flag wins *)
+let max_warnings_or_config ~config = function
+  | Some _ as n -> n
+  | None ->
+      Option.bind config (fun path ->
+          match Analysis.Config.load path with
+          | Ok c -> c.Analysis.Config.max_warnings
+          | Error _ -> None)
+
+(* lint and interact: the budget of the best-effort passes, cancelled by
+   SIGINT; the term yields the bracket that runs an analysis under it *)
+let analysis_budget_term ~timeout_doc =
+  let timeout_arg =
+    Arg.(value & opt float 5. & info [ "timeout" ] ~docv:"SECS" ~doc:timeout_doc)
+  in
+  let steps_arg =
+    Arg.(
+      value & opt int 512
+      & info [ "max-steps" ] ~docv:"N"
+          ~doc:"Step/node budget per best-effort chase call.")
+  in
+  let with_budget timeout steps f =
+    let cancel = Core.Engine.Cancel.create () in
+    let budget =
+      Core.Engine.Budget.v ~max_steps:steps ~max_nodes:steps ~timeout ~cancel ()
+    in
+    Core.Engine.Cancel.with_sigint cancel (fun () -> f budget)
+  in
+  Term.(const with_budget $ timeout_arg $ steps_arg)
+
+(* keep the load/parse errors in a filtered report: a file that did not
+   parse has no analysis, and the consumer must see why *)
+let input_error d =
+  match d.Analysis.Diagnostic.code with
+  | "PC001" | "PC002" | "PC003" -> true
+  | _ -> false
+
 (* --- lint ------------------------------------------------------------------------ *)
 
 let lint_cmd =
@@ -984,36 +1095,6 @@ let lint_cmd =
           ~doc:
             "Optional goal constraint; sharpens the fragment classification \
              (prefix-boundedness is determined by the goal).")
-  in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ]) `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:
-            "Output format: human-readable $(b,text), JSON lines ($(b,json)), \
-             or SARIF 2.1.0 ($(b,sarif)) for CI annotation.")
-  in
-  let output_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the report to $(docv) instead of standard output.")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt float 5.
-      & info [ "timeout" ] ~docv:"SECS"
-          ~doc:
-            "Wall-clock deadline for the budgeted passes (best-effort \
-             redundancy); the exact passes are not affected.")
-  in
-  let steps_arg =
-    Arg.(
-      value & opt int 512
-      & info [ "max-steps" ] ~docv:"N"
-          ~doc:"Step/node budget per best-effort chase call.")
   in
   let config_arg =
     Arg.(
@@ -1043,16 +1124,6 @@ let lint_cmd =
             "With a schema: print the inferred sort (class set) at each \
              step of every constraint's walks as PC602 diagnostics.")
   in
-  let max_warnings_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-warnings" ] ~docv:"N"
-          ~doc:
-            "Exit 1 when more than $(docv) warning-severity diagnostics \
-             fire (errors always exit 1), so CI can gate on warnings \
-             without parsing SARIF.")
-  in
   let cache_arg =
     Arg.(
       value
@@ -1075,75 +1146,46 @@ let lint_cmd =
              equivalent.")
   in
   let run sigma_file schema_file phi config fix explain interact max_warnings
-      cache format output timeout steps jobs trace stats metrics audit =
-    let code =
-      with_obs ~cmd:"lint" ~always:true ?metrics ?audit ~trace ~stats
-        (fun () ->
-          let cancel = Core.Engine.Cancel.create () in
-          let budget =
-            Core.Engine.Budget.v ~max_steps:steps ~max_nodes:steps ~timeout
-              ~cancel ()
-          in
-          (* the warning threshold may come from the config file; the
-             explicit flag wins *)
-          let max_warnings =
-            match max_warnings with
-            | Some _ -> max_warnings
-            | None -> (
-                match config with
-                | None -> None
-                | Some path -> (
-                    match Analysis.Config.load path with
-                    | Ok c -> c.Analysis.Config.max_warnings
-                    | Error _ -> None))
-          in
-          let finish diags =
-            let rendered =
-              match format with
-              | `Text -> Analysis.Diagnostic.render_text diags
-              | `Json -> Analysis.Diagnostic.render_json diags
-              | `Sarif -> Analysis.Diagnostic.render_sarif diags
-            in
-            (match output with
-            | None -> print_string rendered
-            | Some file ->
-                Out_channel.with_open_text file (fun oc ->
-                    Out_channel.output_string oc rendered));
-            if
-              stats <> None
-              && List.exists
-                   (fun d -> d.Analysis.Diagnostic.code = "PC302")
-                   diags
-            then
-              prerr_endline
-                "lint: warning: the redundancy pass was truncated by its \
-                 budget (PC302); its timings below are a lower bound";
-            (* exit codes: 0 clean (warnings under the threshold allowed),
-               1 an error-severity diagnostic or too many warnings *)
-            Analysis.Lint.exit_code ?max_warnings diags
-          in
-          Core.Engine.Cancel.with_sigint cancel (fun () ->
-              if fix then
-                match
-                  Analysis.Fix.fix_file ~budget ?schema_file ?phi
-                    ?config_file:config ~explain ~sigma_file ()
-                with
-                | Error m ->
-                    prerr_endline ("lint: error: " ^ m);
-                    2
-                | Ok (n, diags) ->
-                    if n > 0 then
-                      Printf.eprintf "lint: applied %d autofix(es) to %s\n%!"
-                        n sigma_file;
-                    finish diags
-              else
-                finish
-                  (Par.with_pool ~jobs (fun pool ->
-                       Analysis.Lint.lint_paths ~budget ?pool ?schema_file
-                         ?phi ?config_file:config ?cache_dir:cache ~explain
-                         ~interact ~sigma_file ()))))
-    in
-    exit code
+      cache report with_budget jobs obs =
+    exit
+    @@ with_obs ~cmd:"lint" ~always:true obs (fun () ->
+           let max_warnings = max_warnings_or_config ~config max_warnings in
+           let finish diags =
+             render report diags;
+             if
+               obs.stats <> None
+               && List.exists
+                    (fun d -> d.Analysis.Diagnostic.code = "PC302")
+                    diags
+             then
+               prerr_endline
+                 "lint: warning: the redundancy pass was truncated by its \
+                  budget (PC302); its timings below are a lower bound";
+             (* exit codes: 0 clean (warnings under the threshold allowed),
+                1 an error-severity diagnostic or too many warnings *)
+             Analysis.Lint.exit_code ?max_warnings diags
+           in
+           with_budget (fun budget ->
+               Par.with_pool ~jobs (fun pool ->
+                   (* --fix lints through this very call, so a fixing run
+                      analyzes exactly as a plain one *)
+                   let lint () =
+                     Analysis.Lint.lint_paths ~budget ?pool ?schema_file ?phi
+                       ?config_file:config ?cache_dir:cache ~explain ~interact
+                       ~sigma_file ()
+                   in
+                   if fix then (
+                     match Analysis.Fix.fix_file ~lint ~sigma_file () with
+                     | Error m ->
+                         prerr_endline ("lint: error: " ^ m);
+                         2
+                     | Ok (n, diags) ->
+                         if n > 0 then
+                           Printf.eprintf
+                             "lint: applied %d autofix(es) to %s\n%!" n
+                             sigma_file;
+                         finish diags)
+                   else finish (lint ()))))
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1160,13 +1202,15 @@ let lint_cmd =
           constraint-interaction analyzer (PC700-PC703).  Exits 1 iff an \
           error-severity diagnostic fired or --max-warnings was exceeded.")
     Term.(
-      ret
-        (const (fun a b c d e f g h i j k l m n o p q r ->
-             `Ok (run a b c d e f g h i j k l m n o p q r))
-        $ sigma_arg $ schema_opt_arg $ phi_opt_arg $ config_arg $ fix_arg
-        $ explain_arg $ interact_arg $ max_warnings_arg $ cache_arg
-        $ format_arg $ output_arg $ timeout_arg $ steps_arg $ jobs_arg
-        $ trace_arg $ stats_arg $ metrics_arg $ audit_arg))
+      const run $ sigma_arg $ schema_opt_arg $ phi_opt_arg $ config_arg
+      $ fix_arg $ explain_arg $ interact_arg
+      $ max_warnings_arg ~doc:", so CI can gate on warnings without parsing SARIF"
+      $ cache_arg $ report_term
+      $ analysis_budget_term
+          ~timeout_doc:
+            "Wall-clock deadline for the budgeted passes (best-effort \
+             redundancy); the exact passes are not affected."
+      $ jobs_arg $ obs_term)
 
 (* --- interact -------------------------------------------------------------------- *)
 
@@ -1180,36 +1224,6 @@ let interact_cmd =
             "Optional schema: enables PC700 minimal-core search and PC702 \
              path-vs-type provenance (both need a kind-M schema); without \
              one only the untyped implication DAG (PC701) is computed.")
-  in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ]) `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:
-            "Output format: human-readable $(b,text), JSON lines ($(b,json)), \
-             or SARIF 2.1.0 ($(b,sarif)) for CI annotation.")
-  in
-  let output_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the report to $(docv) instead of standard output.")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt float 5.
-      & info [ "timeout" ] ~docv:"SECS"
-          ~doc:
-            "Wall-clock deadline for the whole analysis; exhaustion is \
-             reported as a PC703 hint, never silently.")
-  in
-  let steps_arg =
-    Arg.(
-      value & opt int 512
-      & info [ "max-steps" ] ~docv:"N"
-          ~doc:"Step/node budget per best-effort chase call.")
   in
   let config_arg =
     Arg.(
@@ -1231,46 +1245,25 @@ let interact_cmd =
              the word-equality reading (Lemmas 4.7/4.8) behind a \
              path-vs-type interaction.")
   in
-  let run sigma_file schema_file config explain format output timeout steps
-      jobs trace stats metrics audit =
-    let code =
-      with_obs ~cmd:"interact" ~always:true ?metrics ?audit ~trace ~stats
-        (fun () ->
-          let cancel = Core.Engine.Cancel.create () in
-          let budget =
-            Core.Engine.Budget.v ~max_steps:steps ~max_nodes:steps ~timeout
-              ~cancel ()
-          in
-          Core.Engine.Cancel.with_sigint cancel (fun () ->
-              let diags =
-                Par.with_pool ~jobs (fun pool ->
-                    Analysis.Lint.lint_paths ~budget ?pool ?schema_file
-                      ?config_file:config ~explain ~interact:true ~sigma_file
-                      ())
-              in
-              (* The interaction report: the PC7xx family plus the
-                 load/parse errors (a file that didn't parse has no
-                 interaction analysis — the consumer must see why). *)
-              let mine d =
-                let c = d.Analysis.Diagnostic.code in
-                String.length c = 5
-                && (c.[2] = '7' || c = "PC001" || c = "PC002" || c = "PC003")
-              in
-              let diags = List.filter mine diags in
-              let rendered =
-                match format with
-                | `Text -> Analysis.Diagnostic.render_text diags
-                | `Json -> Analysis.Diagnostic.render_json diags
-                | `Sarif -> Analysis.Diagnostic.render_sarif diags
-              in
-              (match output with
-              | None -> print_string rendered
-              | Some file ->
-                  Out_channel.with_open_text file (fun oc ->
-                      Out_channel.output_string oc rendered));
-              Analysis.Lint.exit_code diags))
-    in
-    exit code
+  let run sigma_file schema_file config explain report with_budget jobs obs =
+    exit
+    @@ with_obs ~cmd:"interact" ~always:true obs (fun () ->
+           with_budget (fun budget ->
+               let diags =
+                 Par.with_pool ~jobs (fun pool ->
+                     Analysis.Lint.lint_paths ~budget ?pool ?schema_file
+                       ?config_file:config ~explain ~interact:true ~sigma_file
+                       ())
+               in
+               (* the interaction report: the PC7xx family plus the
+                  input errors *)
+               let mine d =
+                 let c = d.Analysis.Diagnostic.code in
+                 (String.length c = 5 && c.[2] = '7') || input_error d
+               in
+               let diags = List.filter mine diags in
+               render report diags;
+               Analysis.Lint.exit_code diags))
   in
   Cmd.v
     (Cmd.info "interact"
@@ -1283,12 +1276,13 @@ let interact_cmd =
           derivation chains.  Equivalent to lint --interact filtered to \
           the PC7xx family.  Exits 1 iff a core was found.")
     Term.(
-      ret
-        (const (fun a b c d e f g h i j k l m ->
-             `Ok (run a b c d e f g h i j k l m))
-        $ sigma_arg $ schema_opt_arg $ config_arg $ explain_arg $ format_arg
-        $ output_arg $ timeout_arg $ steps_arg $ jobs_arg $ trace_arg
-        $ stats_arg $ metrics_arg $ audit_arg))
+      const run $ sigma_arg $ schema_opt_arg $ config_arg $ explain_arg
+      $ report_term
+      $ analysis_budget_term
+          ~timeout_doc:
+            "Wall-clock deadline for the whole analysis; exhaustion is \
+             reported as a PC703 hint, never silently."
+      $ jobs_arg $ obs_term)
 
 (* --- query ----------------------------------------------------------------------- *)
 
@@ -1317,22 +1311,6 @@ let query_schema_arg =
           "Schema (kind M): enables the PC8xx typechecking pass — without \
            it queries are only parsed.")
 
-let query_format_arg =
-  Arg.(
-    value
-    & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ]) `Text
-    & info [ "format" ] ~docv:"FMT"
-        ~doc:
-          "Output format: human-readable $(b,text), JSON lines ($(b,json)), \
-           or SARIF 2.1.0 ($(b,sarif)) for CI annotation.")
-
-let query_output_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "o"; "output" ] ~docv:"FILE"
-        ~doc:"Write the report to $(docv) instead of standard output.")
-
 let query_config_arg =
   Arg.(
     value
@@ -1344,19 +1322,6 @@ let query_config_arg =
            [passes] querycheck switch, and defaults for --explain, \
            --cache and --max-warnings.")
 
-let render_query_diags ~format ~output diags =
-  let rendered =
-    match format with
-    | `Text -> Analysis.Diagnostic.render_text diags
-    | `Json -> Analysis.Diagnostic.render_json diags
-    | `Sarif -> Analysis.Diagnostic.render_sarif diags
-  in
-  match output with
-  | None -> print_string rendered
-  | Some file ->
-      Out_channel.with_open_text file (fun oc ->
-          Out_channel.output_string oc rendered)
-
 let query_lint_cmd =
   let explain_arg =
     Arg.(
@@ -1365,15 +1330,6 @@ let query_lint_cmd =
           ~doc:
             "Also emit PC803 type-flow annotations: the inferred sort set \
              after every letter of every query, and the answer sorts.")
-  in
-  let max_warnings_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-warnings" ] ~docv:"N"
-          ~doc:
-            "Exit 1 when more than $(docv) warning-severity diagnostics \
-             fire (errors always exit 1).")
   in
   let cache_arg =
     Arg.(
@@ -1385,32 +1341,19 @@ let query_lint_cmd =
              schema and config files skips the pass (hits/misses appear \
              in --stats as lint.cache.*).")
   in
-  let run query_file schema_file config explain max_warnings cache format
-      output jobs trace stats metrics audit =
-    let code =
-      with_obs ~cmd:"query.lint" ~always:true ?metrics ?audit ~trace ~stats
-        (fun () ->
-          let max_warnings =
-            match max_warnings with
-            | Some _ -> max_warnings
-            | None -> (
-                match config with
-                | None -> None
-                | Some path -> (
-                    match Analysis.Config.load path with
-                    | Ok c -> c.Analysis.Config.max_warnings
-                    | Error _ -> None))
-          in
-          let diags =
-            Par.with_pool ~jobs (fun pool ->
-                Analysis.Querycheck.lint_queries ?pool ?schema_file
-                  ?config_file:config ?cache_dir:cache ~explain ~query_file
-                  ())
-          in
-          render_query_diags ~format ~output diags;
-          Analysis.Lint.exit_code ?max_warnings diags)
-    in
-    exit code
+  let run query_file schema_file config explain max_warnings cache report
+      jobs obs =
+    exit
+    @@ with_obs ~cmd:"query.lint" ~always:true obs (fun () ->
+           let max_warnings = max_warnings_or_config ~config max_warnings in
+           let diags =
+             Par.with_pool ~jobs (fun pool ->
+                 Analysis.Querycheck.lint_queries ?pool ?schema_file
+                   ?config_file:config ?cache_dir:cache ~explain ~query_file
+                   ())
+           in
+           render report diags;
+           Analysis.Lint.exit_code ?max_warnings diags)
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1425,12 +1368,9 @@ let query_lint_cmd =
           as $(b,pathctl lint).  Exits 1 iff an error-severity diagnostic \
           fired or --max-warnings was exceeded.")
     Term.(
-      ret
-        (const (fun a b c d e f g h i j k l m ->
-             `Ok (run a b c d e f g h i j k l m))
-        $ query_file_arg $ query_schema_arg $ query_config_arg $ explain_arg
-        $ max_warnings_arg $ cache_arg $ query_format_arg $ query_output_arg
-        $ jobs_arg $ trace_arg $ stats_arg $ metrics_arg $ audit_arg))
+      const run $ query_file_arg $ query_schema_arg $ query_config_arg
+      $ explain_arg $ max_warnings_arg ~doc:"" $ cache_arg $ report_term
+      $ jobs_arg $ obs_term)
 
 let query_eval_cmd =
   let untyped_arg =
@@ -1453,11 +1393,9 @@ let query_eval_cmd =
       & info [ "max-steps" ] ~docv:"N"
           ~doc:"Product-pair budget for the typed evaluation.")
   in
-  let run query_file graph_file schema_file untyped timeout steps trace stats
-      metrics audit =
-    let code =
-      with_obs ~cmd:"query.eval" ~always:true ?metrics ?audit ~trace ~stats
-        (fun () ->
+  let run query_file graph_file schema_file untyped timeout steps obs =
+    exit
+    @@ with_obs ~cmd:"query.eval" ~always:true obs (fun () ->
           let ( let* ) r k =
             match r with
             | Error m ->
@@ -1519,8 +1457,6 @@ let query_eval_cmd =
                      cancelled); partial output above is complete per \
                      finished query";
                   2))
-    in
-    exit code
   in
   Cmd.v
     (Cmd.info "eval"
@@ -1533,36 +1469,24 @@ let query_eval_cmd =
           identical to the untyped BFS on schema-conforming graphs \
           (--untyped forces the baseline).")
     Term.(
-      ret
-        (const (fun a b c d e f g h i j ->
-             `Ok (run a b c d e f g h i j))
-        $ query_file_arg $ graph_arg $ query_schema_arg $ untyped_arg
-        $ timeout_arg $ steps_arg $ trace_arg $ stats_arg $ metrics_arg
-        $ audit_arg))
+      const run $ query_file_arg $ graph_arg $ query_schema_arg $ untyped_arg
+      $ timeout_arg $ steps_arg $ obs_term)
 
 let query_explain_cmd =
-  let run query_file schema_file config format output jobs trace stats metrics
-      audit =
-    let code =
-      with_obs ~cmd:"query.explain" ~always:true ?metrics ?audit ~trace ~stats
-        (fun () ->
-          let diags =
-            Par.with_pool ~jobs (fun pool ->
-                Analysis.Querycheck.lint_queries ?pool ?schema_file
-                  ?config_file:config ~explain:true ~query_file ())
-          in
-          (* the explanation report: the PC803 chains plus the load/parse
-             errors (a file that didn't parse has no chains — the
-             consumer must see why) *)
-          let mine d =
-            let c = d.Analysis.Diagnostic.code in
-            c = "PC803" || c = "PC001" || c = "PC002" || c = "PC003"
-          in
-          let diags = List.filter mine diags in
-          render_query_diags ~format ~output diags;
-          Analysis.Lint.exit_code diags)
-    in
-    exit code
+  let run query_file schema_file config report jobs obs =
+    exit
+    @@ with_obs ~cmd:"query.explain" ~always:true obs (fun () ->
+           let diags =
+             Par.with_pool ~jobs (fun pool ->
+                 Analysis.Querycheck.lint_queries ?pool ?schema_file
+                   ?config_file:config ~explain:true ~query_file ())
+           in
+           (* the explanation report: the PC803 chains plus the input
+              errors *)
+           let mine d = d.Analysis.Diagnostic.code = "PC803" || input_error d in
+           let diags = List.filter mine diags in
+           render report diags;
+           Analysis.Lint.exit_code diags)
   in
   Cmd.v
     (Cmd.info "explain"
@@ -1572,12 +1496,8 @@ let query_explain_cmd =
           sorts.  Equivalent to $(b,query lint --explain) filtered to \
           PC803 and the input-error codes.")
     Term.(
-      ret
-        (const (fun a b c d e f g h i j ->
-             `Ok (run a b c d e f g h i j))
-        $ query_file_arg $ query_schema_arg $ query_config_arg
-        $ query_format_arg $ query_output_arg $ jobs_arg $ trace_arg
-        $ stats_arg $ metrics_arg $ audit_arg))
+      const run $ query_file_arg $ query_schema_arg $ query_config_arg
+      $ report_term $ jobs_arg $ obs_term)
 
 let query_cmd =
   Cmd.group

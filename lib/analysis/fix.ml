@@ -63,14 +63,8 @@ let apply ~src fixes =
   in
   String.concat "\n" fixed
 
-let read_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | s -> Ok s
-  | exception Sys_error m -> Error m
-
-let fix_file ?budget ?schema_file ?phi ?config_file ?(explain = false)
-    ~sigma_file () =
-  match read_file sigma_file with
+let fix_file ~lint ~sigma_file () =
+  match Driver.read_file sigma_file with
   | Error m -> Error m
   | Ok src ->
       let t = String.trim src in
@@ -80,10 +74,6 @@ let fix_file ?budget ?schema_file ?phi ?config_file ?(explain = false)
              "%s: autofixes apply to the line DSL only, not the XML syntax"
              sigma_file)
       else
-        let lint () =
-          Lint.lint_paths ?budget ?schema_file ?phi ?config_file ~explain
-            ~sigma_file ()
-        in
         let diags = lint () in
         let fixes = plan ~sigma_file diags in
         if fixes = [] then Ok (0, diags)

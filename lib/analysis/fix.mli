@@ -26,16 +26,14 @@ val apply : src:string -> fix list -> string
 (** Apply a plan to the file's contents (line numbers refer to [src]). *)
 
 val fix_file :
-  ?budget:Core.Engine.Budget.t ->
-  ?schema_file:string ->
-  ?phi:string ->
-  ?config_file:string ->
-  ?explain:bool ->
+  lint:(unit -> Diagnostic.t list) ->
   sigma_file:string ->
   unit ->
   (int * Diagnostic.t list, string) result
-(** Lint, plan, rewrite [sigma_file] in place, and re-lint: [Ok (n,
-    diags)] is the number of fixes applied and the post-fix
-    diagnostics.  XML constraint files are rejected (the fixes are
-    line-oriented).  The cache is not consulted (the file is about to
-    change). *)
+(** Lint with [lint] (the caller's own lint of [sigma_file], so a fixing
+    run analyzes exactly as a plain one: same schema, goal, config,
+    interaction analyzer, cache and pool), plan, rewrite [sigma_file] in
+    place, and lint again: [Ok (n, diags)] is the number of fixes applied
+    and the post-fix diagnostics.  XML constraint files are rejected
+    (the fixes are line-oriented).  A content-hash cache stays valid
+    across the rewrite: the new contents are a new key. *)

@@ -17,26 +17,12 @@ type input = {
          otherwise *)
 }
 
-let passes_run = Obs.Counter.make ~unit_:"passes" "lint.passes.run"
-
-(* per-family diagnostic tallies as one labeled metric:
-   [lint.diags{family="PC2xx"}] etc. *)
-let f_diags = Obs.Counter.family ~unit_:"diagnostics" ~label:"family" "lint.diags"
-
-let apply_severity config diags =
-  List.filter_map
-    (fun d ->
-      match Config.severity_override config d.Diagnostic.code with
-      | None -> Some d
-      | Some None -> None
-      | Some (Some severity) -> Some { d with Diagnostic.severity })
-    diags
-
-let run ?budget ?pool input =
+(* the passes proper: raw findings, before suppression and severity *)
+let findings ?budget ?pool input =
   let {
     sigma_file;
     sigma;
-    pragmas;
+    pragmas = _;
     schema;
     schema_file;
     schema_spans;
@@ -51,11 +37,7 @@ let run ?budget ?pool input =
     List.map (fun l -> (l.Parser.constr, l.Parser.span)) sigma
   in
   let pass name f =
-    if Config.pass_enabled config name then
-      Obs.Span.with_ ("lint." ^ name) (fun () ->
-          Obs.Counter.incr passes_run;
-          f ())
-    else []
+    if Config.pass_enabled config name then Driver.run_pass name f else []
   in
   let classify_p () =
     pass "classify" (fun () ->
@@ -101,8 +83,7 @@ let run ?budget ?pool input =
       || List.assoc_opt "interact" config.Config.passes = Some true
     in
     if enabled then
-      Obs.Span.with_ "lint.interact" (fun () ->
-          Obs.Counter.incr passes_run;
+      Driver.run_pass "interact" (fun () ->
           Interact.pass ~sigma_file ?schema ?budget ~explain spanned)
     else []
   in
@@ -142,24 +123,12 @@ let run ?budget ?pool input =
         (classify, typeflow, vacuity, inconsistency, redundancy, hygiene,
          interact)
   in
-  let all =
-    classify @ typeflow @ vacuity @ inconsistency @ redundancy @ hygiene
-    @ interact
-  in
-  let all = Suppress.apply ~sigma_file pragmas all in
-  let all = apply_severity config all in
-  let all = List.stable_sort Diagnostic.compare all in
-  (* per-family tallies (PC2xx vacuity, PC3xx redundancy, ...) so that
-     --stats output attributes diagnostics as well as time to passes *)
-  List.iter
-    (fun d ->
-      let code = d.Diagnostic.code in
-      let family =
-        if String.length code >= 3 then String.sub code 0 3 ^ "xx" else code
-      in
-      Obs.Counter.incr (Obs.Counter.tag f_diags family))
-    all;
-  all
+  classify @ typeflow @ vacuity @ inconsistency @ redundancy @ hygiene
+  @ interact
+
+let run ?budget ?pool input =
+  Driver.finish ~file:input.sigma_file ~config:input.config input.pragmas
+    (findings ?budget ?pool input)
 
 (* --- exit-code policy ------------------------------------------------------ *)
 
@@ -179,13 +148,6 @@ let exit_code ?max_warnings diags =
 
 (* --- file-level entry ------------------------------------------------------ *)
 
-let read_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | s -> Ok s
-  | exception Sys_error m -> Error m
-
-let whole_file_span = Span.v ~line:1 ~start_col:1 ~end_col:1
-
 (* constraint files: line-oriented DSL, or the XML syntax when the
    content starts with '<' (XML constraints carry element-level spans
    but no per-token spans, and no suppression pragmas) *)
@@ -203,16 +165,14 @@ let load_sigma_src src =
                 cs;
             pragmas = [];
           }
-    | Error m -> Error (Span.point ~line:1 ~col:1, "", m)
+    | Error m -> Error (Span.point ~line:1 ~col:1, m)
   else
     match Parser.document_of_string src with
     | Ok doc -> Ok doc
     | Error e ->
         Error
-          ( Span.v ~line:e.Parser.line ~start_col:e.Parser.col
-              ~end_col:(e.Parser.col + String.length e.Parser.token),
-            e.Parser.token,
-            e.Parser.reason )
+          (Driver.parse_error ~line:e.Parser.line ~col:e.Parser.col
+             ~token:e.Parser.token ~reason:e.Parser.reason)
 
 let budget_fingerprint (budget : Core.Engine.Budget.t option) =
   match budget with
@@ -229,150 +189,50 @@ let budget_fingerprint (budget : Core.Engine.Budget.t option) =
         | None -> "-"
         | Some t -> Printf.sprintf "%g" t)
 
+(* constraint files: the goal, the interaction switch and the budget
+   are lint's own cache-key parts; [phi] is parsed after the schema, and
+   a malformed goal is an input error like a malformed file *)
+let kind ?budget ?pool ?phi ~interact () =
+  {
+    Driver.tag = "lint";
+    parse = load_sigma_src;
+    pragmas = (fun doc -> doc.Parser.pragmas);
+    key_parts =
+      (fun _ ->
+        [
+          Option.value phi ~default:"";
+          (if interact then "interact" else "");
+          budget_fingerprint budget;
+        ]);
+    passes =
+      (fun ~file ~config ~explain schema doc ->
+        let parse s = Result.map Option.some (Parser.constraint_of_string s) in
+        match Option.fold ~none:(Ok None) ~some:parse phi with
+        | Error m ->
+            Error
+              (Diagnostic.make ~code:"PC001" ~severity:Diagnostic.Error
+                 ~file:"<phi>" ("the goal constraint does not parse: " ^ m))
+        | Ok phi ->
+            Ok
+              (findings ?budget ?pool
+                 {
+                   sigma_file = file;
+                   sigma = doc.Parser.constraints;
+                   pragmas = doc.Parser.pragmas;
+                   schema = Option.map (fun s -> s.Driver.schema) schema;
+                   schema_file =
+                     Option.map (fun s -> s.Driver.schema_file) schema;
+                   schema_spans =
+                     Option.map (fun s -> s.Driver.schema_spans) schema;
+                   phi;
+                   config;
+                   explain;
+                   interact;
+                 }));
+  }
+
 let lint_paths ?budget ?pool ?schema_file ?phi ?config_file ?cache_dir
     ?(explain = false) ?(interact = false) ~sigma_file () =
-  (* configuration first: everything downstream depends on it *)
-  let config_src, config_result =
-    match config_file with
-    | None -> ("", Ok Config.default)
-    | Some path -> (
-        match read_file path with
-        | Error m -> ("", Error (path, m))
-        | Ok src -> (
-            ( src,
-              match Config.parse src with
-              | Ok c -> Ok c
-              | Error m -> Error (path, m) )))
-  in
-  match config_result with
-  | Error (path, m) ->
-      [
-        Diagnostic.make ~code:"PC003" ~severity:Diagnostic.Error ~file:path m;
-      ]
-  | Ok config -> (
-      let explain = explain || config.Config.explain in
-      let cache_dir =
-        match cache_dir with Some _ -> cache_dir | None -> config.Config.cache_dir
-      in
-      let sigma_src = read_file sigma_file in
-      let schema_src =
-        match schema_file with
-        | None -> Ok ""
-        | Some path -> read_file path
-      in
-      let cache_key =
-        match (cache_dir, sigma_src, schema_src) with
-        | Some _, Ok s, Ok sc ->
-            Some
-              (Cache.key
-                 ~parts:
-                   [
-                     sigma_file;
-                     s;
-                     Option.value schema_file ~default:"";
-                     sc;
-                     Option.value phi ~default:"";
-                     config_src;
-                     (if explain then "explain" else "");
-                     (if interact then "interact" else "");
-                     budget_fingerprint budget;
-                   ])
-        | _ -> None
-      in
-      let cached =
-        match (cache_dir, cache_key) with
-        | Some dir, Some key -> Cache.lookup ~dir ~key
-        | _ -> None
-      in
-      match cached with
-      | Some diags -> diags
-      | None ->
-          let diags =
-            match sigma_src with
-            | Error m ->
-                [
-                  Diagnostic.make ~code:"PC001" ~severity:Diagnostic.Error
-                    ~file:sigma_file ~span:whole_file_span m;
-                ]
-            | Ok src -> (
-                match load_sigma_src src with
-                | Error (span, token, reason) ->
-                    [
-                      Diagnostic.make ~code:"PC001" ~severity:Diagnostic.Error
-                        ~file:sigma_file ~span
-                        (if token = "" then reason
-                         else Printf.sprintf "at %S: %s" token reason);
-                    ]
-                | Ok doc -> (
-                    let schema_result =
-                      match schema_file with
-                      | None -> Ok None
-                      | Some path -> (
-                          match Schema.Schema_parser.load_spanned path with
-                          | Ok (schema, spans) -> Ok (Some (schema, spans, path))
-                          | Error e -> Error (path, e))
-                    in
-                    match schema_result with
-                    | Error (path, e) ->
-                        [
-                          Diagnostic.make ~code:"PC002"
-                            ~severity:Diagnostic.Error ~file:path
-                            ~span:
-                              (Span.v ~line:e.Schema.Schema_parser.line
-                                 ~start_col:e.Schema.Schema_parser.col
-                                 ~end_col:
-                                   (e.Schema.Schema_parser.col
-                                   + String.length e.Schema.Schema_parser.token))
-                            (if e.Schema.Schema_parser.token = "" then
-                               e.Schema.Schema_parser.reason
-                             else
-                               Printf.sprintf "at %S: %s"
-                                 e.Schema.Schema_parser.token
-                                 e.Schema.Schema_parser.reason);
-                        ]
-                    | Ok schema_opt -> (
-                        let phi_result =
-                          match phi with
-                          | None -> Ok None
-                          | Some s -> (
-                              match Parser.constraint_of_string s with
-                              | Ok c -> Ok (Some c)
-                              | Error m -> Error m)
-                        in
-                        match phi_result with
-                        | Error m ->
-                            [
-                              Diagnostic.make ~code:"PC001"
-                                ~severity:Diagnostic.Error ~file:"<phi>"
-                                ("the goal constraint does not parse: " ^ m);
-                            ]
-                        | Ok phi ->
-                            let schema, schema_spans, schema_file =
-                              match schema_opt with
-                              | None -> (None, None, None)
-                              | Some (s, spans, path) ->
-                                  (Some s, Some spans, Some path)
-                            in
-                            (* [pool] is deliberately absent from the
-                               cache key: -j N results are
-                               byte-identical to -j 1 by contract, so
-                               a cache entry is valid at any job
-                               count *)
-                            run ?budget ?pool
-                              {
-                                sigma_file;
-                                sigma = doc.Parser.constraints;
-                                pragmas = doc.Parser.pragmas;
-                                schema;
-                                schema_file;
-                                schema_spans;
-                                phi;
-                                config;
-                                explain;
-                                interact;
-                              })))
-          in
-          (match (cache_dir, cache_key) with
-          | Some dir, Some key -> Cache.store ~dir ~key diags
-          | _ -> ());
-          diags)
+  Driver.run
+    (kind ?budget ?pool ?phi ~interact ())
+    ?schema_file ?config_file ?cache_dir ~explain ~file:sigma_file ()

@@ -1,15 +1,16 @@
-(** The lint driver: staged diagnostic passes over one constraint file
-    (plus an optional schema and an optional goal constraint).
+(** The constraint-file analyzer: staged diagnostic passes over one
+    constraint file (plus an optional schema and an optional goal
+    constraint).
 
     Stages, in order: classification (Table 1 cell, [PC1xx]), type flow
     ([PC6xx], schema-aware), vacuity ([PC2xx]), inconsistency ([PC4xx]),
     redundancy ([PC3xx] — skipped when Sigma is already known
     inconsistent, since an inconsistent theory implies everything),
     hygiene ([PC5xx]), and — opt-in only — the constraint-interaction
-    analyzer ([PC7xx], {!Interact}).  After the passes: suppression
-    pragmas are
-    applied (unused ones become [PC510]), then the configuration's
-    severity overrides.  Parse failures short-circuit into
+    analyzer ([PC7xx], {!Interact}).  After the passes, {!Driver.finish}:
+    suppression pragmas (unused ones become [PC510]), then the
+    configuration's severity overrides.  Loading files goes through
+    {!Driver.run}, where parse failures short-circuit into
     [PC001]/[PC002]/[PC003] diagnostics so CI consumers see them in the
     same stream. *)
 
@@ -48,6 +49,19 @@ val exit_code : ?max_warnings:int -> Diagnostic.t list -> int
     diagnostic fired, 1 when more than [max_warnings] warnings fired
     (when a threshold was given), 0 otherwise. *)
 
+val kind :
+  ?budget:Core.Engine.Budget.t ->
+  ?pool:Par.t ->
+  ?phi:string ->
+  interact:bool ->
+  unit ->
+  Pathlang.Parser.document Driver.kind
+(** Constraint files as a {!Driver} document kind: the line DSL or the
+    XML syntax, the passes of {!run}, and [phi], [interact] and the
+    budget as the extra cache-key parts.  A goal that does not parse is
+    a [PC001] input error on [<phi>], reported after the schema
+    loaded. *)
+
 val lint_paths :
   ?budget:Core.Engine.Budget.t ->
   ?pool:Par.t ->
@@ -60,9 +74,9 @@ val lint_paths :
   sigma_file:string ->
   unit ->
   Diagnostic.t list
-(** Load the files and {!run}.  Constraint files may be the line DSL or
-    the XML syntax (XML constraints get element-level spans and carry no
-    pragmas).  I/O and parse failures become [PC001]/[PC002]/[PC003]
+(** {!Driver.run} over {!kind}: load the files and {!run}.  Constraint
+    files may be the line DSL or the XML syntax (XML constraints get
+    element-level spans and carry no pragmas).  I/O and parse failures become [PC001]/[PC002]/[PC003]
     error diagnostics rather than exceptions, so the caller can render
     them uniformly.
 

@@ -1,5 +1,5 @@
 (* The PC8xx pass: schema-aware static analysis of regular path
-   queries, plus the [pathctl query lint] driver around it.
+   queries, plus the query-file kind of the analyzer driver.
 
    The engine is Rpq.Typecheck — the product of the query's Thompson
    automaton with the schema automaton, with reachable and co-reachable
@@ -20,22 +20,17 @@
    - PC803 (--explain): the inferred sort set after every letter
      occurrence, the regex-position sibling of the PC602 chains.
 
-   The driver mirrors Lint.lint_paths: the same configuration file
-   (severity overrides, the [querycheck] pass switch), the same
+   [pathctl query lint] runs this pass through the one analyzer
+   driver (Driver) that [pathctl lint] uses: the same configuration
+   file (severity overrides, the [querycheck] pass switch), the same
    suppression pragmas (query files carry Pathlang.Parser pragmas, so
    Suppress — family patterns, PC510 staleness — applies unchanged),
-   and the same content-hash cache, keyed additionally on the query
-   file's contents and on the pass switch itself. *)
+   and the same content-hash cache, keyed additionally on the pass
+   switch itself. *)
 
-module Span = Pathlang.Span
 module Label = Pathlang.Label
 module Qparser = Rpq.Parser
 module Typecheck = Rpq.Typecheck
-module Mschema = Schema.Mschema
-
-let passes_run = Obs.Counter.make ~unit_:"passes" "lint.passes.run"
-
-let f_diags = Obs.Counter.family ~unit_:"diagnostics" ~label:"family" "lint.diags"
 
 let qstr ast = Rpq.Regex.to_string (Qparser.regex_of ast)
 
@@ -145,8 +140,7 @@ let check_item ~query_file ~schema ~explain (it : Qparser.located) =
 
 let pass ~query_file ~schema ?(explain = false) ?pool
     (items : Qparser.located list) =
-  Obs.Span.with_ "lint.querycheck" (fun () ->
-      Obs.Counter.incr passes_run;
+  Driver.run_pass "querycheck" (fun () ->
       let arr = Array.of_list items in
       let results =
         match pool with
@@ -159,163 +153,37 @@ let pass ~query_file ~schema ?(explain = false) ?pool
       in
       List.concat (Array.to_list results))
 
-(* --- the [pathctl query lint] driver --------------------------------------- *)
+(* --- the [pathctl query lint] document kind --------------------------------- *)
 
-let read_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | s -> Ok s
-  | exception Sys_error m -> Error m
-
-let whole_file_span = Span.v ~line:1 ~start_col:1 ~end_col:1
-
-(* The cache key of a query-lint run.  The querycheck pass switch and
-   the query file's contents are key parts of their own (alongside the
-   configuration text, which also spells the switch): flipping either
-   must miss, which the mutation tests in test_querycheck flip
-   field-by-field. *)
-let cache_key ~querycheck ~explain ~query_file ~query_src ~schema_file
-    ~schema_src ~config_src =
-  Cache.key
-    ~parts:
-      [
-        "querycheck";
-        (if querycheck then "pass=on" else "pass=off");
-        query_file;
-        query_src;
-        schema_file;
-        schema_src;
-        config_src;
-        (if explain then "explain" else "");
-      ]
+(* query files: the querycheck pass switch is a key part of its own
+   (alongside the configuration text, which also spells it), so a run
+   with the pass off never serves a hit to a run with it on; the
+   evaluation budget is not a part, the pass does not read it *)
+let kind ?pool () =
+  let enabled config = Config.pass_enabled config "querycheck" in
+  {
+    Driver.tag = "querycheck";
+    parse =
+      (fun src ->
+        Result.map_error
+          (fun (e : Qparser.error) ->
+            Driver.parse_error ~line:e.line ~col:e.col ~token:e.token
+              ~reason:e.reason)
+          (Qparser.document_of_string src));
+    pragmas = (fun doc -> doc.Qparser.pragmas);
+    key_parts =
+      (fun config -> [ (if enabled config then "pass=on" else "pass=off") ]);
+    passes =
+      (fun ~file ~config ~explain schema doc ->
+        match schema with
+        | Some s when enabled config ->
+            Ok
+              (pass ~query_file:file ~schema:s.Driver.schema ~explain ?pool
+                 doc.Qparser.items)
+        | _ -> Ok []);
+  }
 
 let lint_queries ?pool ?schema_file ?config_file ?cache_dir
     ?(explain = false) ~query_file () =
-  let config_src, config_result =
-    match config_file with
-    | None -> ("", Ok Config.default)
-    | Some path -> (
-        match read_file path with
-        | Error m -> ("", Error (path, m))
-        | Ok src -> (
-            ( src,
-              match Config.parse src with
-              | Ok c -> Ok c
-              | Error m -> Error (path, m) )))
-  in
-  match config_result with
-  | Error (path, m) ->
-      [ Diagnostic.make ~code:"PC003" ~severity:Diagnostic.Error ~file:path m ]
-  | Ok config -> (
-      let explain = explain || config.Config.explain in
-      let cache_dir =
-        match cache_dir with
-        | Some _ -> cache_dir
-        | None -> config.Config.cache_dir
-      in
-      let query_src = read_file query_file in
-      let schema_src =
-        match schema_file with None -> Ok "" | Some path -> read_file path
-      in
-      let key =
-        match (cache_dir, query_src, schema_src) with
-        | Some _, Ok q, Ok s ->
-            Some
-              (cache_key
-                 ~querycheck:(Config.pass_enabled config "querycheck")
-                 ~explain ~query_file ~query_src:q
-                 ~schema_file:(Option.value schema_file ~default:"")
-                 ~schema_src:s ~config_src)
-        | _ -> None
-      in
-      let cached =
-        match (cache_dir, key) with
-        | Some dir, Some key -> Cache.lookup ~dir ~key
-        | _ -> None
-      in
-      match cached with
-      | Some diags -> diags
-      | None ->
-          let diags =
-            match query_src with
-            | Error m ->
-                [
-                  Diagnostic.make ~code:"PC001" ~severity:Diagnostic.Error
-                    ~file:query_file ~span:whole_file_span m;
-                ]
-            | Ok src -> (
-                match Qparser.document_of_string src with
-                | Error e ->
-                    [
-                      Diagnostic.make ~code:"PC001" ~severity:Diagnostic.Error
-                        ~file:query_file
-                        ~span:
-                          (Span.v ~line:e.Qparser.line ~start_col:e.Qparser.col
-                             ~end_col:
-                               (e.Qparser.col + String.length e.Qparser.token))
-                        (if e.Qparser.token = "" then e.Qparser.reason
-                         else
-                           Printf.sprintf "at %S: %s" e.Qparser.token
-                             e.Qparser.reason);
-                    ]
-                | Ok doc -> (
-                    let schema_result =
-                      match schema_file with
-                      | None -> Ok None
-                      | Some path -> (
-                          match Schema.Schema_parser.load path with
-                          | Ok schema -> Ok (Some schema)
-                          | Error m -> Error (path, m))
-                    in
-                    match schema_result with
-                    | Error (path, m) ->
-                        [
-                          Diagnostic.make ~code:"PC002"
-                            ~severity:Diagnostic.Error ~file:path
-                            ~span:whole_file_span m;
-                        ]
-                    | Ok schema_opt ->
-                        let findings =
-                          match schema_opt with
-                          | Some schema
-                            when Config.pass_enabled config "querycheck" ->
-                              pass ~query_file ~schema ~explain ?pool
-                                doc.Qparser.items
-                          | _ -> []
-                        in
-                        let all =
-                          Suppress.apply ~sigma_file:query_file
-                            doc.Qparser.pragmas findings
-                        in
-                        let all =
-                          List.filter_map
-                            (fun d ->
-                              match
-                                Config.severity_override config
-                                  d.Diagnostic.code
-                              with
-                              | None -> Some d
-                              | Some None -> None
-                              | Some (Some severity) ->
-                                  Some { d with Diagnostic.severity })
-                            all
-                        in
-                        let all =
-                          List.stable_sort Diagnostic.compare all
-                        in
-                        List.iter
-                          (fun d ->
-                            let code = d.Diagnostic.code in
-                            let family =
-                              if String.length code >= 3 then
-                                String.sub code 0 3 ^ "xx"
-                              else code
-                            in
-                            Obs.Counter.incr
-                              (Obs.Counter.tag f_diags family))
-                          all;
-                        all))
-          in
-          (match (cache_dir, key) with
-          | Some dir, Some key -> Cache.store ~dir ~key diags
-          | _ -> ());
-          diags)
+  Driver.run (kind ?pool ()) ?schema_file ?config_file ?cache_dir ~explain
+    ~file:query_file ()

@@ -22,7 +22,8 @@
        letter occurrence, the query-side sibling of the [PC602]
        type-flow chains.}}
 
-    Driver semantics mirror {!Lint.lint_paths}: the same TOML
+    [pathctl query lint] runs through the same {!Driver} as
+    {!Lint.lint_paths}: the same TOML
     configuration (the pass answers to [querycheck] in [[passes]];
     [PC8xx] family keys work in [[severity]]), the same suppression
     pragmas ([# pathctl-disable ...] lines in the query file, including
@@ -41,22 +42,12 @@ val pass :
     sequential run.  Runs under the [lint.querycheck] span and bumps
     [lint.passes.run]. *)
 
-val cache_key :
-  querycheck:bool ->
-  explain:bool ->
-  query_file:string ->
-  query_src:string ->
-  schema_file:string ->
-  schema_src:string ->
-  config_src:string ->
-  string
-(** The cache key of a query-lint run: {!Cache.key} over the pass
-    switch, the query file's path and contents, the schema file's path
-    and contents, the configuration text and the explain flag (plus the
-    analyzer version and rules fingerprint {!Cache.key} always mixes
-    in).  Exposed so the mutation tests can flip each field and assert
-    a key change.  The evaluation budget is deliberately not a part:
-    querycheck diagnostics do not depend on it. *)
+val kind : ?pool:Par.t -> unit -> Rpq.Parser.document Driver.kind
+(** Query files as a {!Driver} document kind: {!Rpq.Parser} documents,
+    {!pass} when a schema is present and the [querycheck] pass is
+    enabled, and the pass switch as the one extra cache-key part (the
+    evaluation budget is deliberately not a part: querycheck
+    diagnostics do not depend on it). *)
 
 val lint_queries :
   ?pool:Par.t ->
@@ -67,11 +58,5 @@ val lint_queries :
   query_file:string ->
   unit ->
   Diagnostic.t list
-(** The [pathctl query lint] driver: load the configuration ([PC003] on
-    failure), read and parse the query file ([PC001], with the parse
-    error's token span), load the schema ([PC002]), run {!pass} when a
-    schema is present and the [querycheck] pass is enabled, then apply
-    suppressions, severity overrides and the presentation sort.
-    Without a schema the pass is skipped (queries still must parse).
-    [cache_dir] (CLI flag or [cache] in [[lint]]) short-circuits the
-    whole run on a content hit. *)
+(** [pathctl query lint]: {!Driver.run} over {!kind}.  Without a schema
+    the pass is skipped (queries still must parse). *)

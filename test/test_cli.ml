@@ -353,6 +353,103 @@ let test_optimize () =
   check_int "exit" 0 code;
   check_string "pruned" "person" out
 
+(* --- the analyzer front end: lint and query lint share one driver ------- *)
+
+let data_fixture f =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "examples/data" f)
+
+(* --fix lints through the caller's own lint call: --interact, --cache
+   and -j reach it exactly as they reach a plain run *)
+let test_lint_fix_keeps_options () =
+  let src =
+    In_channel.with_open_text (data_fixture "lint/core.constraints")
+      In_channel.input_all
+  in
+  let copy = write_temp ".constraints" src in
+  let schema = data_fixture "lint/lint.schema" in
+  let args extra =
+    Printf.sprintf "lint -s %s --schema %s --interact%s" (Filename.quote copy)
+      (Filename.quote schema) extra
+  in
+  let code_plain, plain = run (args "") in
+  let dir = Filename.temp_file "pathctl_fixcache" "" in
+  Sys.remove dir;
+  let code_fix, fixed =
+    run (args (Printf.sprintf " --fix --cache %s" (Filename.quote dir)))
+  in
+  check_bool "--fix --interact still reports PC700" true
+    (contains fixed "error[PC700]");
+  (* nothing in the core fixture is fixable, so both branches print the
+     same report *)
+  check_int "same exit" code_plain code_fix;
+  check_string "same report" plain fixed;
+  check_bool "--fix --cache stores an entry" true
+    (Sys.file_exists dir && Array.length (Sys.readdir dir) > 0);
+  let _, stats = run (args " --fix -j 2 --stats json") in
+  check_bool "--fix -j 2 fans out on the pool" true
+    (contains stats "par.tasks");
+  Sys.remove copy
+
+(* a malformed schema is reported at the offending token by both
+   commands: the same line:col, the same message *)
+let test_schema_error_position_parity () =
+  let schema = write_temp ".schema" "kind M\nclass Book { title: string }\n" in
+  let expected =
+    schema ^ ":2:12: error[PC002] at \"{\": expected '='"
+  in
+  let first_line out = List.hd (String.split_on_char '\n' out) in
+  let code_l, out_l =
+    run
+      (Printf.sprintf "lint -s %s --schema %s"
+         (Filename.quote (data_fixture "sigma0.constraints"))
+         (Filename.quote schema))
+  in
+  let code_q, out_q =
+    run
+      (Printf.sprintf "query lint %s --schema %s"
+         (Filename.quote (data_fixture "query/clean.query"))
+         (Filename.quote schema))
+  in
+  Sys.remove schema;
+  check_int "lint exits 1" 1 code_l;
+  check_int "query lint exits 1" 1 code_q;
+  check_string "lint: token-anchored PC002" expected (first_line out_l);
+  check_string "query lint: token-anchored PC002" expected (first_line out_q)
+
+(* analyzer inputs are read through the cli.read fault site: an injected
+   read failure is a PC001 diagnostic with exit 1, not an exception *)
+let test_cli_read_fault_is_pc001 () =
+  let fault args =
+    let out_file = Filename.temp_file "pathctl_out" ".txt" in
+    let code =
+      Sys.command
+        (Printf.sprintf "PATHCTL_FAULT=cli.read:1:io %s %s > %s 2>&1"
+           (Filename.quote pathctl) args (Filename.quote out_file))
+    in
+    let out = In_channel.with_open_text out_file In_channel.input_all in
+    Sys.remove out_file;
+    (code, out)
+  in
+  List.iter
+    (fun (name, file, args) ->
+      let code, out = fault args in
+      check_int (name ^ ": exit 1") 1 code;
+      check_string (name ^ ": PC001 report")
+        (file
+       ^ ":1:1: error[PC001] injected I/O failure at cli.read\n\
+          1 error(s), 0 warning(s), 0 info, 0 hint(s)\n")
+        out)
+    [
+      ( "lint",
+        data_fixture "bibliography.constraints",
+        "lint -s " ^ Filename.quote (data_fixture "bibliography.constraints") );
+      ( "query lint",
+        data_fixture "query/clean.query",
+        "query lint " ^ Filename.quote (data_fixture "query/clean.query") );
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -388,5 +485,14 @@ let () =
             test_jobs_env_default;
           Alcotest.test_case "profile --jobs sweep" `Quick
             test_profile_jobs_sweep;
+        ] );
+      ( "analyzer",
+        [
+          Alcotest.test_case "lint --fix keeps --interact/--cache/-j" `Quick
+            test_lint_fix_keeps_options;
+          Alcotest.test_case "PC002 position: lint = query lint" `Quick
+            test_schema_error_position_parity;
+          Alcotest.test_case "cli.read fault is PC001" `Quick
+            test_cli_read_fault_is_pc001;
         ] );
     ]

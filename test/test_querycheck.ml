@@ -4,11 +4,14 @@
    PC800/PC801 cross-checked against independent Nfa emptiness on the
    query x schema product, a seeded typed-vs-untyped differential over
    generated schema/instance/query triples, budget governance of the
-   typed evaluator, and the cache-key satellites (the querycheck pass
-   flag and the query file's contents must both be key parts). *)
+   typed evaluator, and the analyzer driver's cache key (every part of
+   both document kinds, the querycheck pass switch and lint's goal,
+   interact and budget parts included, must change the key). *)
 
 module Diagnostic = Analysis.Diagnostic
 module Querycheck = Analysis.Querycheck
+module Driver = Analysis.Driver
+module Lint = Analysis.Lint
 module Config = Analysis.Config
 module Qparser = Rpq.Parser
 module Typecheck = Rpq.Typecheck
@@ -512,28 +515,56 @@ let test_budget_trips_mid_product () =
        (Eval.eval g (Qparser.regex_of ast))
        (Eval.eval_typed ~interrupt tc g))
 
-(* --- the cache key: pass flag and query contents are parts ----------------- *)
+(* --- the cache key: one function, every part of both document kinds ------- *)
 
 let test_cache_key_mutation () =
-  let base ?(querycheck = true) ?(explain = false) ?(query_file = "q.query")
-      ?(query_src = "book.author") ?(schema_file = "s.schema")
-      ?(schema_src = m_schema) ?(config_src = "") () =
-    Querycheck.cache_key ~querycheck ~explain ~query_file ~query_src
-      ~schema_file ~schema_src ~config_src
+  let key ?(config = Config.default) ?(explain = false) ?(file = "f")
+      ?(src = "book.author") ?(schema_file = "s.schema")
+      ?(schema_src = m_schema) ?(config_src = "") kind =
+    Driver.cache_key kind ~config ~explain ~file ~src ~schema_file
+      ~schema_src ~config_src
   in
-  let k = base () in
-  let check_changed name k' =
+  let check_changed name k k' =
     Alcotest.(check bool) (name ^ " is a cache key part") true (k <> k')
   in
-  check_changed "querycheck pass flag" (base ~querycheck:false ());
-  check_changed "explain flag" (base ~explain:true ());
-  check_changed "query file path" (base ~query_file:"other.query" ());
-  check_changed "query file contents" (base ~query_src:"book.title" ());
-  check_changed "schema file path" (base ~schema_file:"other.schema" ());
-  check_changed "schema contents"
-    (base ~schema_src:(m_schema ^ "# trailing\n") ());
-  check_changed "config contents" (base ~config_src:"[lint]\nexplain = true\n" ());
-  Alcotest.(check string) "key is deterministic" k (base ())
+  (* the parts the driver keys for every document kind *)
+  let common name kind =
+    let k = key kind in
+    let part p = Printf.sprintf "%s: %s" name p in
+    check_changed (part "explain flag") k (key ~explain:true kind);
+    check_changed (part "file path") k (key ~file:"other" kind);
+    check_changed (part "file contents") k (key ~src:"book.title" kind);
+    check_changed (part "schema file path") k
+      (key ~schema_file:"other.schema" kind);
+    check_changed (part "schema contents") k
+      (key ~schema_src:(m_schema ^ "# trailing\n") kind);
+    check_changed (part "config contents") k
+      (key ~config_src:"[lint]\nexplain = true\n" kind);
+    Alcotest.(check string) (part "key is deterministic") k (key kind)
+  in
+  let query = Querycheck.kind () in
+  common "query" query;
+  check_changed "querycheck pass switch" (key query)
+    (key
+       ~config:{ Config.default with passes = [ ("querycheck", false) ] }
+       query);
+  let lint ?phi ?budget ?(interact = false) () =
+    Lint.kind ?phi ?budget ~interact ()
+  in
+  let k = key (lint ()) in
+  common "lint" (lint ());
+  check_changed "goal constraint" k (key (lint ~phi:"book -> book" ()));
+  check_changed "interact flag" k (key (lint ~interact:true ()));
+  let budget = Core.Engine.Budget.v ~max_steps:8 ~max_nodes:8 ~timeout:1. () in
+  let kb = key (lint ~budget ()) in
+  check_changed "budget" k kb;
+  check_changed "budget steps" kb
+    (key (lint ~budget:{ budget with max_steps = Some 9 } ()));
+  check_changed "budget nodes" kb
+    (key (lint ~budget:{ budget with max_nodes = Some 9 } ()));
+  check_changed "budget timeout" kb
+    (key (lint ~budget:{ budget with timeout = Some 2. } ()));
+  check_changed "document kind" k (key query)
 
 let counter name = Obs.Counter.value (Obs.Counter.make name)
 
