@@ -913,16 +913,13 @@ let rpq_cmd =
     match (load_graph graph_file, Rpq.Regex.parse regex) with
     | Error m, _ | _, Error m -> die "%s" m
     | Ok g, Ok r ->
-        let answers = Rpq.Eval.eval g r in
-        Sgraph.Graph.Node_set.iter
-          (fun v ->
-            if witness then
-              match Rpq.Eval.witness g (Sgraph.Graph.root g) r v with
-              | Some w ->
-                  Printf.printf "%d\tvia %s\n" v (Pathlang.Path.to_string w)
-              | None -> Printf.printf "%d\n" v
-            else Printf.printf "%d\n" v)
-          answers;
+        if witness then
+          List.iter
+            (fun (v, w) ->
+              Printf.printf "%d\tvia %s\n" v (Pathlang.Path.to_string w))
+            (Rpq.Eval.witnesses g (Sgraph.Graph.root g) r)
+        else
+          Sgraph.Graph.Node_set.iter (Printf.printf "%d\n") (Rpq.Eval.eval g r);
         `Ok ()
   in
   Cmd.v
@@ -1417,6 +1414,7 @@ let query_eval_cmd =
             Core.Engine.Budget.v ~max_steps:steps ~max_nodes:steps ~timeout
               ~cancel ()
           in
+          let cancelled () = Core.Engine.Cancel.is_cancelled cancel in
           let answers ast =
             match schema with
             | Some schema when not untyped ->
@@ -1425,7 +1423,7 @@ let query_eval_cmd =
                 let ctl = Core.Engine.start budget in
                 let interrupt () = not (Core.Engine.tick ctl ()) in
                 Rpq.Eval.eval_typed ~interrupt ~class_of tc g
-            | _ -> Rpq.Eval.eval g (Rpq.Parser.regex_of ast)
+            | _ -> Rpq.Eval.eval ~interrupt:cancelled g (Rpq.Parser.regex_of ast)
           in
           let qstr ast = Rpq.Regex.to_string (Rpq.Parser.regex_of ast) in
           Core.Engine.Cancel.with_sigint cancel (fun () ->
@@ -1447,7 +1445,8 @@ let query_eval_cmd =
                           }
                         in
                         Printf.printf "%s -> %s: %s\n" (qstr lhs) (qstr rhs)
-                          (if Rpq.Eval.holds g c then "holds" else "FAILS"))
+                          (if Rpq.Eval.holds ~interrupt:cancelled g c then "holds"
+                           else "FAILS"))
                   doc.Rpq.Parser.items
               with
               | () -> 0

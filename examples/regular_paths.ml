@@ -38,12 +38,9 @@ let () =
 
   section "Witnesses";
   let r = parse "book.(ref)*.author" in
-  NS.iter
-    (fun v ->
-      match Eval.witness g (Graph.root g) r v with
-      | Some w -> Printf.printf "  node %d via %s\n" v (Path.to_string w)
-      | None -> ())
-    (Eval.eval g r);
+  List.iter
+    (fun (v, w) -> Printf.printf "  node %d via %s\n" v (Path.to_string w))
+    (Eval.witnesses g (Graph.root g) r);
 
   section "Regular word constraints (the [4] constraint shape), checked";
   let constraints =

@@ -1,120 +1,75 @@
 module Graph = Sgraph.Graph
 module Nfa = Automata.Nfa
 module NS = Graph.Node_set
-module Path = Pathlang.Path
+module SS = Nfa.State_set
+module Label = Pathlang.Label
+module Eval = Sgraph.Eval
 
-(* BFS over the product of the graph and the query NFA.  Pairs (v, q)
-   with q ranging over eps-closed single states. *)
-let product_search g src r =
-  let a, start = Regex.to_nfa r in
-  let closure q = Nfa.eps_closure a (Nfa.State_set.singleton q) in
-  let seen = Hashtbl.create 64 in
-  let parent = Hashtbl.create 64 in
-  let q = Queue.create () in
-  let push (v, st) from =
-    if not (Hashtbl.mem seen (v, st)) then begin
-      Hashtbl.add seen (v, st) ();
-      Hashtbl.add parent (v, st) from;
-      Queue.add (v, st) q
-    end
+exception Interrupted = Eval.Interrupted
+
+(* The ε-free form of a Thompson automaton on the same state ids:
+   reading k from q reaches the ε-closure of the k-successors of q's
+   ε-closure.  Each state's closure is computed once here, not once per
+   product edge.  Targets keep the push order of an ε-closure search
+   (each closed successor, ascending, expanded into its own closure),
+   so witnesses resolve ties as that search did. *)
+let compile (a, start) : Eval.nfa =
+  let n = Nfa.state_count a in
+  let closure =
+    Array.init n (fun q -> SS.elements (Nfa.eps_closure a (SS.singleton q)))
   in
-  Nfa.State_set.iter (fun st -> push (src, st) None) (closure start);
-  while not (Queue.is_empty q) do
-    let v, st = Queue.pop q in
-    List.iter
-      (fun (k, v') ->
-        Nfa.State_set.iter
-          (fun st' ->
-            Nfa.State_set.iter
-              (fun st'' -> push (v', st'') (Some ((v, st), k)))
-              (closure st'))
-          (Nfa.reach a st [ k ] |> fun set -> set))
-      (Graph.succ_all g v)
-  done;
-  (a, seen, parent)
-
-let eval_from g src r =
-  let a, seen, _ = product_search g src r in
-  Hashtbl.fold
-    (fun (v, st) () acc -> if Nfa.is_final a st then NS.add v acc else acc)
-    seen NS.empty
-
-let eval g r = eval_from g (Graph.root g) r
-
-let holds_between g src r dst = NS.mem dst (eval_from g src r)
-
-let witness g src r dst =
-  let a, seen, parent = product_search g src r in
-  let target =
-    Hashtbl.fold
-      (fun (v, st) () acc ->
-        if v = dst && Nfa.is_final a st && acc = None then Some (v, st) else acc)
-      seen None
+  let moves = Array.make n [] in
+  List.iter
+    (fun (s, k, t) -> moves.(s) <- (k, t) :: moves.(s))
+    (Nfa.transitions a);
+  let expand = List.concat_map (Array.get closure) in
+  let first_seen ts =
+    let seen = ref SS.empty in
+    List.filter (fun t -> (not (SS.mem t !seen)) && (seen := SS.add t !seen; true)) ts
   in
-  Option.map
-    (fun state ->
-      let rec build s acc =
-        match Hashtbl.find parent s with
-        | None -> acc
-        | Some (prev, k) -> build prev (k :: acc)
-      in
-      Path.of_labels (build state []))
-    target
+  let delta q =
+    let moves = List.concat_map (Array.get moves) closure.(q) in
+    let targets k =
+      List.filter_map (fun (k', t) -> if Label.equal k k' then Some t else None) moves
+      |> expand |> List.sort_uniq Int.compare |> expand |> first_seen
+    in
+    List.map
+      (fun k -> (k, targets k))
+      (List.sort_uniq (fun x y -> Label.compare y x) (List.map fst moves))
+  in
+  {
+    Eval.start = closure.(start);
+    delta = Array.init n delta;
+    final = Array.init n (Nfa.is_final a);
+  }
+
+let eval_from ?interrupt g src r =
+  Eval.run ?interrupt g src (Eval.Nfa (compile (Regex.to_nfa r)))
+
+let eval ?interrupt g r = eval_from ?interrupt g (Graph.root g) r
+let witnesses g src r = Eval.witnesses g src (compile (Regex.to_nfa r))
+let witness g src r dst = List.assoc_opt dst (witnesses g src r)
 
 (* --- type-pruned evaluation ------------------------------------------------ *)
 
-exception Interrupted
-
-(* The same product BFS, over the checker's automaton, except that a
-   pair (v, q) is enqueued only if a schema-conforming run may inhabit
-   it and still finish the query (Typecheck.allow, i.e. the pair is
-   reachable AND co-reachable in the query x schema product).  On a
-   graph that validates against the schema every answer-bearing pair
-   passes the filter, so the answer set is identical to eval_from's —
-   the differential property the test suite checks on seeded
-   schema/instance/query triples — while pairs that can never complete
-   the query are cut before their subgraphs are explored. *)
-let eval_from_typed ?(interrupt = fun () -> false) ?class_of tc g src =
-  let a, start = Typecheck.nfa tc in
-  let admissible v st =
-    match class_of with
-    | None -> Typecheck.state_live tc st
-    | Some class_of -> (
-        match class_of v with
-        | Some tau -> Typecheck.allow tc st tau
-        | None -> Typecheck.state_live tc st)
+(* Pairs no schema-conforming run can inhabit and still finish the
+   query are never enqueued (Typecheck.allow). *)
+let eval_from_typed ?interrupt ?class_of tc g src =
+  let admit v q =
+    match Option.bind class_of (fun class_of -> class_of v) with
+    | Some tau -> Typecheck.allow tc q tau
+    | None -> Typecheck.state_live tc q
   in
-  let closure q = Nfa.eps_closure a (Nfa.State_set.singleton q) in
-  let seen = Hashtbl.create 64 in
-  let q = Queue.create () in
-  let push (v, st) =
-    if admissible v st && not (Hashtbl.mem seen (v, st)) then begin
-      Hashtbl.add seen (v, st) ();
-      Queue.add (v, st) q
-    end
-  in
-  Nfa.State_set.iter (fun st -> push (src, st)) (closure start);
-  while not (Queue.is_empty q) do
-    if interrupt () then raise Interrupted;
-    let v, st = Queue.pop q in
-    List.iter
-      (fun (k, v') ->
-        Nfa.State_set.iter (fun st' -> push (v', st')) (Nfa.reach a st [ k ]))
-      (Graph.succ_all g v)
-  done;
-  Hashtbl.fold
-    (fun (v, st) () acc -> if Nfa.is_final a st then NS.add v acc else acc)
-    seen NS.empty
+  Eval.run ~admit ?interrupt g src (Eval.Nfa (compile (Typecheck.nfa tc)))
 
 let eval_typed ?interrupt ?class_of tc g =
   eval_from_typed ?interrupt ?class_of tc g (Graph.root g)
 
 type constr = { lhs : Regex.t; rhs : Regex.t }
 
-let holds g c = NS.subset (eval g c.lhs) (eval g c.rhs)
+let holds ?interrupt g c = NS.subset (eval ?interrupt g c.lhs) (eval ?interrupt g c.rhs)
 
-let violations g c =
-  NS.elements (NS.diff (eval g c.lhs) (eval g c.rhs))
+let violations g c = NS.elements (NS.diff (eval g c.lhs) (eval g c.rhs))
 
 let prune_union rs =
   let rec go kept = function

@@ -1,19 +1,32 @@
 (** Regular path queries over semistructured graphs, and the regular
     word constraints of [4] as {e checkable} (not implied-over)
-    properties.
+    properties.  This module only compiles a query; the walk is
+    {!Sgraph.Eval.run}'s product BFS, in [O(|G| * |r|)] product pairs,
+    which polls every [interrupt] hook once per pair it dequeues and
+    raises {!Interrupted} when one fires. *)
 
-    [eval g r] selects every node reachable from the root along a label
-    sequence in [L(r)], computed by BFS over the product of the graph
-    with the query automaton — the classical RPQ algorithm,
-    [O(|G| * |r|)] states. *)
+val compile : Automata.Nfa.t * Automata.Nfa.state -> Sgraph.Eval.nfa
+(** The ε-free form of an automaton from its start state, on the {e
+    same} state ids, so {!Typecheck.allow} stays valid on it.  Computes
+    each state's ε-closure once. *)
 
 val eval_from :
-  Sgraph.Graph.t -> Sgraph.Graph.node -> Regex.t -> Sgraph.Graph.Node_set.t
+  ?interrupt:(unit -> bool) ->
+  Sgraph.Graph.t ->
+  Sgraph.Graph.node ->
+  Regex.t ->
+  Sgraph.Graph.Node_set.t
 
-val eval : Sgraph.Graph.t -> Regex.t -> Sgraph.Graph.Node_set.t
+val eval :
+  ?interrupt:(unit -> bool) -> Sgraph.Graph.t -> Regex.t -> Sgraph.Graph.Node_set.t
 
-val holds_between :
-  Sgraph.Graph.t -> Sgraph.Graph.node -> Regex.t -> Sgraph.Graph.node -> bool
+val witnesses :
+  Sgraph.Graph.t ->
+  Sgraph.Graph.node ->
+  Regex.t ->
+  (Sgraph.Graph.node * Pathlang.Path.t) list
+(** Every answer, ascending, with a shortest label sequence in [L(r)]
+    reaching it, all from one search. *)
 
 val witness :
   Sgraph.Graph.t ->
@@ -21,11 +34,10 @@ val witness :
   Regex.t ->
   Sgraph.Graph.node ->
   Pathlang.Path.t option
-(** A shortest label sequence in [L(r)] connecting the two nodes. *)
+(** One answer's entry of {!witnesses}. *)
 
 exception Interrupted
-(** Raised by the governed evaluators when their [interrupt] hook turns
-    true mid-product (budget trip, cancellation). *)
+(** {!Sgraph.Eval.Interrupted}: an [interrupt] hook fired. *)
 
 val eval_from_typed :
   ?interrupt:(unit -> bool) ->
@@ -34,21 +46,13 @@ val eval_from_typed :
   Sgraph.Graph.t ->
   Sgraph.Graph.node ->
   Sgraph.Graph.Node_set.t
-(** Type-pruned RPQ evaluation: the same product BFS as {!eval_from},
-    run on the checker's automaton, but a pair [(v, q)] is explored
-    only if {!Typecheck.allow} admits it — i.e. a schema-conforming
-    run may inhabit [q] at [v]'s sort ([class_of], e.g.
-    {!Typecheck.type_graph}) and still finish the query.  Nodes typing
-    to [None] are never pruned on their sort (only on
-    {!Typecheck.state_live}).
-
-    On a graph that validates against the schema and a root [src], the
-    answer set equals {!eval_from}'s (QCheck-checked on seeded
-    schema/instance/query triples); on non-conforming graphs the typed
-    evaluator restricts answers to matches witnessed inside
-    [Paths(Delta)].  [interrupt] is polled once per dequeued product
-    pair.
-    @raise Interrupted when [interrupt] fires mid-search. *)
+(** Type-pruned evaluation: {!eval_from} on the checker's automaton,
+    exploring a pair [(v, q)] only if {!Typecheck.allow} admits [q] at
+    [v]'s sort ([class_of], e.g. {!Typecheck.type_graph}; a node typing
+    to [None] is pruned only on {!Typecheck.state_live}).  On a graph
+    that validates against the schema the answers equal {!eval_from}'s;
+    on others they are the matches witnessed inside [Paths(Delta)].  A
+    step budget in [interrupt] counts admitted pairs. *)
 
 val eval_typed :
   ?interrupt:(unit -> bool) ->
@@ -65,7 +69,7 @@ val eval_typed :
     the paper (Section 1). *)
 type constr = { lhs : Regex.t; rhs : Regex.t }
 
-val holds : Sgraph.Graph.t -> constr -> bool
+val holds : ?interrupt:(unit -> bool) -> Sgraph.Graph.t -> constr -> bool
 
 val violations : Sgraph.Graph.t -> constr -> Sgraph.Graph.node list
 

@@ -6,29 +6,28 @@ let c_checks = Obs.Counter.make ~unit_:"checks" "check.constraint_checks"
 let c_violations =
   Obs.Counter.make ~unit_:"violations" "check.violations_found"
 
-let violations g c =
+(* The one violation scan: [f x y] on every violating pair, in
+   ascending (x, y) order.  The three paths are compiled once per
+   call, not once per x. *)
+let scan g c f =
   Obs.Counter.incr c_checks;
-  let xs = Eval.eval g (Constr.prefix c) in
-  let vs =
-    NS.fold
-      (fun x acc ->
-        let ys = Eval.eval_from g x (Constr.lhs c) in
-        match Constr.kind c with
-        | Constr.Forward ->
-            let zs = Eval.eval_from g x (Constr.rhs c) in
-            NS.fold
-              (fun y acc -> if NS.mem y zs then acc else (x, y) :: acc)
-              ys acc
-        | Constr.Backward ->
-            NS.fold
-              (fun y acc ->
-                if Eval.holds_between g y (Constr.rhs c) x then acc
-                else (x, y) :: acc)
-              ys acc)
-      xs []
-  in
-  Obs.Counter.add c_violations (List.length vs);
-  vs
+  let lhs = Eval.chain (Constr.lhs c) and rhs = Eval.chain (Constr.rhs c) in
+  NS.iter
+    (fun x ->
+      let ys = Eval.run g x lhs in
+      match Constr.kind c with
+      | Constr.Forward ->
+          let zs = Eval.run g x rhs in
+          NS.iter (fun y -> if not (NS.mem y zs) then f x y) ys
+      | Constr.Backward ->
+          NS.iter (fun y -> if not (NS.mem x (Eval.run g y rhs)) then f x y) ys)
+    (Eval.run g (Graph.root g) (Eval.chain (Constr.prefix c)))
+
+let violations g c =
+  let vs = ref [] in
+  scan g c (fun x y -> vs := (x, y) :: !vs);
+  Obs.Counter.add c_violations (List.length !vs);
+  !vs
 
 exception Found of (Graph.node * Graph.node)
 
@@ -38,39 +37,15 @@ exception Found of (Graph.node * Graph.node)
    chase use this same selection rule — that shared determinism is what
    makes their runs comparable repair-for-repair. *)
 let first_violation g c =
-  Obs.Counter.incr c_checks;
-  let xs = Eval.eval g (Constr.prefix c) in
   try
-    NS.iter
-      (fun x ->
-        let ys = Eval.eval_from g x (Constr.lhs c) in
-        match Constr.kind c with
-        | Constr.Forward ->
-            let zs = Eval.eval_from g x (Constr.rhs c) in
-            NS.iter (fun y -> if not (NS.mem y zs) then raise (Found (x, y))) ys
-        | Constr.Backward ->
-            NS.iter
-              (fun y ->
-                if not (Eval.holds_between g y (Constr.rhs c) x) then
-                  raise (Found (x, y)))
-              ys)
-      xs;
+    scan g c (fun x y -> raise_notrace (Found (x, y)));
     None
   with Found v -> Some v
 
 let holds g c =
-  Obs.Counter.incr c_checks;
-  let xs = Eval.eval g (Constr.prefix c) in
-  NS.for_all
-    (fun x ->
-      let ys = Eval.eval_from g x (Constr.lhs c) in
-      match Constr.kind c with
-      | Constr.Forward ->
-          let zs = Eval.eval_from g x (Constr.rhs c) in
-          NS.subset ys zs
-      | Constr.Backward ->
-          NS.for_all (fun y -> Eval.holds_between g y (Constr.rhs c) x) ys)
-    xs
+  match scan g c (fun _ _ -> raise_notrace Exit) with
+  | () -> true
+  | exception Exit -> false
 
 let holds_all g cs = List.for_all (holds g) cs
 let first_violated g cs = List.find_opt (fun c -> not (holds g c)) cs

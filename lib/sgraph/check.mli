@@ -1,5 +1,6 @@
 (** Model checking P_c constraints over finite graphs: the satisfaction
-    relation [G |= phi] of Section 2.2. *)
+    relation [G |= phi] of Section 2.2.  All three checks run one scan
+    of the violating pairs in ascending order. *)
 
 val holds : Graph.t -> Pathlang.Constr.t -> bool
 (** [holds g phi] decides [G |= phi] directly from Definition 2.1: for
@@ -10,8 +11,8 @@ val holds_all : Graph.t -> Pathlang.Constr.t list -> bool
 
 val violations :
   Graph.t -> Pathlang.Constr.t -> (Graph.node * Graph.node) list
-(** The witness pairs [(x, y)] at which the constraint fails; empty iff
-    the constraint holds. *)
+(** The witness pairs [(x, y)] at which the constraint fails, in
+    descending order; empty iff the constraint holds. *)
 
 val first_violation :
   Graph.t -> Pathlang.Constr.t -> (Graph.node * Graph.node) option

@@ -54,18 +54,11 @@ let build ?(max_states = 10_000) g =
   if !ok then Ok { guide; annotations }
   else Error "Dataguide.build: state budget exceeded"
 
+let annotation t n = Option.value ~default:NS.empty (Hashtbl.find_opt t.annotations n)
+
+(* the guide is deterministic: at most one guide node answers [rho] *)
 let eval t rho =
-  (* the guide is deterministic: walk the unique chain *)
-  let rec go node = function
-    | [] -> Option.value ~default:NS.empty (Hashtbl.find_opt t.annotations node)
-    | k :: rest -> (
-        match Graph.succ t.guide node k with
-        | [ next ] -> go next rest
-        | [] -> NS.empty
-        | _ -> assert false (* deterministic by construction *))
-  in
-  go (Graph.root t.guide) (Pathlang.Path.to_labels rho)
+  NS.fold (fun n acc -> NS.union (annotation t n) acc) (Eval.eval t.guide rho) NS.empty
 
 let size t = Graph.node_count t.guide
 let graph t = t.guide
-let annotation t n = Option.value ~default:NS.empty (Hashtbl.find_opt t.annotations n)

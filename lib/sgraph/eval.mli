@@ -1,11 +1,45 @@
-(** Path evaluation over semistructured graphs.
+(** Path evaluation over semistructured graphs: the one place that
+    walks paths on a graph.  [rho(x, y)] holds in [G] exactly when [y]
+    is in [eval_from g x rho]. *)
 
-    [rho(x, y)] holds in [G] exactly when [y] is in
-    [eval_from g x rho]. *)
+type state = int
+
+type nfa = {
+  start : state list;
+  delta : (Pathlang.Label.t * state list) list array;
+  final : bool array;
+}
+(** An ε-free automaton on the states [0 .. Array.length delta - 1];
+    [delta.(q)] lists [q]'s moves by label, descending.  List orders are
+    push orders: they pick the witness among equal-length runs. *)
+
+(** A word is the degenerate automaton, a chain of labels. *)
+type automaton = Chain of Pathlang.Label.t list | Nfa of nfa
+
+val chain : Pathlang.Path.t -> automaton
+
+exception Interrupted
+
+val run :
+  ?admit:(Graph.node -> state -> bool) ->
+  ?interrupt:(unit -> bool) ->
+  Graph.t ->
+  Graph.node ->
+  automaton ->
+  Graph.Node_set.t
+(** Every node some word of [L(a)] leads to from [x], by BFS over the
+    product of [g] and [a].  An [Nfa]'s pair [(v, q)] is explored only
+    if [admit v q], and [interrupt] is polled once per pair dequeued.
+    A chain takes [|a|] frontier steps, neither pruned nor polled.
+    @raise Interrupted when [interrupt] fires. *)
+
+val witnesses :
+  Graph.t -> Graph.node -> nfa -> (Graph.node * Pathlang.Path.t) list
+(** Every answer of {!run}, ascending, with a shortest word of [L(a)]
+    reaching it, read off one search's parent links. *)
 
 val eval_from : Graph.t -> Graph.node -> Pathlang.Path.t -> Graph.Node_set.t
-(** All nodes reachable from the given node by following the path.
-    Runs in [O(|rho| * |G|)] using per-step frontier sets. *)
+(** The chain case of {!run}, in [O(|rho| * |G|)]. *)
 
 val eval : Graph.t -> Pathlang.Path.t -> Graph.Node_set.t
 (** [eval g rho = eval_from g (root g) rho]. *)
@@ -15,9 +49,4 @@ val holds_between :
 (** [holds_between g x rho y] decides [G |= rho(x, y)]. *)
 
 val reachable : Graph.t -> Graph.node -> Graph.Node_set.t
-(** All nodes reachable from the given node by any path (BFS). *)
-
-val witness_path :
-  Graph.t -> Graph.node -> Graph.node -> Pathlang.Path.t option
-(** A shortest label sequence leading from the first node to the second,
-    if any. *)
+(** All nodes reachable from the given node by any path. *)

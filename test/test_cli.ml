@@ -242,6 +242,36 @@ let test_rpq_on_xml () =
     (List.length (String.split_on_char '\n' out |> List.filter (( <> ) "")));
   Sys.remove xml
 
+let data_fixture f =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "examples/data" f)
+
+(* --witness reads every answer's witness off one search: each is a
+   shortest member of L(r), ties broken as the pinned lines show *)
+let test_rpq_witness () =
+  let rpq file q =
+    let code, out =
+      run (Printf.sprintf "rpq -g %s --witness %S" (data_fixture file) q)
+    in
+    check_int "exit" 0 code;
+    out
+  in
+  check_string "reachability"
+    "0\tvia eps\n1\tvia book\n2\tvia book\n3\tvia person\n\
+     4\tvia book.title\n5\tvia book.year\n6\tvia book.title\n\
+     7\tvia book.year\n8\tvia person.name"
+    (rpq "query/bibliography.graph"
+       "(book|person|ref|author|wrote|title|year|name)*");
+  check_string "cycles through ref and author.wrote"
+    "4\tvia book.title\n6\tvia book.title\n8\tvia book.author.name"
+    (rpq "query/bibliography.graph"
+       "book.(ref|author.wrote)*.(title|author.name)");
+  check_string "XML bibliography"
+    "2\tvia book.title\n5\tvia book.title\n9\tvia book.title\n\
+     11\tvia book.author\n15\tvia book.author"
+    (rpq "bibliography.xml" "book.(ref)*.(title|author)")
+
 let test_compare () =
   let code, out =
     run
@@ -354,11 +384,6 @@ let test_optimize () =
   check_string "pruned" "person" out
 
 (* --- the analyzer front end: lint and query lint share one driver ------- *)
-
-let data_fixture f =
-  Filename.concat
-    (Filename.dirname (Filename.dirname Sys.executable_name))
-    (Filename.concat "examples/data" f)
 
 (* --fix lints through the caller's own lint call: --interact, --cache
    and -j reach it exactly as they reach a plain run *)
@@ -473,6 +498,7 @@ let () =
           Alcotest.test_case "encode + word-problem" `Quick
             test_encode_and_word_problem;
           Alcotest.test_case "rpq on xml" `Quick test_rpq_on_xml;
+          Alcotest.test_case "rpq witnesses" `Quick test_rpq_witness;
           Alcotest.test_case "compare" `Quick test_compare;
           Alcotest.test_case "index" `Quick test_index;
           Alcotest.test_case "odl" `Quick test_odl;

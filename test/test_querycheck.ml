@@ -2,8 +2,9 @@
    lib/analysis/querycheck) and the pathctl query subcommands: golden
    PC800-PC803 output with token-level spans in all three renderers,
    PC800/PC801 cross-checked against independent Nfa emptiness on the
-   query x schema product, a seeded typed-vs-untyped differential over
-   generated schema/instance/query triples, budget governance of the
+   query x schema product, a seeded three-way differential (typed,
+   untyped and an independent oracle) over generated
+   schema/instance/query triples, budget governance of the
    typed evaluator, and the analyzer driver's cache key (every part of
    both document kinds, the querycheck pass switch and lint's goal,
    interact and budget parts included, must change the key). *)
@@ -435,7 +436,7 @@ let test_dead_subexprs_deterministic () =
       Alcotest.(check int) "token start column" 11 d.Qparser.span.Span.start_col
   | ds -> Alcotest.failf "expected one dead subexpression, got %d" (List.length ds)
 
-(* --- typed vs untyped evaluation: the differential satellite --------------- *)
+(* --- typed vs untyped evaluation, against an independent oracle ------------ *)
 
 let test_typed_untyped_differential () =
   let rng = Random.State.make [| 0xD1FF |] in
@@ -459,6 +460,12 @@ let test_typed_untyped_differential () =
       (Printf.sprintf "case %d: typed = untyped on %S" i
          (Regex.to_string (Qparser.regex_of ast)))
       true (NS.equal untyped typed);
+    (* typed and untyped now share one product BFS, so the reference is
+       an independent evaluator *)
+    Alcotest.(check bool)
+      (Printf.sprintf "case %d: untyped = oracle" i)
+      true
+      (NS.equal untyped (Rpq_oracle.eval g (Qparser.regex_of ast)));
     (* with no sort information the evaluator may prune only on
        state liveness — still answer-identical *)
     let typed_nosorts = Eval.eval_typed tc g in

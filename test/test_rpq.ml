@@ -221,18 +221,129 @@ let prop_eval_union_is_union =
         (Rpq_.eval g (Regex.alt (Regex.of_path p1) (Regex.of_path p2)))
         (NS.union (Sgraph.Eval.eval g p1) (Sgraph.Eval.eval g p2)))
 
+(* The length of a shortest word of L(r) leading from [src] to [dst],
+   by layered simulation: layer n holds the (node, state) pairs reached
+   after exactly n letters.  No BFS, no visited set. *)
+let shortest_len g src r dst =
+  let a, start = Regex.to_nfa r in
+  let module PS = Set.Make (struct
+    type t = int * int
+
+    let compare = compare
+  end) in
+  let hit = PS.exists (fun (v, q) -> v = dst && Automata.Nfa.is_final a q) in
+  let bound = Graph.node_count g * Automata.Nfa.state_count a in
+  let next layer =
+    PS.fold
+      (fun (v, q) acc ->
+        List.fold_left
+          (fun acc (k, w) ->
+            Automata.Nfa.State_set.fold
+              (fun q' acc -> PS.add (w, q') acc)
+              (Automata.Nfa.reach a q [ k ])
+              acc)
+          acc (Graph.succ_all g v))
+      layer PS.empty
+  in
+  let rec go n layer =
+    if hit layer then Some n
+    else if n >= bound || PS.is_empty layer then None
+    else go (n + 1) (next layer)
+  in
+  go 0
+    (Automata.Nfa.State_set.fold
+       (fun q acc -> PS.add (src, q) acc)
+       (Automata.Nfa.eps_closure a (Automata.Nfa.State_set.singleton start))
+       PS.empty)
+
+(* A witness is a member of L(r), connects the two nodes, and is a
+   shortest such member. *)
+let witness_ok g src r v w =
+  Regex.matches r w
+  && Sgraph.Eval.holds_between g src w v
+  && shortest_len g src r v = Some (Path.length w)
+
 let test_witness () =
   let g = Xmlrep.Bib.figure1 () in
   let r = parse "book.(ref)*.author" in
   let answers = Rpq_.eval g r in
-  NS.iter
-    (fun v ->
-      match Rpq_.witness g (Graph.root g) r v with
-      | Some w ->
-          check_bool "witness in language" true (Regex.matches r w);
-          check_bool "witness connects" true (Sgraph.Eval.holds_between g 0 w v)
-      | None -> Alcotest.fail "answer without witness")
-    answers
+  let ws = Rpq_.witnesses g (Graph.root g) r in
+  check_bool "one witness per answer" true
+    (List.map fst ws = NS.elements answers);
+  List.iter
+    (fun (v, w) ->
+      check_bool "witness in language, connects, shortest" true
+        (witness_ok g 0 r v w);
+      check_bool "witness agrees with the single-target call" true
+        (Rpq_.witness g 0 r v = Some w);
+      check_bool "witness agrees with the oracle" true
+        (Rpq_oracle.witness g 0 r v = Some w))
+    ws;
+  let g = Graph.of_edges [ (0, "a", 1); (1, "b", 2); (0, "c", 2) ] in
+  let any = parse "(a|b|c)*" in
+  (match Rpq_.witness g 0 any 2 with
+  | Some p -> check_int "shortest" 1 (Path.length p)
+  | None -> Alcotest.fail "no witness");
+  check_bool "unreachable" true (Rpq_.witness g 2 any 1 = None);
+  check_bool "self" true (Rpq_.witness g 1 any 1 = Some Path.empty)
+
+let prop_witness_sound =
+  q ~count:100 "witness paths really connect" arb_graph (fun g ->
+      let any = parse "(a|b|c)*" in
+      let ws = Rpq_.witnesses g 0 any in
+      List.for_all
+        (fun y ->
+          match List.assoc_opt y ws with
+          | Some w -> witness_ok g 0 any y w
+          | None -> not (NS.mem y (Sgraph.Eval.reachable g 0)))
+        (Graph.nodes g))
+
+let prop_witnesses_match_oracle =
+  q ~count:100 "witnesses are shortest and match the oracle's"
+    QCheck.(pair arb_graph (QCheck.make (gen_regex_smart 3) ~print:Regex.to_string))
+    (fun (g, r) ->
+      let ws = Rpq_.witnesses g 0 r in
+      List.map fst ws = NS.elements (Rpq_oracle.eval g r)
+      && List.for_all
+           (fun (v, w) ->
+             witness_ok g 0 r v w && Rpq_oracle.witness g 0 r v = Some w)
+           ws)
+
+(* A word runs as a chain; compiled as a general automaton it must give
+   the same answers, and both must agree with the FO semantics. *)
+let prop_chain_is_general =
+  q ~count:100 "a word as a Chain = the word compiled = FO"
+    QCheck.(pair arb_graph arb_path)
+    (fun (g, p) ->
+      let chain = Sgraph.Eval.run g 0 (Sgraph.Eval.chain p) in
+      let general =
+        Sgraph.Eval.run g 0
+          (Sgraph.Eval.Nfa (Rpq_.compile (Regex.to_nfa (Regex.of_path p))))
+      in
+      let fo =
+        List.filter
+          (fun n ->
+            Sgraph.Fo_eval.eval g
+              [ ("y", n) ]
+              (Pathlang.Fo.of_path p ~src:Pathlang.Fo.Root
+                 ~dst:(Pathlang.Fo.Var "y")))
+          (Graph.nodes g)
+      in
+      NS.equal chain general && NS.elements chain = fo)
+
+(* The untyped evaluator honours its interrupt hook: this is what lets
+   a signal stop pathctl query eval without --schema. *)
+let test_eval_interrupt () =
+  let g = Graph.of_edges [ (0, "a", 1); (1, "a", 0); (1, "b", 2) ] in
+  let r = parse "(a)*.b" in
+  Alcotest.check_raises "untyped eval trips" Rpq_.Interrupted (fun () ->
+      ignore (Rpq_.eval ~interrupt:(fun () -> true) g r));
+  Alcotest.check_raises "regular constraint check trips" Rpq_.Interrupted
+    (fun () ->
+      ignore
+        (Rpq_.holds ~interrupt:(fun () -> true) g { Rpq_.lhs = r; rhs = r }));
+  check_bool "a silent hook changes nothing" true
+    (NS.equal (Rpq_.eval ~interrupt:(fun () -> false) g r) (Rpq_.eval g r))
 
 (* --- regular word constraints -------------------------------------------------------- *)
 
@@ -295,6 +406,10 @@ let () =
           prop_eval_plain_path_agrees;
           prop_eval_union_is_union;
           Alcotest.test_case "witness" `Quick test_witness;
+          prop_witness_sound;
+          prop_witnesses_match_oracle;
+          prop_chain_is_general;
+          Alcotest.test_case "interrupt" `Quick test_eval_interrupt;
         ] );
       ( "constraints",
         [

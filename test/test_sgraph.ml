@@ -79,14 +79,6 @@ let test_reachable () =
   check_bool "reachable from root" true
     (NS.equal (Eval.reachable g 0) (NS.of_list [ 0; 1; 2 ]))
 
-let test_witness_path () =
-  let g = Graph.of_edges [ (0, "a", 1); (1, "b", 2); (0, "c", 2) ] in
-  (match Eval.witness_path g 0 2 with
-  | Some p -> check_int "shortest" 1 (Path.length p)
-  | None -> Alcotest.fail "no witness");
-  check_bool "unreachable" true (Eval.witness_path g 2 1 = None);
-  check_bool "self" true (Eval.witness_path g 1 1 = Some Path.empty)
-
 let prop_eval_matches_fo =
   q ~count:100 "path eval agrees with naive FO evaluation"
     QCheck.(pair arb_graph arb_path)
@@ -103,15 +95,6 @@ let prop_eval_matches_fo =
           fo = NS.mem n via_eval)
         (Graph.nodes g))
 
-let prop_witness_sound =
-  q ~count:100 "witness paths really connect" arb_graph (fun g ->
-      List.for_all
-        (fun y ->
-          match Eval.witness_path g 0 y with
-          | Some p -> Eval.holds_between g 0 p y
-          | None -> not (NS.mem y (Eval.reachable g 0)))
-        (Graph.nodes g))
-
 (* --- constraint checking ------------------------------------------------ *)
 
 let prop_check_matches_fo =
@@ -123,6 +106,19 @@ let prop_violations_consistent =
   q ~count:100 "violations empty iff holds"
     QCheck.(pair arb_graph arb_constraint)
     (fun (g, c) -> Check.holds g c = (Check.violations g c = []))
+
+(* violations, first_violation and holds are three clients of one
+   scan: the first is its least pair, the last its emptiness. *)
+let prop_first_violation_is_least =
+  q ~count:200 "first_violation is the least violation"
+    QCheck.(pair arb_graph arb_constraint)
+    (fun (g, c) ->
+      let vs = Check.violations g c in
+      let least =
+        match vs with [] -> None | v :: rest -> Some (List.fold_left min v rest)
+      in
+      Check.first_violation g c = least
+      && Check.holds g c = (vs = []))
 
 let test_figure1_constraints () =
   let g = Xmlrep.Bib.figure1 () in
@@ -298,9 +294,7 @@ let () =
         [
           Alcotest.test_case "eval" `Quick test_eval;
           Alcotest.test_case "reachable" `Quick test_reachable;
-          Alcotest.test_case "witness" `Quick test_witness_path;
           prop_eval_matches_fo;
-          prop_witness_sound;
         ] );
       ( "check",
         [
@@ -308,6 +302,7 @@ let () =
           Alcotest.test_case "violation witness" `Quick test_violation_witness;
           prop_check_matches_fo;
           prop_violations_consistent;
+          prop_first_violation_is_least;
         ] );
       ( "enumerate",
         [
