@@ -27,6 +27,11 @@ let max_overhead_permille = 20
 let min_speedup_x4_permille = 1800
 let min_gate_cores = 4
 
+(* An exhausted chase must cost about its budget, not its square: each
+   repair pays for the edges it changed.  The rescan of Sigma per
+   repair fitted 2.05 on this sweep. *)
+let max_exhaust_exponent = 1.5
+
 let fail fmt =
   Printf.ksprintf
     (fun s ->
@@ -50,6 +55,7 @@ type cell = {
   name : string;
   sizes : int list;
   wall_ns : float list;
+  exponent : float option;
   counters : (string * int) list;
 }
 
@@ -69,9 +75,12 @@ let validate_cell path j =
         (k, get (ctx ("counter " ^ k ^ " must be an integer")) (J.as_int v)))
       (field "counters" J.as_obj)
   in
-  (match J.member "exponent" j with
-  | Some (J.Float _ | J.Int _ | J.Null) -> ()
-  | _ -> fail "%s" (ctx "exponent must be a number (null when unmeasured)"));
+  let exponent =
+    match J.member "exponent" j with
+    | Some J.Null -> None
+    | Some ((J.Float _ | J.Int _) as v) -> J.as_float v
+    | _ -> fail "%s" (ctx "exponent must be a number (null when unmeasured)")
+  in
   let sizes =
     List.map
       (fun v -> get (ctx "sizes must be integers") (J.as_int v))
@@ -96,7 +105,7 @@ let validate_cell path j =
     List.length wall_ns <> List.length sizes
     || List.length minor_words <> List.length sizes
   then fail "%s" (ctx "sizes/wall_ns/minor_words lengths disagree");
-  { name; sizes; wall_ns; counters }
+  { name; sizes; wall_ns; exponent; counters }
 
 let validate path =
   let doc = parse path in
@@ -153,6 +162,22 @@ let () =
               "check_bench: disabled-mode obs overhead %d permille exceeds \
                the %d permille (2%%) budget\n"
               permille max_overhead_permille;
+            exit 2
+          end));
+  (* absolute gate on the exhausted chase's scaling shape *)
+  (match List.find_opt (fun c -> c.name = "pc-chase-exhaust-bicyclic") fresh with
+  | None -> ()
+  | Some c -> (
+      match c.exponent with
+      | None -> fail "%s: pc-chase-exhaust-bicyclic has no fitted exponent" fresh_path
+      | Some e ->
+          Printf.printf "  %-24s exponent %.2f (gate %.1f)\n" c.name e
+            max_exhaust_exponent;
+          if e > max_exhaust_exponent then begin
+            Printf.eprintf
+              "check_bench: exhausted chase fits exponent %.2f in its budget, \
+               above %.1f\n"
+              e max_exhaust_exponent;
             exit 2
           end));
   (* absolute gate on the multicore contract, conditional on the host:

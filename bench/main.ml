@@ -528,12 +528,41 @@ let chase_fixpoint which n =
     let outcome =
       match which with
       | `Incremental -> fst (Core.Chase.run ~ctl g sigma)
-      | `Reference -> fst (Core.Chase.run_reference ~ctl g sigma)
+      | `Reference -> fst (Oracle.Chase_reference.run_reference ~ctl g sigma)
     in
     match outcome with
     | Core.Chase.Fixpoint _ -> ()
     | Core.Chase.Exhausted _ ->
         failwith "chase bench workload must reach fixpoint"
+
+(* An exhausted chase on a Lemma 4.5 encoding whose chase never
+   settles: [Chase.implies] at a step and node budget of n.  Each
+   repair costs what it changed, so the sweep should grow about
+   linearly in the budget; a per-repair rescan of Sigma made it
+   quadratic. *)
+let chase_exhaust name j n =
+  let pres = List.assoc name Monoid.Examples.catalog in
+  let test = List.nth (Monoid.Examples.sample_tests pres) j in
+  let sigma = Core.Encode_pwk.encode pres in
+  let phi, _ = Core.Encode_pwk.encode_test test in
+  let budget = Core.Engine.Budget.steps_nodes n n in
+  fun () ->
+    match Core.Chase.implies ~ctl:(Core.Engine.start budget) ~sigma phi with
+    | Core.Verdict.Unknown _ -> ()
+    | _ -> failwith "chase exhaustion bench workload must exhaust its budget"
+
+let exhaust_cells () =
+  record_cell ~cell_name:"pc-chase-exhaust-bicyclic"
+    ~claim:"semi-decision (Thm 4.1); a repair costs its delta, not |G|"
+    "exhausted chase on the bicyclic/0 encoding, budget n steps and nodes"
+    (shrink [ 125; 250; 500; 1000 ])
+    (fun n -> measure (chase_exhaust "bicyclic" 0 n));
+  (* hub-degree head walks and the goal test keep this one near 2 *)
+  record_cell ~cell_name:"pc-chase-exhaust-symmetric3"
+    ~claim:"semi-decision (Thm 4.1); merge-heavy exhaustion, not gated"
+    "exhausted chase on the symmetric3/0 encoding, budget n steps and nodes"
+    (shrink [ 125; 250; 500; 1000 ])
+    (fun n -> measure (chase_exhaust "symmetric3" 0 n))
 
 let chase_cells () =
   record_cell ~cell_name:"pc-chase-incremental"
@@ -546,6 +575,7 @@ let chase_cells () =
     "reference chase to fixpoint, same workload and repair sequence"
     (shrink [ 16; 32; 64; 128; 256 ])
     (fun n -> measure (chase_fixpoint `Reference n));
+  exhaust_cells ();
   (* headline ratio at the largest common size, from the recorded points *)
   match
     ( List.find_opt (fun c -> c.cell_name = "pc-chase-incremental") !cells,

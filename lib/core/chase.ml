@@ -4,8 +4,8 @@ module Label = Pathlang.Label
 module Graph = Sgraph.Graph
 module Mg = Sgraph.Merge_graph
 module Io = Sgraph.Io
-module Check = Sgraph.Check
 module Eval = Sgraph.Eval
+module Violations = Sgraph.Violations
 
 let src = Logs.Src.create "pathcons.chase" ~doc:"budgeted incremental P_c chase"
 
@@ -44,8 +44,8 @@ let conclusion_holds g phi x y =
 (* Incremental engine                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The chase state: the union-find graph plus a dirty-constraint
-   worklist.
+(* The chase state: the union-find graph, a dirty-constraint worklist
+   and the violation index.
 
    Invariant: every constraint whose dirty flag is unset holds in the
    current graph.  Repairs only ever add connectivity (TGDs add edges,
@@ -59,6 +59,11 @@ let conclusion_holds g phi x y =
    without re-evaluation.  A constraint with an empty footprint has all
    three paths empty and is trivially satisfied forever once checked.
 
+   A dirty constraint asks the index for its least violation, which is
+   [Check.first_violation]'s answer kept up to date from the edges each
+   repair adds or moves (see [Sgraph.Violations]); the index is derived
+   state, rebuilt cold on resume and never snapshotted.
+
    Fairness: repairs scan the constraint array round-robin from
    [steps mod n] (an array cursor, replacing the historical O(|Sigma|)
    [rotate] list surgery), so a diverging dependency cannot starve the
@@ -67,6 +72,7 @@ let conclusion_holds g phi x y =
 type state = {
   mg : Mg.t;
   sigma : Constr.t array;
+  index : Violations.t;
   by_label : (Label.t, int list) Hashtbl.t;
   dirty : bool array;
   mutable ndirty : int;  (** set bits in [dirty]; mirrored to a gauge *)
@@ -86,7 +92,15 @@ let make_state mg sigma_list =
     sigma;
   let n = Array.length sigma in
   Obs.Gauge.set g_worklist n;
-  { mg; sigma; by_label; dirty = Array.make n true; ndirty = n; steps = 0 }
+  {
+    mg;
+    sigma;
+    index = Violations.create mg sigma;
+    by_label;
+    dirty = Array.make n true;
+    ndirty = n;
+    steps = 0;
+  }
 
 let settle st i =
   if st.dirty.(i) then begin
@@ -114,7 +128,7 @@ let mark_dirty st touched =
    the scan completes a full cycle without finding any violation. *)
 let step st =
   let n = Array.length st.sigma in
-  let g = Mg.graph st.mg in
+  let on_edge = Violations.record st.index in
   let rec scan i remaining =
     if remaining = 0 then `Fixpoint
     else if not st.dirty.(i) then begin
@@ -123,7 +137,7 @@ let step st =
     end
     else
       let c = st.sigma.(i) in
-      match Check.first_violation g c with
+      match Violations.first st.index i with
       | None ->
           settle st i;
           Obs.Counter.incr c_settled;
@@ -138,27 +152,27 @@ let step st =
                 Log.debug (fun m ->
                     m "EGD repair for %a: merge %d and %d" Constr.pp c x y);
                 Obs.Counter.incr c_egd;
-                ignore (Mg.union st.mg x y);
+                ignore (Mg.union ~on_edge st.mg x y);
                 Mg.incident_labels st.mg x
             | Constr.Backward, true ->
                 Log.debug (fun m ->
                     m "EGD repair for %a: merge %d and %d" Constr.pp c y x);
                 Obs.Counter.incr c_egd;
-                ignore (Mg.union st.mg y x);
+                ignore (Mg.union ~on_edge st.mg y x);
                 Mg.incident_labels st.mg x
             | Constr.Forward, false ->
                 Log.debug (fun m ->
                     m "TGD repair for %a: add %a-path %d ~> %d" Constr.pp c
                       Path.pp rhs x y);
                 Obs.Counter.incr c_tgd;
-                Mg.add_path st.mg x rhs y;
+                Mg.add_path ~on_edge st.mg x rhs y;
                 Path.labels_used rhs
             | Constr.Backward, false ->
                 Log.debug (fun m ->
                     m "TGD repair for %a: add %a-path %d ~> %d" Constr.pp c
                       Path.pp rhs y x);
                 Obs.Counter.incr c_tgd;
-                Mg.add_path st.mg y rhs x;
+                Mg.add_path ~on_edge st.mg y rhs x;
                 Path.labels_used rhs
           in
           mark_dirty st touched;
@@ -515,106 +529,3 @@ let implies ?ctl ?park ?resume ~sigma phi =
           park_now ~why:"crash" ();
           Verdict.Unknown
             { (Engine.exhaustion ctl) with Verdict.reason = Verdict.Crashed })
-
-(* ------------------------------------------------------------------ *)
-(* Reference engine                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The historical copy-per-step chase, retained verbatim as the
-   differential-testing oracle (see test/test_chase_incremental.ml):
-   every repair rebuilds the graph with renumbered ids, every step
-   rescans all of Sigma.  Both engines pick repairs with
-   [Check.first_violation], and the incremental [union] absorbs into
-   the smaller id exactly like [merge] does here, so a run of either
-   engine performs the same repair sequence and their results are
-   isomorphic via the order-preserving renaming. *)
-
-let merge g a b =
-  if a = b then (Graph.copy g, fun n -> n)
-  else begin
-    (* Keep the root: merge into the smaller id (so 0 absorbs). *)
-    let target = min a b and victim = max a b in
-    let rename n =
-      let n = if n = victim then target else n in
-      if n > victim then n - 1 else n
-    in
-    let h = Graph.create () in
-    for _ = 2 to Graph.node_count g - 1 do
-      ignore (Graph.add_node h)
-    done;
-    Graph.iter_edges g (fun x k y -> Graph.add_edge h (rename x) k (rename y));
-    (h, rename)
-  end
-
-(* One repair for the first violation found; [None] when G |= Sigma. *)
-let repair_reference g sigma =
-  let rec find = function
-    | [] -> None
-    | c :: rest -> (
-        match Check.first_violation g c with
-        | None -> find rest
-        | Some (x, y) -> Some (c, x, y))
-  in
-  match find sigma with
-  | None -> None
-  | Some (c, x, y) ->
-      let rhs = Constr.rhs c in
-      let merged_or_added =
-        match (Constr.kind c, Path.is_empty rhs) with
-        | Constr.Forward, true -> `Merge (x, y)
-        | Constr.Backward, true -> `Merge (y, x)
-        | Constr.Forward, false -> `Add (x, rhs, y)
-        | Constr.Backward, false -> `Add (y, rhs, x)
-      in
-      Some
-        (match merged_or_added with
-        | `Merge (a, b) ->
-            let g', rename = merge g a b in
-            (g', rename)
-        | `Add (node_src, rho, dst) ->
-            let g' = Graph.copy g in
-            Graph.add_path g' node_src rho dst;
-            (g', fun n -> n))
-
-(* Fairness: rotate the constraint list as steps accumulate so a diverging
-   dependency cannot starve the others. *)
-let rotate sigma steps =
-  match sigma with
-  | [] -> []
-  | _ ->
-      let n = List.length sigma in
-      let k = steps mod n in
-      let rec split i acc = function
-        | rest when i = k -> rest @ List.rev acc
-        | x :: rest -> split (i + 1) (x :: acc) rest
-        | [] -> List.rev acc
-      in
-      split 0 [] sigma
-
-let run_reference ?ctl ?(tracked = []) g sigma =
-  let ctl = match ctl with Some c -> c | None -> Engine.default () in
-  let rec go steps g tracked =
-    if not (Engine.tick ctl ~nodes:(Graph.node_count g) ()) then
-      (Exhausted (g, Engine.exhaustion ctl), tracked)
-    else
-      match repair_reference g (rotate sigma steps) with
-      | None -> (Fixpoint g, tracked)
-      | Some (g', rename) -> go (steps + 1) g' (List.map rename tracked)
-  in
-  go 0 (Graph.copy g) tracked
-
-let implies_reference ?ctl ~sigma phi =
-  let ctl = match ctl with Some c -> c | None -> Engine.default () in
-  let g = Graph.create () in
-  let x = Graph.ensure_path g (Graph.root g) (Constr.prefix phi) in
-  let y = Graph.ensure_path g x (Constr.lhs phi) in
-  let rec go steps g x y =
-    if conclusion_holds g phi x y then Verdict.Implied
-    else if not (Engine.tick ctl ~nodes:(Graph.node_count g) ()) then
-      Verdict.Unknown (Engine.exhaustion ctl)
-    else
-      match repair_reference g (rotate sigma steps) with
-      | None -> Verdict.Refuted g
-      | Some (g', rename) -> go (steps + 1) g' (rename x) (rename y)
-  in
-  go 0 g x y

@@ -20,16 +20,18 @@
     [Engine.default ()], i.e. 2000 steps / 2000 nodes / 10 s); one chase
     step consumes one engine step and reports the current node count.
 
-    The default engine is {e incremental}: the chased graph lives in a
+    The engine is {e incremental}: the chased graph lives in a
     {!Sgraph.Merge_graph} (union-find node identity, so EGD repairs are
-    adjacency splices instead of whole-graph rebuilds) and violation
-    detection runs off a dirty-constraint worklist indexed by label
-    footprint, so each repair re-checks only the constraints its new
-    connectivity can affect.  {!run_reference}/{!implies_reference}
-    retain the historical copy-per-step engine as a differential-testing
-    oracle; both engines perform the same repair sequence, so their
-    results agree up to the order-preserving renaming (see DESIGN.md
-    section 10). *)
+    adjacency splices instead of whole-graph rebuilds); a
+    dirty-constraint worklist indexed by label footprint decides which
+    constraints a repair can affect; and a {!Sgraph.Violations} index
+    answers each one's least violation from the edges the repairs added
+    or moved, instead of re-evaluating the constraint from the root.
+    The index answers exactly [Check.first_violation], so the repair
+    sequence is the copy-per-step engine's, kept as the
+    differential-testing oracle [Oracle.Chase_reference] under
+    [test/oracle]; the results agree up to the order-preserving
+    renaming (see DESIGN.md section 10). *)
 
 type outcome =
   | Fixpoint of Sgraph.Graph.t  (** all constraints hold *)
@@ -42,6 +44,8 @@ type outcome =
     (union-find parents, adjacency, dead nodes included so fresh-node
     allocation replays identically), the dirty-constraint worklist and
     its cursor, the tracked nodes, and the engine budget spent so far.
+    The violation index is not part of it: a resumed chase rebuilds it
+    cold and repairs exactly as an uninterrupted one.
     A fingerprint of the originating problem (ordered sigma plus the
     conjecture or initial graph) guards against resuming under the
     wrong constraints.
@@ -109,27 +113,3 @@ val implies :
     inside the snapshot.
     @raise Invalid_argument on a fingerprint mismatch — check
     [Snapshot.matches_implies] first. *)
-
-val merge : Sgraph.Graph.t -> Sgraph.Graph.node -> Sgraph.Graph.node
-  -> Sgraph.Graph.t * (Sgraph.Graph.node -> Sgraph.Graph.node)
-(** [merge g a b] identifies the two nodes (the root stays the root) and
-    returns the contracted graph with the renaming.  Exposed for the
-    typed-countermodel builders and tests. *)
-
-val run_reference :
-  ?ctl:Engine.t ->
-  ?tracked:Sgraph.Graph.node list ->
-  Sgraph.Graph.t ->
-  Pathlang.Constr.t list ->
-  outcome * Sgraph.Graph.node list
-(** {!run} on the retained copy-per-step engine: every EGD rebuilds and
-    renumbers the graph, every step rescans all of Sigma.  Kept as the
-    differential-testing oracle for the incremental engine; performs
-    the same repair sequence as {!run}. *)
-
-val implies_reference :
-  ?ctl:Engine.t ->
-  sigma:Pathlang.Constr.t list ->
-  Pathlang.Constr.t ->
-  Verdict.t
-(** {!implies} on the reference engine. *)

@@ -31,11 +31,10 @@ let violations g c =
 
 exception Found of (Graph.node * Graph.node)
 
-(* First violation in ascending (x, y) order, short-circuiting: the
-   chase engines repair one violation per step, so materializing the
-   full list is wasted work.  Both the incremental and the reference
-   chase use this same selection rule — that shared determinism is what
-   makes their runs comparable repair-for-repair. *)
+(* First violation in ascending (x, y) order, short-circuiting.  This
+   is the chase's selection rule: the reference chase calls it and the
+   violation index answers the same pair, which is what makes their
+   runs comparable repair-for-repair. *)
 let first_violation g c =
   try
     scan g c (fun x y -> raise_notrace (Found (x, y)));

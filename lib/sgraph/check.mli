@@ -17,8 +17,10 @@ val violations :
 val first_violation :
   Graph.t -> Pathlang.Constr.t -> (Graph.node * Graph.node) option
 (** The ascending-order-first witness pair, short-circuiting as soon as
-    one is found.  This is the chase's repair-selection primitive; both
-    chase engines share it so their repair sequences coincide. *)
+    one is found.  This is the chase's repair-selection rule: the
+    reference chase calls it, and {!Violations.first} answers the same
+    pair from its index, so the two engines' repair sequences
+    coincide. *)
 
 val first_violated :
   Graph.t -> Pathlang.Constr.t list -> Pathlang.Constr.t option

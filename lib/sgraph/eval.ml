@@ -21,11 +21,17 @@ let chain rho = Chain (Path.to_labels rho)
    no visited set: layer r is the frontier after r letters.  Words are
    evaluated thousands of times per chase step on tiny graphs, where any
    fixed cost per call would dominate. *)
-let rec walk g frontier = function
+let rec walk ~back g frontier = function
   | [] -> frontier
   | k :: rest ->
-      let step x acc = List.fold_left (fun a y -> NS.add y a) acc (Graph.succ g x k) in
-      walk g (NS.fold step frontier NS.empty) rest
+      let step x acc =
+        List.fold_left (fun a y -> NS.add y a) acc
+          (if back then Graph.pred g x k else Graph.succ g x k)
+      in
+      walk ~back g (NS.fold step frontier NS.empty) rest
+
+let image g xs ks = walk ~back:false g xs ks
+let preimage g ys ks = walk ~back:true g ys ks
 
 (* The product BFS.  A pair (v, q) is the int [v * n + q]; [seen] maps
    each discovered pair to the pair it was first pushed from (-1 for a
@@ -62,7 +68,7 @@ let product admit interrupt g src a =
 let answers firsts = IT.fold (fun v _ acc -> NS.add v acc) firsts NS.empty
 
 let run ?admit ?interrupt g x = function
-  | Chain ks -> walk g (NS.singleton x) ks
+  | Chain ks -> image g (NS.singleton x) ks
   | Nfa a -> answers (snd (product admit interrupt g x a))
 
 let witnesses g x a =

@@ -33,6 +33,16 @@ val run :
     A chain takes [|a|] frontier steps, neither pruned nor polled.
     @raise Interrupted when [interrupt] fires. *)
 
+val image : Graph.t -> Graph.Node_set.t -> Pathlang.Label.t list -> Graph.Node_set.t
+(** [image g xs ks]: the nodes the word [ks] leads to from some node of
+    [xs] (the chain case of {!run}, from a set). *)
+
+val preimage :
+  Graph.t -> Graph.Node_set.t -> Pathlang.Label.t list -> Graph.Node_set.t
+(** [preimage g ys ks]: the nodes from which the word [List.rev ks]
+    leads to some node of [ys]; the walk follows edges backwards, so
+    [ks] lists the word's labels from its far end. *)
+
 val witnesses :
   Graph.t -> Graph.node -> nfa -> (Graph.node * Pathlang.Path.t) list
 (** Every answer of {!run}, ascending, with a shortest word of [L(a)]

@@ -49,7 +49,13 @@ let add_node t =
 
 let add_edge t x k y = Graph.add_edge t.g (find t x) k (find t y)
 
-let add_path t x rho y =
+let no_report _ _ _ = ()
+
+let add_path ?(on_edge = no_report) t x rho y =
+  let add src k dst =
+    Graph.add_edge t.g src k dst;
+    on_edge src k dst
+  in
   match Path.to_labels rho with
   | [] ->
       if find t x <> find t y then
@@ -57,10 +63,10 @@ let add_path t x rho y =
   | labels ->
       let rec go src = function
         | [] -> assert false
-        | [ k ] -> Graph.add_edge t.g src k (find t y)
+        | [ k ] -> add src k (find t y)
         | k :: rest ->
             let mid = add_node t in
-            Graph.add_edge t.g src k mid;
+            add src k mid;
             go mid rest
       in
       go (find t x) labels
@@ -73,7 +79,7 @@ let incident_labels t n =
    representatives and [parent.(victim)] already points at [target], so
    the only non-representative endpoint that can appear is [victim]
    itself (self loops). *)
-let splice t ~target ~victim =
+let splice t ~on_edge ~target ~victim =
   Label.Set.iter
     (fun k ->
       List.iter
@@ -81,6 +87,7 @@ let splice t ~target ~victim =
           Graph.remove_edge t.g victim k y;
           let y = if y = victim then target else y in
           Graph.add_edge t.g target k y;
+          on_edge target k y;
           Obs.Counter.incr c_splices)
         (Graph.succ t.g victim k))
     (Graph.out_labels t.g victim);
@@ -91,11 +98,12 @@ let splice t ~target ~victim =
           Graph.remove_edge t.g x k victim;
           let x = if x = victim then target else x in
           Graph.add_edge t.g x k target;
+          on_edge x k target;
           Obs.Counter.incr c_splices)
         (Graph.pred t.g victim k))
     (Graph.in_labels t.g victim)
 
-let union t a b =
+let union ?(on_edge = no_report) t a b =
   let ra = find t a and rb = find t b in
   if ra = rb then None
   else begin
@@ -110,7 +118,7 @@ let union t a b =
     t.live <- t.live - 1;
     Obs.Gauge.set g_live t.live;
     Obs.Counter.incr c_unions;
-    splice t ~target ~victim;
+    splice t ~on_edge ~target ~victim;
     Some (target, victim)
   end
 

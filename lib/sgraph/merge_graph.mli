@@ -33,17 +33,22 @@ val add_node : t -> Graph.node
 val add_edge : t -> Graph.node -> Pathlang.Label.t -> Graph.node -> unit
 (** Endpoints are canonicalized through {!find}. *)
 
-val add_path : t -> Graph.node -> Pathlang.Path.t -> Graph.node -> unit
+val add_path :
+  ?on_edge:(Graph.node -> Pathlang.Label.t -> Graph.node -> unit) ->
+  t -> Graph.node -> Pathlang.Path.t -> Graph.node -> unit
 (** Like [Graph.add_path]: fresh intermediate nodes, canonicalized
-    endpoints.
+    endpoints.  [on_edge] sees every edge of the path as it is added.
     @raise Invalid_argument on an empty path between distinct classes. *)
 
-val union : t -> Graph.node -> Graph.node -> (Graph.node * Graph.node) option
+val union :
+  ?on_edge:(Graph.node -> Pathlang.Label.t -> Graph.node -> unit) ->
+  t -> Graph.node -> Graph.node -> (Graph.node * Graph.node) option
 (** [union t a b] identifies the classes of [a] and [b].  [None] when
     they already coincide; otherwise [Some (target, victim)] — the
     surviving representative and the absorbed one — after splicing
     every edge incident to [victim] onto [target] (cost: the victim's
-    degree, not the graph size). *)
+    degree, not the graph size).  [on_edge] sees each moved edge under
+    its new endpoints; every path through [victim] used one of them. *)
 
 val live_count : t -> int
 (** Number of equivalence classes = nodes of the quotient model. *)

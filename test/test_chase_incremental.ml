@@ -1,7 +1,7 @@
 (* Differential tests for the incremental chase: the in-place
    union-find + dirty-worklist engine (Chase.run/implies) must agree
    with the retained copy-per-step reference engine
-   (Chase.run_reference/implies_reference) — same verdicts, and
+   (Oracle.Chase_reference) — same verdicts, and
    fixpoints isomorphic up to node renaming — plus governance tests:
    cancellation mid-chase leaves a well-formed graph and correct
    exhaustion diagnostics. *)
@@ -12,9 +12,11 @@ module Path = Pathlang.Path
 module Constr = Pathlang.Constr
 module Graph = Sgraph.Graph
 module Mg = Sgraph.Merge_graph
+module Violations = Sgraph.Violations
 module Check = Sgraph.Check
 module Eval = Sgraph.Eval
 module Chase = Core.Chase
+module Chase_reference = Oracle.Chase_reference
 module Verdict = Core.Verdict
 module Engine = Core.Engine
 
@@ -41,7 +43,7 @@ let prop_run_equivalent =
         Chase.run ~ctl:(Engine.start (budget ())) ~tracked g sigma
       in
       let out_r, tr_r =
-        Chase.run_reference ~ctl:(Engine.start (budget ())) ~tracked g sigma
+        Chase_reference.run_reference ~ctl:(Engine.start (budget ())) ~tracked g sigma
       in
       match (out_i, out_r) with
       | Chase.Fixpoint gi, Chase.Fixpoint gr ->
@@ -64,7 +66,7 @@ let prop_implies_equivalent =
     (fun (sigma, phi) ->
       match
         ( Chase.implies ~ctl:(Engine.start (budget ())) ~sigma phi,
-          Chase.implies_reference ~ctl:(Engine.start (budget ())) ~sigma phi )
+          Chase_reference.implies_reference ~ctl:(Engine.start (budget ())) ~sigma phi )
       with
       | Verdict.Implied, Verdict.Implied -> true
       | Verdict.Refuted gi, Verdict.Refuted gr ->
@@ -86,7 +88,7 @@ let test_cyclic_monoid_equivalent () =
     (fun phi ->
       let big () = Engine.start (Engine.Budget.steps_nodes 4000 4000) in
       let vi = Chase.implies ~ctl:(big ()) ~sigma phi in
-      let vr = Chase.implies_reference ~ctl:(big ()) ~sigma phi in
+      let vr = Chase_reference.implies_reference ~ctl:(big ()) ~sigma phi in
       check_bool "incremental implied" true (vi = Verdict.Implied);
       check_bool "reference agrees" true (vr = Verdict.Implied))
     [ phi1; phi2 ]
@@ -134,6 +136,145 @@ let test_merge_graph_compact () =
   check_bool "self loop carried over" true
     (Graph.has_edge h (rename 1) la (rename 1));
   check_int "edges preserved" (Graph.edge_count (Mg.graph mg)) (Graph.edge_count h)
+
+(* --- violation index vs the root rescan --------------------------------- *)
+
+(* [Violations.first] must answer exactly [Check.first_violation] on
+   the physical graph, for every constraint, whatever the graph gained
+   since the index was built.  A cold index built part way through (as
+   on resume) must agree too. *)
+let index_agrees mg sigma ixs =
+  let g = Mg.graph mg in
+  Array.for_all
+    (fun ix ->
+      List.for_all
+        (fun i -> Violations.first ix i = Check.first_violation g sigma.(i))
+        (List.init (Array.length sigma) Fun.id))
+    ixs
+
+type op = Add of int * Path.t * int | Merge of int * int
+
+let gen_op =
+  QCheck.Gen.(
+    oneof
+      [
+        map3 (fun x p y -> Add (x, p, y)) small_nat gen_nonempty_path small_nat;
+        map2 (fun a b -> Merge (a, b)) small_nat small_nat;
+      ])
+
+let print_op = function
+  | Add (x, p, y) -> Printf.sprintf "add %d %s %d" x (Path.to_string p) y
+  | Merge (a, b) -> Printf.sprintf "merge %d %d" a b
+
+let arb_repairs =
+  QCheck.make
+    QCheck.Gen.(
+      quad
+        (list_size (int_range 1 5) gen_constraint)
+        (gen_graph ()) (list_size (int_bound 12) gen_op) small_nat)
+    ~print:(fun (sigma, g, ops, cold) ->
+      Printf.sprintf "%s on %s; %s; cold index after %d" (print_sigma sigma)
+        (print_graph g)
+        (String.concat ", " (List.map print_op ops))
+        cold)
+
+let prop_index_matches_rescan =
+  q ~count:300 "violation index = Check.first_violation after every repair"
+    arb_repairs (fun (sigma, g, ops, cold_at) ->
+      let sigma = Array.of_list sigma in
+      let mg = Mg.of_graph (Graph.copy g) in
+      let ixs = ref [| Violations.create mg sigma |] in
+      let on_edge u k v = Array.iter (fun ix -> Violations.record ix u k v) !ixs in
+      (* endpoints are drawn among the live classes *)
+      let node n = Mg.find mg (n mod Graph.node_count (Mg.graph mg)) in
+      index_agrees mg sigma !ixs
+      && List.for_all
+           (fun (step, op) ->
+             (match op with
+             | Add (x, p, y) -> Mg.add_path ~on_edge mg (node x) p (node y)
+             | Merge (a, b) -> ignore (Mg.union ~on_edge mg (node a) (node b)));
+             if step = cold_at then
+               ixs := Array.append !ixs [| Violations.create mg sigma |];
+             index_agrees mg sigma !ixs)
+           (List.mapi (fun i op -> (i, op)) ops))
+
+(* Chase [sigma] from [g] the way [Chase.step] repairs (first violated
+   constraint, its least violation), checking the index against the
+   rescan for every constraint after every repair; a cold index joins
+   after [cold_at] repairs.  Returns the number of repairs made. *)
+let chase_with_index ~steps ~cold_at sigma g =
+  let sigma = Array.of_list sigma in
+  let mg = Mg.of_graph g in
+  let ixs = ref [| Violations.create mg sigma |] in
+  let on_edge u k v = Array.iter (fun ix -> Violations.record ix u k v) !ixs in
+  let repair c (x, y) =
+    let rhs = Constr.rhs c in
+    match (Constr.kind c, Path.is_empty rhs) with
+    | Constr.Forward, true -> ignore (Mg.union ~on_edge mg x y)
+    | Constr.Backward, true -> ignore (Mg.union ~on_edge mg y x)
+    | Constr.Forward, false -> Mg.add_path ~on_edge mg x rhs y
+    | Constr.Backward, false -> Mg.add_path ~on_edge mg y rhs x
+  in
+  let n = Array.length sigma in
+  let rec go step =
+    check_bool (Printf.sprintf "index agrees after %d repairs" step) true
+      (index_agrees mg sigma !ixs);
+    if step = cold_at then ixs := Array.append !ixs [| Violations.create mg sigma |];
+    let pick =
+      List.find_map
+        (fun j ->
+          let i = (step + j) mod n in
+          Option.map (fun v -> (i, v)) (Violations.first !ixs.(0) i))
+        (List.init n Fun.id)
+    in
+    match pick with
+    | Some (i, v) when step < steps ->
+        repair sigma.(i) v;
+        go (step + 1)
+    | _ -> step
+  in
+  go 0
+
+(* The merge-heavy cyclic-5 encodings: EGD cascades move edges through
+   the union-find splice, the delta the index learns merges from. *)
+let test_index_cyclic5 () =
+  let pres = List.assoc "cyclic5" Monoid.Examples.catalog in
+  let sigma = Core.Encode_pwk.encode pres in
+  List.iteri
+    (fun j test ->
+      let phi, _ = Core.Encode_pwk.encode_test test in
+      let g = Graph.create () in
+      ignore (Graph.ensure_path g (Graph.root g) (Constr.lhs phi));
+      let repairs = chase_with_index ~steps:150 ~cold_at:(10 + (7 * j)) sigma g in
+      check_bool (Printf.sprintf "cyclic5/%d made repairs" j) true (repairs > 0))
+    (Monoid.Examples.sample_tests pres)
+
+(* The index is derived state: parking [Chase.implies] on a fixed
+   Lemma 4.5 encoding writes exactly the snapshot the rescan engine
+   wrote, digest for digest (recorded before the index existed), in
+   snapshot format version 1. *)
+let test_snapshot_pinned () =
+  let pres = List.assoc "symmetric3" Monoid.Examples.catalog in
+  let test = List.hd (Monoid.Examples.sample_tests pres) in
+  let sigma = Core.Encode_pwk.encode pres in
+  let phi, _ = Core.Encode_pwk.encode_test test in
+  let parked = ref None in
+  let v =
+    Chase.implies
+      ~ctl:(Engine.start (Engine.Budget.steps_nodes 80 100000))
+      ~park:(fun s -> parked := Some s)
+      ~sigma phi
+  in
+  check_bool "budget exhausted" true (Verdict.is_unknown v);
+  match !parked with
+  | None -> Alcotest.fail "exhausted chase did not park"
+  | Some s ->
+      let text = Chase.Snapshot.to_string s in
+      check_string "format version" "pathcons-chase-snapshot 1"
+        (List.hd (String.split_on_char '\n' text));
+      check_int "repairs" 80 (Chase.Snapshot.repairs s);
+      check_string "snapshot digest" "b522ce0be7d71342d5a3ae84af1e0909"
+        (Digest.to_hex (Digest.string text))
 
 (* --- governance: exhaustion and cancellation mid-chase ------------------ *)
 
@@ -222,6 +363,13 @@ let () =
           Alcotest.test_case "root survives" `Quick
             test_merge_graph_root_survives;
           Alcotest.test_case "compact" `Quick test_merge_graph_compact;
+        ] );
+      ( "violations",
+        [
+          prop_index_matches_rescan;
+          Alcotest.test_case "cyclic5 encodings, cold index mid-chase" `Quick
+            test_index_cyclic5;
+          Alcotest.test_case "snapshot digest pinned" `Quick test_snapshot_pinned;
         ] );
       ( "governance",
         [
