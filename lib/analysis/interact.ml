@@ -203,15 +203,20 @@ let pass ~sigma_file ?schema ?budget ?(explain = false) spanned =
        unsatisfiable Sigma entails everything) *)
     if not unsat then begin
       let plan = Decide.plan ?schema clock constrs in
-      let implied phi rest = Decide.decide plan ~sigma:rest phi = Some true in
+      let implied phi keep =
+        Decide.decide plan ~keep:(List.map fst keep) phi = Some true
+      in
+      (* the provenance question, over the same Sigma: only a definitive
+         untyped "no" counts, so it is a refutation under untyped
+         semantics *)
+      let untyped = Decide.plan ~question:Decide.Refutation clock constrs in
       let indexed = List.mapi (fun i (c, _) -> (i, c)) spanned in
       List.iter
         (fun (i, c) ->
           if Decide.expired clock then incr gave_up
           else begin
             let rest_idx = List.filter (fun (j, _) -> j <> i) indexed in
-            let rest = List.map snd rest_idx in
-            if rest <> [] && implied c rest then begin
+            if rest_idx <> [] && implied c rest_idx then begin
               (* minimize the witnessing antecedent subset by deletion *)
               let witness = ref rest_idx in
               List.iter
@@ -223,7 +228,7 @@ let pass ~sigma_file ?schema ?budget ?(explain = false) spanned =
                     in
                     if
                       List.length w' < List.length !witness
-                      && implied c (List.map snd w')
+                      && implied c w'
                     then witness := w'
                   end)
                 rest_idx;
@@ -247,14 +252,11 @@ let pass ~sigma_file ?schema ?budget ?(explain = false) spanned =
                       (join_lines wlines)
                       (Decide.how (Decide.route plan))
                       detail));
-              (* provenance: does the entailment survive on paths alone?
-                 Only a definitive untyped "no" counts, so the question
-                 is a refutation under untyped semantics *)
+              (* provenance: does the entailment survive on paths alone? *)
               if Decide.route plan = Decide.Typed_m then begin
-                let untyped =
-                  Decide.plan ~question:Decide.Refutation clock (c :: rest)
-                in
-                match Decide.decide untyped ~sigma:rest c with
+                match
+                  Decide.decide untyped ~keep:(List.map fst rest_idx) c
+                with
                 | Some false ->
                     let schema = Option.get schema in
                     let decls =

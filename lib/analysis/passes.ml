@@ -48,14 +48,10 @@ type redundancy_report = {
   gave_up : int;
 }
 
-(* [sigma] minus the occurrence at position [i] *)
-let drop_nth i l = List.filteri (fun j _ -> j <> i) l
-
 let redundancy_report ?schema ?(budget = Engine.Budget.default) sigma =
   let clock = Decide.clock budget in
   let constrs = List.map fst sigma in
   let plan = Decide.plan ?schema clock constrs in
-  let implied phi rest = Decide.decide plan ~sigma:rest phi = Some true in
   let exact = Decide.exact plan in
   (* inconsistent Sigma makes every constraint "redundant"; leave that
      to the inconsistency pass *)
@@ -69,47 +65,45 @@ let redundancy_report ?schema ?(budget = Engine.Budget.default) sigma =
   in
   if unsat then { removable = []; cover = constrs; exact; gave_up = 0 }
   else begin
+    let arr = Array.of_list constrs in
+    let without i keep = List.filter (fun j -> j <> i) keep in
+    let all = List.init (Array.length arr) Fun.id in
+    (* [loo.(i)]: the verdict of Sigma minus position [i] on it *)
+    let loo = Array.make (Array.length arr) None in
     let removable = ref [] in
     let gave_up = ref 0 in
     List.iteri
       (fun i (c, span) ->
         if Decide.expired clock then incr gave_up
-        else if implied c (drop_nth i constrs) then
-          removable := (c, span) :: !removable)
+        else begin
+          loo.(i) <- Decide.decide plan ~keep:(without i all) c;
+          if loo.(i) = Some true then removable := (c, span) :: !removable
+        end)
       sigma;
     (* greedy minimal cover: drop constraints that stay implied by what
-       is kept, considered in the store's completed subsumption ordering
+       is kept, considered in the completed subsumption ordering
        (subsumed constraints first, so a subsumer is never dropped in
-       favor of what it subsumes); the kept cover stays in input order *)
-    let cover = ref constrs in
-    let candidates =
-      List.rev_map snd
-        (Store.completed_subsumption_ordering (Store.of_constraints constrs))
-    in
+       favor of what it subsumes); the kept cover stays in input order.
+       An exact route is monotone in Sigma, so a constraint the rest of
+       Sigma does not imply is not implied by a smaller cover either,
+       and is not asked again. *)
+    let cover = ref all in
     if not (Decide.expired clock) then
       List.iter
-        (fun c ->
-          if not (Decide.expired clock) then begin
-            let rest =
-              (* remove one occurrence of [c] from the current cover *)
-              let dropped = ref false in
-              List.filter
-                (fun c' ->
-                  if (not !dropped) && Constr.equal c c' then begin
-                    dropped := true;
-                    false
-                  end
-                  else true)
-                !cover
-            in
-            if List.length rest < List.length !cover
-               && implied c rest
-            then cover := rest
-          end)
-        candidates;
+        (fun (i, c) ->
+          if (not (Decide.expired clock)) && not (exact && loo.(i) = Some false)
+          then
+            (* remove the first occurrence of [c] still in the cover *)
+            match List.find_opt (fun j -> Constr.equal arr.(j) c) !cover with
+            | Some j ->
+                let rest = without j !cover in
+                if Decide.decide plan ~keep:rest c = Some true then
+                  cover := rest
+            | None -> ())
+        (List.rev (Store.completed_subsumption_ordering constrs));
     {
       removable = List.rev !removable;
-      cover = !cover;
+      cover = List.map (Array.get arr) !cover;
       exact;
       gave_up = !gave_up;
     }

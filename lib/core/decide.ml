@@ -112,45 +112,43 @@ let record ~t0 ~route ~prefilter ?ctl ?(extra = []) phi verdict =
           @ [ ("elapsed_ns", Json.Int (Int64.to_int elapsed)) ])
   end
 
-(* The syntactic pre-filter: a containment derivation in the hash-consed
-   store is a sound positive verdict under the route's own semantics
-   (typed congruence for typed-M), so it answers before the procedure
-   runs. *)
-let prefilter_hit ~typed ~t0 ?ctl ~sigma phi =
-  Store.implies_syntactic (Store.of_constraints ~typed sigma) phi
+(* The chase route's syntactic pre-filter: a containment derivation in
+   the hash-consed store is a sound positive verdict over all
+   structures, so it answers before the chase runs. *)
+let prefilter_hit ~t0 ~ctl ~sigma phi =
+  Obs.Span.with_ "decide.prefilter" (fun () ->
+      Store.implies_syntactic (Store.of_constraints sigma) phi)
   && begin
-       record ~t0 ~route:"store-prefilter" ~prefilter:"hit" ?ctl phi
+       record ~t0 ~route:"store-prefilter" ~prefilter:"hit" ~ctl phi
          "implied";
        true
      end
 
 (* --- route runners -------------------------------------------------------- *)
 
-let run_word ~t0 ~prefilter ~sigma phi =
+(* Only the chase consults the pre-filter; these record it skipped. *)
+let word ~sigma phi =
+  let t0 = start () in
   let r = Word_untyped.implies ~sigma phi in
   (match r with
   | Ok b ->
-      record ~t0 ~route:"word" ~prefilter phi
+      record ~t0 ~route:"word" ~prefilter:"skipped" phi
         (if b then "implied" else "refuted")
   | Error _ -> ());
   r
 
-let run_typed_m ~t0 ~prefilter schema ~sigma phi =
+let typed_m schema ~sigma phi =
+  let t0 = start () in
   let r = Typed_m.decide schema ~sigma ~phi in
   (match r with
   | Ok o ->
-      record ~t0 ~route:"typed-m" ~prefilter phi
+      record ~t0 ~route:"typed-m" ~prefilter:"skipped" phi
         (match o with
         | Typed_m.Implied _ -> "implied"
         | Typed_m.Not_implied _ -> "refuted"
         | Typed_m.Vacuous _ -> "vacuous")
   | Error _ -> ());
   r
-
-let word ~sigma phi = run_word ~t0:(start ()) ~prefilter:"skipped" ~sigma phi
-
-let typed_m schema ~sigma phi =
-  run_typed_m ~t0:(start ()) ~prefilter:"skipped" schema ~sigma phi
 
 let typed_search ?ctl ?pool ?bounds schema ~sigma phi =
   let t0 = start () in
@@ -230,7 +228,7 @@ let chase ?ctl ?pool ?(enum_nodes = 3) ?park ?resume ~sigma phi =
       (* a parked or resumed chase must actually run so its snapshot
          discipline is exercised *)
       let skipped = park <> None || resume <> None in
-      if (not skipped) && prefilter_hit ~typed:false ~t0 ~ctl ~sigma phi
+      if (not skipped) && prefilter_hit ~t0 ~ctl ~sigma phi
       then begin
         Obs.Counter.incr c_prefilter_hits;
         Verdict.Implied
@@ -310,37 +308,50 @@ let slice clock =
 type t = {
   route : route;
   exact : bool;
-  decide : sigma:Constr.t list -> Constr.t -> bool option;
+  decide : keep:int list -> Constr.t -> bool option;
 }
 
+(* The exact routes run without the store pre-filter: every store
+   inference — reflexivity, transitivity inside a bucket, right
+   congruence, and the merges mutual containment forces — is a rule of
+   the word calculus, and the typed store's merges are the typed-M
+   closure's own, so a store hit is always a yes from the route's
+   procedure.  Only the chase keeps it, in [chase]. *)
 let plan ?schema ?(question = Entailment) clock constrs =
   let route, exact = route_of question (cell ?schema constrs) in
+  let sublist keep =
+    let kept = Array.make (List.length constrs) false in
+    List.iter (fun i -> kept.(i) <- true) keep;
+    List.filteri (fun i _ -> kept.(i)) constrs
+  in
   let decide =
     match (route, schema) with
-    | Typed_m, Some s ->
-        fun ~sigma phi ->
+    | Typed_m, Some s -> (
+        let subsets = lazy (Typed_m.subsets s ~sigma:constrs) in
+        fun ~keep phi ->
           let t0 = start () in
-          if prefilter_hit ~typed:true ~t0 ~sigma phi then Some true
-          else (
-            match run_typed_m ~t0 ~prefilter:"miss" s ~sigma phi with
-            | Ok (Typed_m.Implied _ | Typed_m.Vacuous _) -> Some true
-            | Ok (Typed_m.Not_implied _) -> Some false
-            | Error _ -> None)
+          let verdict v b =
+            record ~t0 ~route:"typed-m" ~prefilter:"skipped" phi v;
+            Some b
+          in
+          match Typed_m.implies_subset (Lazy.force subsets) ~keep ~phi with
+          | Ok Typed_m.Entailed -> verdict "implied" true
+          | Ok Typed_m.Unsatisfiable -> verdict "vacuous" true
+          | Ok Typed_m.Not_entailed -> verdict "refuted" false
+          | Error _ -> None)
     | Word, _ ->
-        fun ~sigma phi ->
-          let t0 = start () in
-          if prefilter_hit ~typed:false ~t0 ~sigma phi then Some true
-          else Result.to_option (run_word ~t0 ~prefilter:"miss" ~sigma phi)
-    | Chase, _ | Typed_m, None ->
-        (* the chase runs its own pre-filter *)
-        fun ~sigma phi ->
-          match chase ~ctl:(Engine.start (slice clock)) ~sigma phi with
+        fun ~keep phi -> Result.to_option (word ~sigma:(sublist keep) phi)
+    | Chase, _ | Typed_m, None -> (
+        fun ~keep phi ->
+          match
+            chase ~ctl:(Engine.start (slice clock)) ~sigma:(sublist keep) phi
+          with
           | Verdict.Implied -> Some true
           | Verdict.Refuted _ -> Some false
-          | Verdict.Unknown _ -> None
+          | Verdict.Unknown _ -> None)
   in
   { route; exact; decide }
 
 let route t = t.route
 let exact t = t.exact
-let decide t ~sigma phi = t.decide ~sigma phi
+let decide t ~keep phi = t.decide ~keep phi

@@ -1,7 +1,7 @@
 (** The decision router: the one place that picks an implication
-    procedure for an instance, fronts it with the constraint store's
-    syntactic pre-filter, slices the shared deadline into per-call
-    budgets, and records each decision's provenance.
+    procedure for an instance, slices the shared deadline into per-call
+    budgets, and records each decision's provenance.  Only the chase
+    route is fronted by the constraint store's syntactic pre-filter.
 
     {b Route table.}  The paper's Table 1 assigns each (type system,
     fragment) cell a procedure; {!cell} classifies a constraint set and
@@ -72,20 +72,29 @@ val plan :
   clock ->
   Pathlang.Constr.t list ->
   t
-(** Route a constraint set through the table ([question] defaults to
-    [Entailment]).  The planned procedure is fronted by the store
-    pre-filter (typed under the typed-M route).  Each chase call gets
-    the clock's step/node caps and what is left of its deadline,
-    clamped to [\[0.01, 1\]] seconds. *)
+(** Route a constraint set [Sigma] through the table ([question]
+    defaults to [Entailment]) and compile it once for questions about
+    its subsets.  Each chase call gets the clock's step/node caps and
+    what is left of its deadline, clamped to [\[0.01, 1\]] seconds. *)
 
 val route : t -> route
 val exact : t -> bool
 
-val decide :
-  t -> sigma:Pathlang.Constr.t list -> Pathlang.Constr.t -> bool option
-(** [decide t ~sigma phi] asks [sigma |= phi]: [Some true] implied,
-    [Some false] not implied, [None] when the procedure could not tell
-    (budget, or it does not apply). *)
+val decide : t -> keep:int list -> Pathlang.Constr.t -> bool option
+(** [decide t ~keep phi] asks [S |= phi] for the [S] made of the members
+    of the plan's [Sigma] at the 0-based positions [keep] (in any
+    order): [Some true] implied, [Some false] not implied, [None] when
+    the procedure could not tell (budget, or it does not apply to
+    [phi]).  [phi] should lie in the plan's cell, as a member of [Sigma]
+    does.  Raises [Invalid_argument] on a position outside [Sigma].
+
+    The typed-M route answers from one {!Typed_m.subsets} context built
+    at the first question; the word route runs {!Word_untyped.implies}
+    on the kept sublist.  Neither consults the store pre-filter, which
+    could not change their verdicts: each store inference is a rule of
+    the route's own calculus.  Their records say [prefilter:"skipped"].
+    The chase route runs {!chase} on the kept sublist, pre-filter
+    included. *)
 
 (** {2 Route runners}
 

@@ -53,7 +53,7 @@ val implies :
     Before the chase runs, the hash-consed constraint store's syntactic
     pre-filter ({!Pathlang.Store.implies_syntactic}) is consulted; a hit
     returns [Implied] without consuming any budget (counted as
-    [semidecide.prefilter_hits]).  The pre-filter is skipped whenever
+    [semidecide.prefilter_hits], timed by the span [decide.prefilter]).  The pre-filter is skipped whenever
     [park] or [resume] is supplied, so crash-injection and resumption
     always exercise the real chase. *)
 

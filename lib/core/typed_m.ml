@@ -45,6 +45,9 @@ type state = {
       (** rep -> label -> (successor node, witness parent node); the
           witness [w] satisfies [paths.(succ) = paths.(w) . label] *)
   forest : forest_edge list array;
+      (** the proof forest; empty, and never written, when [certify] is
+          off *)
+  certify : bool;
   mutable clock : int;
 }
 
@@ -89,7 +92,7 @@ let rec union st a b reason =
               (Mtype.to_string st.sorts.(ra))
               Path.pp st.paths.(b)
               (Mtype.to_string st.sorts.(rb))));
-    forest_add st a b reason;
+    if st.certify then forest_add st a b reason;
     let big, small = if st.rank.(ra) >= st.rank.(rb) then (ra, rb) else (rb, ra) in
     st.parent.(small) <- big;
     if st.rank.(big) = st.rank.(small) then st.rank.(big) <- st.rank.(big) + 1;
@@ -182,7 +185,7 @@ let wrap_for phi d =
     | Constr.Backward ->
         Axioms.Word_to_backward (d, Constr.prefix phi, Constr.lhs phi)
 
-let build_state schema all_paths =
+let build_state ?(certify = true) schema all_paths =
   (* prefix closure *)
   let closure =
     List.fold_left
@@ -212,7 +215,8 @@ let build_state schema all_paths =
       parent = Array.init n Fun.id;
       rank = Array.make n 0;
       succ = Array.make n Label.Map.empty;
-      forest = Array.make n [];
+      forest = (if certify then Array.make n [] else [||]);
+      certify;
       clock = 0;
     }
   in
@@ -280,50 +284,56 @@ type closure = Closed of state | Clashed of string
 
 type context = { schema : Mschema.t; closure : (closure, string) result }
 
+let path_error c rho =
+  Format.asprintf "constraint %a mentions %a, not in Paths(Delta)" Constr.pp c
+    Path.pp rho
+
+(* Validate Sigma, then materialize (span [typed_m.closure]) the prefix
+   closure of its endpoint pairs and hand [f] the state with each
+   input's pair of nodes.  The empty path is always materialized so that
+   the root class exists even for empty inputs. *)
+let with_universe ?certify schema ~sigma f =
+  if Mschema.kind schema <> Mschema.M then
+    Error "Typed_m: schema is not of kind M"
+  else
+    match
+      List.find_map
+        (fun c ->
+          match SG.check_constraint_paths schema c with
+          | Ok () -> None
+          | Error rho -> Some (path_error c rho))
+        sigma
+    with
+    | Some e -> Error e
+    | None ->
+        let inputs =
+          List.map (fun c -> (to_word_equality c, input_derivation c)) sigma
+        in
+        Obs.Span.with_ "typed_m.closure"
+          ~args:[ ("sigma", string_of_int (List.length sigma)) ]
+          (fun () ->
+            let st =
+              build_state ?certify schema
+                (Path.empty
+                :: List.concat_map (fun ((u, v), _) -> [ u; v ]) inputs)
+            in
+            Obs.Counter.add c_classes (Array.length st.paths);
+            Ok
+              (f st
+                 (List.map
+                    (fun ((u, v), d) -> (node st u, node st v, By_input d))
+                    inputs)))
+
 (* Validate, convert, materialize, saturate: everything that depends on
    Sigma alone.  The closed state is compressed and then only read. *)
 let context schema ~sigma =
   let closure =
-    if Mschema.kind schema <> Mschema.M then
-      Error "Typed_m: schema is not of kind M"
-    else
-      let bad =
-        List.find_map
-          (fun c ->
-            match SG.check_constraint_paths schema c with
-            | Ok () -> None
-            | Error rho -> Some (c, rho))
-          sigma
-      in
-      match bad with
-      | Some (c, rho) ->
-          Error
-            (Format.asprintf "constraint %a mentions %a, not in Paths(Delta)"
-               Constr.pp c Path.pp rho)
-      | None ->
-          let inputs =
-            List.map (fun c -> (to_word_equality c, input_derivation c)) sigma
-          in
-          let all_paths =
-            (* the empty path is always materialized so that the root
-               class exists even for empty inputs *)
-            Path.empty :: List.concat_map (fun ((u, v), _) -> [ u; v ]) inputs
-          in
-          Obs.Span.with_ "typed_m.closure"
-            ~args:[ ("sigma", string_of_int (List.length sigma)) ]
-            (fun () ->
-              let st = build_state schema all_paths in
-              Obs.Counter.add c_classes (Array.length st.paths);
-              match
-                List.iter
-                  (fun ((u, v), d) ->
-                    union st (node st u) (node st v) (By_input d))
-                  inputs
-              with
-              | () ->
-                  compress st;
-                  Ok (Closed st)
-              | exception Clash msg -> Ok (Clashed msg))
+    with_universe schema ~sigma (fun st inputs ->
+        match List.iter (fun (u, v, r) -> union st u v r) inputs with
+        | () ->
+            compress st;
+            Closed st
+        | exception Clash msg -> Clashed msg)
   in
   { schema; closure }
 
@@ -361,7 +371,10 @@ let extend schema st paths =
         parent = Array.append st.parent (Array.init k (fun j -> n0 + j));
         rank = Array.append st.rank (Array.make k 0);
         succ = Array.append st.succ (Array.make k Label.Map.empty);
-        forest = Array.append st.forest (Array.make k []);
+        forest =
+          (if st.certify then Array.append st.forest (Array.make k [])
+           else st.forest);
+        certify = st.certify;
         clock = st.clock;
       }
     in
@@ -395,10 +408,7 @@ let memo_context schema ~sigma =
    inside the decide span. *)
 let decide_with schema get ~phi =
   match SG.check_constraint_paths schema phi with
-  | Error rho ->
-      Error
-        (Format.asprintf "constraint %a mentions %a, not in Paths(Delta)"
-           Constr.pp phi Path.pp rho)
+  | Error rho -> Error (path_error phi rho)
   | Ok () -> (
       Obs.Span.with_ "typed_m.decide" (fun () ->
       let s_path, t_path = to_word_equality phi in
@@ -431,6 +441,61 @@ let implies schema ~sigma ~phi =
   | Ok (Implied _ | Vacuous _) -> Ok true
   | Ok (Not_implied _) -> Ok false
   | Error e -> Error e
+
+(* ------------------------------------------------------------------ *)
+(* Subset contexts: one materialized universe for every S of Sigma.     *)
+(* ------------------------------------------------------------------ *)
+
+type answer = Entailed | Not_entailed | Unsatisfiable
+
+type subsets = {
+  sub_schema : Mschema.t;
+  universe : (state * (int * int * reason) array, string) result;
+      (** Sigma's prefix closure, unmerged, and each input's node pair *)
+}
+
+let subsets schema ~sigma =
+  {
+    sub_schema = schema;
+    universe =
+      with_universe ~certify:false schema ~sigma (fun st inputs ->
+          (st, Array.of_list inputs));
+  }
+
+(* A copy of the universe's union-find, closed under the kept inputs
+   only, then extended with [phi]'s paths.  Closing is order-independent
+   (one least congruence, clash or not), so [keep]'s order is free. *)
+let implies_subset ss ~keep ~phi =
+  match ss.universe with
+  | Error _ as e -> e
+  | Ok (base, inputs) -> (
+      match SG.check_constraint_paths ss.sub_schema phi with
+      | Error rho -> Error (path_error phi rho)
+      | Ok () ->
+          Obs.Span.with_ "typed_m.decide" (fun () ->
+              let st =
+                {
+                  base with
+                  parent = Array.copy base.parent;
+                  rank = Array.copy base.rank;
+                  succ = Array.copy base.succ;
+                }
+              in
+              match
+                List.iter
+                  (fun i ->
+                    let u, v, r = inputs.(i) in
+                    union st u v r)
+                  keep
+              with
+              | exception Clash _ -> Ok Unsatisfiable
+              | () ->
+                  let s_path, t_path = to_word_equality phi in
+                  let st = extend ss.sub_schema st [ s_path; t_path ] in
+                  Ok
+                    (if find st (node st s_path) = find st (node st t_path)
+                     then Entailed
+                     else Not_entailed)))
 
 let satisfiable schema ~sigma =
   match (memo_context schema ~sigma).closure with

@@ -70,6 +70,32 @@ val decide_in : context -> phi:Pathlang.Constr.t -> (outcome, string) result
 (** [decide_in ctx ~phi] is [decide schema ~sigma ~phi] for the schema
     and [Sigma] of [ctx]. *)
 
+(** {2 Subset contexts}
+
+    Leave-one-out analyses ask "[S |= phi]" for many subsets [S] of one
+    [Sigma].  A subset context validates [Sigma] and materializes the
+    prefix closure, sorts and successor maps of all its paths once (span
+    [typed_m.closure]).  Each question copies the unmerged union-find,
+    closes it under the kept inputs only and extends it with [phi]'s
+    paths; it builds no certificate and no countermodel. *)
+
+type subsets
+
+val subsets : Schema.Mschema.t -> sigma:Pathlang.Constr.t list -> subsets
+
+type answer =
+  | Entailed  (** [decide] would answer [Implied _] *)
+  | Not_entailed  (** [decide] would answer [Not_implied _] *)
+  | Unsatisfiable  (** the kept inputs clash: [decide]'s [Vacuous _] *)
+
+val implies_subset :
+  subsets -> keep:int list -> phi:Pathlang.Constr.t -> (answer, string) result
+(** [implies_subset ss ~keep ~phi] answers [decide schema ~sigma:s ~phi]
+    for the [s] made of the members of [Sigma] at the 0-based positions
+    [keep] (in any order; a repeated position changes nothing), with the
+    same [Error]s.  Raises [Invalid_argument] on a position outside
+    [Sigma]. *)
+
 val implies :
   Schema.Mschema.t ->
   sigma:Pathlang.Constr.t list ->

@@ -13,9 +13,8 @@
    queries — and *sound only*: [implies_syntactic] true means the
    constraint really is entailed, false means "don't know"; a conflict
    from [find_conflict] means Sigma really is unsatisfiable over the
-   schema.  The analysis layer uses these as pre-filters that
-   short-circuit the expensive decision procedures (the PTIME word
-   procedure, the cubic typed-M closure, the budgeted chase).
+   schema.  They serve as pre-filters that short-circuit the budgeted
+   chase (entailment) and the typed-M closure (satisfiability).
 
    Soundness of the three inference steps encoded in the untyped mode
    (over all semistructured structures, per Abiteboul-Vianu's complete
@@ -361,13 +360,12 @@ let subsuming_member st c =
    it subsumes (same prefix, one common suffix appended to both paths),
    so sorting by body length, stably on input position, places every
    subsumer before everything it subsumes. *)
-let completed_subsumption_ordering st =
+let completed_subsumption_ordering constrs =
   let weighted =
-    Array.to_list
-      (Array.mapi
-         (fun i c ->
-           (Path.length (Constr.lhs c) + Path.length (Constr.rhs c), i, c))
-         st.constrs)
+    List.mapi
+      (fun i c ->
+        (Path.length (Constr.lhs c) + Path.length (Constr.rhs c), i, c))
+      constrs
   in
   List.map
     (fun (_, i, c) -> (i, c))

@@ -8,8 +8,10 @@
     rules" — the caller falls through to a decision procedure (the
     PTIME word procedure, the cubic typed-M closure, or the budgeted
     chase).  The analysis layer ([Analysis.Interact], the PC505 hygiene
-    pass, the redundancy pass) drives all its scans through this module
-    instead of ad-hoc list walks.
+    pass) drives its scans through this module instead of ad-hoc list
+    walks, and the chase route of [Core.Decide] asks {!implies_syntactic}
+    first.  The exact routes need no pre-filter: their procedures derive
+    everything the store does.
 
     Untyped mode reasons over {e all} semistructured structures with
     membership, reflexivity, per-prefix transitivity, right congruence
@@ -43,12 +45,13 @@ val subsuming_member : t -> Constr.t -> (int * Constr.t * Path.t) option
     by right congruence.  [c] itself never subsumes.  This is the
     hygiene (PC505) witness; after ecta's [hasSubsumingMember]. *)
 
-val completed_subsumption_ordering : t -> (int * Constr.t) list
-(** A linear extension of the subsumption order: every subsumer comes
-    before everything it subsumes (sorted by total body length, stable
-    on input position, so it is deterministic).  The redundancy pass
-    peels candidates in this order so subsumed constraints are
-    considered for removal first.  After ecta's
+val completed_subsumption_ordering : Constr.t list -> (int * Constr.t) list
+(** A linear extension of the subsumption order on a constraint list,
+    each paired with its 0-based position: every subsumer comes before
+    everything it subsumes (sorted by total body length, stable on
+    input position, so it is deterministic).  It needs no store.  The
+    redundancy pass peels candidates in this order so subsumed
+    constraints are considered for removal first.  After ecta's
     [completedSubsumptionOrdering]. *)
 
 val implies_syntactic : t -> Constr.t -> bool

@@ -183,25 +183,25 @@ let test_region (name, schema, sets) () =
       let plan = Decide.plan ?schema (Decide.clock budget) constrs in
       check_bool (what ^ ": exact") ref_exact (Decide.exact plan);
       check_string (what ^ ": how") ref_how (Decide.how (Decide.route plan));
+      let untyped =
+        Decide.plan ~question:Decide.Refutation (Decide.clock budget) constrs
+      in
+      let all = List.init (List.length constrs) Fun.id in
       List.iteri
         (fun i phi ->
-          let rest = drop i constrs in
+          let rest = drop i constrs and keep = drop i all in
           check_string
             (what ^ ": verdict on " ^ Constr.to_string phi)
             (show (ref_decide phi rest))
-            (show (Decide.decide plan ~sigma:rest phi));
+            (show (Decide.decide plan ~keep phi));
           (* the provenance question: a definitive untyped refutation *)
-          let untyped =
-            Decide.plan ~question:Decide.Refutation (Decide.clock budget)
-              (phi :: rest)
-          in
           check_string
             (what ^ ": untyped refutation of " ^ Constr.to_string phi)
             (show
                (Option.map not
                   (ref_untyped_not_implied ~budget ~clock:(clock_of budget)
                      ~sigma:rest phi)))
-            (show (Decide.decide untyped ~sigma:rest phi)))
+            (show (Decide.decide untyped ~keep phi)))
         constrs)
     sets
 
@@ -230,6 +230,180 @@ let test_table_covers_regions () =
   check_int "six regions, six distinct rows" (List.length regions)
     (List.length (List.sort_uniq String.compare rows))
 
+(* --- subset plans ---------------------------------------------------------
+
+   One plan per Sigma answers questions about any subset of it, named by
+   positions; the exact routes skip the store pre-filter.  Reference: a
+   fresh store pre-filter and a fresh procedure on the materialized
+   sublist, as [ref_make_decider] asks them. *)
+
+type instance = {
+  schema : Mschema.t option;
+  sigma : Constr.t list;
+  keeps : int list list;
+      (** questions for one plan: positions, in any order, repeats
+          allowed *)
+  goal : Constr.t;
+}
+
+let print_instance i =
+  Printf.sprintf "%sSigma = [%s], keeps = [%s], phi = %s"
+    (match i.schema with None -> "untyped, " | Some _ -> "typed, ")
+    (String.concat "; " (List.map Constr.to_string i.sigma))
+    (String.concat " | "
+       (List.map
+          (fun k -> String.concat "," (List.map string_of_int k))
+          i.keeps))
+    (Constr.to_string i.goal)
+
+let draw l rng = List.nth l (Random.State.int rng (List.length l))
+
+(* Sigma over an M schema: well-sorted random constraints plus, half the
+   time, word equalities between paths of any sorts, so subsets clash;
+   some members repeat.  The goal's paths reach one label deeper than
+   Sigma's, so they often lie outside Sigma's universe. *)
+let gen_typed rng =
+  let schema =
+    if Random.State.bool rng then Mschema.bib_m
+    else Mschema.random_m ~rng ~classes:3 ~fields:2 ~atoms:1
+  in
+  let paths = Schema_graph.paths_up_to schema 2 in
+  let any_word () =
+    Constr.word ~lhs:(draw paths rng) ~rhs:(draw paths rng)
+  in
+  let n = 1 + Random.State.int rng 5 in
+  let sigma =
+    List.init n (fun _ ->
+        match Random.State.int rng 4 with
+        | 0 when Random.State.bool rng -> any_word ()
+        | _ -> (
+            match
+              Core.Typed_m.random_constraints ~rng ~schema ~count:1 ~max_len:2
+            with
+            | [ c ] -> c
+            | _ -> any_word ()))
+  in
+  let sigma =
+    if Random.State.int rng 4 = 0 then sigma @ [ draw sigma rng ] else sigma
+  in
+  let goal =
+    match Random.State.int rng 3 with
+    | 0 -> draw sigma rng
+    | 1 ->
+        let deeper = Schema_graph.paths_up_to schema 3 in
+        Constr.word ~lhs:(draw deeper rng) ~rhs:(draw deeper rng)
+    | _ -> (
+        match
+          Core.Typed_m.random_constraints ~rng ~schema ~count:1 ~max_len:3
+        with
+        | [ c ] -> c
+        | _ -> draw sigma rng)
+  in
+  (Some schema, sigma, goal)
+
+(* untyped word constraints over {a, b}, eps conclusions included *)
+let gen_word rng =
+  let p ~min =
+    Path.of_labels
+      (List.init
+         (min + Random.State.int rng (4 - min))
+         (fun _ -> Label.make (draw ab rng)))
+  in
+  let c () = Constr.word ~lhs:(p ~min:1) ~rhs:(p ~min:0) in
+  let sigma = List.init (1 + Random.State.int rng 5) (fun _ -> c ()) in
+  let sigma =
+    if Random.State.int rng 4 = 0 then sigma @ [ draw sigma rng ] else sigma
+  in
+  let goal =
+    if Random.State.bool rng then draw sigma rng
+    else Constr.word ~lhs:(p ~min:0) ~rhs:(p ~min:0)
+  in
+  (None, sigma, goal)
+
+let arb_instance gen =
+  QCheck.make ~print:print_instance
+    QCheck.Gen.(
+      int >|= fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let schema, sigma, goal = gen rng in
+      let n = List.length sigma in
+      let keep _ =
+        List.init (Random.State.int rng (n + 2)) (fun _ ->
+            Random.State.int rng n)
+      in
+      { schema; sigma; keeps = List.init 3 keep; goal })
+
+let ref_decider i =
+  let d, _, _ =
+    ref_make_decider ?schema:i.schema ~budget ~clock:(clock_of budget) i.sigma
+  in
+  d
+
+(* several questions to one plan, so no question sees another's merges *)
+let prop_subset_decide i =
+  let plan = Decide.plan ?schema:i.schema (Decide.clock budget) i.sigma in
+  Decide.exact plan
+  && List.for_all
+       (fun keep ->
+         let sub = List.filteri (fun j _ -> List.mem j keep) i.sigma in
+         ref_decider i i.goal sub = Decide.decide plan ~keep i.goal)
+       i.keeps
+
+(* The redundancy report as it was computed before subset plans: every
+   question a fresh list, and a cover candidate asked even when the
+   rest of Sigma already refuted it. *)
+let ref_redundancy i =
+  let implied phi rest = ref_decider i phi rest = Some true in
+  let unsat =
+    match i.schema with
+    | Some s -> Core.Typed_m.satisfiable s ~sigma:i.sigma = Ok false
+    | None -> false
+  in
+  if unsat then ([], i.sigma)
+  else
+    let removable =
+      List.filteri (fun j c -> implied c (drop j i.sigma)) i.sigma
+    in
+    let cover =
+      List.fold_left
+        (fun cover c ->
+          let rec remove = function
+            | [] -> []
+            | c' :: rest when Constr.equal c c' -> rest
+            | c' :: rest -> c' :: remove rest
+          in
+          let rest = remove cover in
+          if List.length rest < List.length cover && implied c rest then rest
+          else cover)
+        i.sigma
+        (List.rev_map snd (Store.completed_subsumption_ordering i.sigma))
+    in
+    (removable, cover)
+
+let prop_redundancy_report i =
+  let span = Pathlang.Span.v ~line:1 ~start_col:1 ~end_col:1 in
+  let r =
+    Analysis.Passes.redundancy_report ?schema:i.schema ~budget
+      (List.map (fun c -> (c, span)) i.sigma)
+  in
+  let removable, cover = ref_redundancy i in
+  r.Analysis.Passes.gave_up = 0
+  && List.equal Constr.equal (List.map fst r.Analysis.Passes.removable)
+       removable
+  && List.equal Constr.equal r.Analysis.Passes.cover cover
+
+let subset_tests =
+  [
+    q ~count:300 "typed-M decide ~keep = fresh pre-filter + closure"
+      (arb_instance gen_typed) prop_subset_decide;
+    q ~count:300 "word decide ~keep = fresh pre-filter + pre*"
+      (arb_instance gen_word) prop_subset_decide;
+    q ~count:150 "typed-M redundancy report = per-list greedy loop"
+      (arb_instance gen_typed) prop_redundancy_report;
+    q ~count:150 "word redundancy report = per-list greedy loop"
+      (arb_instance gen_word) prop_redundancy_report;
+  ]
+
 let () =
   Alcotest.run "decide"
     [
@@ -243,4 +417,5 @@ let () =
           Alcotest.test_case "covers every region once" `Quick
             test_table_covers_regions;
         ] );
+      ("subsets", subset_tests);
     ]

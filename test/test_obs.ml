@@ -282,7 +282,10 @@ let test_golden_stats_json () =
   in
   check_bool "root span present" true (List.mem_assoc "pathctl.chase" spans);
   check_bool "solver span present" true
-    (List.mem_assoc "semidecide.implies" spans)
+    (List.mem_assoc "semidecide.implies" spans);
+  (* the chase route's store pre-filter is timed on its own *)
+  check_bool "pre-filter span present" true
+    (List.mem_assoc "decide.prefilter" spans)
 
 let test_trace_flag_writes_valid_file () =
   let sigma =
@@ -363,6 +366,7 @@ let test_golden_openmetrics () =
       "pathcons_semidecide_prefilter_misses_total 1";
       "pathcons_decision_latency_ns_count{route=\"chase\"} 1";
       "pathcons_span_calls_total{span=\"pathctl.chase\"} 1";
+      "pathcons_span_calls_total{span=\"decide.prefilter\"} 1";
       "# TYPE pathcons_decision_latency_ns histogram";
       "# TYPE pathcons_store_paths gauge";
     ]
@@ -422,9 +426,8 @@ let test_audit_roundtrip () =
   check_string "prefilter" "miss" (field "prefilter");
   check_string "verdict" "refuted" (field "verdict")
 
-(* Every decision of a lint run — store pre-filter hits included — is one
-   audit record and one count in the route family, in a single record
-   shape. *)
+(* Every decision of a lint run is one audit record and one count in the
+   route family, in a single record shape. *)
 let test_lint_decisions_match_routes () =
   let lint_dir =
     Filename.concat
