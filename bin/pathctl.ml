@@ -1415,15 +1415,21 @@ let query_eval_cmd =
               ~cancel ()
           in
           let cancelled () = Core.Engine.Cancel.is_cancelled cancel in
-          let answers ast =
+          let answers =
             match schema with
             | Some schema when not untyped ->
-                let tc = Rpq.Typecheck.run schema ast in
-                let class_of = Rpq.Typecheck.type_graph schema g in
-                let ctl = Core.Engine.start budget in
-                let interrupt () = not (Core.Engine.tick ctl ()) in
-                Rpq.Eval.eval_typed ~interrupt ~class_of tc g
-            | _ -> Rpq.Eval.eval ~interrupt:cancelled g (Rpq.Parser.regex_of ast)
+                (* the typing depends on the graph alone: one per run,
+                   taken when the first typed query needs it *)
+                let class_of = lazy (Rpq.Typecheck.type_graph schema g) in
+                fun ast ->
+                  let tc = Rpq.Typecheck.run schema ast in
+                  let class_of = Lazy.force class_of in
+                  let ctl = Core.Engine.start budget in
+                  let interrupt () = not (Core.Engine.tick ctl ()) in
+                  Rpq.Eval.eval_typed ~interrupt ~class_of tc g
+            | _ ->
+                fun ast ->
+                  Rpq.Eval.eval ~interrupt:cancelled g (Rpq.Parser.regex_of ast)
           in
           let qstr ast = Rpq.Regex.to_string (Rpq.Parser.regex_of ast) in
           Core.Engine.Cancel.with_sigint cancel (fun () ->

@@ -12,7 +12,9 @@ exception Interrupted = Eval.Interrupted
    ε-closure.  Each state's closure is computed once here, not once per
    product edge.  Targets keep the push order of an ε-closure search
    (each closed successor, ascending, expanded into its own closure),
-   so witnesses resolve ties as that search did. *)
+   so witnesses resolve ties as that search did.  Each move carries its
+   label's interned id, so the product BFS matches it against the
+   graph's snapshot without converting anything per call. *)
 let compile (a, start) : Eval.nfa =
   let n = Nfa.state_count a in
   let closure =
@@ -33,9 +35,9 @@ let compile (a, start) : Eval.nfa =
       List.filter_map (fun (k', t) -> if Label.equal k k' then Some t else None) moves
       |> expand |> List.sort_uniq Int.compare |> expand |> first_seen
     in
-    List.map
-      (fun k -> (k, targets k))
-      (List.sort_uniq (fun x y -> Label.compare y x) (List.map fst moves))
+    List.sort_uniq (fun x y -> Label.compare y x) (List.map fst moves)
+    |> List.map (fun k -> Eval.move k (targets k))
+    |> Array.of_list
   in
   {
     Eval.start = closure.(start);

@@ -8,7 +8,9 @@
 val compile : Automata.Nfa.t * Automata.Nfa.state -> Sgraph.Eval.nfa
 (** The ε-free form of an automaton from its start state, on the {e
     same} state ids, so {!Typecheck.allow} stays valid on it.  Computes
-    each state's ε-closure once. *)
+    each state's ε-closure once, and emits each state's moves as an
+    array carrying the labels' interned ids, so the product matches them
+    against the graph's snapshot with no conversion per call. *)
 
 val eval_from :
   ?interrupt:(unit -> bool) ->

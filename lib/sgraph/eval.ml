@@ -1,20 +1,15 @@
 module Label = Pathlang.Label
 module Path = Pathlang.Path
 module NS = Graph.Node_set
-module IT = Hashtbl.Make (Int)
 
 type state = int
-
-type nfa = {
-  start : state list;
-  delta : (Label.t * state list) list array;
-  final : bool array;
-}
-
+type move = { label : Label.t; id : int; next : state array }
+type nfa = { start : state list; delta : move array array; final : bool array }
 type automaton = Chain of Label.t list | Nfa of nfa
 
 exception Interrupted
 
+let move label next = { label; id = Label.id label; next = Array.of_list next }
 let chain rho = Chain (Path.to_labels rho)
 
 (* The chain case.  A word's automaton is acyclic, so its product needs
@@ -33,61 +28,101 @@ let rec walk ~back g frontier = function
 let image g xs ks = walk ~back:false g xs ks
 let preimage g ys ks = walk ~back:true g ys ks
 
-(* The product BFS.  A pair (v, q) is the int [v * n + q]; [seen] maps
-   each discovered pair to the pair it was first pushed from (-1 for a
-   start pair), and [firsts] each answer to its first final pair.
-   Pairs are pushed in non-decreasing distance from the start, so that
-   pair ends a shortest run.  Children are pushed in the order
-   [Graph.succ_all] lists them. *)
-let product admit interrupt g src a =
+(* A growable int array. *)
+type buf = { mutable a : int array; mutable len : int }
+
+let buf () = { a = [||]; len = 0 }
+
+let push b x =
+  if b.len = Array.length b.a then begin
+    let a = Array.make (max 64 (2 * b.len)) 0 in
+    Array.blit b.a 0 a 0 b.len;
+    b.a <- a
+  end;
+  b.a.(b.len) <- x;
+  b.len <- b.len + 1
+
+(* One bit per node. *)
+let bits nodes = Bytes.make ((nodes + 7) lsr 3) '\000'
+
+let test_and_set b v =
+  let i = v lsr 3 and m = 1 lsl (v land 7) in
+  let c = Char.code (Bytes.unsafe_get b i) in
+  c land m <> 0 || (Bytes.unsafe_set b i (Char.unsafe_chr (c lor m)); false)
+
+(* The product BFS over the graph's frozen snapshot.  A pair (v, q) is
+   the int [v * n + q], pushed on [queue], which is never shrunk: a
+   pair's position there names it.  [visited.(q)] holds q's bitset over
+   the nodes, allocated when q is first reached.  A pair is marked
+   before [admit] is asked, so [admit] runs once per pair, and only an
+   admitted pair is queued.  [hits] holds each answer's first final
+   pair.  With [parents], [from] and [via] give each queued pair the
+   position of the pair it was pushed from (-1 for a start pair) and
+   the index of that pair's move.  Pairs are queued in non-decreasing
+   distance from the start, so a first final pair ends a shortest run.
+   Push order: moves in [delta] order, targets in the order their edges
+   were added, states in [next] order. *)
+type search = { queue : buf; hits : buf; from : buf; via : buf }
+
+let product ~parents admit interrupt g src a =
+  if not (Graph.mem_node g src) then invalid_arg "Eval.run: unknown node";
+  let csr = Graph.freeze g in
   let n = Array.length a.delta in
-  let seen = IT.create 64 and firsts = IT.create 16 and queue = Queue.create () in
+  let visited = Array.make n Bytes.empty and answered = bits csr.nodes in
+  let s = { queue = buf (); hits = buf (); from = buf (); via = buf () } in
   let admit = Option.value admit ~default:(fun _ _ -> true) in
   let stop = Option.value interrupt ~default:(fun () -> false) in
-  let push v q from =
-    let p = (v * n) + q in
-    if admit v q && not (IT.mem seen p) then begin
-      IT.add seen p from;
-      Queue.add p queue;
-      if a.final.(q) && not (IT.mem firsts v) then IT.add firsts v p
+  let visit v q from via =
+    if visited.(q) == Bytes.empty then visited.(q) <- bits csr.nodes;
+    if (not (test_and_set visited.(q) v)) && admit v q then begin
+      if a.final.(q) && not (test_and_set answered v) then push s.hits s.queue.len;
+      push s.queue ((v * n) + q);
+      if parents then begin
+        push s.from from;
+        push s.via via
+      end
     end
   in
-  List.iter (fun q -> push src q (-1)) a.start;
-  while not (Queue.is_empty queue) do
+  List.iter (fun q -> visit src q (-1) (-1)) a.start;
+  let head = ref 0 in
+  while !head < s.queue.len do
     if stop () then raise Interrupted;
-    let p = Queue.pop queue in
-    List.iter
-      (fun (k, qs) ->
-        List.iter
-          (fun w -> List.iter (fun q -> push w q p) qs)
-          (List.rev (Graph.succ g (p / n) k)))
-      a.delta.(p mod n)
+    let p = s.queue.a.(!head) in
+    let moves = a.delta.(p mod n) in
+    for i = 0 to Array.length moves - 1 do
+      let m = moves.(i) in
+      let r = Graph.find_run csr (p / n) m.id in
+      if r >= 0 then
+        for e = csr.run_start.(r) to csr.run_start.(r + 1) - 1 do
+          for j = 0 to Array.length m.next - 1 do
+            visit csr.targets.(e) m.next.(j) !head i
+          done
+        done
+    done;
+    incr head
   done;
-  (seen, firsts)
+  s
 
-let answers firsts = IT.fold (fun v _ acc -> NS.add v acc) firsts NS.empty
+(* The node and state of the pair at queue position [i]. *)
+let node a s i = s.queue.a.(i) / Array.length a.delta
+let state a s i = s.queue.a.(i) mod Array.length a.delta
 
 let run ?admit ?interrupt g x = function
   | Chain ks -> image g (NS.singleton x) ks
-  | Nfa a -> answers (snd (product admit interrupt g x a))
+  | Nfa a ->
+      let s = product ~parents:false admit interrupt g x a in
+      NS.of_seq (Seq.init s.hits.len (fun i -> node a s s.hits.a.(i)))
 
 let witnesses g x a =
-  let seen, firsts = product None None g x a in
-  let n = Array.length a.delta in
-  (* the label of the parent's first transition, in expansion order,
-     that reaches the child *)
-  let label parent child =
-    let reaches (k, qs) =
-      List.mem (child mod n) qs && List.mem (child / n) (Graph.succ g (parent / n) k)
-    in
-    fst (List.find reaches a.delta.(parent mod n))
+  let s = product ~parents:true None None g x a in
+  let rec back i acc =
+    match s.from.a.(i) with
+    | -1 -> acc
+    | j -> back j (a.delta.(state a s j).(s.via.a.(i)).label :: acc)
   in
-  let rec back p acc =
-    match IT.find seen p with -1 -> acc | parent -> back parent (label parent p :: acc)
-  in
-  List.map
-    (fun v -> (v, Path.of_labels (back (IT.find firsts v) [])))
-    (NS.elements (answers firsts))
+  List.init s.hits.len (fun i -> s.hits.a.(i))
+  |> List.map (fun i -> (node a s i, Path.of_labels (back i [])))
+  |> List.sort (fun (v, _) (w, _) -> Int.compare v w)
 
 let eval_from g x rho = run g x (chain rho)
 let eval g rho = eval_from g (Graph.root g) rho

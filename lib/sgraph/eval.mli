@@ -4,14 +4,24 @@
 
 type state = int
 
+type move = private {
+  label : Pathlang.Label.t;
+  id : int;  (** [Pathlang.Label.id label] *)
+  next : state array;
+}
+(** Reading [label], go to any of the states [next]. *)
+
+val move : Pathlang.Label.t -> state list -> move
+
 type nfa = {
   start : state list;
-  delta : (Pathlang.Label.t * state list) list array;
+  delta : move array array;
   final : bool array;
 }
 (** An ε-free automaton on the states [0 .. Array.length delta - 1];
-    [delta.(q)] lists [q]'s moves by label, descending.  List orders are
-    push orders: they pick the witness among equal-length runs. *)
+    [delta.(q)] holds [q]'s moves by label, descending.  Array and list
+    orders are push orders: they pick the witness among equal-length
+    runs. *)
 
 (** A word is the degenerate automaton, a chain of labels. *)
 type automaton = Chain of Pathlang.Label.t list | Nfa of nfa
@@ -31,7 +41,17 @@ val run :
     product of [g] and [a].  An [Nfa]'s pair [(v, q)] is explored only
     if [admit v q], and [interrupt] is polled once per pair dequeued.
     A chain takes [|a|] frontier steps, neither pruned nor polled.
-    @raise Interrupted when [interrupt] fires. *)
+
+    An [Nfa] walks [g]'s {!Graph.freeze} snapshot, so the first walk
+    after a mutation pays [O(|G|)] to build it and later walks of the
+    same graph pay nothing.  Visited pairs are one bitset over the nodes
+    per automaton state, allocated when the walk first reaches the
+    state, so a walk that touches few states stays cheap.  A pair is
+    marked visited before it is offered to [admit], so [admit] is called
+    at most once per pair; only admitted pairs are queued, and only they
+    answer.  A chain walks the mutable adjacency and never freezes.
+    @raise Interrupted when [interrupt] fires.
+    @raise Invalid_argument if [x] is not a node of [g] (an [Nfa] only). *)
 
 val image : Graph.t -> Graph.Node_set.t -> Pathlang.Label.t list -> Graph.Node_set.t
 (** [image g xs ks]: the nodes the word [ks] leads to from some node of
@@ -46,7 +66,9 @@ val preimage :
 val witnesses :
   Graph.t -> Graph.node -> nfa -> (Graph.node * Pathlang.Path.t) list
 (** Every answer of {!run}, ascending, with a shortest word of [L(a)]
-    reaching it, read off one search's parent links. *)
+    reaching it, read off one search's parent links.  Only this search
+    records them: each queued pair keeps the pair and the move it was
+    first pushed by. *)
 
 val eval_from : Graph.t -> Graph.node -> Pathlang.Path.t -> Graph.Node_set.t
 (** The chain case of {!run}, in [O(|rho| * |G|)]. *)

@@ -14,6 +14,18 @@ type t = {
   inl : (node, Label.Set.t) Hashtbl.t;
   mutable all_labels : Label.Set.t;
   mutable edge_count : int;
+  frozen : csr option Atomic.t;
+      (* the snapshot of the current edges, if one was taken since the
+         last mutation; atomic so a snapshot built by one domain is
+         published whole to the others *)
+}
+
+and csr = {
+  nodes : int;
+  first_run : int array;
+  run_label : int array;
+  run_start : int array;
+  targets : node array;
 }
 
 let create () =
@@ -26,11 +38,17 @@ let create () =
     inl = Hashtbl.create 64;
     all_labels = Label.Set.empty;
     edge_count = 0;
+    frozen = Atomic.make None;
   }
 
 let root _ = 0
 
+(* Every mutation drops the snapshot.  The test keeps the write (a
+   fence) off the chase's add_edge loop, which never freezes. *)
+let thaw g = if Option.is_some (Atomic.get g.frozen) then Atomic.set g.frozen None
+
 let add_node g =
+  thaw g;
   let n = g.size in
   g.size <- n + 1;
   n
@@ -58,6 +76,7 @@ let add_edge g x k y =
   if not (mem_node g x && mem_node g y) then
     invalid_arg "Graph.add_edge: unknown node";
   if not (has_edge g x k y) then begin
+    thaw g;
     Hashtbl.replace g.mem (x, k, y) ();
     Hashtbl.replace g.adj (x, k) (y :: succ g x k);
     Hashtbl.replace g.radj (y, k) (x :: pred g y k);
@@ -81,6 +100,7 @@ let remove_from_bucket tbl key n =
 
 let remove_edge g x k y =
   if has_edge g x k y then begin
+    thaw g;
     Hashtbl.remove g.mem (x, k, y);
     if remove_from_bucket g.adj (x, k) y = [] then remove_label_index g.outl x k;
     if remove_from_bucket g.radj (y, k) x = [] then remove_label_index g.inl y k;
@@ -156,7 +176,48 @@ let copy g =
     inl = Hashtbl.copy g.inl;
     all_labels = g.all_labels;
     edge_count = g.edge_count;
+    frozen = Atomic.make (Atomic.get g.frozen);
   }
+
+(* Two passes straight into the arrays: count each node's runs, then
+   fill them.  [succ] lists a run newest first, so it is written from
+   the run's end to leave the targets in insertion order. *)
+let build g =
+  let nodes = g.size in
+  let first_run = Array.make (nodes + 1) 0 in
+  for v = 0 to nodes - 1 do
+    first_run.(v + 1) <- first_run.(v) + Label.Set.cardinal (out_labels g v)
+  done;
+  let runs = first_run.(nodes) in
+  let run_label = Array.make runs 0 and run_start = Array.make (runs + 1) 0 in
+  let targets = Array.make g.edge_count 0 in
+  let r = ref 0 in
+  for v = 0 to nodes - 1 do
+    Label.Set.iter
+      (fun k ->
+        let ys = succ g v k in
+        let stop = run_start.(!r) + List.length ys in
+        run_label.(!r) <- Label.id k;
+        List.iteri (fun i y -> targets.(stop - 1 - i) <- y) ys;
+        incr r;
+        run_start.(!r) <- stop)
+      (out_labels g v)
+  done;
+  { nodes; first_run; run_label; run_start; targets }
+
+let freeze g =
+  match Atomic.get g.frozen with
+  | Some c -> c
+  | None ->
+      let c = build g in
+      Atomic.set g.frozen (Some c);
+      c
+
+let find_run c v id =
+  let rec go r stop =
+    if r = stop then -1 else if c.run_label.(r) = id then r else go (r + 1) stop
+  in
+  go c.first_run.(v) c.first_run.(v + 1)
 
 let of_edges es =
   let g = create () in

@@ -5,7 +5,7 @@
     rooted edge-labeled directed graph.  Nodes are dense integers; node 0
     is always the root.  Graphs are mutable (they are built by generators
     and by the chase, which extends them in place); {!copy} gives an
-    independent snapshot. *)
+    independent copy, and {!freeze} a read-only snapshot for walkers. *)
 
 type node = int
 
@@ -74,6 +74,42 @@ val labels : t -> Pathlang.Label.Set.t
 val mem_node : t -> node -> bool
 
 val copy : t -> t
+(** An independent graph with the same nodes and edges.  It shares the
+    original's {!freeze} snapshot, if one was taken: the snapshot is
+    immutable, and mutating either graph drops only that graph's. *)
+
+(** {1 Frozen snapshot}
+
+    A read-only forward adjacency in compressed sparse rows, for
+    walkers that visit every edge many times ({!Eval}'s product BFS).
+    Node [v]'s out-edges are the {e runs}
+    [first_run.(v) .. first_run.(v + 1) - 1], one per out-label; run
+    [r] carries the label [run_label.(r)] (a {!Pathlang.Label.id}) and
+    the targets [targets.(run_start.(r)) .. targets.(run_start.(r + 1) - 1)]
+    in the order their edges were added.
+
+    The snapshot is built on first use in [O(|G|)], in two passes
+    straight into the arrays, and cached in the graph until the next
+    {!add_node}, {!add_edge} or {!remove_edge} that changes it drops it;
+    walkers of graphs that mutate between walks (the chase, {!Enumerate})
+    should not freeze.  Graphs may be frozen from several domains at
+    once: a racing first use may build the snapshot twice, and each
+    domain sees a complete one.  The arrays must not be written. *)
+
+type csr = private {
+  nodes : int;  (** {!node_count} when the snapshot was taken *)
+  first_run : int array;
+  run_label : int array;
+  run_start : int array;
+  targets : node array;
+}
+
+val freeze : t -> csr
+(** The graph's current snapshot, built if it has none. *)
+
+val find_run : csr -> node -> int -> int
+(** [find_run c v id]: [v]'s run labelled [id], or [-1]; a scan of
+    [v]'s runs. *)
 
 val of_edges : (int * string * int) list -> t
 (** Builds a graph from raw edges; node ids may be sparse, they are used

@@ -345,6 +345,169 @@ let test_eval_interrupt () =
   check_bool "a silent hook changes nothing" true
     (NS.equal (Rpq_.eval ~interrupt:(fun () -> false) g r) (Rpq_.eval g r))
 
+(* --- the product over a frozen snapshot ---------------------------------- *)
+
+(* An M schema over the generators' labels, so typed evaluation runs
+   (and prunes) on random graphs too. *)
+let abc_schema =
+  match
+    Schema.Schema_parser.of_string
+      "kind M\n\
+       class C = [ a: C; b: D ]\n\
+       class D = [ c: C; b: D ]\n\
+       db = [ a: C; c: D ]\n"
+  with
+  | Ok m -> m
+  | Error e -> failwith ("abc schema: " ^ e)
+
+let typecheck r =
+  match Rpq.Parser.parse (Regex.to_string r) with
+  | Ok ast -> Rpq.Typecheck.run abc_schema ast
+  | Error e -> Alcotest.failf "query %s: %s" (Regex.to_string r) (Rpq.Parser.error_to_string e)
+
+let fixed_queries = List.map parse [ "(a|b|c)*"; "a.b*"; "(a.b)*.c"; "c*.a|b"; "a?.c+" ]
+
+(* Untyped and typed answers from the root and from the newest node,
+   under one node typing.  The typing is taken from the graph under
+   test and reused on its rebuilt twin: on a graph that does not
+   conform to the schema, [type_graph] depends on the order edges were
+   added in, and the twin adds them in another. *)
+let answers ~class_of rs g =
+  List.concat_map
+    (fun v ->
+      List.concat_map
+        (fun r ->
+          [
+            NS.elements (Rpq_.eval_from g v r);
+            NS.elements (Rpq_.eval_from_typed ~class_of (typecheck r) g v);
+          ])
+        rs)
+    [ Graph.root g; Graph.node_count g - 1 ]
+
+(* The same edges in a fresh graph, padded with the nodes no edge
+   mentions. *)
+let rebuilt g =
+  let h = Graph.of_edges (List.map (fun (x, k, y) -> (x, Label.to_string k, y)) (Graph.edges g)) in
+  while Graph.node_count h < Graph.node_count g do
+    ignore (Graph.add_node h)
+  done;
+  h
+
+type op = Add of int * Label.t * int | Remove of int | Node | Copy of op list
+
+let gen_op =
+  QCheck.Gen.(
+    let simple =
+      frequency
+        [
+          (4, map3 (fun x k y -> Add (x, k, y)) nat gen_label nat);
+          (2, map (fun i -> Remove i) nat);
+          (1, return Node);
+        ]
+    in
+    frequency [ (6, simple); (1, map (fun ops -> Copy ops) (list_size (int_range 1 4) simple)) ])
+
+let rec show_op = function
+  | Add (x, k, y) -> Printf.sprintf "add %d %s %d" x (Label.to_string k) y
+  | Remove i -> Printf.sprintf "remove #%d" i
+  | Node -> "node"
+  | Copy ops -> "copy [" ^ String.concat "; " (List.map show_op ops) ^ "]"
+
+let apply g = function
+  | Add (x, k, y) ->
+      let n = Graph.node_count g in
+      Graph.add_edge g (x mod n) k (y mod n)
+  | Remove i -> (
+      match Graph.edges g with
+      | [] -> ()
+      | es ->
+          let x, k, y = List.nth es (i mod List.length es) in
+          Graph.remove_edge g x k y)
+  | Node -> ignore (Graph.add_node g)
+  | Copy _ -> ()
+
+(* Every evaluation walks the graph's cached snapshot; after each
+   mutation it must still answer as a graph built from scratch does,
+   and mutating a copy must not reach the original's snapshot. *)
+let prop_snapshot_invalidation =
+  q ~count:150 "snapshot answers = rebuilt graph's"
+    QCheck.(
+      triple arb_graph
+        (QCheck.make (gen_regex_smart 3) ~print:Regex.to_string)
+        (QCheck.make ~print:(QCheck.Print.list show_op) (QCheck.Gen.list_size (QCheck.Gen.int_bound 8) gen_op)))
+    (fun (g, r, ops) ->
+      let rs = r :: fixed_queries in
+      let agrees g =
+        let class_of = Rpq.Typecheck.type_graph abc_schema g in
+        answers ~class_of rs g = answers ~class_of rs (rebuilt g)
+      in
+      agrees g
+      && List.for_all
+           (fun op ->
+             match op with
+             | Copy ops ->
+                 let class_of = Rpq.Typecheck.type_graph abc_schema g in
+                 let before = answers ~class_of rs g and h = Graph.copy g in
+                 (* [h] first answers from the snapshot it shares with [g] *)
+                 agrees h
+                 && List.for_all (fun op -> apply h op; agrees h) ops
+                 && answers ~class_of rs g = before
+             | op ->
+                 apply g op;
+                 agrees g)
+           ops)
+
+(* Marking a pair before admitting it: [admit] sees each pair at most
+   once, even one it rejects, and the interrupt hook is polled once per
+   admitted pair. *)
+let prop_admit_once =
+  q ~count:150 "admit runs at most once per pair"
+    QCheck.(
+      triple arb_graph (QCheck.make (gen_regex_smart 3) ~print:Regex.to_string) small_nat)
+    (fun (g, r, salt) ->
+      let a = Rpq_.compile (Regex.to_nfa r) in
+      let asked = Hashtbl.create 16 and admitted = ref 0 and polls = ref 0 in
+      let admit v q =
+        Hashtbl.replace asked (v, q) (1 + Option.value ~default:0 (Hashtbl.find_opt asked (v, q)));
+        let ok = Hashtbl.hash (v, q, salt) mod 4 <> 0 in
+        if ok then incr admitted;
+        ok
+      in
+      let interrupt () = incr polls; false in
+      ignore (Sgraph.Eval.run ~admit ~interrupt g 0 (Sgraph.Eval.Nfa a));
+      Hashtbl.fold (fun _ n ok -> ok && n = 1) asked true && !polls = !admitted)
+
+(* One graph, never frozen before the pool starts, evaluated from four
+   domains at once: a racing first freeze may build the snapshot twice,
+   but every domain answers as a sequential run on a copy does. *)
+let test_shared_graph_domains () =
+  let g =
+    Sgraph.Gen.random ~rng:(Random.State.make [| 19 |]) ~nodes:300 ~labels
+      ~edge_prob:0.003
+  in
+  let rs =
+    List.map parse
+      [ "(a|b|c)*"; "a.(b|c)*"; "(a.b)*.c"; "c*.a.b*"; "(a|b)+.c"; "b.(a.c)*"; "a*"; "c.(b|a.a)*" ]
+  in
+  let run g r =
+    let class_of = Rpq.Typecheck.type_graph abc_schema g in
+    ( NS.elements (Rpq_.eval g r),
+      NS.elements (Rpq_.eval_typed ~class_of (typecheck r) g),
+      Rpq_.witnesses g 0 r )
+  in
+  let sequential = List.map (run (Graph.copy g)) rs in
+  let tasks = 4 * List.length rs in
+  let pool = Par.create ~jobs:4 () in
+  let parallel =
+    Fun.protect ~finally:(fun () -> Par.shutdown pool) (fun () ->
+        Par.run pool ~tasks (fun i -> run g (List.nth rs (i mod List.length rs))))
+  in
+  Array.iteri
+    (fun i got ->
+      let want = List.nth sequential (i mod List.length rs) in
+      check_bool (Printf.sprintf "task %d answers as the sequential run" i) true (got = want))
+    parallel
+
 (* --- regular word constraints -------------------------------------------------------- *)
 
 let test_regular_constraints () =
@@ -410,6 +573,13 @@ let () =
           prop_witnesses_match_oracle;
           prop_chain_is_general;
           Alcotest.test_case "interrupt" `Quick test_eval_interrupt;
+        ] );
+      ( "product",
+        [
+          prop_snapshot_invalidation;
+          prop_admit_once;
+          Alcotest.test_case "shared graph, four domains" `Quick
+            test_shared_graph_domains;
         ] );
       ( "constraints",
         [
