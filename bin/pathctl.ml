@@ -910,9 +910,13 @@ let rpq_cmd =
     Arg.(value & flag & info [ "witness" ] ~doc:"Print a witness path per answer.")
   in
   let run graph_file regex witness =
-    match (load_graph graph_file, Rpq.Regex.parse regex) with
+    let parsed =
+      Result.map_error Rpq.Parser.error_to_string (Rpq.Parser.parse regex)
+    in
+    match (load_graph graph_file, parsed) with
     | Error m, _ | _, Error m -> die "%s" m
-    | Ok g, Ok r ->
+    | Ok g, Ok ast ->
+        let r = Rpq.Parser.regex_of ast in
         if witness then
           List.iter
             (fun (v, w) ->

@@ -18,7 +18,7 @@ module NS = Graph.Node_set
 
 let section title = Printf.printf "\n=== %s ===\n" title
 
-let parse s = Result.get_ok (Regex.parse s)
+let parse s = Rpq.Parser.regex_of (Result.get_ok (Rpq.Parser.parse s))
 
 let () =
   let g = Xmlrep.Bib.figure1 () in

@@ -14,7 +14,7 @@ exception Interrupted = Eval.Interrupted
    (each closed successor, ascending, expanded into its own closure),
    so witnesses resolve ties as that search did.  Each move carries its
    label's interned id, so the product BFS matches it against the
-   graph's snapshot without converting anything per call. *)
+   graph's runs without converting anything per call. *)
 let compile (a, start) : Eval.nfa =
   let n = Nfa.state_count a in
   let closure =
@@ -55,13 +55,9 @@ let witness g src r dst = List.assoc_opt dst (witnesses g src r)
 (* --- type-pruned evaluation ------------------------------------------------ *)
 
 (* Pairs no schema-conforming run can inhabit and still finish the
-   query are never enqueued (Typecheck.allow). *)
+   query are never enqueued (Typecheck.admit). *)
 let eval_from_typed ?interrupt ?class_of tc g src =
-  let admit v q =
-    match Option.bind class_of (fun class_of -> class_of v) with
-    | Some tau -> Typecheck.allow tc q tau
-    | None -> Typecheck.state_live tc q
-  in
+  let admit = Typecheck.admit tc class_of in
   Eval.run ~admit ?interrupt g src (Eval.Nfa (compile (Typecheck.nfa tc)))
 
 let eval_typed ?interrupt ?class_of tc g =

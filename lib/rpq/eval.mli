@@ -7,10 +7,10 @@
 
 val compile : Automata.Nfa.t * Automata.Nfa.state -> Sgraph.Eval.nfa
 (** The ε-free form of an automaton from its start state, on the {e
-    same} state ids, so {!Typecheck.allow} stays valid on it.  Computes
+    same} state ids, so {!Typecheck.admit} stays valid on it.  Computes
     each state's ε-closure once, and emits each state's moves as an
     array carrying the labels' interned ids, so the product matches them
-    against the graph's snapshot with no conversion per call. *)
+    against the graph's runs with no conversion per call. *)
 
 val eval_from :
   ?interrupt:(unit -> bool) ->
@@ -43,22 +43,24 @@ exception Interrupted
 
 val eval_from_typed :
   ?interrupt:(unit -> bool) ->
-  ?class_of:(Sgraph.Graph.node -> Schema.Mtype.t option) ->
+  ?class_of:Typecheck.typing ->
   Typecheck.t ->
   Sgraph.Graph.t ->
   Sgraph.Graph.node ->
   Sgraph.Graph.Node_set.t
 (** Type-pruned evaluation: {!eval_from} on the checker's automaton,
-    exploring a pair [(v, q)] only if {!Typecheck.allow} admits [q] at
-    [v]'s sort ([class_of], e.g. {!Typecheck.type_graph}; a node typing
-    to [None] is pruned only on {!Typecheck.state_live}).  On a graph
-    that validates against the schema the answers equal {!eval_from}'s;
-    on others they are the matches witnessed inside [Paths(Delta)].  A
-    step budget in [interrupt] counts admitted pairs. *)
+    exploring a pair [(v, q)] only if {!Typecheck.admit} admits it
+    under the node typing [class_of] (e.g. {!Typecheck.type_graph}; by
+    default every node is untyped).  On a graph that validates against the
+    schema the answers equal {!eval_from}'s; on others they are the
+    matches witnessed inside [Paths(Delta)].  A step budget in
+    [interrupt] counts admitted pairs.
+    @raise Invalid_argument if [class_of] types the graph against
+    another schema than the checker's. *)
 
 val eval_typed :
   ?interrupt:(unit -> bool) ->
-  ?class_of:(Sgraph.Graph.node -> Schema.Mtype.t option) ->
+  ?class_of:Typecheck.typing ->
   Typecheck.t ->
   Sgraph.Graph.t ->
   Sgraph.Graph.Node_set.t

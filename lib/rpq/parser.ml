@@ -2,11 +2,12 @@
 
    Same token discipline as Pathlang.Parser: 1-based lines and columns,
    end-exclusive spans, structured errors precise enough for editor/CI
-   diagnostics.  The grammar is the one Regex.parse accepts — labels,
-   [.] concatenation, [|] alternation, postfix [*]/[+]/[?], parentheses
-   and the [eps] keyword — but here every subexpression keeps the span
-   of its source text, which is what lets the PC8xx analyses pinpoint
-   the exact token where a query leaves Paths(Delta). *)
+   diagnostics.  The grammar: labels, [.] concatenation, [|]
+   alternation, postfix [*]/[+]/[?], parentheses and the [eps] keyword.
+   Every subexpression keeps the span of its source text, which is what
+   lets the PC8xx analyses pinpoint the exact token where a query
+   leaves Paths(Delta).  This is the only regex parser: plain terms are
+   [regex_of] of its tree. *)
 
 module Label = Pathlang.Label
 module Span = Pathlang.Span
@@ -32,9 +33,9 @@ and node =
   | Plus of ast
   | Opt of ast
 
-(* Desugar into the plain regex algebra.  [Plus]/[Opt] go through the
-   Regex smart constructors, exactly as Regex.parse does, so both
-   parsers agree on the abstract term of every concrete string. *)
+(* Desugar into the plain regex algebra through the Regex smart
+   constructors, so [regex_of] of a parse of [Regex.to_string r] is
+   [r] again. *)
 let rec regex_of a =
   match a.node with
   | Eps -> Regex.eps

@@ -1,10 +1,9 @@
 (** Span-carrying concrete syntax for regular path queries.
 
-    The same grammar {!Regex.parse} accepts — labels, [.]
-    concatenation, [|] alternation, postfix [*]/[+]/[?], parentheses,
-    the [eps] keyword — parsed with the {!Pathlang.Parser} span
-    discipline: every subexpression keeps the 1-based, end-exclusive
-    span of its source text.  The spans are what let the PC8xx analyses
+    The one regex parser: labels, [.] concatenation, [|] alternation,
+    postfix [*]/[+]/[?], parentheses, the [eps] keyword — parsed with
+    the {!Pathlang.Parser} span discipline: every subexpression keeps
+    the 1-based, end-exclusive span of its source text.  The spans are what let the PC8xx analyses
     ({!Typecheck}, [Analysis.Querycheck]) pinpoint the exact token
     where a query leaves [Paths(Delta)].
 
@@ -37,9 +36,9 @@ and node =
   | Opt of ast  (** surface sugar; {!regex_of} desugars via {!Regex.opt} *)
 
 val regex_of : ast -> Regex.t
-(** Desugar into the plain regex algebra, through the same smart
-    constructors {!Regex.parse} uses — both parsers agree on the
-    abstract term of every concrete string (QCheck-checked). *)
+(** Desugar into the plain regex algebra through the {!Regex} smart
+    constructors, so [regex_of] of the parse of [Regex.to_string r] is
+    [r] (QCheck-checked). *)
 
 val letters : ast -> (Pathlang.Label.t * Pathlang.Span.t) list
 (** Every letter occurrence in source order, with its token span. *)

@@ -20,96 +20,6 @@ let opt r = alt Eps r
 let of_path p =
   List.fold_left (fun acc k -> concat acc (Letter k)) Eps (Path.to_labels p)
 
-(* --- parser ------------------------------------------------------------ *)
-
-exception Err of string
-
-let meta = [ '('; ')'; '|'; '*'; '+'; '?'; '.' ]
-
-let parse_exn src =
-  let pos = ref 0 in
-  let len = String.length src in
-  let peek () = if !pos < len then Some src.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < len && (src.[!pos] = ' ' || src.[!pos] = '\t') do
-      advance ()
-    done
-  in
-  let label () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < len
-      && (not (List.mem src.[!pos] meta))
-      && src.[!pos] <> ' '
-      && src.[!pos] <> '\t'
-    do
-      advance ()
-    done;
-    if !pos = start then raise (Err (Printf.sprintf "expected a label at %d" start));
-    String.sub src start (!pos - start)
-  in
-  let rec alt_level () =
-    let left = cat_level () in
-    skip_ws ();
-    match peek () with
-    | Some '|' ->
-        advance ();
-        Alt (left, alt_level ())
-    | _ -> left
-  and cat_level () =
-    let left = rep_level () in
-    skip_ws ();
-    match peek () with
-    | Some '.' ->
-        advance ();
-        concat left (cat_level ())
-    | _ -> left
-  and rep_level () =
-    let base = atom () in
-    let rec post r =
-      skip_ws ();
-      match peek () with
-      | Some '*' ->
-          advance ();
-          post (star r)
-      | Some '+' ->
-          advance ();
-          post (plus r)
-      | Some '?' ->
-          advance ();
-          post (opt r)
-      | _ -> r
-    in
-    post base
-  and atom () =
-    skip_ws ();
-    match peek () with
-    | Some '(' ->
-        advance ();
-        let r = alt_level () in
-        skip_ws ();
-        (match peek () with
-        | Some ')' -> advance ()
-        | _ -> raise (Err "unbalanced parenthesis"));
-        r
-    | _ -> (
-        let name = label () in
-        match name with
-        | "eps" -> Eps
-        | name -> (
-            match Label.make name with
-            | k -> Letter k
-            | exception Invalid_argument m -> raise (Err m)))
-  in
-  let r = alt_level () in
-  skip_ws ();
-  if !pos <> len then raise (Err (Printf.sprintf "trailing input at %d" !pos));
-  r
-
-let parse src = match parse_exn src with r -> Ok r | exception Err m -> Error m
-
 let rec to_string_prec outer r =
   let prec = function
     | Alt _ -> 0

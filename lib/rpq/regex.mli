@@ -7,7 +7,7 @@
     consider here constraints defined in terms of regular expressions",
     Section 1), and so do we on the implication side — but the query
     side, regular path queries, is standard semistructured-data
-    machinery and is provided here: syntax, Thompson construction,
+    machinery and is provided here: terms (parsed by {!Parser}), Thompson construction,
     language tests, and graph evaluation (in {!Rpq}). *)
 
 type t =
@@ -30,12 +30,11 @@ val opt : t -> t
 
 val of_path : Pathlang.Path.t -> t
 
-val parse : string -> (t, string) result
-(** Concrete syntax: labels; [.] concatenation; [|] alternation;
-    postfix [*], [+], [?]; parentheses; [eps].  Example:
-    ["book.(ref)*.author"]. *)
-
 val to_string : t -> string
+(** The concrete syntax {!Parser.parse} reads back to the same term:
+    labels; [.] concatenation; [|] alternation; postfix [*]; parentheses;
+    [eps].  Example: ["book.(ref)*.author"]. *)
+
 val pp : Format.formatter -> t -> unit
 
 val labels_used : t -> Pathlang.Label.Set.t

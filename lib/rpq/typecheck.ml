@@ -99,10 +99,15 @@ type t = {
   frags : (Parser.ast * frag) list;
   reach_sorts : (Nfa.state, Mtype.Set_of.t) Hashtbl.t;
       (* per query state: sorts of the reachable product pairs *)
-  live_sorts : (Nfa.state, Mtype.Set_of.t) Hashtbl.t;
-      (* per query state: sorts of the pairs that are also co-reachable *)
+  sorts : Mtype.t array;  (* the schema automaton's states *)
+  live : Bytes.t;
+      (* over (query state q, sort state s), at [q * (|sorts| + 1) + s]:
+         the pair is reachable and co-reachable; column [|sorts|] holds
+         "some sort is" *)
   empty : bool;
 }
+
+let width tc = Array.length tc.sorts + 1
 
 let frag_of tc n =
   match List.find_opt (fun (m, _) -> m == n) tc.frags with
@@ -151,19 +156,23 @@ let run schema (ast : Parser.ast) =
         drain ()
   in
   drain ();
-  let reach_sorts = Hashtbl.create 16 and live_sorts = Hashtbl.create 16 in
-  let add tbl q s =
-    let cur = Option.value ~default:Mtype.Set_of.empty (Hashtbl.find_opt tbl q) in
-    Hashtbl.replace tbl q (Mtype.Set_of.add ssorts.(s) cur)
-  in
+  let reach_sorts = Hashtbl.create 16 in
+  let width = Array.length ssorts + 1 in
+  let live = Bytes.make (Nfa.state_count nfa * width) '\000' in
   Array.iteri
     (fun i (q, s) ->
-      add reach_sorts q s;
-      if coreach.(i) then add live_sorts q s)
+      let cur =
+        Option.value ~default:Mtype.Set_of.empty (Hashtbl.find_opt reach_sorts q)
+      in
+      Hashtbl.replace reach_sorts q (Mtype.Set_of.add ssorts.(s) cur);
+      if coreach.(i) then begin
+        Bytes.set live ((q * width) + s) '\001';
+        Bytes.set live ((q * width) + width - 1) '\001'
+      end)
     pairs;
   let empty = not (Array.exists (fun i -> i) coreach) in
   { schema; query = ast; nfa; start = root.entry; frags; reach_sorts;
-    live_sorts; empty }
+    sorts = ssorts; live; empty }
 
 (* --- queries over the result ----------------------------------------------- *)
 
@@ -174,14 +183,7 @@ let sorts_after tc n = sorts_of tc.reach_sorts (frag_of tc n).exit_
 let answer_sorts tc =
   sorts_of tc.reach_sorts (frag_of tc tc.query).exit_
 
-(* eval pruning: may a schema-conforming run inhabit query state [q]
-   at a node of sort [tau] and still finish the query? *)
-let allow tc q tau =
-  match Hashtbl.find_opt tc.live_sorts q with
-  | None -> false
-  | Some s -> Mtype.Set_of.mem tau s
-
-let state_live tc q = Hashtbl.mem tc.live_sorts q
+let state_live tc q = Bytes.get tc.live ((q * width tc) + width tc - 1) <> '\000'
 
 let nfa tc = (tc.nfa, tc.start)
 
@@ -233,7 +235,7 @@ let first_dead tc =
    query avoids the subtree.  Only meaningful on non-empty queries
    (an empty query is all dead; PC800 owns that case). *)
 let dead_subexprs tc =
-  let live (n : Parser.ast) = Hashtbl.mem tc.live_sorts (frag_of tc n).exit_ in
+  let live (n : Parser.ast) = state_live tc (frag_of tc n).exit_ in
   let out = ref [] in
   let report n = out := n :: !out in
   let rec walk (n : Parser.ast) =
@@ -253,40 +255,82 @@ let dead_subexprs tc =
 
 (* --- typing the nodes of a data graph -------------------------------------- *)
 
-(* Walking a path from DBtype visits a unique sequence of sorts
-   (labels are functional on record sorts, sets only carry [*]), so a
-   graph that conforms to the schema types its nodes by BFS from the
-   root.  Nodes reached under two different sorts, or along an edge
-   the schema does not admit, stay untyped — the pruned evaluation
-   treats untyped nodes conservatively (never pruned), so a partial
-   typing degrades performance, not answers. *)
-let type_graph schema g =
-  let typing : (Graph.node, Mtype.t) Hashtbl.t = Hashtbl.create 64 in
-  let ambiguous : (Graph.node, unit) Hashtbl.t = Hashtbl.create 8 in
-  let q = Queue.create () in
-  let assign v tau =
-    if not (Hashtbl.mem ambiguous v) then
-      match Hashtbl.find_opt typing v with
-      | None ->
-          Hashtbl.replace typing v tau;
-          Queue.add v q
-      | Some tau' ->
-          if not (Mtype.equal tau tau') then begin
-            Hashtbl.remove typing v;
-            Hashtbl.replace ambiguous v ()
-          end
+(* [sort.(v)] indexes [sorts], the schema automaton's states; the index
+   [Array.length sorts] means untyped.  Nodes added after the typing are
+   untyped too. *)
+type typing = { sorts : Mtype.t array; sort : int array }
+
+let sort_of t v =
+  if v < Array.length t.sort && t.sort.(v) < Array.length t.sorts then
+    Some t.sorts.(t.sort.(v))
+  else None
+
+let typing_of schema g class_of =
+  let sorts = Array.of_list (Schema_graph.sorts schema) in
+  let index v =
+    match Option.bind (class_of v) (fun tau -> Array.find_index (Mtype.equal tau) sorts) with
+    | Some s -> s
+    | None -> Array.length sorts
   in
-  assign (Graph.root g) (Mschema.dbtype schema);
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    match Hashtbl.find_opt typing v with
-    | None -> () (* became ambiguous after enqueueing *)
-    | Some tau ->
-        List.iter
-          (fun (k, w) ->
-            match Schema_graph.successor schema tau k with
-            | Some tau' -> assign w tau'
-            | None -> ())
-          (Graph.succ_all g v)
+  { sorts; sort = Array.init (Graph.node_count g) index }
+
+(* Walking a path from DBtype visits a unique sequence of sorts (labels
+   are functional on record sorts, sets only carry [*]), so a node's
+   sorts are the sort states of the reachable pairs of the product of
+   the graph from its root with the schema automaton from DBtype.  A
+   BFS over those pairs finds them all whatever order the edges were
+   added in; a node is typed when it has exactly one.  On a graph that
+   conforms to the schema every reachable node has one.  Nodes with
+   two, or reached only along edges the schema does not admit, stay
+   untyped, and the pruned evaluation treats them conservatively, so a
+   partial typing degrades performance, not answers. *)
+let type_graph schema g =
+  let snfa, sorts, start = Schema_graph.automaton schema in
+  let ns = Array.length sorts in
+  (* per sort state, its moves as (label id, sort state) *)
+  let next = Array.make ns [||] in
+  List.iter
+    (fun (s, k, t) -> next.(s) <- Array.append next.(s) [| (Label.id k, t) |])
+    (Nfa.transitions snfa);
+  let n = Graph.node_count g in
+  let seen = Bytes.make (((n * ns) + 7) lsr 3) '\000' in
+  let sort = Array.make n (-1) and queue = Queue.create () in
+  let visit v s =
+    let p = (v * ns) + s in
+    let c = Char.code (Bytes.get seen (p lsr 3)) and m = 1 lsl (p land 7) in
+    if c land m = 0 then begin
+      Bytes.set seen (p lsr 3) (Char.chr (c lor m));
+      sort.(v) <- (if sort.(v) < 0 then s else ns);
+      Queue.add p queue
+    end
+  in
+  visit (Graph.root g) start;
+  while not (Queue.is_empty queue) do
+    let p = Queue.pop queue in
+    let v = p / ns and moves = next.(p mod ns) in
+    Array.iter
+      (fun (r : Graph.run) ->
+        match Array.find_opt (fun (id, _) -> id = r.id) moves with
+        | Some (_, t) ->
+            for i = 0 to r.len - 1 do
+              visit r.targets.(i) t
+            done
+        | None -> ())
+      (Graph.out_runs g v)
   done;
-  fun v -> Hashtbl.find_opt typing v
+  { sorts; sort = Array.map (fun s -> if s < 0 then ns else s) sort }
+
+let admit tc typing =
+  let w = width tc and live = tc.live in
+  let sort =
+    match typing with
+    | None -> [||]
+    | Some t ->
+        if not (Array.length t.sorts = Array.length tc.sorts
+                && Array.for_all2 Mtype.equal t.sorts tc.sorts)
+        then invalid_arg "Typecheck.admit: the typing is over another schema";
+        t.sort
+  in
+  fun v q ->
+    let s = if v < Array.length sort then Array.unsafe_get sort v else w - 1 in
+    Bytes.unsafe_get live ((q * w) + s) <> '\000'

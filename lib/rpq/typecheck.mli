@@ -56,27 +56,47 @@ val letter_chain :
     consuming it — the regex-position analogue of a PC602 chain, used
     by the PC803 [--explain] rendering. *)
 
-val allow : t -> Automata.Nfa.state -> Schema.Mtype.t -> bool
-(** May a schema-conforming evaluation inhabit query state [q] at a
-    node of the given sort and still finish the query?  The pruning
-    predicate of {!Eval.eval_from_typed}: pairs that are reachable and
-    co-reachable in the product. *)
-
-val state_live : t -> Automata.Nfa.state -> bool
-(** Some sort is allowed at this query state.  The pruning predicate
-    for nodes whose sort is unknown. *)
-
 val nfa : t -> Automata.Nfa.t * Automata.Nfa.state
 (** The query automaton the checker built (fresh-state Thompson over
-    the annotated AST) and its start state; {!allow}/{!state_live} are
-    indexed by {e its} states, so the typed evaluator must run this
-    automaton. *)
+    the annotated AST) and its start state; {!admit} is indexed by
+    {e its} states, so the typed evaluator must run this automaton. *)
 
-val type_graph :
-  Schema.Mschema.t -> Sgraph.Graph.t -> Sgraph.Graph.node -> Schema.Mtype.t option
-(** Type the nodes of a data graph by BFS from the root (the root gets
-    [DBtype]; [Schema_graph.successor] drives each edge).  Nodes that
-    are unreachable, reached under two different sorts, or reached only
-    along edges the schema does not admit map to [None] — the pruned
+(** {1 Typing a data graph} *)
+
+type typing
+(** A sort, or none, for every node of a graph: a dense array of sort
+    indexes (the states of [Schema_graph.automaton]). *)
+
+val type_graph : Schema.Mschema.t -> Sgraph.Graph.t -> typing
+(** Types the nodes of a data graph by their sorts: the sort states of
+    the reachable pairs of the product of the graph from its root with
+    [Schema_graph.automaton] from [DBtype], found by one BFS over those
+    pairs.  A node gets a sort only when it has exactly one, so the
+    typing does not depend on the order the edges were added in.  Every
+    reachable node of a graph that conforms to the schema has one.
+    Nodes that are unreachable, reached under two sorts, or reached only
+    along edges the schema does not admit are untyped — the pruned
     evaluation treats them conservatively, so a partial typing degrades
-    performance, never answers. *)
+    performance, never answers.  Nodes added after the typing are
+    untyped. *)
+
+val typing_of :
+  Schema.Mschema.t ->
+  Sgraph.Graph.t ->
+  (Sgraph.Graph.node -> Schema.Mtype.t option) ->
+  typing
+(** An explicit typing of the graph's current nodes, e.g. an instance's
+    ground-truth sorts; a sort outside [T(Delta)] counts as untyped. *)
+
+val sort_of : typing -> Sgraph.Graph.node -> Schema.Mtype.t option
+
+val admit : t -> typing option -> Sgraph.Graph.node -> Automata.Nfa.state -> bool
+(** [admit tc typing]: the pruning predicate of
+    {!Eval.eval_from_typed}, for {!Sgraph.Eval.run}'s [?admit].  It
+    admits a pair [(v, q)] when a schema-conforming evaluation may
+    inhabit query state [q] at [v] and still finish the query: when the
+    product pair of [q] and [v]'s sort is reachable and co-reachable,
+    or, for an untyped [v] (or no typing), when such a pair exists for
+    some sort.  The liveness of every (query state, sort) pair is one
+    bitmap, so the predicate is two array reads.
+    @raise Invalid_argument if the typing is over another schema. *)

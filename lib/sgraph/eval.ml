@@ -19,9 +19,14 @@ let chain rho = Chain (Path.to_labels rho)
 let rec walk ~back g frontier = function
   | [] -> frontier
   | k :: rest ->
+      let id = Label.id k in
       let step x acc =
-        List.fold_left (fun a y -> NS.add y a) acc
-          (if back then Graph.pred g x k else Graph.succ g x k)
+        let r : Graph.run = if back then Graph.in_run g x id else Graph.out_run g x id in
+        let acc = ref acc in
+        for i = 0 to r.len - 1 do
+          acc := NS.add r.targets.(i) !acc
+        done;
+        !acc
       in
       walk ~back g (NS.fold step frontier NS.empty) rest
 
@@ -50,7 +55,7 @@ let test_and_set b v =
   let c = Char.code (Bytes.unsafe_get b i) in
   c land m <> 0 || (Bytes.unsafe_set b i (Char.unsafe_chr (c lor m)); false)
 
-(* The product BFS over the graph's frozen snapshot.  A pair (v, q) is
+(* The product BFS over the graph's runs.  A pair (v, q) is
    the int [v * n + q], pushed on [queue], which is never shrunk: a
    pair's position there names it.  [visited.(q)] holds q's bitset over
    the nodes, allocated when q is first reached.  A pair is marked
@@ -66,14 +71,14 @@ type search = { queue : buf; hits : buf; from : buf; via : buf }
 
 let product ~parents admit interrupt g src a =
   if not (Graph.mem_node g src) then invalid_arg "Eval.run: unknown node";
-  let csr = Graph.freeze g in
+  let nodes = Graph.node_count g in
   let n = Array.length a.delta in
-  let visited = Array.make n Bytes.empty and answered = bits csr.nodes in
+  let visited = Array.make n Bytes.empty and answered = bits nodes in
   let s = { queue = buf (); hits = buf (); from = buf (); via = buf () } in
   let admit = Option.value admit ~default:(fun _ _ -> true) in
   let stop = Option.value interrupt ~default:(fun () -> false) in
   let visit v q from via =
-    if visited.(q) == Bytes.empty then visited.(q) <- bits csr.nodes;
+    if visited.(q) == Bytes.empty then visited.(q) <- bits nodes;
     if (not (test_and_set visited.(q) v)) && admit v q then begin
       if a.final.(q) && not (test_and_set answered v) then push s.hits s.queue.len;
       push s.queue ((v * n) + q);
@@ -91,13 +96,12 @@ let product ~parents admit interrupt g src a =
     let moves = a.delta.(p mod n) in
     for i = 0 to Array.length moves - 1 do
       let m = moves.(i) in
-      let r = Graph.find_run csr (p / n) m.id in
-      if r >= 0 then
-        for e = csr.run_start.(r) to csr.run_start.(r + 1) - 1 do
-          for j = 0 to Array.length m.next - 1 do
-            visit csr.targets.(e) m.next.(j) !head i
-          done
+      let r = Graph.out_run g (p / n) m.id in
+      for e = 0 to r.len - 1 do
+        for j = 0 to Array.length m.next - 1 do
+          visit r.targets.(e) m.next.(j) !head i
         done
+      done
     done;
     incr head
   done;

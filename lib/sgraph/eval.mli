@@ -42,14 +42,13 @@ val run :
     if [admit v q], and [interrupt] is polled once per pair dequeued.
     A chain takes [|a|] frontier steps, neither pruned nor polled.
 
-    An [Nfa] walks [g]'s {!Graph.freeze} snapshot, so the first walk
-    after a mutation pays [O(|G|)] to build it and later walks of the
-    same graph pay nothing.  Visited pairs are one bitset over the nodes
-    per automaton state, allocated when the walk first reaches the
-    state, so a walk that touches few states stays cheap.  A pair is
-    marked visited before it is offered to [admit], so [admit] is called
-    at most once per pair; only admitted pairs are queued, and only they
-    answer.  A chain walks the mutable adjacency and never freezes.
+    Both cases read [g]'s runs ({!Graph.out_run}) by label id, so a
+    walk needs no set-up beyond its visited sets.  An [Nfa]'s visited
+    pairs are one bitset over the nodes per automaton state, allocated
+    when the walk first reaches the state, so a walk that touches few
+    states stays cheap.  A pair is marked visited before it is offered
+    to [admit], so [admit] is called at most once per pair; only
+    admitted pairs are queued, and only they answer.
     @raise Interrupted when [interrupt] fires.
     @raise Invalid_argument if [x] is not a node of [g] (an [Nfa] only). *)
 

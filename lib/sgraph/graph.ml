@@ -5,106 +5,133 @@ type node = int
 
 module Node_set = Set.Make (Int)
 
-type t = {
-  mutable size : int;
-  adj : (node * Label.t, node list) Hashtbl.t;
-  radj : (node * Label.t, node list) Hashtbl.t;
-  mem : (node * Label.t * node, unit) Hashtbl.t;
-  outl : (node, Label.Set.t) Hashtbl.t;
-  inl : (node, Label.Set.t) Hashtbl.t;
-  mutable all_labels : Label.Set.t;
-  mutable edge_count : int;
-  frozen : csr option Atomic.t;
-      (* the snapshot of the current edges, if one was taken since the
-         last mutation; atomic so a snapshot built by one domain is
-         published whole to the others *)
+type run = {
+  label : Label.t;
+  id : int;
+  mutable targets : node array;
+  mutable len : int;
 }
 
-and csr = {
-  nodes : int;
-  first_run : int array;
-  run_label : int array;
-  run_start : int array;
-  targets : node array;
+(* Edge membership, keyed by (source, label id, target). *)
+module Edge = Hashtbl.Make (struct
+  type t = int * int * int
+
+  let equal (x, k, y) (x', k', y') = x = x' && k = k' && y = y'
+  let hash (x, k, y) = Hashtbl.hash ((((x * 65599) + k) * 65599) + y)
+end)
+
+type t = {
+  mutable size : int;
+  mutable out : run array array;
+  mutable inn : run array array;
+      (* per node, its runs in label order; both arrays have spare room
+         beyond [size] *)
+  mem : unit Edge.t;
+  mutable all_labels : Label.Set.t;
 }
 
 let create () =
   {
     size = 1;
-    adj = Hashtbl.create 64;
-    radj = Hashtbl.create 64;
-    mem = Hashtbl.create 64;
-    outl = Hashtbl.create 64;
-    inl = Hashtbl.create 64;
+    out = Array.make 8 [||];
+    inn = Array.make 8 [||];
+    mem = Edge.create 16;
     all_labels = Label.Set.empty;
-    edge_count = 0;
-    frozen = Atomic.make None;
   }
 
 let root _ = 0
 
-(* Every mutation drops the snapshot.  The test keeps the write (a
-   fence) off the chase's add_edge loop, which never freezes. *)
-let thaw g = if Option.is_some (Atomic.get g.frozen) then Atomic.set g.frozen None
-
 let add_node g =
-  thaw g;
   let n = g.size in
+  if n = Array.length g.out then begin
+    let grow a = Array.append a (Array.make n [||]) in
+    g.out <- grow g.out;
+    g.inn <- grow g.inn
+  end;
   g.size <- n + 1;
   n
 
 let mem_node g n = n >= 0 && n < g.size
 
-let succ g x k = Option.value ~default:[] (Hashtbl.find_opt g.adj (x, k))
-let pred g y k = Option.value ~default:[] (Hashtbl.find_opt g.radj (y, k))
+let no_run = { label = Label.make "_"; id = -1; targets = [||]; len = 0 }
 
-let has_edge g x k y = Hashtbl.mem g.mem (x, k, y)
+(* A scan: nodes have few labels. *)
+let rec find_from runs id i =
+  if i = Array.length runs then no_run
+  else if runs.(i).id = id then runs.(i)
+  else find_from runs id (i + 1)
 
-let add_label_index tbl n k =
-  let set = Option.value ~default:Label.Set.empty (Hashtbl.find_opt tbl n) in
-  Hashtbl.replace tbl n (Label.Set.add k set)
+let find runs id = find_from runs id 0
 
-let remove_label_index tbl n k =
-  match Hashtbl.find_opt tbl n with
-  | None -> ()
-  | Some set ->
-      let set = Label.Set.remove k set in
-      if Label.Set.is_empty set then Hashtbl.remove tbl n
-      else Hashtbl.replace tbl n set
+let out_run g x id = find g.out.(x) id
+let in_run g y id = find g.inn.(y) id
+
+(* A run's targets, newest first. *)
+let newest_first r =
+  let rec go i acc = if i = r.len then acc else go (i + 1) (r.targets.(i) :: acc) in
+  go 0 []
+
+let succ g x k = newest_first (out_run g x (Label.id k))
+let pred g y k = newest_first (in_run g y (Label.id k))
+
+let has_edge g x k y = Edge.mem g.mem (x, Label.id k, y)
+
+(* Append [v] to [tbl.(n)]'s run for [k], inserting the run in label
+   order if [n] has none. *)
+let append tbl n k id v =
+  let runs = tbl.(n) in
+  let r = find runs id in
+  if r != no_run then begin
+    if r.len = Array.length r.targets then begin
+      let a = Array.make (2 * r.len) 0 in
+      Array.blit r.targets 0 a 0 r.len;
+      r.targets <- a
+    end;
+    r.targets.(r.len) <- v;
+    r.len <- r.len + 1
+  end
+  else begin
+    let r = { label = k; id; targets = [| v |]; len = 1 } in
+    let n_runs = Array.length runs in
+    let i = ref 0 in
+    while !i < n_runs && Label.compare runs.(!i).label k < 0 do
+      incr i
+    done;
+    tbl.(n) <-
+      Array.init (n_runs + 1) (fun j ->
+          if j < !i then runs.(j) else if j = !i then r else runs.(j - 1))
+  end
+
+(* Drop [v] from [tbl.(n)]'s run [id], keeping the other targets in
+   order; a run left empty goes. *)
+let remove tbl n id v =
+  let runs = tbl.(n) in
+  let r = find runs id in
+  let i = ref (r.len - 1) in
+  while r.targets.(!i) <> v do
+    decr i
+  done;
+  Array.blit r.targets (!i + 1) r.targets !i (r.len - !i - 1);
+  r.len <- r.len - 1;
+  if r.len = 0 then tbl.(n) <- Array.of_list (List.filter (( != ) r) (Array.to_list runs))
 
 let add_edge g x k y =
   if not (mem_node g x && mem_node g y) then
     invalid_arg "Graph.add_edge: unknown node";
-  if not (has_edge g x k y) then begin
-    thaw g;
-    Hashtbl.replace g.mem (x, k, y) ();
-    Hashtbl.replace g.adj (x, k) (y :: succ g x k);
-    Hashtbl.replace g.radj (y, k) (x :: pred g y k);
-    add_label_index g.outl x k;
-    add_label_index g.inl y k;
-    g.all_labels <- Label.Set.add k g.all_labels;
-    g.edge_count <- g.edge_count + 1
+  let id = Label.id k in
+  if not (Edge.mem g.mem (x, id, y)) then begin
+    Edge.add g.mem (x, id, y) ();
+    append g.out x k id y;
+    append g.inn y k id x;
+    g.all_labels <- Label.Set.add k g.all_labels
   end
 
-let remove_from_bucket tbl key n =
-  match Hashtbl.find_opt tbl key with
-  | None -> []
-  | Some l -> (
-      match List.filter (fun m -> m <> n) l with
-      | [] ->
-          Hashtbl.remove tbl key;
-          []
-      | l' ->
-          Hashtbl.replace tbl key l';
-          l')
-
 let remove_edge g x k y =
-  if has_edge g x k y then begin
-    thaw g;
-    Hashtbl.remove g.mem (x, k, y);
-    if remove_from_bucket g.adj (x, k) y = [] then remove_label_index g.outl x k;
-    if remove_from_bucket g.radj (y, k) x = [] then remove_label_index g.inl y k;
-    g.edge_count <- g.edge_count - 1
+  let id = Label.id k in
+  if Edge.mem g.mem (x, id, y) then begin
+    Edge.remove g.mem (x, id, y);
+    remove g.out x id y;
+    remove g.inn y id x
     (* [all_labels] is deliberately left alone: it stays an over-
        approximation of the labels in use, which is all its clients
        (alphabet choices) need. *)
@@ -128,33 +155,42 @@ let ensure_path g x rho =
   let rec go src = function
     | [] -> src
     | k :: rest -> (
-        match succ g src k with
-        | y :: _ -> go y rest
-        | [] ->
-            let y = add_node g in
-            add_edge g src k y;
-            go y rest)
+        let r = out_run g src (Label.id k) in
+        if r.len > 0 then go r.targets.(r.len - 1) rest
+        else
+          let y = add_node g in
+          add_edge g src k y;
+          go y rest)
   in
   go x (Path.to_labels rho)
 
-let out_labels g n = Option.value ~default:Label.Set.empty (Hashtbl.find_opt g.outl n)
-let in_labels g n = Option.value ~default:Label.Set.empty (Hashtbl.find_opt g.inl n)
+let labels_of runs =
+  Array.fold_left (fun s r -> Label.Set.add r.label s) Label.Set.empty runs
+
+let out_runs g n = g.out.(n)
+let out_labels g n = labels_of g.out.(n)
+let in_labels g n = labels_of g.inn.(n)
 
 let succ_all g n =
-  Label.Set.fold
-    (fun k acc -> List.fold_left (fun acc y -> (k, y) :: acc) acc (succ g n k))
-    (out_labels g n) []
+  Array.fold_left
+    (fun acc r ->
+      let rec go i acc = if i < 0 then acc else go (i - 1) ((r.label, r.targets.(i)) :: acc) in
+      go (r.len - 1) acc)
+    [] g.out.(n)
 
 let node_count g = g.size
-let edge_count g = g.edge_count
+let edge_count g = Edge.length g.mem
 
 let nodes g = List.init g.size (fun i -> i)
 
 let iter_edges g f =
   for x = 0 to g.size - 1 do
-    Label.Set.iter
-      (fun k -> List.iter (fun y -> f x k y) (succ g x k))
-      (out_labels g x)
+    Array.iter
+      (fun r ->
+        for i = r.len - 1 downto 0 do
+          f x r.label r.targets.(i)
+        done)
+      g.out.(x)
   done
 
 let fold_edges g f acc =
@@ -167,57 +203,16 @@ let edges g = List.rev (fold_edges g (fun acc x k y -> (x, k, y) :: acc) [])
 let labels g = g.all_labels
 
 let copy g =
+  let copy_runs =
+    Array.map (Array.map (fun r -> { r with targets = Array.sub r.targets 0 r.len }))
+  in
   {
     size = g.size;
-    adj = Hashtbl.copy g.adj;
-    radj = Hashtbl.copy g.radj;
-    mem = Hashtbl.copy g.mem;
-    outl = Hashtbl.copy g.outl;
-    inl = Hashtbl.copy g.inl;
+    out = copy_runs g.out;
+    inn = copy_runs g.inn;
+    mem = Edge.copy g.mem;
     all_labels = g.all_labels;
-    edge_count = g.edge_count;
-    frozen = Atomic.make (Atomic.get g.frozen);
   }
-
-(* Two passes straight into the arrays: count each node's runs, then
-   fill them.  [succ] lists a run newest first, so it is written from
-   the run's end to leave the targets in insertion order. *)
-let build g =
-  let nodes = g.size in
-  let first_run = Array.make (nodes + 1) 0 in
-  for v = 0 to nodes - 1 do
-    first_run.(v + 1) <- first_run.(v) + Label.Set.cardinal (out_labels g v)
-  done;
-  let runs = first_run.(nodes) in
-  let run_label = Array.make runs 0 and run_start = Array.make (runs + 1) 0 in
-  let targets = Array.make g.edge_count 0 in
-  let r = ref 0 in
-  for v = 0 to nodes - 1 do
-    Label.Set.iter
-      (fun k ->
-        let ys = succ g v k in
-        let stop = run_start.(!r) + List.length ys in
-        run_label.(!r) <- Label.id k;
-        List.iteri (fun i y -> targets.(stop - 1 - i) <- y) ys;
-        incr r;
-        run_start.(!r) <- stop)
-      (out_labels g v)
-  done;
-  { nodes; first_run; run_label; run_start; targets }
-
-let freeze g =
-  match Atomic.get g.frozen with
-  | Some c -> c
-  | None ->
-      let c = build g in
-      Atomic.set g.frozen (Some c);
-      c
-
-let find_run c v id =
-  let rec go r stop =
-    if r = stop then -1 else if c.run_label.(r) = id then r else go (r + 1) stop
-  in
-  go c.first_run.(v) c.first_run.(v + 1)
 
 let of_edges es =
   let g = create () in
@@ -246,7 +241,7 @@ let sorted_edges g =
 let equal g h = g.size = h.size && sorted_edges g = sorted_edges h
 
 let pp ppf g =
-  Format.fprintf ppf "@[<v>graph: %d nodes, %d edges@," g.size g.edge_count;
+  Format.fprintf ppf "@[<v>graph: %d nodes, %d edges@," g.size (edge_count g);
   iter_edges g
     (fun x k y -> Format.fprintf ppf "  %d -%a-> %d@," x Label.pp k y);
   Format.fprintf ppf "@]"

@@ -5,7 +5,22 @@
     rooted edge-labeled directed graph.  Nodes are dense integers; node 0
     is always the root.  Graphs are mutable (they are built by generators
     and by the chase, which extends them in place); {!copy} gives an
-    independent copy, and {!freeze} a read-only snapshot for walkers. *)
+    independent copy.
+
+    Each edge is stored once in each direction: every node holds its
+    out-edges and its in-edges as {e runs}, one per label, in label
+    order ({!Pathlang.Label.compare}); a run lists its far endpoints in
+    the order their edges were added.  One hash table on
+    [(source, Label.id label, target)] answers edge membership, so
+    adding a duplicate edge costs O(1) whatever the run's length.
+
+    {b Iteration orders} are part of the contract (serializations,
+    the chase's repair sequence and witness tie-breaks depend on them):
+    {!succ} and {!pred} list newest edge first; {!succ_all} lists labels
+    descending, each label's targets oldest first; {!iter_edges} visits
+    nodes ascending, then labels ascending, then targets newest first;
+    {!ensure_path} follows the newest edge.  Removing an edge keeps the
+    order of the others. *)
 
 type node = int
 
@@ -37,8 +52,8 @@ val ensure_path : t -> node -> Pathlang.Path.t -> node
     missing suffix. *)
 
 val remove_edge : t -> node -> Pathlang.Label.t -> node -> unit
-(** Removes an edge if present (the node itself stays).  The label
-    indexes and {!edge_count} are kept exact; {!labels} may keep
+(** Removes an edge if present (the node itself stays).  The runs and
+    {!edge_count} are kept exact; {!labels} may keep
     reporting a label whose last edge was removed (it is documented as
     an over-approximation). *)
 
@@ -59,8 +74,8 @@ val edge_count : t -> int
 val nodes : t -> node list
 
 val iter_edges : t -> (node -> Pathlang.Label.t -> node -> unit) -> unit
-(** Iterates every edge without materializing a list; edges are visited
-    grouped by source node in increasing node order. *)
+(** Iterates every edge without materializing a list, in the order
+    stated above: by ascending source, then label, newest edge first. *)
 
 val fold_edges : t -> ('a -> node -> Pathlang.Label.t -> node -> 'a) -> 'a -> 'a
 
@@ -74,42 +89,35 @@ val labels : t -> Pathlang.Label.Set.t
 val mem_node : t -> node -> bool
 
 val copy : t -> t
-(** An independent graph with the same nodes and edges.  It shares the
-    original's {!freeze} snapshot, if one was taken: the snapshot is
-    immutable, and mutating either graph drops only that graph's. *)
+(** An independent graph with the same nodes and edges, in the same
+    orders. *)
 
-(** {1 Frozen snapshot}
+(** {1 Runs}
 
-    A read-only forward adjacency in compressed sparse rows, for
-    walkers that visit every edge many times ({!Eval}'s product BFS).
-    Node [v]'s out-edges are the {e runs}
-    [first_run.(v) .. first_run.(v + 1) - 1], one per out-label; run
-    [r] carries the label [run_label.(r)] (a {!Pathlang.Label.id}) and
-    the targets [targets.(run_start.(r)) .. targets.(run_start.(r + 1) - 1)]
-    in the order their edges were added.
+    Read access for walkers ({!Eval}'s product BFS and chain case):
+    node [v]'s out-edges labelled [k] are the run
+    [targets.(0) .. targets.(len - 1)], oldest first, with
+    [id = Label.id k].  A run is live: it changes as edges are added
+    and removed, so a walker must not mutate the graph while it reads
+    one.  The arrays must not be written. *)
 
-    The snapshot is built on first use in [O(|G|)], in two passes
-    straight into the arrays, and cached in the graph until the next
-    {!add_node}, {!add_edge} or {!remove_edge} that changes it drops it;
-    walkers of graphs that mutate between walks (the chase, {!Enumerate})
-    should not freeze.  Graphs may be frozen from several domains at
-    once: a racing first use may build the snapshot twice, and each
-    domain sees a complete one.  The arrays must not be written. *)
-
-type csr = private {
-  nodes : int;  (** {!node_count} when the snapshot was taken *)
-  first_run : int array;
-  run_label : int array;
-  run_start : int array;
-  targets : node array;
+type run = private {
+  label : Pathlang.Label.t;
+  id : int;  (** [Pathlang.Label.id label] *)
+  mutable targets : node array;  (** room beyond [len] is unused *)
+  mutable len : int;
 }
 
-val freeze : t -> csr
-(** The graph's current snapshot, built if it has none. *)
+val out_run : t -> node -> int -> run
+(** [out_run g v id]: [v]'s out-run labelled [id], or an empty run
+    ([len = 0]); a scan of [v]'s runs. *)
 
-val find_run : csr -> node -> int -> int
-(** [find_run c v id]: [v]'s run labelled [id], or [-1]; a scan of
-    [v]'s runs. *)
+val in_run : t -> node -> int -> run
+(** [in_run g v id]: the sources of [v]'s in-edges labelled [id], as
+    {!out_run}. *)
+
+val out_runs : t -> node -> run array
+(** [v]'s out-runs in label order. *)
 
 val of_edges : (int * string * int) list -> t
 (** Builds a graph from raw edges; node ids may be sparse, they are used

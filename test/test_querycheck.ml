@@ -453,7 +453,7 @@ let test_typed_untyped_differential () =
     let st = Schema.Instance.to_structure inst in
     let g = st.Stypecheck.graph in
     let tc = Typecheck.run schema ast in
-    let class_of v = Stypecheck.type_of st v in
+    let class_of = Typecheck.typing_of schema g (Stypecheck.type_of st) in
     let untyped = Eval.eval g (Qparser.regex_of ast) in
     let typed = Eval.eval_typed ~class_of tc g in
     Alcotest.(check bool)

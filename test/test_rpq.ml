@@ -6,8 +6,13 @@ module Regex = Rpq.Regex
 module Rpq_ = Rpq.Eval
 module NS = Graph.Node_set
 
+let parse_result s =
+  Result.map Rpq.Parser.regex_of (Rpq.Parser.parse s)
+
 let parse s =
-  match Regex.parse s with Ok r -> r | Error e -> Alcotest.failf "parse %S: %s" s e
+  match parse_result s with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "parse %S: %s" s (Rpq.Parser.error_to_string e)
 
 (* --- parsing / printing ---------------------------------------------------- *)
 
@@ -22,8 +27,8 @@ let test_parse () =
     (Regex.to_string (parse "a+") = "a.a*");
   check_bool "opt desugars" true
     (match parse "a?" with Regex.Alt (Regex.Eps, _) -> true | _ -> false);
-  check_bool "unbalanced rejected" true (Result.is_error (Regex.parse "(a"));
-  check_bool "trailing rejected" true (Result.is_error (Regex.parse "a)b"))
+  check_bool "unbalanced rejected" true (Result.is_error (parse_result "(a"));
+  check_bool "trailing rejected" true (Result.is_error (parse_result "a)b"))
 
 let prop_parse_roundtrip =
   let rec gen_regex depth =
@@ -43,7 +48,7 @@ let prop_parse_roundtrip =
   q ~count:200 "parse . to_string = id (up to language)"
     (QCheck.make (gen_regex 3) ~print:Regex.to_string)
     (fun r ->
-      match Regex.parse (Regex.to_string r) with
+      match parse_result (Regex.to_string r) with
       | Ok r' -> Regex.equivalent r r'
       | Error _ -> false)
 
@@ -75,16 +80,7 @@ let gen_regex_smart depth0 =
 let prop_exact_roundtrip =
   q ~count:500 "parse (to_string r) = r structurally"
     (QCheck.make (gen_regex_smart 4) ~print:Regex.to_string)
-    (fun r -> Regex.parse (Regex.to_string r) = Ok r)
-
-let prop_span_parser_agrees =
-  q ~count:500 "span parser and Regex.parse build the same term"
-    (QCheck.make (gen_regex_smart 4) ~print:Regex.to_string)
-    (fun r ->
-      let s = Regex.to_string r in
-      match Rpq.Parser.parse s with
-      | Ok ast -> Rpq.Parser.regex_of ast = r
-      | Error _ -> false)
+    (fun r -> parse_result (Regex.to_string r) = Ok r)
 
 let test_print_precedence () =
   let l n = Regex.letter (Label.make n) in
@@ -94,12 +90,12 @@ let test_print_precedence () =
   check_string "left-nested concat parenthesizes" "(a.b).c"
     (Regex.to_string left_cat);
   check_bool "and round-trips" true
-    (Regex.parse (Regex.to_string left_cat) = Ok left_cat);
+    (parse_result (Regex.to_string left_cat) = Ok left_cat);
   let left_alt = Regex.Alt (Regex.Alt (a, b), c) in
   check_string "left-nested alt parenthesizes" "(a|b)|c"
     (Regex.to_string left_alt);
   check_bool "and round-trips" true
-    (Regex.parse (Regex.to_string left_alt) = Ok left_alt);
+    (parse_result (Regex.to_string left_alt) = Ok left_alt);
   (* right-nested stays clean *)
   check_string "right-nested concat" "a.b.c"
     (Regex.to_string (Regex.Concat (a, Regex.Concat (b, c))))
@@ -345,7 +341,7 @@ let test_eval_interrupt () =
   check_bool "a silent hook changes nothing" true
     (NS.equal (Rpq_.eval ~interrupt:(fun () -> false) g r) (Rpq_.eval g r))
 
-(* --- the product over a frozen snapshot ---------------------------------- *)
+(* --- the product over the graph's runs ------------------------------------ *)
 
 (* An M schema over the generators' labels, so typed evaluation runs
    (and prunes) on random graphs too. *)
@@ -368,11 +364,9 @@ let typecheck r =
 let fixed_queries = List.map parse [ "(a|b|c)*"; "a.b*"; "(a.b)*.c"; "c*.a|b"; "a?.c+" ]
 
 (* Untyped and typed answers from the root and from the newest node,
-   under one node typing.  The typing is taken from the graph under
-   test and reused on its rebuilt twin: on a graph that does not
-   conform to the schema, [type_graph] depends on the order edges were
-   added in, and the twin adds them in another. *)
-let answers ~class_of rs g =
+   the typed ones under the graph's own node typing. *)
+let answers rs g =
+  let class_of = Rpq.Typecheck.type_graph abc_schema g in
   List.concat_map
     (fun v ->
       List.concat_map
@@ -426,36 +420,56 @@ let apply g = function
   | Node -> ignore (Graph.add_node g)
   | Copy _ -> ()
 
-(* Every evaluation walks the graph's cached snapshot; after each
-   mutation it must still answer as a graph built from scratch does,
-   and mutating a copy must not reach the original's snapshot. *)
-let prop_snapshot_invalidation =
-  q ~count:150 "snapshot answers = rebuilt graph's"
+(* Every evaluation reads the graph's runs; after each mutation it must
+   still answer as a graph built from scratch does, and mutating a copy
+   must not reach the original's runs. *)
+let prop_runs_after_mutation =
+  q ~count:150 "runs answers = rebuilt graph's"
     QCheck.(
       triple arb_graph
         (QCheck.make (gen_regex_smart 3) ~print:Regex.to_string)
         (QCheck.make ~print:(QCheck.Print.list show_op) (QCheck.Gen.list_size (QCheck.Gen.int_bound 8) gen_op)))
     (fun (g, r, ops) ->
       let rs = r :: fixed_queries in
-      let agrees g =
-        let class_of = Rpq.Typecheck.type_graph abc_schema g in
-        answers ~class_of rs g = answers ~class_of rs (rebuilt g)
-      in
+      let agrees g = answers rs g = answers rs (rebuilt g) in
       agrees g
       && List.for_all
            (fun op ->
              match op with
              | Copy ops ->
-                 let class_of = Rpq.Typecheck.type_graph abc_schema g in
-                 let before = answers ~class_of rs g and h = Graph.copy g in
-                 (* [h] first answers from the snapshot it shares with [g] *)
+                 let before = answers rs g and h = Graph.copy g in
                  agrees h
                  && List.for_all (fun op -> apply h op; agrees h) ops
-                 && answers ~class_of rs g = before
+                 && answers rs g = before
              | op ->
                  apply g op;
                  agrees g)
            ops)
+
+(* A graph that does not conform to [abc_schema]: nodes 1 and 2 are
+   reached under both C and D, so they stay untyped, and the typed
+   answers of [c*.a|b] are the untyped {2} under each of the 720 orders
+   its edges can be added in. *)
+let test_typing_order_free () =
+  let edges = [ (0, "b", 2); (0, "c", 2); (0, "c", 1); (1, "c", 3); (1, "c", 2); (2, "c", 1) ] in
+  let r = parse "c*.a|b" in
+  let tc = typecheck r in
+  let rec perms = function
+    | [] -> [ [] ]
+    | l -> List.concat_map (fun x -> List.map (List.cons x) (perms (List.filter (( <> ) x) l))) l
+  in
+  let orders = perms edges in
+  check_int "every order" 720 (List.length orders);
+  List.iter
+    (fun es ->
+      let g = Graph.of_edges es in
+      let class_of = Rpq.Typecheck.type_graph abc_schema g in
+      check_bool "untyped {2}" true (NS.elements (Rpq_.eval g r) = [ 2 ]);
+      check_bool "typed {2}" true (NS.elements (Rpq_.eval_typed ~class_of tc g) = [ 2 ]);
+      check_bool "1 and 2 untyped, 3 is C" true
+        (List.map (Rpq.Typecheck.sort_of class_of) [ 1; 2; 3 ]
+        = [ None; None; Some (Schema.Mtype.Class (Schema.Mtype.cname "C")) ]))
+    orders
 
 (* Marking a pair before admitting it: [admit] sees each pair at most
    once, even one it rejects, and the interrupt hook is polled once per
@@ -477,9 +491,8 @@ let prop_admit_once =
       ignore (Sgraph.Eval.run ~admit ~interrupt g 0 (Sgraph.Eval.Nfa a));
       Hashtbl.fold (fun _ n ok -> ok && n = 1) asked true && !polls = !admitted)
 
-(* One graph, never frozen before the pool starts, evaluated from four
-   domains at once: a racing first freeze may build the snapshot twice,
-   but every domain answers as a sequential run on a copy does. *)
+(* One graph evaluated from four domains at once: every domain answers
+   as a sequential run on a copy does. *)
 let test_shared_graph_domains () =
   let g =
     Sgraph.Gen.random ~rng:(Random.State.make [| 19 |]) ~nodes:300 ~labels
@@ -548,7 +561,6 @@ let () =
           Alcotest.test_case "parse" `Quick test_parse;
           prop_parse_roundtrip;
           prop_exact_roundtrip;
-          prop_span_parser_agrees;
           Alcotest.test_case "printer precedence" `Quick test_print_precedence;
           Alcotest.test_case "token spans" `Quick test_parser_spans;
           Alcotest.test_case "matches" `Quick test_matches;
@@ -576,8 +588,9 @@ let () =
         ] );
       ( "product",
         [
-          prop_snapshot_invalidation;
+          prop_runs_after_mutation;
           prop_admit_once;
+          Alcotest.test_case "typing ignores edge order" `Quick test_typing_order_free;
           Alcotest.test_case "shared graph, four domains" `Quick
             test_shared_graph_domains;
         ] );

@@ -62,6 +62,189 @@ let test_copy_independent () =
   check_int "original unchanged" 1 (Graph.edge_count g);
   check_int "copy changed" 2 (Graph.edge_count h)
 
+(* --- a model of Graph: the edge list in insertion order ----------------- *)
+
+(* [edges] is oldest first; a removed edge leaves the others in order. *)
+type model = { size : int; edges : (int * Label.t * int) list }
+
+let m_mem m e = List.mem e m.edges
+let m_add m ((x, _, y) as e) =
+  assert (x < m.size && y < m.size);
+  if m_mem m e then m else { m with edges = m.edges @ [ e ] }
+
+let m_remove m e = { m with edges = List.filter (( <> ) e) m.edges }
+let m_node m = ({ m with size = m.size + 1 }, m.size)
+
+let newest_first m f = List.rev (List.filter_map f m.edges)
+let m_succ m x k = newest_first m (fun (x', k', y) -> if x = x' && k = k' then Some y else None)
+let m_pred m y k = newest_first m (fun (x, k', y') -> if y = y' && k = k' then Some x else None)
+
+let m_labels m f = Label.Set.of_list (List.filter_map f m.edges)
+let m_out_labels m x = m_labels m (fun (x', k, _) -> if x = x' then Some k else None)
+let m_in_labels m y = m_labels m (fun (_, k, y') -> if y = y' then Some k else None)
+
+(* labels descending, each label's targets oldest first *)
+let m_succ_all m x =
+  List.concat_map
+    (fun k -> List.map (fun y -> (k, y)) (List.rev (m_succ m x k)))
+    (List.rev (Label.Set.elements (m_out_labels m x)))
+
+(* nodes ascending, labels ascending, targets newest first *)
+let m_iter_order m =
+  List.concat_map
+    (fun x ->
+      List.concat_map
+        (fun k -> List.map (fun y -> (x, k, y)) (m_succ m x k))
+        (Label.Set.elements (m_out_labels m x)))
+    (List.init m.size Fun.id)
+
+let m_ensure_path m x ks =
+  List.fold_left
+    (fun (m, x) k ->
+      match m_succ m x k with
+      | y :: _ -> (m, y)
+      | [] ->
+          let m, y = m_node m in
+          (m_add m (x, k, y), y))
+    (m, x) ks
+
+let m_union m h =
+  let offset = m.size in
+  let m = { m with size = m.size + h.size } in
+  List.fold_left
+    (fun m (x, k, y) -> m_add m (x + offset, k, y + offset))
+    m (m_iter_order h)
+
+let agrees_with_model g m =
+  let nodes = List.init m.size Fun.id in
+  Graph.node_count g = m.size
+  && Graph.edge_count g = List.length m.edges
+  && Graph.edges g = m_iter_order m
+  && List.for_all
+       (fun x ->
+         Label.Set.equal (Graph.out_labels g x) (m_out_labels m x)
+         && Label.Set.equal (Graph.in_labels g x) (m_in_labels m x)
+         && Graph.succ_all g x = m_succ_all m x
+         && List.for_all
+              (fun k ->
+                Graph.succ g x k = m_succ m x k
+                && Graph.pred g x k = m_pred m x k
+                && List.for_all
+                     (fun y -> Graph.has_edge g x k y = m_mem m (x, k, y))
+                     nodes)
+              labels)
+       nodes
+
+type gop =
+  | Add_node
+  | Add_edge of int * Label.t * int
+  | Remove_nth of int
+  | Remove of int * Label.t * int
+  | Ensure of int * Label.t list
+  | Union of (int * Label.t * int) list
+  | Copy of gop list
+
+let rec show_gop = function
+  | Add_node -> "node"
+  | Add_edge (x, k, y) -> Printf.sprintf "add %d %s %d" x (Label.to_string k) y
+  | Remove_nth i -> Printf.sprintf "remove #%d" i
+  | Remove (x, k, y) -> Printf.sprintf "remove %d %s %d" x (Label.to_string k) y
+  | Ensure (x, ks) ->
+      Printf.sprintf "ensure %d %s" x (String.concat "." (List.map Label.to_string ks))
+  | Union es ->
+      "union ["
+      ^ String.concat "; "
+          (List.map (fun (x, k, y) -> Printf.sprintf "%d %s %d" x (Label.to_string k) y) es)
+      ^ "]"
+  | Copy ops -> "copy [" ^ String.concat "; " (List.map show_gop ops) ^ "]"
+
+let gen_gop =
+  QCheck.Gen.(
+    let edge = triple small_nat gen_label small_nat in
+    let simple =
+      frequency
+        [
+          (2, return Add_node);
+          (6, map (fun (x, k, y) -> Add_edge (x, k, y)) edge);
+          (2, map (fun i -> Remove_nth i) small_nat);
+          (1, map (fun (x, k, y) -> Remove (x, k, y)) edge);
+          (1, map2 (fun x ks -> Ensure (x, ks)) small_nat (list_size (int_bound 3) gen_label));
+          (1, map (fun es -> Union es) (list_size (int_bound 4) (triple (int_bound 3) gen_label (int_bound 3))));
+        ]
+    in
+    frequency [ (8, simple); (1, map (fun ops -> Copy ops) (list_size (int_range 1 5) simple)) ])
+
+(* Apply [op] to [g] and its model and check that they still agree; a
+   copy is checked on its own, and the original must not move. *)
+let rec step_model g m op =
+  let n = Graph.node_count g in
+  let ok m = if agrees_with_model g m then Some m else None in
+  match op with
+  | Add_node ->
+      let m, v = m_node m in
+      if Graph.add_node g = v then ok m else None
+  | Add_edge (x, k, y) ->
+      Graph.add_edge g (x mod n) k (y mod n);
+      ok (m_add m (x mod n, k, y mod n))
+  | Remove_nth i -> (
+      match m.edges with
+      | [] -> ok m
+      | es ->
+          let ((x, k, y) as e) = List.nth es (i mod List.length es) in
+          Graph.remove_edge g x k y;
+          ok (m_remove m e))
+  | Remove (x, k, y) ->
+      Graph.remove_edge g (x mod n) k (y mod n);
+      ok (m_remove m (x mod n, k, y mod n))
+  | Ensure (x, ks) ->
+      let m, want = m_ensure_path m (x mod n) ks in
+      if Graph.ensure_path g (x mod n) (Path.of_labels ks) = want then ok m else None
+  | Union es ->
+      let h = Graph.of_edges (List.map (fun (x, k, y) -> (x, Label.to_string k, y)) es) in
+      let hm =
+        List.fold_left m_add
+          { size = 1 + List.fold_left (fun a (x, _, y) -> max a (max x y)) 0 es; edges = [] }
+          es
+      in
+      let rename = Graph.union_disjoint g h in
+      if List.for_all (fun v -> rename v = v + m.size) (List.init hm.size Fun.id) then
+        ok (m_union m hm)
+      else None
+  | Copy ops ->
+      let h = Graph.copy g in
+      let copied =
+        List.fold_left (fun hm op -> Option.bind hm (fun hm -> step_model h hm op)) (Some m) ops
+      in
+      if Option.is_some copied then ok m else None
+
+let prop_graph_model =
+  q ~count:300 "graph agrees with its edge-list model"
+    (QCheck.make ~print:(QCheck.Print.list show_gop)
+       QCheck.Gen.(list_size (int_bound 25) gen_gop))
+    (fun ops ->
+      let g = Graph.create () in
+      let m = { size = 1; edges = [] } in
+      Option.is_some
+        (List.fold_left (fun m op -> Option.bind m (fun m -> step_model g m op)) (Some m) ops))
+
+(* A set node with 20k members, each listed twice: loading stays linear
+   (membership is one hash probe, not a scan of the run). *)
+let test_big_set_node () =
+  let members = 20_000 in
+  let buf = Buffer.create (members * 24) in
+  for _ = 1 to 2 do
+    for i = 1 to members do
+      Buffer.add_string buf (Printf.sprintf "0 * %d\n" i)
+    done
+  done;
+  match Sgraph.Io.of_string (Buffer.contents buf) with
+  | Error e -> Alcotest.failf "load: %s" e
+  | Ok g ->
+      check_int "edges" members (Graph.edge_count g);
+      check_int "nodes" (members + 1) (Graph.node_count g);
+      check_bool "newest first" true
+        (List.hd (Graph.succ g 0 (Label.make "*")) = members)
+
 (* --- evaluation -------------------------------------------------------- *)
 
 let test_eval () =
@@ -289,6 +472,8 @@ let () =
           Alcotest.test_case "ensure_path" `Quick test_ensure_path;
           Alcotest.test_case "union_disjoint" `Quick test_union_disjoint;
           Alcotest.test_case "copy" `Quick test_copy_independent;
+          prop_graph_model;
+          Alcotest.test_case "20k-member set node" `Quick test_big_set_node;
         ] );
       ( "eval",
         [
