@@ -99,16 +99,16 @@ let declarations_walked schema constrs =
     (fun c ->
       List.iter
         (fun p ->
-          List.iter
-            (fun q ->
-              if not (Path.equal q p) then
-                match Schema_graph.type_of_path schema q with
-                | Some (Mtype.Class cn) ->
-                    let name = Mtype.cname_name cn in
-                    if not (List.mem name !classes) then
-                      classes := name :: !classes
-                | _ -> ())
-            (Path.prefixes p))
+          let proper = Path.length p in
+          List.iteri
+            (fun i tau ->
+              match tau with
+              | Mtype.Class cn when i < proper ->
+                  let name = Mtype.cname_name cn in
+                  if not (List.mem name !classes) then
+                    classes := name :: !classes
+              | _ -> ())
+            (Schema_graph.walk schema p))
         (Constr.paths_used c))
     constrs;
   List.sort String.compare !classes

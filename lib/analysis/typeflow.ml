@@ -1,24 +1,19 @@
-(* Type flow: which sorts of T(Delta) can inhabit each state of a path
-   expression's automaton.
+(* Type flow: the sort of every prefix of every constraint walk.
 
-   The engine is the reachability fixpoint over the product of a query
-   automaton with the schema automaton (Schema_graph.automaton): a pair
-   (q, tau) is reachable iff some word drives the query automaton from
-   its start state to q while walking the schema graph from DBtype to
-   the sort tau — i.e. iff some member of Paths(Delta) is read by the
-   query into q.  Projecting the reachable pairs onto q yields, for
-   every query state, the set of sorts its matches can carry.
+   The schema graph sigma(Delta) is deterministic: a record sort has one
+   edge per field label and a set sort only [*].  So a walk from the
+   root visits exactly one sequence of sorts, one Schema_graph.successor
+   step per label, and a prefix either has one sort or has left
+   Paths(Delta) (Schema_graph.walk).  The flow lattice of a single walk
+   is therefore a chain of singletons above the empty set, and typing
+   each prefix of each constraint is one walk per path:
 
-   For a single constraint the query automaton is just the chain of the
-   walk's labels, so "state i" is "the walk's prefix of length i" and
-   the projection types every prefix of every constraint:
-
-   - a prefix typing to the empty set is a dead path (PC600): the walk
-     leaves Paths(Delta) at the first empty step, and the missing schema
-     edge is named;
-   - over an M+ schema, the first reachable step whose sort is a set
-     type is the token that places the instance in the undecidable M+
-     cell of Table 1 (PC601), sharpening the file-level PC102;
+   - a prefix with no sort is a dead path (PC600): the walk leaves
+     Paths(Delta) at the first such step, and the missing schema edge
+     is named;
+   - over an M+ schema, the first live step whose sort is a set type is
+     the token that places the instance in the undecidable M+ cell of
+     Table 1 (PC601), sharpening the file-level PC102;
    - under --explain, the full inferred sort chain is printed per walk
      (PC602). *)
 
@@ -30,65 +25,41 @@ module Parser = Pathlang.Parser
 module Mschema = Schema.Mschema
 module Mtype = Schema.Mtype
 module Schema_graph = Schema.Schema_graph
-module Nfa = Automata.Nfa
 
+(* the reachable pairs of (walk prefix, sort): one per live prefix *)
 let states_explored =
   Obs.Counter.make ~unit_:"states" "typeflow.product.states"
 
-(* --- the generic engine ---------------------------------------------------- *)
-
-let run schema nfa ~start =
-  let snfa, ssorts, sstart = Schema_graph.automaton schema in
-  let _prod, pairs = Nfa.product nfa snfa ~start:(start, sstart) in
-  Obs.Counter.add states_explored (Array.length pairs);
-  let tbl : (Nfa.state, Mtype.Set_of.t) Hashtbl.t = Hashtbl.create 16 in
-  Array.iter
-    (fun (q, s) ->
-      let cur =
-        Option.value ~default:Mtype.Set_of.empty (Hashtbl.find_opt tbl q)
-      in
-      Hashtbl.replace tbl q (Mtype.Set_of.add ssorts.(s) cur))
-    pairs;
-  fun q ->
-    match Hashtbl.find_opt tbl q with
-    | None -> []
-    | Some s -> Mtype.Set_of.elements s
-
 (* --- per-path flows -------------------------------------------------------- *)
 
-type step = { prefix : Path.t; sorts : Mtype.t list }
+type step = { prefix : Path.t; sort : Mtype.t option }
 
 type flow = { path : Path.t; steps : step list; dies_at : int option }
 
 let of_path schema rho =
-  let labels = Path.to_labels rho in
-  let n = List.length labels in
-  let nfa = Nfa.create () in
-  Nfa.ensure_states nfa (n + 1);
-  List.iteri (fun i k -> Nfa.add_trans nfa i k (i + 1)) labels;
-  Nfa.set_final nfa n;
-  let sorts_at = run schema nfa ~start:0 in
-  let steps =
-    List.mapi
-      (fun i prefix -> { prefix; sorts = sorts_at i })
-      (Path.prefixes rho)
+  let live = Schema_graph.walk schema rho in
+  Obs.Counter.add states_explored (List.length live);
+  let rec zip prefixes sorts =
+    match (prefixes, sorts) with
+    | [], _ -> []
+    | prefix :: ps, tau :: taus -> { prefix; sort = Some tau } :: zip ps taus
+    | prefix :: ps, [] -> { prefix; sort = None } :: zip ps []
   in
-  let dies_at =
-    let rec find i = function
-      | [] -> None
-      | s :: rest -> if s.sorts = [] then Some i else find (i + 1) rest
-    in
-    find 0 steps
-  in
-  { path = rho; steps; dies_at }
+  let n = List.length live in
+  {
+    path = rho;
+    steps = zip (Path.prefixes rho) live;
+    dies_at = (if n = Path.length rho + 1 then None else Some n);
+  }
 
 let missing_edge flow =
-  match flow.dies_at with
-  | None | Some 0 -> None
-  | Some i ->
-      let last_live = List.nth flow.steps (i - 1) in
-      let k = List.nth (Path.to_labels flow.path) (i - 1) in
-      Some (last_live.sorts, k)
+  let rec find = function
+    | { sort = Some tau; _ } :: { sort = None; prefix } :: _ ->
+        Some (tau, prefix)
+    | _ :: rest -> find rest
+    | [] -> None
+  in
+  find flow.steps
 
 (* --- rendering sorts ------------------------------------------------------- *)
 
@@ -107,11 +78,6 @@ let rec sort_label schema tau =
             (List.map (fun (l, _) -> Label.to_string l) fields)
         ^ "]"
 
-let sorts_label schema = function
-  | [] -> "(dead)"
-  | [ tau ] -> sort_label schema tau
-  | taus -> String.concat " or " (List.map (sort_label schema) taus)
-
 let explain_flow schema flow =
   let labels = Array.of_list (Path.to_labels flow.path) in
   let buf = Buffer.create 64 in
@@ -120,11 +86,10 @@ let explain_flow schema flow =
       if i > 0 then
         Buffer.add_string buf
           (Printf.sprintf " -[%s]-> " (Label.to_string labels.(i - 1)));
-      Buffer.add_string buf (sorts_label schema st.sorts))
+      Buffer.add_string buf
+        (match st.sort with None -> "(dead)" | Some tau -> sort_label schema tau))
     flow.steps;
   Buffer.contents buf
-
-let explain = explain_flow
 
 (* --- the PC6xx pass -------------------------------------------------------- *)
 
@@ -182,11 +147,8 @@ let pass ~sigma_file ~schema ?(explain = false) located =
         (fun (rho, spans, flow) ->
           match missing_edge flow with
           | None -> ()
-          | Some (live_sorts, k) ->
-              let die = Option.get flow.dies_at in
-              let dead_prefix =
-                (List.nth flow.steps die).prefix
-              in
+          | Some (live_sort, dead_prefix) ->
+              let die = Path.length dead_prefix in
               add_once
                 (Diagnostic.make ~code:"PC600" ~severity:Diagnostic.Warning
                    ~file:sigma_file
@@ -195,8 +157,8 @@ let pass ~sigma_file ~schema ?(explain = false) located =
                       "dead path: sort %s has no edge labeled %s, so the \
                        prefix %s types to the empty set and the walk %s \
                        leaves Paths(Delta) at this token"
-                      (sorts_label schema live_sorts)
-                      (Label.to_string k)
+                      (sort_label schema live_sort)
+                      (Label.to_string (Option.get (Path.last dead_prefix)))
                       (Path.to_string dead_prefix)
                       (Path.to_string rho))))
         ws;
@@ -207,21 +169,19 @@ let pass ~sigma_file ~schema ?(explain = false) located =
           List.find_map
             (fun (_, spans, flow) ->
               let rec find i = function
-                | [] -> None
-                | st :: rest ->
-                    if st.sorts = [] then None (* dead from here on *)
-                    else if
-                      i > 0 && List.exists (is_set_sort schema) st.sorts
-                    then Some (i, st, spans)
+                | { sort = Some tau; _ } as st :: rest ->
+                    if i > 0 && is_set_sort schema tau then
+                      Some (i, st.prefix, tau, spans)
                     else find (i + 1) rest
+                | { sort = None; _ } :: _ | [] -> None (* dead from here on *)
               in
               find 0 flow.steps)
             ws
         in
         match trigger with
         | None -> ()
-        | Some (i, st, spans) ->
-            let k = Path.to_labels st.prefix |> List.rev |> List.hd in
+        | Some (i, prefix, tau, spans) ->
+            let k = Option.get (Path.last prefix) in
             add_once
               (Diagnostic.make ~code:"PC601" ~severity:Diagnostic.Warning
                  ~file:sigma_file
@@ -232,8 +192,8 @@ let pass ~sigma_file ~schema ?(explain = false) located =
                      instance in the undecidable M+ cell of Table 1 (Theorem \
                      5.2)"
                     (Label.to_string k)
-                    (sorts_label schema st.sorts)
-                    (Path.to_string st.prefix)))
+                    (sort_label schema tau)
+                    (Path.to_string prefix)))
       end;
       (* PC602: inferred sort annotations, on request *)
       if explain_mode then

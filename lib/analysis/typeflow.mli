@@ -1,60 +1,47 @@
-(** Type flow: typing every prefix of every constraint against the
-    schema graph, via the product of a path automaton with the schema
-    automaton.
+(** Type flow: the sort of every prefix of every constraint walk.
 
-    The reachable part of the product is the fixpoint of the flow
-    equations "a query state can carry sort [tau] iff some predecessor
-    carries a sort with an edge into [tau] under the same label"; its
-    projection onto the query automaton assigns each state the set of
-    sorts of [T(Delta)] its matches can inhabit.  For the chain
-    automaton of a single walk, state [i] is the walk's prefix of
-    length [i], which gives per-token diagnostics:
+    The schema graph is deterministic (one edge per record field, only
+    [*] out of a set), so a root-anchored walk visits exactly one
+    sequence of sorts, one {!Schema.Schema_graph.successor} step per
+    label ({!Schema.Schema_graph.walk}).  Each prefix of a walk either
+    has one sort or has left [Paths(Delta)], which gives per-token
+    diagnostics:
 
-    - {b PC600} (dead path): the first prefix typing to the empty set,
-      with the exact token and the schema edge that is missing;
-    - {b PC601} (M+ trigger): over an M+ schema, the first reachable
-      step whose sort is set-valued — the occurrence that places the
+    - {b PC600} (dead path): the first prefix with no sort, with the
+      exact token and the schema edge that is missing;
+    - {b PC601} (M+ trigger): over an M+ schema, the first live step
+      whose sort is set-valued — the occurrence that places the
       instance in the undecidable M+ cell of Table 1 (Theorem 5.2),
       sharpening the file-level [PC102];
-    - {b PC602} (explain): the full inferred sort chain of each walk. *)
+    - {b PC602} (explain): the full inferred sort chain of each walk.
 
-val run :
-  Schema.Mschema.t ->
-  Automata.Nfa.t ->
-  start:Automata.Nfa.state ->
-  Automata.Nfa.state ->
-  Schema.Mtype.t list
-(** [run schema nfa ~start] computes the flow over the product with the
-    schema automaton and returns the lookup: for each query state, the
-    sorts its matches can carry (empty iff the state is unreachable over
-    [Paths(Delta)]).  The number of explored product states is exported
-    through the [typeflow.product.states] counter. *)
+    The [typeflow.product.states] counter adds, per walk, the number of
+    reachable (prefix, sort) pairs, i.e. the live prefixes. *)
 
 type step = {
   prefix : Pathlang.Path.t;
-  sorts : Schema.Mtype.t list;  (** empty iff the prefix left Paths(Delta) *)
+  sort : Schema.Mtype.t option;  (** [None] iff the prefix left Paths(Delta) *)
 }
 
 type flow = {
   path : Pathlang.Path.t;
   steps : step list;  (** one per prefix, epsilon first; length + 1 entries *)
-  dies_at : int option;
-      (** least prefix length typing to the empty set, if any *)
+  dies_at : int option;  (** least prefix length with no sort, if any *)
 }
 
 val of_path : Schema.Mschema.t -> Pathlang.Path.t -> flow
-(** The flow of a single root-anchored walk (the chain automaton). *)
+(** The flow of a single root-anchored walk. *)
 
-val missing_edge :
-  flow -> (Schema.Mtype.t list * Pathlang.Label.t) option
-(** For a flow that dies after at least one live step: the sorts at the
-    last live step and the label they lack. *)
+val missing_edge : flow -> (Schema.Mtype.t * Pathlang.Path.t) option
+(** For a flow that dies after at least one live step: the sort at the
+    last live step and the first dead prefix, whose last label is the
+    edge that sort lacks. *)
 
 val sort_label : Schema.Mschema.t -> Schema.Mtype.t -> string
 (** Reader-facing sort name: classes/atoms by name, sets braced, the db
     type as ["db"]. *)
 
-val explain : Schema.Mschema.t -> flow -> string
+val explain_flow : Schema.Mschema.t -> flow -> string
 (** The inferred chain, e.g. ["db -[book]-> Book -[author]-> Person"];
     dead steps render as ["(dead)"]. *)
 

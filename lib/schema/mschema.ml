@@ -31,6 +31,15 @@ let rec has_set = function
   | Mtype.Set _ -> true
   | Mtype.Record fields -> List.exists (fun (_, t) -> has_set t) fields
 
+(* labels are functional on records: no record repeats a field label *)
+let rec distinct_fields = function
+  | Mtype.Atomic _ | Mtype.Class _ -> true
+  | Mtype.Set t -> distinct_fields t
+  | Mtype.Record fields ->
+      let labels = List.map fst fields in
+      List.length (List.sort_uniq Label.compare labels) = List.length labels
+      && List.for_all (fun (_, t) -> distinct_fields t) fields
+
 let composite = function
   | Mtype.Record _ | Mtype.Set _ -> true
   | Mtype.Atomic _ | Mtype.Class _ -> false
@@ -47,6 +56,8 @@ let make ~kind ~classes ~dbtype =
     let mentioned = List.concat_map classes_mentioned all_bodies in
     if not (List.for_all (fun c -> class_declared classes c) mentioned) then
       Error "undeclared class mentioned in a type"
+    else if not (List.for_all distinct_fields all_bodies) then
+      Error "a record type repeats a field label"
     else if kind = M && List.exists has_set all_bodies then
       Error "model M does not allow set types"
     else if kind = M && not (List.for_all m_ok_top all_bodies) then

@@ -24,7 +24,9 @@ val make :
   dbtype:Mtype.t ->
   (t, string) result
 (** Validates: distinct class names; every [nu(C)] and [DBtype] is a
-    record or set type; every class mentioned anywhere is declared; the
+    record or set type; every class mentioned anywhere is declared; no
+    record type, at any depth, repeats a field label (labels are
+    functional on records, so the schema graph is deterministic); the
     [M] restrictions when [kind = M]. *)
 
 val make_exn :

@@ -32,6 +32,16 @@ let type_of_path schema rho =
   in
   go (Mschema.dbtype schema) (Path.to_labels rho)
 
+let walk schema rho =
+  let rec go tau acc = function
+    | [] -> List.rev (tau :: acc)
+    | k :: rest -> (
+        match successor schema tau k with
+        | Some tau' -> go tau' (tau :: acc) rest
+        | None -> List.rev (tau :: acc))
+  in
+  go (Mschema.dbtype schema) [] (Path.to_labels rho)
+
 let in_paths schema rho = type_of_path schema rho <> None
 
 let check_constraint_paths schema c =

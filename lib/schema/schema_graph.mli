@@ -5,10 +5,12 @@
     atomic types have none, set types have [*]-edges (the distinguished
     set-membership relation) to the member sort, and record types have
     one edge per field label.  A class type behaves as its body
-    [nu(C)].  Because labels are functional on record sorts and sets
-    only carry [*], walking a path from [DBtype] visits a unique
-    sequence of sorts: this module computes that walk, and with it
-    [Paths(Delta)] and [E(Delta)]/[T(Delta)]. *)
+    [nu(C)].  Labels are functional on record sorts ([Mschema.make]
+    rejects a record that repeats a field label, at any depth) and sets
+    only carry [*], so the graph is deterministic and walking a path
+    from [DBtype] visits a unique sequence of sorts: this module
+    computes that walk, and with it [Paths(Delta)] and
+    [E(Delta)]/[T(Delta)]. *)
 
 val star : Pathlang.Label.t
 (** The distinguished set-membership edge label, written [*] (the paper
@@ -28,6 +30,13 @@ val successor : Mschema.t -> Mtype.t -> Pathlang.Label.t -> Mtype.t option
 val type_of_path : Mschema.t -> Pathlang.Path.t -> Mtype.t option
 (** The sort reached from [DBtype] by walking the path; [None] iff the
     path is not in [Paths(Delta)]. *)
+
+val walk : Mschema.t -> Pathlang.Path.t -> Mtype.t list
+(** [walk schema rho]: the sorts of [rho]'s live prefixes, [DBtype]
+    (the sort of epsilon) first, one {!successor} step per label until
+    a label is not admissible.  So [rho] is in [Paths(Delta)] iff the
+    list has [length rho + 1] entries, and then its last entry is
+    [type_of_path schema rho]. *)
 
 val in_paths : Mschema.t -> Pathlang.Path.t -> bool
 (** Membership in [Paths(Delta)]: some structure in [U(Delta)] realizes

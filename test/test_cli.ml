@@ -443,6 +443,28 @@ let test_schema_error_position_parity () =
   check_string "lint: token-anchored PC002" expected (first_line out_l);
   check_string "query lint: token-anchored PC002" expected (first_line out_q)
 
+(* a schema whose record repeats a field label is an input error, not
+   a walk that two passes type differently *)
+let test_schema_repeated_field_is_pc002 () =
+  let schema =
+    write_temp ".schema"
+      "class A = [ x: int; x: B ]\nclass B = [ y: int ]\ndb = [ a: A ]\n"
+  in
+  let sigma = write_temp ".constraints" "a.x.y -> a.x.y\n" in
+  let code, out =
+    run
+      (Printf.sprintf "lint -s %s --schema %s --explain" (Filename.quote sigma)
+         (Filename.quote schema))
+  in
+  Sys.remove schema;
+  Sys.remove sigma;
+  check_int "exit 1" 1 code;
+  check_string "PC002 report"
+    (schema
+   ^ ":1:1: error[PC002] a record type repeats a field label\n\
+      1 error(s), 0 warning(s), 0 info, 0 hint(s)")
+    out
+
 (* analyzer inputs are read through the cli.read fault site: an injected
    read failure is a PC001 diagnostic with exit 1, not an exception *)
 let test_cli_read_fault_is_pc001 () =
@@ -520,5 +542,7 @@ let () =
             test_schema_error_position_parity;
           Alcotest.test_case "cli.read fault is PC001" `Quick
             test_cli_read_fault_is_pc001;
+          Alcotest.test_case "repeated field label is PC002" `Quick
+            test_schema_repeated_field_is_pc002;
         ] );
     ]

@@ -125,6 +125,104 @@ let test_prefix_truncation_total () =
       done)
     cases
 
+(* The same two properties for the parsers of the remaining input
+   formats, over the shipped example files: every prefix and every
+   one-byte mutation (a replacement or a deletion) parses to Ok or
+   Error without raising, and where the error is positioned, the
+   position lies inside the input. *)
+
+let example_root =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "examples" "data")
+
+(* each parser's error position, when it has one *)
+let example_parsers =
+  let pos (e : Schema.Schema_parser.error) = Some (e.line, e.col) in
+  let rpq_pos (e : Rpq.Parser.error) = Some (e.line, e.col) in
+  [
+    ( "Schema_parser.of_string_spanned",
+      [ "bibliography.schema"; "lint/lint.schema"; "lint/mplus.schema" ],
+      fun s ->
+        Result.map_error pos
+          (Result.map ignore (Schema.Schema_parser.of_string_spanned s)) );
+    ( "Odl.parse",
+      [ "bibliography.odl" ],
+      fun s ->
+        Result.map_error (fun _ -> None)
+          (Result.map ignore (Schema.Odl.parse s)) );
+    ( "Rpq.Parser.document_of_string",
+      [
+        "query/clean.query"; "query/deadbranch.query"; "query/empty.query";
+        "query/illtyped.query"; "query/suppressed.query";
+      ],
+      fun s ->
+        Result.map_error rpq_pos
+          (Result.map ignore (Rpq.Parser.document_of_string s)) );
+    ( "Config.parse",
+      [ "lint/pathctl.toml" ],
+      fun s ->
+        Result.map_error (fun _ -> None)
+          (Result.map ignore (Analysis.Config.parse s)) );
+  ]
+
+(* line is 1-based over the input's lines; col is 1-based and may sit
+   one past the end of its line *)
+let inside input (line, col) =
+  let lines = Array.of_list (String.split_on_char '\n' input) in
+  line >= 1
+  && line <= Array.length lines
+  && col >= 1
+  && col <= String.length lines.(line - 1) + 1
+
+let mutation_bytes =
+  [ '\000'; '\n'; ' '; '\t'; '['; ']'; '{'; '}'; '('; ')'; '<'; '>'; ':';
+    ';'; '='; '.'; ','; '*'; '|'; '+'; '"'; '\''; '#'; '/'; 'a'; '0';
+    '\255' ]
+
+let variants doc =
+  let n = String.length doc in
+  let prefixes = List.init (n + 1) (fun i -> String.sub doc 0 i) in
+  let deletions =
+    List.init n (fun i ->
+        String.sub doc 0 i ^ String.sub doc (i + 1) (n - i - 1))
+  in
+  let replacements =
+    List.concat_map
+      (fun c ->
+        List.init n (fun i ->
+            String.mapi (fun j d -> if j = i then c else d) doc))
+      mutation_bytes
+  in
+  prefixes @ deletions @ replacements
+
+let test_example_mutations_total () =
+  List.iter
+    (fun (name, files, parse) ->
+      List.iter
+        (fun file ->
+          let doc =
+            In_channel.with_open_bin (Filename.concat example_root file)
+              In_channel.input_all
+          in
+          (match parse doc with
+          | Ok () -> ()
+          | Error _ -> Alcotest.failf "%s rejects the shipped %s" name file);
+          List.iter
+            (fun input ->
+              match parse input with
+              | Ok () | Error None -> ()
+              | Error (Some (line, col)) ->
+                  if not (inside input (line, col)) then
+                    Alcotest.failf "%s: position %d:%d outside %S" name line
+                      col input
+              | exception e ->
+                  Alcotest.failf "%s raised %s on a variant of %s: %S" name
+                    (Printexc.to_string e) file input)
+            (variants doc))
+        files)
+    example_parsers
+
 (* --- engine: deadlines ------------------------------------------------ *)
 
 (* one forward constraint whose repair always creates a fresh node: the
@@ -287,6 +385,8 @@ let () =
               test_io_still_accepts_normal;
             Alcotest.test_case "prefix truncation total" `Quick
               test_prefix_truncation_total;
+            Alcotest.test_case "example mutations total, positions inside"
+              `Quick test_example_mutations_total;
           ] );
       ( "engine governance",
         [

@@ -8,6 +8,11 @@ module Typecheck = Schema.Typecheck
 module Instance = Schema.Instance
 module Graph = Sgraph.Graph
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let str = Mtype.Atomic Mtype.string_
 let int_t = Mtype.Atomic Mtype.int_
 
@@ -61,7 +66,42 @@ let test_schema_validation () =
     (Result.is_error
        (Mschema.make ~kind:Mschema.M
           ~classes:[ (c, str) ]
-          ~dbtype:(Mtype.record [ ("c", Mtype.Class c) ])))
+          ~dbtype:(Mtype.record [ ("c", Mtype.Class c) ])));
+  (* labels are functional on records, at any depth (Mtype.Record
+     bypasses Mtype.record's own check, as the parsers do) *)
+  let x = Label.make "x" in
+  let repeats = Mtype.Record [ (x, str); (x, Mtype.Class c) ] in
+  check_bool "repeated field in a class body" true
+    (Result.is_error
+       (Mschema.make ~kind:Mschema.M ~classes:[ (c, repeats) ]
+          ~dbtype:(Mtype.record [ ("c", Mtype.Class c) ])));
+  check_bool "repeated field in a set-nested record" true
+    (Result.is_error
+       (Mschema.make ~kind:Mschema.M_plus
+          ~classes:[ (c, Mtype.record [ ("f", str) ]) ]
+          ~dbtype:(Mtype.record [ ("s", Mtype.Set repeats) ])))
+
+(* a record that repeats a field label is rejected by both schema
+   syntaxes: the schema graph must stay deterministic *)
+let test_schema_repeated_field () =
+  (match
+     Schema.Schema_parser.of_string
+       "class A = [ x: int; x: B ]\nclass B = [ y: int ]\ndb = [ a: A ]\n"
+   with
+  | Ok _ -> Alcotest.fail "repeated field label must not parse"
+  | Error e -> check_bool "schema syntax names the repeat" true
+                 (contains e "repeats a field label"));
+  (match Schema.Schema_parser.of_string "db = [ a: [ x: int; x: int ] ]\n" with
+  | Ok _ -> Alcotest.fail "repeated nested field label must not parse"
+  | Error _ -> ());
+  match
+    Schema.Odl.parse
+      "interface A (extent a) { attribute String x; relationship A x \
+       inverse A::x; };"
+  with
+  | Ok _ -> Alcotest.fail "repeated ODL member must not parse"
+  | Error e -> check_bool "ODL names the repeat" true
+                 (contains e "repeats a field label")
 
 (* --- schema graph / Paths(Delta) ------------------------------------------ *)
 
@@ -498,6 +538,8 @@ let () =
       ( "mschema",
         [
           Alcotest.test_case "validation" `Quick test_schema_validation;
+          Alcotest.test_case "repeated field label" `Quick
+            test_schema_repeated_field;
           Alcotest.test_case "random M" `Quick test_random_m_schema;
         ] );
       ( "schema-graph",

@@ -1,8 +1,9 @@
 (* Tests of the schema-aware type-flow engine (lib/analysis/typeflow)
    and the analyzer infrastructure that ships with it: PC600/PC601
    token-level spans golden-tested in all three renderers, PC601
-   cross-checked against the Table 1 classifier, the flow lattice
-   cross-checked against Schema_graph.in_paths, --explain output, and
+   cross-checked against the Table 1 classifier, the walk's flow
+   cross-checked against the product with the schema automaton,
+   --explain output, and
    the content-hash result cache (hits observable through counters). *)
 
 module Diagnostic = Analysis.Diagnostic
@@ -15,6 +16,9 @@ module Path = Pathlang.Path
 module Label = Pathlang.Label
 module Span = Pathlang.Span
 module Schema_graph = Schema.Schema_graph
+module Mschema = Schema.Mschema
+module Mtype = Schema.Mtype
+module Nfa = Automata.Nfa
 
 let build_root = Filename.dirname (Filename.dirname Sys.executable_name)
 let pathctl = Filename.concat build_root (Filename.concat "bin" "pathctl.exe")
@@ -39,6 +43,16 @@ let contains s sub =
 let check_contains out sub =
   Alcotest.(check bool) (Printf.sprintf "output contains %S" sub) true
     (contains out sub)
+
+let counter name = Obs.Counter.value (Obs.Counter.make name)
+
+let with_metrics f =
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    f
 
 let mschema_of_string s =
   match Schema.Schema_parser.of_string s with
@@ -170,9 +184,84 @@ let test_pc601_span_and_classifier_agreement () =
   Alcotest.(check bool) "classifier: M cell decidable" true
     cell_m.Classify.decidable
 
-(* --- the flow lattice agrees with Schema_graph ----------------------------- *)
+(* --- the flow lattice agrees with the schema automaton ---------------------- *)
 
-let test_flow_agrees_with_in_paths () =
+(* The oracle is the reachable product of the walk's chain automaton
+   with Schema_graph.automaton, projected onto chain states: state i
+   gets every sort some member of Paths(Delta) reaches by the walk's
+   prefix of length i. *)
+let product_projection schema p =
+  let labels = Path.to_labels p in
+  let n = List.length labels in
+  let chain = Nfa.create () in
+  Nfa.ensure_states chain (n + 1);
+  List.iteri (fun i k -> Nfa.add_trans chain i k (i + 1)) labels;
+  Nfa.set_final chain n;
+  let snfa, ssorts, sstart = Schema_graph.automaton schema in
+  let _, pairs = Nfa.product chain snfa ~start:(0, sstart) in
+  let at = Array.make (n + 1) [] in
+  Array.iter (fun (q, s) -> at.(q) <- ssorts.(s) :: at.(q)) pairs;
+  (at, Array.length pairs)
+
+let check_flow schema p =
+  let name = Path.to_string p in
+  let before = counter "typeflow.product.states" in
+  let flow = Typeflow.of_path schema p in
+  let explored = counter "typeflow.product.states" - before in
+  let at, reachable = product_projection schema p in
+  Alcotest.(check bool)
+    (Printf.sprintf "flow(%s) alive iff in Paths(Delta)" name)
+    (Schema_graph.in_paths schema p)
+    (flow.Typeflow.dies_at = None);
+  (* steps carry one entry per prefix, epsilon included *)
+  Alcotest.(check int)
+    (Printf.sprintf "steps of %s" name)
+    (Path.length p + 1)
+    (List.length flow.Typeflow.steps);
+  List.iteri
+    (fun i st ->
+      let expected =
+        match at.(i) with
+        | [] -> None
+        | [ tau ] -> Some tau
+        | _ -> Alcotest.failf "product types prefix %d of %s twice" i name
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "sort of prefix %d of %s is the projection" i name)
+        true
+        (Option.equal Mtype.equal expected st.Typeflow.sort))
+    flow.Typeflow.steps;
+  let live =
+    List.length
+      (List.filter (fun st -> st.Typeflow.sort <> None) flow.Typeflow.steps)
+  in
+  Alcotest.(check int)
+    (Printf.sprintf "live steps of %s are the reachable pairs" name)
+    reachable live;
+  Alcotest.(check int)
+    (Printf.sprintf "counter of %s counts the reachable pairs" name)
+    reachable explored
+
+(* random label sequences over the schema's labels and one foreign
+   label, grown from a live path so that some walks stay alive and
+   some die *)
+let random_walks rng schema count =
+  let alphabet =
+    Array.of_list
+      (Label.make "foreign"
+      :: Label.Set.elements (Schema_graph.labels schema))
+  in
+  let live = Array.of_list (Schema_graph.paths_up_to schema 3) in
+  List.init count (fun _ ->
+      let base = live.(Random.State.int rng (Array.length live)) in
+      let extra =
+        List.init (Random.State.int rng 4) (fun _ ->
+            alphabet.(Random.State.int rng (Array.length alphabet)))
+      in
+      Path.concat base (Path.of_labels extra))
+
+let test_flow_agrees_with_product () =
+  with_metrics @@ fun () ->
   let schema = mschema_of_string m_schema in
   let labels =
     List.map Label.make
@@ -180,32 +269,34 @@ let test_flow_agrees_with_in_paths () =
   in
   let live = Schema_graph.paths_up_to schema 3 in
   Alcotest.(check bool) "some live paths" true (List.length live > 5);
-  let check_path p =
-    let flow = Typeflow.of_path schema p in
-    let alive = flow.Typeflow.dies_at = None in
-    Alcotest.(check bool)
-      (Printf.sprintf "flow(%s) alive iff in Paths(Delta)" (Path.to_string p))
-      (Schema_graph.in_paths schema p)
-      alive;
-    (* steps carry one entry per prefix, epsilon included *)
-    Alcotest.(check int)
-      (Printf.sprintf "steps of %s" (Path.to_string p))
-      (Path.length p + 1)
-      (List.length flow.Typeflow.steps)
-  in
   (* every schema path, and every one-label extension of it (live or
-     dead), agrees with the independent in_paths predicate *)
+     dead) *)
   List.iter
     (fun p ->
-      check_path p;
-      List.iter (fun l -> check_path (Path.snoc p l)) labels)
+      check_flow schema p;
+      List.iter (fun l -> check_flow schema (Path.snoc p l)) labels)
     live;
+  (* random walks over the shipped, the bibliography and random schemas *)
+  let rng = Random.State.make [| 21 |] in
+  let schemas =
+    [ schema; mschema_of_string mplus_schema; Mschema.bib_m ]
+    @ List.init 50 (fun _ ->
+          Mschema.random_m ~rng
+            ~classes:(1 + Random.State.int rng 5)
+            ~fields:(1 + Random.State.int rng 3)
+            ~atoms:(Random.State.int rng 3))
+  in
+  List.iter
+    (fun s -> List.iter (check_flow s) (random_walks rng s 20))
+    schemas;
   (* a flow that dies names the missing schema edge *)
   let dead = Path.of_strings [ "book"; "ref"; "publisher" ] in
   match Typeflow.missing_edge (Typeflow.of_path schema dead) with
-  | Some (sorts, l) ->
-      Alcotest.(check string) "missing label" "publisher" (Label.to_string l);
-      Alcotest.(check bool) "at a live sort" true (sorts <> [])
+  | Some (tau, prefix) ->
+      Alcotest.(check string) "dead prefix" "book.ref.publisher"
+        (Path.to_string prefix);
+      Alcotest.(check string) "at the live sort" "Book"
+        (Typeflow.sort_label schema tau)
   | None -> Alcotest.fail "dead flow must expose its missing edge"
 
 (* --- PC602: --explain annotations ------------------------------------------ *)
@@ -234,16 +325,6 @@ let test_explain_annotations () =
   Alcotest.(check bool) "no PC602 by default" false (contains quiet "PC602")
 
 (* --- the incremental cache ------------------------------------------------- *)
-
-let counter name = Obs.Counter.value (Obs.Counter.make name)
-
-let with_metrics f =
-  Obs.enable ();
-  Obs.reset ();
-  Fun.protect ~finally:(fun () ->
-      Obs.disable ();
-      Obs.reset ())
-    f
 
 let temp_dir () =
   let d = Filename.temp_file "pathctl_cache" "" in
@@ -332,7 +413,7 @@ let () =
       ( "lattice",
         [
           Alcotest.test_case "flow agrees with Paths(Delta)" `Quick
-            test_flow_agrees_with_in_paths;
+            test_flow_agrees_with_product;
         ] );
       ( "explain",
         [
