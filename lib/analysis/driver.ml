@@ -118,10 +118,16 @@ let load_schema = function
           in
           Error (input_error "PC002" ~file:path ~span m))
 
+(* A pass that hit its wall-clock deadline or was cancelled says so
+   with one of these; what it found before then depends on the host. *)
+let cut_short (d : Diagnostic.t) = d.code = "PC302" || d.code = "PC703"
+
 (* read → parse → schema → passes → finish; input errors short-circuit
-   past suppression, severity overrides and the tally *)
+   past suppression, severity overrides and the tally.  The flag says
+   whether the result may be cached: not when a pass was cut short,
+   even if a pragma or the configuration hides the notice. *)
 let analyze kind ~config ~explain ~file src schema =
-  let ( let* ) r k = match r with Error d -> [ d ] | Ok v -> k v in
+  let ( let* ) r k = match r with Error d -> ([ d ], true) | Ok v -> k v in
   let* src =
     Result.map_error (input_error "PC001" ~file ~span:whole_file_span) src
   in
@@ -132,7 +138,8 @@ let analyze kind ~config ~explain ~file src schema =
   in
   let* schema = load_schema schema in
   let* findings = kind.passes ~file ~config ~explain schema doc in
-  finish ~file ~config (kind.pragmas doc) findings
+  ( finish ~file ~config (kind.pragmas doc) findings,
+    not (List.exists cut_short findings) )
 
 let run kind ?schema_file ?config_file ?cache_dir ?(explain = false) ~file
     () =
@@ -163,6 +170,9 @@ let run kind ?schema_file ?config_file ?cache_dir ?(explain = false) ~file
       match Option.bind key (fun (dir, key) -> Cache.lookup ~dir ~key) with
       | Some diags -> diags
       | None ->
-          let diags = analyze kind ~config ~explain ~file src schema in
-          Option.iter (fun (dir, key) -> Cache.store ~dir ~key diags) key;
+          let diags, cacheable =
+            analyze kind ~config ~explain ~file src schema
+          in
+          if cacheable then
+            Option.iter (fun (dir, key) -> Cache.store ~dir ~key diags) key;
           diags)

@@ -91,4 +91,6 @@ val run :
 (** The whole pipeline over one document file.  [config_file] supplies
     severity overrides, pass selection and defaults for [explain] and
     [cache_dir] (explicit arguments win).  With a cache directory, a
-    content hit returns the stored diagnostics and runs no pass. *)
+    content hit returns the stored diagnostics and runs no pass.  A run
+    in which a pass hit its deadline or was cancelled (PC302, PC703) is
+    not stored, since its findings depend on the host. *)

@@ -30,8 +30,7 @@ val make : control_count:int -> rule list -> t
 val normalize : t -> t
 (** An equivalent PDS whose rules push at most two symbols; rules pushing
     [k > 2] symbols are decomposed through fresh intermediate control
-    states.  Needed by {!Saturation.post_star}; {!Saturation.pre_star}
-    accepts arbitrary pushes. *)
+    states.  Needed by {!Saturation.post_star}. *)
 
 val step :
   t -> state * Pathlang.Label.t list -> (state * Pathlang.Label.t list) list

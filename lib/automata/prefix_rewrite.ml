@@ -76,30 +76,14 @@ let check_query s rho =
              (Label.to_string k)))
     (Path.labels_used rho)
 
-let stack_of s rho = Path.to_labels rho @ [ s.bottom ]
+let pds s = s.pds
 
-let derives_generic saturate pds s alpha beta =
-  check_query s alpha;
-  check_query s beta;
-  (* Automaton accepting exactly the configuration <star, beta . bottom>. *)
-  let a = Nfa.create () in
-  Nfa.ensure_states a pds.Pds.control_count;
-  let rec build src = function
-    | [] -> Nfa.set_final a src
-    | k :: rest ->
-        let t = Nfa.add_state a in
-        Nfa.add_trans a src k t;
-        build t rest
-  in
-  build star (stack_of s beta);
-  let a = saturate pds a in
-  Saturation.accepts_config a star (stack_of s alpha)
-
-let derives s alpha beta = derives_generic Saturation.pre_star s.pds s alpha beta
+let configuration s rho =
+  check_query s rho;
+  (star, Path.to_labels rho @ [ s.bottom ])
 
 let derives_via_post s alpha beta =
-  check_query s alpha;
-  check_query s beta;
+  let start = configuration s alpha and goal = configuration s beta in
   let normalized = Pds.normalize s.pds in
   let a = Nfa.create () in
   Nfa.ensure_states a normalized.Pds.control_count;
@@ -110,14 +94,9 @@ let derives_via_post s alpha beta =
         Nfa.add_trans a src k t;
         build t rest
   in
-  build star (stack_of s alpha);
+  build star (snd start);
   let a = Saturation.post_star normalized a in
-  Saturation.accepts_config a star (stack_of s beta)
-
-let derives_bfs ?max_configs ?max_len s alpha beta =
-  Saturation.bfs_reachable ?max_configs ?max_len s.pds
-    ~start:(star, stack_of s alpha)
-    ~goal:(star, stack_of s beta)
+  Saturation.accepts_config a star (snd goal)
 
 let one_step rules rho =
   List.filter_map
@@ -140,7 +119,16 @@ let one_step rules rho =
 
    Symbols are interned label ids, with [bottom_sym] for the marker: no
    label can equal it, so the context needs no alphabet and takes goals
-   over any labels. *)
+   over any labels.
+
+   A context saturates several rule sets at once.  Variant [v] keeps the
+   rules its predicate accepts; the bit after the last variant stands
+   for all the rules.  Every summary transition and every read carries
+   an int mask, and bit [b] says the entry is derivable in rule set
+   [b]: a read starts with the bits of the sets that keep its rule, a
+   step ANDs the mask read, and an entry reached again ORs the new bits
+   in.  Each bit is a saturation of its own, so it equals the plain
+   saturation of its rule set. *)
 
 module Ints = Set.Make (Int)
 
@@ -150,9 +138,10 @@ let symbols rho = Array.of_list (List.map Label.id (Path.to_labels rho))
 let stack_symbols rho = Array.append (symbols rho) [| bottom_sym |]
 let find_all tbl k = Option.value ~default:[] (Hashtbl.find_opt tbl k)
 
-(* <src, top> -> <dst, push>.  A [wild] rule comes from an eps => v rule:
-   on any top symbol g it pushes v . g; [push] holds v and [top] is
-   unused. *)
+(* <src, top> -> <dst, push>, one piece of a rule.  A [wild] rule comes
+   from an eps => v rule: on any top symbol g it pushes v . g; [push]
+   holds v and [top] is unused.  [live] holds the bits of the rule sets
+   that keep the rule. *)
 type crule = {
   id : int;
   src : int;
@@ -160,31 +149,53 @@ type crule = {
   dst : int;
   push : int array;
   wild : bool;
+  live : int;
 }
+
+(* [r.push.(0 .. i-1)] leads from [r.dst] to the read's control in the
+   rule sets of [m]. *)
+type read = { r : crule; i : int; mutable m : int }
+
+(* One control's targets on one symbol, each with its mask, in parallel
+   arrays: the goal phase tests a bit without following a pointer. *)
+type targets = {
+  mutable dst : int array;
+  mutable msk : int array;
+  mutable n : int;
+}
+
+let no_targets = { dst = [||]; msk = [||]; n = 0 }
+
+let targets tbl x =
+  match Hashtbl.find_opt tbl x with Some ts -> ts | None -> no_targets
 
 type context = {
   rules : rule list;
   controls : int;
-  summary : (int, int list) Hashtbl.t array;
+  variants : int;
+  all : int;  (** the bit of the whole rule list *)
+  summary : (int, targets) Hashtbl.t array;
       (** control -> symbol -> control targets: the goal-free part of
           pre* *)
-  cross : (int, (crule * int) list) Hashtbl.t array;
-      (** control [c] -> symbol [x] -> [(r, i)] such that reading
-          [r.push.(0 .. i-1)] from [r.dst] reaches [c], and
+  cross : (int, read list) Hashtbl.t array;
+      (** control [c] -> symbol [x] -> the reads [(r, i)] at [c] with
           [r.push.(i) = x]: a goal transition [c -x-> j] fires [r] *)
-  wild_cross : crule list array;
-      (** control [c] -> wild rules whose whole [push] reaches [c], so
-          that the re-pushed top is read from [c] *)
+  wild_cross : read list array;
+      (** control [c] -> the reads of wild rules whose whole [push]
+          reaches [c], so that the re-pushed top is read from [c] *)
 }
 
-let crules_of rules =
+let max_variants = Sys.int_size - 1
+
+let crules_of ~live rules =
   let next_state = ref 1 and next_id = ref 0 and crules = ref [] in
-  let add src top dst push wild =
-    crules := { id = !next_id; src; top; dst; push; wild } :: !crules;
-    incr next_id
-  in
-  List.iter
-    (fun r ->
+  List.iteri
+    (fun pos r ->
+      let live = live pos in
+      let add src top dst push wild =
+        crules := { id = !next_id; src; top; dst; push; wild; live } :: !crules;
+        incr next_id
+      in
       let push = symbols r.rhs in
       match List.map Label.id (Path.to_labels r.lhs) with
       | [] -> add star bottom_sym star push true
@@ -200,57 +211,119 @@ let crules_of rules =
           in
           chain star u1 rest)
     rules;
-  (!next_state, List.rev !crules)
-
-let step_controls summary set x =
-  Ints.fold
-    (fun c acc -> List.fold_left (Fun.flip Ints.add) acc (find_all summary.(c) x))
-    set Ints.empty
+  (!next_state, !next_id, List.rev !crules)
 
 (* One worklist saturation builds the summary and the crossing index
-   together.  A read [(r, i, c)] says that [r.push.(0 .. i-1)] leads from
-   [r.dst] to [c]; it waits in [cross] for transitions on [r.push.(i)]
-   out of [c], and each transition added wakes the reads waiting on it.
-   A complete read adds [r]'s transition (for a wild rule, one per
-   transition out of [c], now and later).  Each read and each transition
-   is processed once. *)
-let context rules =
-  let controls, crules = crules_of rules in
+   together.  A read [(r, i, c)] waits in [cross] for transitions on
+   [r.push.(i)] out of [c], and each transition added or grown wakes
+   the reads waiting on it.  A complete read adds [r]'s transition (for
+   a wild rule, one per transition out of [c], now and later).  Masks
+   only grow, so each read and each transition is processed at most
+   once per bit. *)
+let context ?(variants = []) rules =
+  let nv = List.length variants in
+  if nv > max_variants then
+    invalid_arg "Prefix_rewrite.context: too many variants";
+  let all = 1 lsl nv in
+  let full = all lor (all - 1) in
+  (* the bits of the variants that leave position [pos] out *)
+  let kill pos =
+    List.fold_left ( lor ) 0
+      (List.mapi (fun b keeps -> if keeps pos then 0 else 1 lsl b) variants)
+  in
+  let controls, ids, crules =
+    crules_of ~live:(fun pos -> full land lnot (kill pos)) rules
+  in
+  let width =
+    1 + List.fold_left (fun w r -> max w (Array.length r.push)) 0 crules
+  in
   let summary = Array.init controls (fun _ -> Hashtbl.create 4) in
   let cross = Array.init controls (fun _ -> Hashtbl.create 4) in
   let wild_cross = Array.make controls [] in
-  let seen = Hashtbl.create 64 in
-  let rec add p g s =
-    let ts = find_all summary.(p) g in
-    if not (List.mem s ts) then begin
-      Hashtbl.replace summary.(p) g (s :: ts);
-      Obs.Counter.incr c_trans;
-      List.iter (fun (r, i) -> read r (i + 1) s) (find_all cross.(p) g);
-      List.iter (fun r -> add r.src g s) wild_cross.(p)
-    end
-  and read r i c =
-    if not (Hashtbl.mem seen (r.id, i, c)) then begin
-      Hashtbl.add seen (r.id, i, c) ();
-      if i < Array.length r.push then begin
-        let x = r.push.(i) in
-        Hashtbl.replace cross.(c) x ((r, i) :: find_all cross.(c) x);
-        List.iter (read r (i + 1)) (find_all summary.(c) x)
+  let seen = Hashtbl.create (4 * ids) in
+  let rec add p g s m =
+    if m <> 0 then begin
+      let ts =
+        match Hashtbl.find_opt summary.(p) g with
+        | Some ts -> ts
+        | None ->
+            let ts = { dst = Array.make 2 0; msk = Array.make 2 0; n = 0 } in
+            Hashtbl.add summary.(p) g ts;
+            ts
+      in
+      let k = ref 0 in
+      while !k < ts.n && ts.dst.(!k) <> s do incr k done;
+      if !k = ts.n then begin
+        if ts.n = Array.length ts.dst then begin
+          ts.dst <- Array.append ts.dst ts.dst;
+          ts.msk <- Array.append ts.msk ts.msk
+        end;
+        ts.dst.(ts.n) <- s;
+        ts.msk.(ts.n) <- m;
+        ts.n <- ts.n + 1;
+        Obs.Counter.incr c_trans;
+        fire p g s m
       end
-      else if r.wild then begin
-        wild_cross.(c) <- r :: wild_cross.(c);
-        Hashtbl.fold (fun g ss acc -> (g, ss) :: acc) summary.(c) []
-        |> List.iter (fun (g, ss) -> List.iter (add r.src g) ss)
+      else if m lor ts.msk.(!k) <> ts.msk.(!k) then begin
+        ts.msk.(!k) <- m lor ts.msk.(!k);
+        fire p g s ts.msk.(!k)
       end
-      else add r.src r.top c
     end
+  and fire p g s m =
+    List.iter
+      (fun rd -> read rd.r (rd.i + 1) s (rd.m land m))
+      (find_all cross.(p) g);
+    List.iter (fun rd -> add rd.r.src g s (rd.m land m)) wild_cross.(p)
+  and read r i c m =
+    if m <> 0 then begin
+      let key = (((r.id * width) + i) * controls) + c in
+      match Hashtbl.find_opt seen key with
+      | Some rd ->
+          if m lor rd.m <> rd.m then begin
+            rd.m <- m lor rd.m;
+            resume rd c
+          end
+      | None ->
+          let rd = { r; i; m } in
+          Hashtbl.add seen key rd;
+          if i < Array.length r.push then begin
+            let x = r.push.(i) in
+            Hashtbl.replace cross.(c) x (rd :: find_all cross.(c) x)
+          end
+          else if r.wild then wild_cross.(c) <- rd :: wild_cross.(c);
+          resume rd c
+    end
+  (* follow [rd] over the transitions out of [c] as they stand; later
+     ones fire it from [add] *)
+  and resume rd c =
+    let r = rd.r in
+    if rd.i < Array.length r.push then begin
+      let ts = targets summary.(c) r.push.(rd.i) in
+      for k = 0 to ts.n - 1 do
+        read r (rd.i + 1) ts.dst.(k) (rd.m land ts.msk.(k))
+      done
+    end
+    else if r.wild then
+      Hashtbl.fold (fun g ts acc -> (g, ts) :: acc) summary.(c) []
+      |> List.iter (fun (g, ts) ->
+             for k = 0 to ts.n - 1 do
+               add r.src g ts.dst.(k) (rd.m land ts.msk.(k))
+             done)
+    else add r.src r.top c rd.m
   in
-  List.iter (fun r -> read r 0 r.dst) crules;
-  { rules; controls; summary; cross; wild_cross }
+  List.iter (fun r -> read r 0 r.dst r.live) crules;
+  { rules; controls; variants = nv; all; summary; cross; wild_cross }
 
 let context_rules ctx = ctx.rules
 
+let bit ctx = function
+  | None -> ctx.all
+  | Some v when v >= 0 && v < ctx.variants -> 1 lsl v
+  | Some _ -> invalid_arg "Prefix_rewrite: no such variant"
+
 type target = {
   ctx : context;
+  bit : int;
   stack : int array;  (** beta . bottom; chain state [k] follows [k] symbols *)
   into : (int, int list) Hashtbl.t;
       (** [key c x] -> chain states [k] with [c -x-> k] *)
@@ -258,7 +331,8 @@ type target = {
 
 let key ctx c x = ((x + 1) * ctx.controls) + c
 
-let target ctx beta =
+let target ?variant ctx beta =
+  let bit = bit ctx variant in
   Obs.Span.with_ "saturation.pre_star" (fun () ->
       let stack = stack_symbols beta in
       let len = Array.length stack in
@@ -283,19 +357,34 @@ let target ctx beta =
         | (c, x, j) :: rest ->
             work := rest;
             List.iter
-              (fun (r, i) ->
+              (fun { r; i; m } ->
                 (* r.push crosses into the chain at i, landing on j; the
                    rest of the push must follow the chain *)
                 let n = Array.length r.push - i - 1 in
-                if spells r.push (i + 1) j n then
+                if m land bit <> 0 && spells r.push (i + 1) j n then
                   if not r.wild then add r.src r.top (j + n)
                   else if j + n < len then add r.src stack.(j + n) (j + n + 1))
               (find_all ctx.cross.(c) x);
-            List.iter (fun r -> add r.src x j) ctx.wild_cross.(c);
+            List.iter
+              (fun rd -> if rd.m land bit <> 0 then add rd.r.src x j)
+              ctx.wild_cross.(c);
             drain ()
       in
       drain ();
-      { ctx; stack; into })
+      { ctx; bit; stack; into })
+
+let step_controls summary bit set x =
+  Ints.fold
+    (fun c acc ->
+      let ts = targets summary.(c) x in
+      let rec go k acc =
+        if k = ts.n then acc
+        else
+          go (k + 1)
+            (if ts.msk.(k) land bit <> 0 then Ints.add ts.dst.(k) acc else acc)
+      in
+      go 0 acc)
+    set Ints.empty
 
 let accepts t alpha =
   let len = Array.length t.stack in
@@ -315,10 +404,10 @@ let accepts t alpha =
                 (find_all t.into (key t.ctx c x)))
             controls chain'
         in
-        (step_controls t.ctx.summary controls x, chain'))
+        (step_controls t.ctx.summary t.bit controls x, chain'))
       (Ints.singleton star, Ints.empty)
       (stack_symbols alpha)
   in
   Ints.mem len chain
 
-let derives_in ctx alpha beta = accepts (target ctx beta) alpha
+let derives_in ?variant ctx alpha beta = accepts (target ?variant ctx beta) alpha

@@ -11,9 +11,10 @@
     Decidability in PTIME comes from encoding the system as a
     single-control-state pushdown system (with a bottom-of-stack marker
     and per-rule chain states for long left-hand sides) and running
-    pre* saturation: {!derives} runs the whole of {!Saturation.pre_star}
-    per query (the reference), {!derives_in} splits it into a
-    per-system {!context} and a per-goal {!target}. *)
+    pre* saturation, split into a per-system {!context} and a per-goal
+    {!target} ({!derives_in}).  The compiled {!system} serves the dual
+    post* ({!derives_via_post}) and the reference engines of the test
+    oracle. *)
 
 type rule = { lhs : Pathlang.Path.t; rhs : Pathlang.Path.t }
 
@@ -32,61 +33,85 @@ val alphabet : system -> Pathlang.Label.t list
 
 val rules : system -> rule list
 
-val derives : system -> Pathlang.Path.t -> Pathlang.Path.t -> bool
-(** [derives s alpha beta] decides [beta in post*(alpha)] via pre*
-    saturation.
-    @raise Invalid_argument if a query path uses a label outside the
-    compiled alphabet. *)
+val pds : system -> Pds.t
+(** The pushdown system: control state 0 is the single rewriting
+    state, the others are chain states of long left-hand sides. *)
+
+val configuration :
+  system -> Pathlang.Path.t -> Pds.state * Pathlang.Label.t list
+(** [configuration s rho] is [<0, rho . bottom>], the configuration that
+    stands for the path [rho].
+    @raise Invalid_argument if [rho] uses a label outside the compiled
+    alphabet. *)
 
 val derives_via_post : system -> Pathlang.Path.t -> Pathlang.Path.t -> bool
-(** Same answer computed with the dual post* saturation; kept as an
-    independent implementation for cross-validation and ablation. *)
-
-val derives_bfs :
-  ?max_configs:int ->
-  ?max_len:int ->
-  system ->
-  Pathlang.Path.t ->
-  Pathlang.Path.t ->
-  bool option
-(** Brute-force oracle: BFS over the rewriting graph.  [Some b] is a
-    definitive answer, [None] means the budget ran out. *)
+(** [derives_via_post s alpha beta] decides [beta in post*(alpha)] with
+    the post* saturation of the compiled system: an implementation
+    independent of the contexts below, kept for cross-validation and
+    ablation.
+    @raise Invalid_argument if a query path uses a label outside the
+    compiled alphabet. *)
 
 val one_step : rule list -> Pathlang.Path.t -> Pathlang.Path.t list
 (** All paths reachable in exactly one rewriting step. *)
 
 (** {2 Decision contexts}
 
-    [derives] saturates pre* over the whole P-automaton for every query.
-    Most of that work depends on the rules alone: the automaton for a
-    goal [beta] is the control states plus a chain reading
-    [beta . bottom], and the chain has no edges back into the control
-    states, so the control-to-control transitions never read it.  A
-    context saturates them once; a {!target} adds only the
-    control-to-chain transitions of one [beta], by a worklist over an
-    index of where each rule's push word can cross into the chain.
-    Contexts need no alphabet: goals may use any labels. *)
+    Most of pre* depends on the rules alone: the automaton for a goal
+    [beta] is the control states plus a chain reading [beta . bottom],
+    and the chain has no edges back into the control states, so the
+    control-to-control transitions never read it.  A context saturates
+    them once; a {!target} adds only the control-to-chain transitions
+    of one [beta], by a worklist over an index of where each rule's
+    push word can cross into the chain.  Contexts need no alphabet:
+    goals may use any labels.
+
+    {b Variants.}  One context can saturate several rule sets at once.
+    Variant [v] is the set of rules whose 0-based positions its
+    predicate accepts; bit [v] of an int mask stands for it, and the bit
+    after the last variant for the whole list.  Every summary
+    transition and every crossing read carries such a mask: a rule's
+    reads start with the bits of the sets that keep it, a step ANDs the
+    mask of the transition it reads, and an entry derived again ORs the
+    new bits into its mask.  Masks only grow, so the fixpoint stops
+    after at most one growth per bit of each entry, and each bit is
+    exactly the saturation of its own rule set.  One native int holds
+    {!max_variants} variants plus the whole list.  Without variants the
+    context is the plain one (a single bit). *)
 
 type context
 
-val context : rule list -> context
+val max_variants : int
+(** [Sys.int_size - 1], 62 on 64-bit hosts: one bit per variant and
+    one for the whole list, in a native int. *)
+
+val context : ?variants:(int -> bool) list -> rule list -> context
 (** The goal-independent half of pre*: the control-to-control
-    saturation and the crossing index.  Empty left-hand sides are
-    allowed; each is one rule on any top symbol. *)
+    saturation and the crossing index, for the whole list and for each
+    variant ([variants] defaults to none).  Empty left-hand sides are
+    allowed; each is one rule on any top symbol.
+    @raise Invalid_argument on more than {!max_variants} variants. *)
 
 val context_rules : context -> rule list
 
 type target
-(** pre*({beta}) for one [beta], relative to a context. *)
+(** pre*({beta}) for one [beta] and one rule set, relative to a
+    context. *)
 
-val target : context -> Pathlang.Path.t -> target
-(** The goal phase (span [saturation.pre_star]). *)
+val target : ?variant:int -> context -> Pathlang.Path.t -> target
+(** The goal phase (span [saturation.pre_star]) for variant [variant]
+    (0-based, in the order given to {!context}), or for the whole list
+    when [variant] is absent.  It follows only the reads whose mask
+    holds the variant's bit.
+    @raise Invalid_argument on a variant the context does not have. *)
 
 val accepts : target -> Pathlang.Path.t -> bool
-(** [accepts (target ctx beta) alpha] decides [beta in post*(alpha)]:
-    one walk over [alpha]. *)
+(** [accepts (target ctx beta) alpha] decides [beta in post*(alpha)]
+    under the target's rule set: one walk over [alpha] that steps only
+    over summary transitions holding its bit. *)
 
-val derives_in : context -> Pathlang.Path.t -> Pathlang.Path.t -> bool
-(** [derives_in ctx alpha beta = accepts (target ctx beta) alpha]; the
-    same answer as {!derives} on a system compiled from the same
-    rules. *)
+val derives_in :
+  ?variant:int -> context -> Pathlang.Path.t -> Pathlang.Path.t -> bool
+(** [derives_in ?variant ctx alpha beta = accepts (target ?variant ctx
+    beta) alpha]: the answer of a context built from the variant's rules
+    alone, or from the whole list. *)

@@ -127,15 +127,17 @@ let prefilter_hit ~t0 ~ctl ~sigma phi =
 (* --- route runners -------------------------------------------------------- *)
 
 (* Only the chase consults the pre-filter; these record it skipped. *)
-let word ~sigma phi =
-  let t0 = start () in
-  let r = Word_untyped.implies ~sigma phi in
+let recorded_word ~t0 phi r =
   (match r with
   | Ok b ->
       record ~t0 ~route:"word" ~prefilter:"skipped" phi
         (if b then "implied" else "refuted")
   | Error _ -> ());
   r
+
+let word ~sigma phi =
+  let t0 = start () in
+  recorded_word ~t0 phi (Word_untyped.implies ~sigma phi)
 
 let typed_m schema ~sigma phi =
   let t0 = start () in
@@ -311,12 +313,16 @@ type t = {
   decide : keep:int list -> Constr.t -> bool option;
 }
 
-(* The exact routes run without the store pre-filter: every store
-   inference — reflexivity, transitivity inside a bucket, right
-   congruence, and the merges mutual containment forces — is a rule of
-   the word calculus, and the typed store's merges are the typed-M
-   closure's own, so a store hit is always a yes from the route's
-   procedure.  Only the chase keeps it, in [chase]. *)
+(* The exact routes answer from one subset context per plan: typed-M
+   from one materialised prefix closure, the word route from masked pre*
+   saturations in which Sigma and every Sigma minus one position share
+   one fixpoint (other keep-sets get their own context).  Both run
+   without the store pre-filter: every store inference — reflexivity,
+   transitivity inside a bucket, right congruence, and the merges
+   mutual containment forces — is a rule of the word calculus, and the
+   typed store's merges are the typed-M closure's own, so a store hit
+   is always a yes from the route's procedure.  Only the chase keeps
+   it, in [chase]. *)
 let plan ?schema ?(question = Entailment) clock constrs =
   let route, exact = route_of question (cell ?schema constrs) in
   let sublist keep =
@@ -340,7 +346,12 @@ let plan ?schema ?(question = Entailment) clock constrs =
           | Ok Typed_m.Not_entailed -> verdict "refuted" false
           | Error _ -> None)
     | Word, _ ->
-        fun ~keep phi -> Result.to_option (word ~sigma:(sublist keep) phi)
+        let subsets = Word_untyped.subsets ~sigma:constrs in
+        fun ~keep phi ->
+          let t0 = start () in
+          Result.to_option
+            (recorded_word ~t0 phi
+               (Word_untyped.implies_subset subsets ~keep phi))
     | Chase, _ | Typed_m, None -> (
         fun ~keep phi ->
           match

@@ -89,8 +89,10 @@ val decide : t -> keep:int list -> Pathlang.Constr.t -> bool option
     does.  Raises [Invalid_argument] on a position outside [Sigma].
 
     The typed-M route answers from one {!Typed_m.subsets} context built
-    at the first question; the word route runs {!Word_untyped.implies}
-    on the kept sublist.  Neither consults the store pre-filter, which
+    at the first question, the word route from one
+    {!Word_untyped.subsets} context: [Sigma] itself and [Sigma] minus
+    one position read one bit of a masked saturation, other keep-sets
+    run {!Word_untyped.implies} on the kept sublist.  Neither consults the store pre-filter, which
     could not change their verdicts: each store inference is a rule of
     the route's own calculus.  Their records say [prefilter:"skipped"].
     The chase route runs {!chase} on the kept sublist, pre-filter

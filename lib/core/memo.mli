@@ -4,8 +4,10 @@
     of goals against one Σ builds the context once.  The slot lives in
     [Domain.DLS]: {!Par} domains never share it, and a context needs no
     locking.  There is no capacity to tune: the traffic that repeats a
-    Σ asks its goals back to back, and the traffic that does not
-    (leave-one-out redundancy) would miss any bounded cache as well. *)
+    Σ asks its goals back to back.  Leave-one-out traffic, which asks
+    about a different subset of one Σ each time, is served by subset
+    contexts ({!Word_untyped.subsets}, {!Typed_m.subsets}), not by a
+    cache. *)
 
 type ('k, 'v) t
 

@@ -44,7 +44,72 @@ let implies_in ctx phi =
   if not (Constr.is_word phi) then Error (Not_word_constraint phi)
   else Ok (PR.derives_in ctx (Constr.lhs phi) (Constr.rhs phi))
 
-let implies ~sigma phi = with_context ~sigma phi PR.derives_in
+let implies ~sigma phi =
+  with_context ~sigma phi (fun ctx alpha beta -> PR.derives_in ctx alpha beta)
+
+(* ------------------------------------------------------------------ *)
+(* Subset contexts: one masked saturation for every leave-one-out S.   *)
+(* ------------------------------------------------------------------ *)
+
+type subsets = {
+  sigma : Constr.t array;
+  words : bool;  (** every member is a word constraint *)
+  blocks : context Lazy.t array;
+      (** block [b]: Sigma with one variant per position [b * 62 + v]
+          leaving that position out *)
+}
+
+let block_size = PR.max_variants
+
+let subsets ~sigma =
+  let arr = Array.of_list sigma in
+  let n = Array.length arr in
+  let rules = rules_of sigma in
+  let block b =
+    lazy
+      (Obs.Span.with_ "word.instance"
+         ~args:[ ("sigma", string_of_int n) ]
+         (fun () ->
+           Obs.Counter.incr c_systems;
+           let first = b * block_size in
+           let variants =
+             List.init
+               (min block_size (n - first))
+               (fun v pos -> pos <> first + v)
+           in
+           PR.context ~variants rules))
+  in
+  {
+    sigma = arr;
+    words = Result.is_ok (check_word sigma);
+    blocks = Array.init (max 1 ((n + block_size - 1) / block_size)) block;
+  }
+
+let implies_subset ss ~keep phi =
+  let n = Array.length ss.sigma in
+  let kept = Array.make n false in
+  List.iter (fun i -> kept.(i) <- true) keep;
+  let left_out = List.filter (fun i -> not kept.(i)) (List.init n Fun.id) in
+  let answer ?variant b =
+    Ok
+      (PR.derives_in ?variant (Lazy.force ss.blocks.(b)) (Constr.lhs phi)
+         (Constr.rhs phi))
+  in
+  if not (Constr.is_word phi) then Error (Not_word_constraint phi)
+  else
+    match left_out with
+    | [] when ss.words ->
+        (* any block's whole-list bit; prefer one already saturated *)
+        let rec built b =
+          if b + 1 >= Array.length ss.blocks || Lazy.is_val ss.blocks.(b) then b
+          else built (b + 1)
+        in
+        answer (built 0)
+    | [ i ] when ss.words -> answer ~variant:(i mod block_size) (i / block_size)
+    | _ ->
+        implies
+          ~sigma:(List.filteri (fun i _ -> kept.(i)) (Array.to_list ss.sigma))
+          phi
 
 let implies_exn ~sigma phi =
   match implies ~sigma phi with
@@ -132,9 +197,6 @@ let derivation ?(max_frontier = 4096) ~sigma phi =
                    (List.fold_left (fun acc d' -> Axioms.Transitivity (acc, d')) d ds))
         end
       end)
-
-let derivation_bfs ?max_configs ~sigma phi =
-  with_system ~sigma phi (fun s a b -> PR.derives_bfs ?max_configs s a b)
 
 let consequences_sample ~sigma ~from ~max_steps =
   match check_word sigma with

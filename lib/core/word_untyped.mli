@@ -64,6 +64,36 @@ val implies_in : context -> Pathlang.Constr.t -> (bool, error) result
 (** [implies_in ctx phi] is [implies ~sigma phi] for the [Sigma] of
     [ctx]. *)
 
+(** {2 Subset contexts}
+
+    Leave-one-out analyses ask "[S |= phi]" for many subsets [S] of one
+    [Sigma], most of them [Sigma] itself or [Sigma] minus one position.
+    A subset context answers all of those from masked saturations
+    ({!Automata.Prefix_rewrite.context} with variants): with blocks of
+    {!Automata.Prefix_rewrite.max_variants} = 62 positions, block [b]
+    saturates [Sigma] once for the 62 keep-sets that leave out one of
+    the positions [62b .. 62b + 61], plus the whole of [Sigma].  A block
+    is built at its first question (span [word.instance], counter
+    [word.systems_compiled]), so a file of up to 62 constraints costs
+    one saturation for all its leave-one-out questions.  Each question
+    still runs its own goal phase (span [saturation.pre_star]). *)
+
+type subsets
+
+val subsets : sigma:Pathlang.Constr.t list -> subsets
+(** Builds no block yet: each is built at its first question. *)
+
+val implies_subset :
+  subsets -> keep:int list -> Pathlang.Constr.t -> (bool, error) result
+(** [implies_subset ss ~keep phi] is [implies ~sigma:s phi] for the [s]
+    made of the members of [Sigma] at the 0-based positions [keep] (in
+    any order; a repeated position changes nothing), with the same
+    [Error]s.  Keeping all of [Sigma] reads the whole-list bit of a
+    block and keeping all but one position reads that position's bit;
+    any other keep-set runs {!implies} on the kept members (its own
+    context).
+    @raise Invalid_argument on a position outside [Sigma]. *)
+
 val implies_exn : sigma:Pathlang.Constr.t list -> Pathlang.Constr.t -> bool
 
 val derivation :
@@ -87,15 +117,6 @@ val implies_via_post :
 (** Same question decided with the dual post* saturation over a freshly
     compiled system — an independent implementation used for
     cross-validation and the ablation bench. *)
-
-val derivation_bfs :
-  ?max_configs:int ->
-  sigma:Pathlang.Constr.t list ->
-  Pathlang.Constr.t ->
-  (bool option, error) result
-(** Brute-force search for a rewriting derivation; [Some true]
-    exhibits one, [Some false] proves there is none (search space
-    exhausted), [None] means budget ran out.  Test oracle. *)
 
 val consequences_sample :
   sigma:Pathlang.Constr.t list ->

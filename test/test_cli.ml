@@ -417,6 +417,54 @@ let test_lint_fix_keeps_options () =
     (contains stats "par.tasks");
   Sys.remove copy
 
+(* A run cut short by the wall clock (PC302) depends on the host: it is
+   not cached, so the next run analyses again.  A run that finishes is
+   stored and replayed. *)
+let test_lint_cache_skips_cut_runs () =
+  let rng = Random.State.make [| 22 |] in
+  let side () =
+    String.concat "."
+      (List.init
+         (1 + Random.State.int rng 2)
+         (fun _ -> String.make 1 "abcd".[Random.State.int rng 4]))
+  in
+  let sigma =
+    write_temp ".constraints"
+      (String.concat ""
+         (List.init 24 (fun _ ->
+              Printf.sprintf "%s -> %s\n" (side ()) (side ()))))
+  in
+  let fresh_dir () =
+    let dir = Filename.temp_file "pathctl_cutcache" "" in
+    Sys.remove dir;
+    dir
+  in
+  let entries dir =
+    if Sys.file_exists dir then Array.length (Sys.readdir dir) else 0
+  in
+  let lint dir extra =
+    run
+      (Printf.sprintf "lint -s %s --cache=%s --stats text%s"
+         (Filename.quote sigma) (Filename.quote dir) extra)
+  in
+  let dir = fresh_dir () in
+  let _, cut = lint dir " --timeout 0.000000001" in
+  check_bool "the pass gave up" true (contains cut "hint[PC302]");
+  check_int "no entry stored" 0 (entries dir);
+  let _, again = lint dir " --timeout 0.000000001" in
+  check_bool "second run misses" true
+    (contains again "lint.cache.misses"
+    && not (contains again "lint.cache.hits"));
+  let dir = fresh_dir () in
+  let _, full = lint dir "" in
+  check_bool "a full run finishes" false (contains full "PC302");
+  check_bool "a full run is stored" true (entries dir > 0);
+  let _, replay = lint dir "" in
+  check_bool "and replayed" true (contains replay "lint.cache.hits");
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  Sys.remove sigma
+
 (* a malformed schema is reported at the offending token by both
    commands: the same line:col, the same message *)
 let test_schema_error_position_parity () =
@@ -538,6 +586,8 @@ let () =
         [
           Alcotest.test_case "lint --fix keeps --interact/--cache/-j" `Quick
             test_lint_fix_keeps_options;
+          Alcotest.test_case "lint --cache skips runs cut short" `Quick
+            test_lint_cache_skips_cut_runs;
           Alcotest.test_case "PC002 position: lint = query lint" `Quick
             test_schema_error_position_parity;
           Alcotest.test_case "cli.read fault is PC001" `Quick

@@ -11,6 +11,7 @@ module Label = Pathlang.Label
 module Path = Pathlang.Path
 module Constr = Pathlang.Constr
 module PR = Automata.Prefix_rewrite
+module Ref = Oracle.Pre_star_reference
 module WU = Core.Word_untyped
 module TM = Core.Typed_m
 module Mschema = Schema.Mschema
@@ -57,7 +58,7 @@ let test_word_engines () =
     for _ = 1 to 8 do
       let alpha = random_path rng goal_labels 4
       and beta = random_path rng goal_labels 4 in
-      let naive = PR.derives system alpha beta in
+      let naive = Ref.derives system alpha beta in
       let post = PR.derives_via_post system alpha beta in
       let got = PR.derives_in ctx alpha beta in
       if got <> naive || got <> post then
@@ -93,6 +94,117 @@ let test_word_hand_cases () =
     (PR.derives_in ctx (path "a.b.d") (path "d"));
   check_bool "no rules: reflexive on foreign labels" true
     (PR.derives_in (PR.context []) (path "d.d") (path "d.d"))
+
+(* One masked context holds every leave-one-out rule set plus a few
+   random ones; each variant must answer as the naive pre* and post* of
+   a system compiled from its kept rules alone, and the whole-list bit
+   as those of all the rules. *)
+let test_word_masked () =
+  let rng = Random.State.make [| 22; 1 |] in
+  let variants_drawn = ref 0 and yes = ref 0 and no = ref 0 in
+  for _ = 1 to 60 do
+    let rules = random_rules rng @ random_rules rng in
+    let n = List.length rules in
+    let random_keep () =
+      let kept = Array.init n (fun _ -> Random.State.bool rng) in
+      fun pos -> kept.(pos)
+    in
+    let keeps =
+      List.init n (fun i pos -> pos <> i)
+      @ List.init (1 + Random.State.int rng 3) (fun _ -> random_keep ())
+    in
+    let ctx = PR.context ~variants:keeps rules in
+    (* random goals, and one rewriting step by each rule under a random
+       suffix: derivable from all the rules, maybe not from a variant's *)
+    let goals =
+      List.init 4 (fun _ ->
+          (random_path rng goal_labels 4, random_path rng goal_labels 4))
+      @ List.map
+          (fun (r : PR.rule) ->
+            let suffix = random_path rng goal_labels 2 in
+            (Path.concat r.lhs suffix, Path.concat r.rhs suffix))
+          rules
+    in
+    let check what kept variant =
+      let system = PR.compile ~alphabet:(Array.to_list goal_labels) kept in
+      List.iter
+        (fun (alpha, beta) ->
+          let naive = Ref.derives system alpha beta in
+          let post = PR.derives_via_post system alpha beta in
+          let got = PR.derives_in ?variant ctx alpha beta in
+          if got <> naive || got <> post then
+            Alcotest.failf
+              "%s, %s [%s] |- %s => %s: masked %b, naive pre* %b, post* %b"
+              (show_rules rules) what (show_rules kept) (Path.to_string alpha)
+              (Path.to_string beta) got naive post;
+          incr (if got then yes else no))
+        goals
+    in
+    List.iteri
+      (fun v keep ->
+        incr variants_drawn;
+        check
+          (Printf.sprintf "variant %d" v)
+          (List.filteri (fun pos _ -> keep pos) rules)
+          (Some v))
+      keeps;
+    check "all" rules None
+  done;
+  check_bool "variants drawn" true (!variants_drawn > 250);
+  check_bool "both answers drawn" true (!yes > 400 && !no > 400)
+
+(* Sigma longer than one 62-position block: every leave-one-out
+   question, on either side of the boundary, and Sigma itself answer as
+   a fresh context over the kept members; two blocks, two saturations. *)
+let test_word_blocks () =
+  let rng = Random.State.make [| 22; 2 |] in
+  let sigma =
+    List.init 70 (fun _ ->
+        let lhs =
+          if Random.State.int rng 4 = 0 then Path.empty
+          else random_path rng sigma_labels 2
+        in
+        Constr.word ~lhs ~rhs:(random_path rng sigma_labels 2))
+  in
+  let goals =
+    List.init 6 (fun _ ->
+        Constr.word
+          ~lhs:(random_path rng goal_labels 3)
+          ~rhs:(random_path rng goal_labels 3))
+  in
+  let all = List.init 70 Fun.id in
+  let compiled = Obs.Counter.make "word.systems_compiled" in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      let before = Obs.Counter.value compiled in
+      let ss = WU.subsets ~sigma in
+      let ask keep phi = Result.get_ok (WU.implies_subset ss ~keep phi) in
+      let masked =
+        List.mapi
+          (fun i member ->
+            List.map
+              (fun phi -> ask (List.filter (( <> ) i) all) phi)
+              (member :: goals))
+          sigma
+      in
+      let whole = List.map (ask (List.rev all)) goals in
+      check_int "two block saturations" 2 (Obs.Counter.value compiled - before);
+      List.iteri
+        (fun i member ->
+          let rest = List.filteri (fun j _ -> j <> i) sigma in
+          List.iter2
+            (fun phi got ->
+              if got <> Result.get_ok (WU.implies ~sigma:rest phi) then
+                Alcotest.failf "position %d, %s: masked and fresh disagree" i
+                  (Constr.to_string phi))
+            (member :: goals) (List.nth masked i))
+        sigma;
+      List.iter2
+        (fun phi got ->
+          check_bool (Constr.to_string phi)
+            (Result.get_ok (WU.implies ~sigma phi))
+            got)
+        goals whole)
 
 (* Word_untyped through its memo, against post* on a fresh system. *)
 let test_word_memo_vs_post () =
@@ -312,6 +424,10 @@ let () =
             test_word_hand_cases;
           Alcotest.test_case "memoised implies vs post*" `Quick
             test_word_memo_vs_post;
+          Alcotest.test_case "masked variants vs naive pre* and post*" `Quick
+            test_word_masked;
+          Alcotest.test_case "subsets across a block boundary" `Quick
+            test_word_blocks;
         ] );
       ( "typed",
         [

@@ -301,7 +301,8 @@ let gen_typed rng =
   in
   (Some schema, sigma, goal)
 
-(* untyped word constraints over {a, b}, eps conclusions included *)
+(* untyped word constraints over {a, b}, eps conclusions included, and
+   now and then an eps premise (a rule on any top symbol) *)
 let gen_word rng =
   let p ~min =
     Path.of_labels
@@ -309,7 +310,11 @@ let gen_word rng =
          (min + Random.State.int rng (4 - min))
          (fun _ -> Label.make (draw ab rng)))
   in
-  let c () = Constr.word ~lhs:(p ~min:1) ~rhs:(p ~min:0) in
+  let c () =
+    Constr.word
+      ~lhs:(if Random.State.int rng 6 = 0 then Path.empty else p ~min:1)
+      ~rhs:(p ~min:0)
+  in
   let sigma = List.init (1 + Random.State.int rng 5) (fun _ -> c ()) in
   let sigma =
     if Random.State.int rng 4 = 0 then sigma @ [ draw sigma rng ] else sigma
@@ -331,7 +336,18 @@ let arb_instance gen =
         List.init (Random.State.int rng (n + 2)) (fun _ ->
             Random.State.int rng n)
       in
-      { schema; sigma; keeps = List.init 3 keep; goal })
+      (* plus Sigma minus one position and Sigma itself, the keep-sets
+         the subset contexts answer from one saturation *)
+      let left_out = Random.State.int rng n in
+      let all = List.init n Fun.id in
+      {
+        schema;
+        sigma;
+        keeps =
+          List.init 3 keep
+          @ [ List.filter (( <> ) left_out) all; List.rev all ];
+        goal;
+      })
 
 let ref_decider i =
   let d, _, _ =

@@ -4,6 +4,7 @@ module Constr = Pathlang.Constr
 module Graph = Sgraph.Graph
 module Check = Sgraph.Check
 module WU = Core.Word_untyped
+module Ref = Oracle.Pre_star_reference
 
 (* The Section 1 extent constraints. *)
 let sigma_extent () = Xmlrep.Bib.extent_constraints ()
@@ -118,7 +119,7 @@ let prop_bfs_agrees =
   q ~count:100 "BFS derivation search agrees when definitive"
     QCheck.(pair arb_word_sigma arb_word_constraint)
     (fun (sigma, phi) ->
-      match WU.derivation_bfs ~max_configs:3000 ~sigma phi with
+      match Ref.derivation_bfs ~max_configs:3000 ~sigma phi with
       | Ok (Some oracle) -> implies sigma phi = oracle
       | Ok None -> QCheck.assume_fail ()
       | Error _ -> false)
