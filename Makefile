@@ -1,6 +1,6 @@
 # Convenience wrapper around dune.
 
-.PHONY: all build test check bench bench-check bench-chase bench-scaling profile flame metrics fmt clean lint
+.PHONY: all build test check bench bench-check bench-chase bench-scaling metrics fmt clean lint
 
 all: build
 
@@ -38,22 +38,9 @@ bench-scaling:
 	dune exec bench/main.exe -- scaling -o BENCH_scaling.json
 	dune exec bench/check_bench.exe -- BENCH_scaling.json
 
-# span/counter attribution for the chase on the shipped bibliography
-# example (see DESIGN.md section 9)
-profile: build
-	dune exec bin/pathctl.exe -- profile --workload chase \
-	  -s examples/data/sigma0.constraints "book.ref.author -> person" -n 20
-
-# folded stacks of the chase workload, ready for flamegraph.pl or
-# inferno-flamegraph (pipe FLAME.folded into either to get an SVG)
-flame: build
-	dune exec bin/pathctl.exe -- profile --workload chase \
-	  -s examples/data/sigma0.constraints "book.ref.author -> person" -n 20 \
-	  --flame FLAME.folded
-	@echo "wrote FLAME.folded (flamegraph.pl FLAME.folded > flame.svg)"
-
-# OpenMetrics exposition of the same chase workload: every counter,
-# gauge, histogram and span aggregate, scrape-ready
+# OpenMetrics exposition of a chase on the shipped bibliography example
+# (see DESIGN.md section 9): every counter, gauge, histogram and span
+# aggregate, scrape-ready
 metrics: build
 	dune exec bin/pathctl.exe -- chase -s examples/data/sigma0.constraints \
 	  "MIT.book.author -> MIT.person" --metrics METRICS.prom

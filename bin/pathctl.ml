@@ -21,21 +21,50 @@
      lint           static analysis of a constraint file (PC0xx-PC7xx)
      interact       the constraint-interaction report (PC7xx)
      query          typed RPQ files: lint, eval, explain (PC8xx)
-     profile        phase attribution of a workload over N runs
 
    The instrumented commands take the observability flags as one term
-   ([obs_term]); lint, interact and query lint/explain share the report
+   ([obs_term]) and parse, decide and render inside one bracket
+   ([with_obs]); lint, interact and query lint/explain share the report
    term ([report_term]) and the one analyzer driver (Analysis.Driver). *)
 
 open Cmdliner
 
 let die fmt = Format.kasprintf (fun s -> `Error (false, s)) fmt
 
+(* Every file the CLI writes (--trace, --metrics, --audit, lint -o,
+   --emit-cert) goes through [write_file]: an unwritable path is one
+   line on stderr, the other outputs are still attempted, and the run
+   exits at least 124 — the status [die] gives — so a verdict's 0, 1 or
+   2 becomes 124 while an internal error (125) or a signal (130, 143)
+   keeps its own.  [exit] is shadowed so that every exit path says
+   so. *)
+let write_failed = ref false
+
+let write_file path contents =
+  try
+    Out_channel.with_open_text path (fun oc ->
+        Out_channel.output_string oc contents)
+  with Sys_error m ->
+    let prefix = path ^ ": " in
+    let reason =
+      if String.starts_with ~prefix m then
+        String.sub m (String.length prefix)
+          (String.length m - String.length prefix)
+      else m
+    in
+    Printf.eprintf "pathctl: cannot write %s: %s\n%!" path reason;
+    write_failed := true
+
+let exit code = exit (if !write_failed then max code 124 else code)
+
 (* Every CLI input read goes through the fault-injectable I/O layer, so
    torn/truncated reads can be rehearsed end-to-end ([cli.read] site);
    disarmed, this is a plain file read.  The analyzer driver reads its
    inputs through the same function. *)
 let read_file = Analysis.Driver.read_file
+
+(* the layer spans of --stats, shared with the analyzer driver *)
+let parsing = Analysis.Driver.parsing
 
 (* Machine-readable diagnostic on stderr for snapshot degradation:
    operators grep these out of service logs. *)
@@ -83,12 +112,11 @@ let trace_arg =
           "Write a Chrome trace_event JSON trace of this run to $(docv); \
            load it in chrome://tracing or Perfetto (ui.perfetto.dev).")
 
-let stats_fmt = Arg.enum [ ("text", `Text); ("json", `Json) ]
-
 let stats_arg =
   Arg.(
     value
-    & opt (some stats_fmt) None ~vopt:(Some `Text)
+    & opt (some (enum [ ("text", `Text); ("json", `Json) ])) None
+        ~vopt:(Some `Text)
     & info [ "stats" ] ~docv:"FMT"
         ~doc:
           "Print counters and per-span timing to standard error after the \
@@ -117,7 +145,7 @@ let audit_arg =
            events.")
 
 (* The four observability flags, as the one argument every instrumented
-   command takes ([profile] keeps its own subset). *)
+   command takes. *)
 type obs = {
   trace : string option;
   stats : [ `Text | `Json ] option;
@@ -131,20 +159,25 @@ let obs_term =
     $ trace_arg $ stats_arg $ metrics_arg $ audit_arg)
 
 (* Instrumentation bracket: enable the requested observability, run [f]
-   under a root span, then flush the trace file, the OpenMetrics
-   exposition, the audit journal and the stats before handing back
-   [f]'s result.  Commands that want a non-zero exit status return it
-   from [f] — calling [exit] inside would skip the flush.  [always]
-   keeps counters on even without --stats, so that exhaustion
-   diagnostics can report what the budget was spent on. *)
+   under a root span, then write the trace file, the OpenMetrics
+   exposition and the audit journal and print the stats before handing
+   back [f]'s result.  [f] loads and parses its inputs itself, under
+   [layer.parse], so the root span's self time is what no layer
+   claims.  Commands that want a non-zero exit status return it from
+   [f] — calling [exit] inside would skip the flush.  [always] keeps
+   counters on even without --stats, so that exhaustion diagnostics
+   can report what the budget was spent on.  An exception from [f] is
+   re-raised as it was, whatever the flush does. *)
 let with_obs ~cmd ?(always = false) { trace; stats; metrics; audit } f =
   if trace <> None then Obs.enable_tracing ()
   else if always || stats <> None || metrics <> None then Obs.enable ();
   if audit <> None then Obs.Audit.enable ();
   let finish () =
-    Option.iter Obs.Trace.write_chrome trace;
-    Option.iter Obs.Openmetrics.write metrics;
-    Option.iter Obs.Audit.write audit;
+    Option.iter
+      (fun file -> write_file file (Obs.Trace.to_chrome_json () ^ "\n"))
+      trace;
+    Option.iter (fun file -> write_file file (Obs.Openmetrics.render ())) metrics;
+    Option.iter (fun file -> write_file file (Obs.Audit.to_jsonl ())) audit;
     match stats with
     | Some `Text -> prerr_string (Obs.Stats.to_text ())
     | Some `Json -> prerr_endline (Obs.Json.to_string (Obs.Stats.to_json ()))
@@ -155,8 +188,9 @@ let with_obs ~cmd ?(always = false) { trace; stats; metrics; audit } f =
       finish ();
       v
   | exception e ->
-      finish ();
-      raise e
+      let bt = Printexc.get_raw_backtrace () in
+      (try finish () with _ -> ());
+      Printexc.raise_with_backtrace e bt
 
 (* --- common arguments ------------------------------------------------ *)
 
@@ -205,10 +239,12 @@ let check_cmd =
           ~doc:"Print at most $(docv) violating pairs per failing constraint.")
   in
   let run graph_file sigma_file max_violations obs =
-    match (load_graph graph_file, load_constraints sigma_file) with
-    | Error m, _ | _, Error m -> die "%s" m
-    | Ok g, Ok sigma ->
-        with_obs ~cmd:"check" obs (fun () ->
+    with_obs ~cmd:"check" obs (fun () ->
+        match
+          parsing (fun () -> (load_graph graph_file, load_constraints sigma_file))
+        with
+        | Error m, _ | _, Error m -> die "%s" m
+        | Ok g, Ok sigma ->
             let ok = ref true in
             List.iter
               (fun c ->
@@ -343,10 +379,7 @@ let implies_typed_cmd =
             Printf.printf "true\n";
             if proof then Format.printf "%a@." Core.Axioms.pp d;
             Option.iter
-              (fun file ->
-                Out_channel.with_open_text file (fun oc ->
-                    Out_channel.output_string oc (Core.Axioms.to_sexp d);
-                    Out_channel.output_string oc "\n"))
+              (fun file -> write_file file (Core.Axioms.to_sexp d ^ "\n"))
               cert;
             `Ok ()
         | Ok (Core.Typed_m.Vacuous m) ->
@@ -484,13 +517,16 @@ let chase_cmd =
              escalation restarts the chase from scratch each round, so \
              there is no single resumable state"
         else
-          match (load_constraints sigma_file, parse_constraint phi) with
-          | Error m, _ | _, Error m -> die "%s" m
-          | Ok sigma, Ok phi ->
-              (* counters stay on even without --stats so an Unknown verdict
-                 can say what the budget was spent on *)
-              let code =
-                with_obs ~cmd:"chase" ~always:true obs (fun () ->
+          (* counters stay on even without --stats so an Unknown verdict
+             can say what the budget was spent on *)
+          let outcome =
+            with_obs ~cmd:"chase" ~always:true obs (fun () ->
+                match
+                  parsing (fun () ->
+                      (load_constraints sigma_file, parse_constraint phi))
+                with
+                | Error m, _ | _, Error m -> Error m
+                | Ok sigma, Ok phi ->
                     let cancel = Core.Engine.Cancel.create () in
                     (* A bad resume file degrades to a cold start: a parked
                        snapshot is an optimization, never a correctness
@@ -578,26 +614,27 @@ let chase_cmd =
                     (* exit codes: 0 implied, 1 refuted, 2 unknown/exhausted
                        (also after an injected crash), 130 SIGINT (128+2),
                        143 SIGTERM (128+15) *)
-                    match verdict with
-                    | Core.Verdict.Implied ->
-                        print_endline "implied";
-                        0
-                    | Core.Verdict.Refuted g ->
-                        let g = Core.Minimize.countermodel g ~sigma ~phi in
-                        Printf.printf "refuted; minimal countermodel:\n%s"
-                          (Sgraph.Io.to_string g);
-                        1
-                    | Core.Verdict.Unknown e -> (
-                        Format.printf "unknown: %a@." Core.Verdict.pp_exhaustion
-                          e;
-                        match e.Core.Verdict.reason with
-                        | Core.Verdict.Cancelled -> (
-                            match Core.Engine.Cancel.cause cancel with
-                            | Some Core.Engine.Cancel.Sigterm -> 143
-                            | _ -> 130)
-                        | _ -> 2))
-              in
-              exit code)
+                    Ok
+                      (match verdict with
+                      | Core.Verdict.Implied ->
+                          print_endline "implied";
+                          0
+                      | Core.Verdict.Refuted g ->
+                          let g = Core.Minimize.countermodel g ~sigma ~phi in
+                          Printf.printf "refuted; minimal countermodel:\n%s"
+                            (Sgraph.Io.to_string g);
+                          1
+                      | Core.Verdict.Unknown e -> (
+                          Format.printf "unknown: %a@."
+                            Core.Verdict.pp_exhaustion e;
+                          match e.Core.Verdict.reason with
+                          | Core.Verdict.Cancelled -> (
+                              match Core.Engine.Cancel.cause cancel with
+                              | Some Core.Engine.Cancel.Sigterm -> 143
+                              | _ -> 130)
+                          | _ -> 2)))
+          in
+          match outcome with Error m -> die "%s" m | Ok code -> exit code)
   in
   Cmd.v
     (Cmd.info "chase"
@@ -1017,17 +1054,16 @@ let report_term =
   Term.(const (fun format output -> { format; output }) $ format_arg $ output_arg)
 
 let render { format; output } diags =
-  let rendered =
-    match format with
-    | `Text -> Analysis.Diagnostic.render_text diags
-    | `Json -> Analysis.Diagnostic.render_json diags
-    | `Sarif -> Analysis.Diagnostic.render_sarif diags
-  in
-  match output with
-  | None -> print_string rendered
-  | Some file ->
-      Out_channel.with_open_text file (fun oc ->
-          Out_channel.output_string oc rendered)
+  Analysis.Driver.rendering (fun () ->
+      let rendered =
+        match format with
+        | `Text -> Analysis.Diagnostic.render_text diags
+        | `Json -> Analysis.Diagnostic.render_json diags
+        | `Sarif -> Analysis.Diagnostic.render_sarif diags
+      in
+      match output with
+      | None -> print_string rendered
+      | Some file -> write_file file rendered)
 
 let max_warnings_arg ~doc =
   Arg.(
@@ -1043,10 +1079,10 @@ let max_warnings_arg ~doc =
 let max_warnings_or_config ~config = function
   | Some _ as n -> n
   | None ->
-      Option.bind config (fun path ->
-          match Analysis.Config.load path with
-          | Ok c -> c.Analysis.Config.max_warnings
-          | Error _ -> None)
+      parsing (fun () ->
+          Option.bind config (fun path ->
+              Option.bind (Analysis.Config.load path) (fun c ->
+                  c.Analysis.Config.max_warnings)))
 
 (* lint and interact: the budget of the best-effort passes, cancelled by
    SIGINT; the term yields the bracket that runs an analysis under it *)
@@ -1404,14 +1440,22 @@ let query_eval_cmd =
                 2
             | Ok v -> k v
           in
-          let* g = load_graph graph_file in
-          let* src = read_file query_file in
-          let* doc = Rpq.Parser.document_of_string src
-                     |> Result.map_error Rpq.Parser.error_to_string in
-          let* schema =
-            match schema_file with
-            | None -> Ok None
-            | Some path -> Result.map Option.some (Schema.Schema_parser.load path)
+          let* g, doc, schema =
+            parsing (fun () ->
+                let ( let* ) = Result.bind in
+                let* g = load_graph graph_file in
+                let* src = read_file query_file in
+                let* doc =
+                  Rpq.Parser.document_of_string src
+                  |> Result.map_error Rpq.Parser.error_to_string
+                in
+                let* schema =
+                  match schema_file with
+                  | None -> Ok None
+                  | Some path ->
+                      Result.map Option.some (Schema.Schema_parser.load path)
+                in
+                Ok (g, doc, schema))
           in
           let cancel = Core.Engine.Cancel.create () in
           let budget =
@@ -1518,247 +1562,6 @@ let query_cmd =
           chains ($(b,explain))")
     [ query_lint_cmd; query_eval_cmd; query_explain_cmd ]
 
-(* --- profile --------------------------------------------------------------------- *)
-
-let profile_cmd =
-  let runs_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "runs"; "n" ] ~docv:"N"
-          ~doc:"Number of repetitions (default 10).")
-  in
-  let workload_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("chase", `Chase);
-               ("word", `Word);
-               ("lint", `Lint);
-               ("compare", `Compare);
-             ])
-          `Chase
-      & info [ "workload" ] ~docv:"KIND"
-          ~doc:
-            "What to run: the budgeted $(b,chase), the PTIME $(b,word) \
-             procedure, the $(b,lint) analysis, or $(b,compare) (every \
-             applicable procedure).")
-  in
-  let schema_opt_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "schema" ] ~docv:"FILE"
-          ~doc:"Optional schema, used by the lint and compare workloads.")
-  in
-  let format_arg =
-    Arg.(
-      value
-      & opt stats_fmt `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Report format: $(b,text) (default) or $(b,json).")
-  in
-  let phi_opt_arg =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"PHI"
-          ~doc:
-            "The goal constraint, in concrete syntax (optional for the lint \
-             workload).")
-  in
-  let flame_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "flame" ] ~docv:"FILE"
-          ~doc:
-            "Write the span tree of all runs as folded stacks \
-             ('root;child;leaf COUNT' lines, one per unique stack, \
-             weighted by nanoseconds) to $(docv); feed it to \
-             flamegraph.pl or inferno-flamegraph to render an SVG \
-             flamegraph.")
-  in
-  let jobs_sweep_arg =
-    Arg.(
-      value
-      & opt int (Par.jobs_of_env ())
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Sweep the parallel phases over 1..$(docv) worker domains: \
-             time the whole workload at each job count and print a \
-             wall-clock speedup table on top of the usual phase \
-             attribution.  Defaults to $(b,PATHCTL_JOBS) when set, else \
-             1 (no sweep).")
-  in
-  let run sigma_file phi_src schema_file runs workload jobs format trace flame
-      metrics =
-    if runs <= 0 then die "--runs must be positive"
-    else
-      let phi_result =
-        (* lint profiles the whole file; the other workloads decide one
-           implication and need a goal *)
-        match (workload, phi_src) with
-        | `Lint, _ -> Ok None
-        | _, None ->
-            Error
-              "this workload needs a goal constraint PHI (only the lint \
-               workload runs without one)"
-        | _, Some src -> Result.map Option.some (parse_constraint src)
-      in
-      match (load_constraints sigma_file, phi_result) with
-      | Error m, _ | _, Error m -> die "%s" m
-      | Ok sigma, Ok phi_opt -> (
-          let phi () = Option.get phi_opt in
-          let schema_result =
-            match schema_file with
-            | None -> Ok None
-            | Some f -> Result.map Option.some (Schema.Schema_parser.load f)
-          in
-          match schema_result with
-          | Error m -> die "%s" m
-          | Ok schema -> (
-              (* each workload closure takes the pool of the current
-                 sweep step (None at one job), so the sweep rows differ
-                 only in the domain count *)
-              let job_result =
-                match workload with
-                | `Chase ->
-                    let phi = phi () in
-                    Ok
-                      (fun pool ->
-                        ignore
-                          (Core.Decide.chase
-                             ~ctl:
-                               (Core.Engine.start Core.Engine.Budget.default)
-                             ?pool ~sigma phi))
-                | `Word -> (
-                    let phi = phi () in
-                    match Core.Decide.word ~sigma phi with
-                    | Error (Core.Word_untyped.Not_word_constraint c) ->
-                        Error
-                          (Format.asprintf
-                             "not a word constraint: %a (pick another \
-                              --workload)"
-                             Pathlang.Constr.pp c)
-                    | Ok _ ->
-                        Ok
-                          (fun _pool ->
-                            ignore (Core.Decide.word ~sigma phi)))
-                | `Compare ->
-                    let phi = phi () in
-                    Ok
-                      (fun _pool ->
-                        ignore (Core.Interaction.compare ?schema ~sigma phi))
-                | `Lint ->
-                    Ok
-                      (fun pool ->
-                        ignore
-                          (Analysis.Lint.lint_paths ?pool ?schema_file
-                             ?phi:phi_src ~sigma_file ()))
-              in
-              match job_result with
-              | Error m -> die "%s" m
-              | Ok job ->
-                  (* folded stacks replay begin/end events, so --flame
-                     needs the tracing tier just like --trace *)
-                  if trace <> None || flame <> None then Obs.enable_tracing ()
-                  else Obs.enable ();
-                  Obs.reset ();
-                  (* --jobs N sweeps the job counts 1..N, timing the
-                     [runs] repetitions wall-clock at each; N = 1 is the
-                     plain single-table profile *)
-                  let sweep =
-                    List.map
-                      (fun j ->
-                        Par.with_pool ~jobs:j (fun pool ->
-                            let t0 = Obs.now_ns () in
-                            for i = 1 to runs do
-                              Obs.Span.with_ "pathctl.profile.run"
-                                ~args:
-                                  [
-                                    ("run", string_of_int i);
-                                    ("jobs", string_of_int j);
-                                  ]
-                                (fun () -> job pool)
-                            done;
-                            (j, Int64.sub (Obs.now_ns ()) t0)))
-                      (List.init (max 1 jobs) (fun i -> i + 1))
-                  in
-                  Option.iter Obs.Trace.write_chrome trace;
-                  Option.iter Obs.Trace.write_folded flame;
-                  Option.iter Obs.Openmetrics.write metrics;
-                  let base_ns =
-                    match sweep with (_, ns) :: _ -> ns | [] -> 0L
-                  in
-                  let speedup ns =
-                    if Int64.compare ns 0L > 0 then
-                      Int64.to_float base_ns /. Int64.to_float ns
-                    else 0.
-                  in
-                  (match format with
-                  | `Text ->
-                      Printf.printf "profile: %d run(s)\n\n" runs;
-                      if jobs > 1 then begin
-                        Printf.printf
-                          "jobs sweep (%d run(s) per row, wall-clock):\n"
-                          runs;
-                        Printf.printf "  %5s  %12s  %8s\n" "jobs" "wall(ms)"
-                          "speedup";
-                        List.iter
-                          (fun (j, ns) ->
-                            Printf.printf "  %5d  %12.2f  %7.2fx\n" j
-                              (Int64.to_float ns /. 1e6)
-                              (speedup ns))
-                          sweep;
-                        print_newline ()
-                      end;
-                      print_string (Obs.Stats.to_text ())
-                  | `Json ->
-                      if jobs > 1 then
-                        print_endline
-                          (Obs.Json.to_string
-                             (Obs.Json.Obj
-                                [
-                                  ( "sweep",
-                                    Obs.Json.List
-                                      (List.map
-                                         (fun (j, ns) ->
-                                           Obs.Json.Obj
-                                             [
-                                               ("jobs", Obs.Json.Int j);
-                                               ( "wall_ns",
-                                                 Obs.Json.Int
-                                                   (Int64.to_int ns) );
-                                               ( "speedup_permille",
-                                                 Obs.Json.Int
-                                                   (int_of_float
-                                                      (speedup ns *. 1000.))
-                                               );
-                                             ])
-                                         sweep) );
-                                ]));
-                      print_endline
-                        (Obs.Json.to_string (Obs.Stats.to_json ())));
-                  `Ok ()))
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Run one implication workload N times under full instrumentation \
-          and print a phase-attribution table (per-span wall-clock and self \
-          time, counters); --jobs sweeps the parallel phases over 1..N \
-          worker domains and prints a wall-clock speedup table, --trace \
-          additionally captures a Chrome trace of all runs, --flame folded \
-          stacks for flamegraph.pl/inferno, and --metrics an OpenMetrics \
-          exposition.")
-    Term.(
-      ret
-        (const run $ sigma_arg $ phi_opt_arg $ schema_opt_arg $ runs_arg
-       $ workload_arg $ jobs_sweep_arg $ format_arg $ trace_arg $ flame_arg
-       $ metrics_arg))
-
 (* --- main ------------------------------------------------------------------------ *)
 
 let () =
@@ -1802,5 +1605,4 @@ let () =
             lint_cmd;
             interact_cmd;
             query_cmd;
-            profile_cmd;
           ]))

@@ -103,7 +103,7 @@ let unquote s =
 
 let parse src =
   let lines = String.split_on_char '\n' src in
-  let err n fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" n m)) fmt in
+  let err n fmt = Printf.ksprintf (fun m -> Error (n, m)) fmt in
   let rec go n section acc = function
     | [] -> Ok acc
     | line :: rest -> (
@@ -196,5 +196,5 @@ let parse src =
 
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
-  | src -> parse src
-  | exception Sys_error m -> Error m
+  | src -> Result.to_option (parse src)
+  | exception Sys_error _ -> None

@@ -48,8 +48,9 @@ val severity_override : t -> string -> Diagnostic.severity option option
     ([PCnxx]) entry; among family entries the first in file order
     wins. *)
 
-val parse : string -> (t, string) result
-(** The error message carries the 1-based line number. *)
+val parse : string -> (t, int * string) result
+(** The error is the 1-based line it stops at and the message. *)
 
-val load : string -> (t, string) result
-(** Read and {!parse}; I/O failures become [Error]. *)
+val load : string -> t option
+(** Read and {!parse}; [None] when the file cannot be read or does not
+    parse. *)

@@ -47,34 +47,41 @@ let whole_file_span = Span.v ~line:1 ~start_col:1 ~end_col:1
 let input_error code ~file ?span m =
   Diagnostic.make ~code ~severity:Diagnostic.Error ~file ?span m
 
+(* The two layers around the passes, so [--stats] can attribute a run:
+   reading and parsing the inputs, and shaping the findings into the
+   report. *)
+let parsing f = Obs.Span.with_ "layer.parse" f
+let rendering f = Obs.Span.with_ "layer.render" f
+
 let run_pass name f =
   Obs.Span.with_ ("lint." ^ name) (fun () ->
       Obs.Counter.incr passes_run;
       f ())
 
 let finish ~file ~config pragmas diags =
-  let all = Suppress.apply ~sigma_file:file pragmas diags in
-  let all =
-    List.filter_map
-      (fun d ->
-        match Config.severity_override config d.Diagnostic.code with
-        | None -> Some d
-        | Some None -> None
-        | Some (Some severity) -> Some { d with Diagnostic.severity })
-      all
-  in
-  let all = List.stable_sort Diagnostic.compare all in
-  (* per-family tallies (PC2xx vacuity, PC3xx redundancy, ...) so that
-     --stats output attributes diagnostics as well as time to passes *)
-  List.iter
-    (fun d ->
-      let code = d.Diagnostic.code in
-      let family =
-        if String.length code >= 3 then String.sub code 0 3 ^ "xx" else code
+  rendering (fun () ->
+      let all = Suppress.apply ~sigma_file:file pragmas diags in
+      let all =
+        List.filter_map
+          (fun d ->
+            match Config.severity_override config d.Diagnostic.code with
+            | None -> Some d
+            | Some None -> None
+            | Some (Some severity) -> Some { d with Diagnostic.severity })
+          all
       in
-      Obs.Counter.incr (Obs.Counter.tag f_diags family))
-    all;
-  all
+      let all = List.stable_sort Diagnostic.compare all in
+      (* per-family tallies (PC2xx vacuity, PC3xx redundancy, ...) so that
+         --stats output attributes diagnostics as well as time to passes *)
+      List.iter
+        (fun d ->
+          let code = d.Diagnostic.code in
+          let family =
+            if String.length code >= 3 then String.sub code 0 3 ^ "xx" else code
+          in
+          Obs.Counter.incr (Obs.Counter.tag f_diags family))
+        all;
+      all)
 
 let cache_key kind ~config ~explain ~file ~src ~schema_file ~schema_src
     ~config_src =
@@ -99,7 +106,9 @@ let load_config = function
       | Ok src -> (
           match Config.parse src with
           | Ok c -> Ok (src, c)
-          | Error m -> Error (input_error "PC003" ~file:path m)))
+          | Error (line, m) ->
+              let span = Span.v ~line ~start_col:1 ~end_col:1 in
+              Error (input_error "PC003" ~file:path ~span m)))
 
 let load_schema = function
   | None -> Ok None
@@ -131,27 +140,30 @@ let analyze kind ~config ~explain ~file src schema =
   let* src =
     Result.map_error (input_error "PC001" ~file ~span:whole_file_span) src
   in
-  let* doc =
-    Result.map_error
-      (fun (span, m) -> input_error "PC001" ~file ~span m)
-      (kind.parse src)
+  let* doc, schema =
+    parsing (fun () ->
+        match kind.parse src with
+        | Error (span, m) -> Error (input_error "PC001" ~file ~span m)
+        | Ok doc -> Result.map (fun schema -> (doc, schema)) (load_schema schema))
   in
-  let* schema = load_schema schema in
   let* findings = kind.passes ~file ~config ~explain schema doc in
   ( finish ~file ~config (kind.pragmas doc) findings,
     not (List.exists cut_short findings) )
 
 let run kind ?schema_file ?config_file ?cache_dir ?(explain = false) ~file
     () =
-  match load_config config_file with
+  match parsing (fun () -> load_config config_file) with
   | Error d -> [ d ]
   | Ok (config_src, config) -> (
       let explain = explain || config.Config.explain in
       let cache_dir =
         match cache_dir with Some _ -> cache_dir | None -> config.Config.cache_dir
       in
-      let src = read_file file in
-      let schema = Option.map (fun p -> (p, read_file p)) schema_file in
+      let src, schema =
+        parsing (fun () ->
+            let src = read_file file in
+            (src, Option.map (fun p -> (p, read_file p)) schema_file))
+      in
       (* only fully read inputs are keyed; [pool] is deliberately never
          a part: -j N results are byte-identical to -j 1 by contract, so
          an entry is valid at any job count *)

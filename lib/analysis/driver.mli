@@ -8,7 +8,12 @@
     ([lint.diags{family=...}]) → cache store.  Input errors
     ([PC001]/[PC002]/[PC003]) short-circuit: they skip suppression,
     severity overrides and the tally, so CI consumers always see why a
-    file was not analyzed.
+    file was not analyzed.  With a configuration that does not parse,
+    [PC003] is positioned at the line the parser stopped at.
+
+    The configuration load, the input reads and the document and schema
+    parses run under the [layer.parse] span, {!finish} under
+    [layer.render], so [--stats] attributes them apart from the passes.
 
     A document {!kind} supplies what differs between the two file types:
     the parser, the passes, and the extra cache-key parts. *)
@@ -44,6 +49,13 @@ val read_file : string -> (string, string) result
 (** Read an input file through the [cli.read] fault site; disarmed, a
     plain whole-file read. *)
 
+val parsing : (unit -> 'a) -> 'a
+(** Run under the [layer.parse] span: reading and parsing inputs. *)
+
+val rendering : (unit -> 'a) -> 'a
+(** Run under the [layer.render] span: shaping findings into a
+    report. *)
+
 val parse_error :
   line:int -> col:int -> token:string -> reason:string ->
   Pathlang.Span.t * string
@@ -61,7 +73,8 @@ val finish :
   Diagnostic.t list ->
   Diagnostic.t list
 (** Suppression pragmas, then the configuration's severity overrides,
-    then {!Diagnostic.compare} order; tallies the result per family. *)
+    then {!Diagnostic.compare} order; tallies the result per family.
+    Runs under the [layer.render] span. *)
 
 val cache_key :
   'doc kind ->

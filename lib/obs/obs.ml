@@ -582,12 +582,6 @@ module Audit = struct
     | [] -> ""
     | rs -> String.concat "\n" (List.map Json.to_string rs) ^ "\n"
 
-  let write path =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (to_jsonl ()))
-
   (* Minimal schema check shared by tests and journal consumers: every
      record has the envelope; decision records name a route, the
      pre-filter outcome and a verdict. *)
@@ -718,29 +712,6 @@ module Trace = struct
            ("otherData", Json.Obj [ ("producer", Json.String "pathcons/obs") ]);
          ])
 
-  let jsonl_of_event e =
-    Json.to_string
-      (Json.Obj
-         ([
-            ("name", Json.String e.name);
-            ( "ph",
-              Json.String
-                (match e.ph with Begin -> "B" | End -> "E" | Instant -> "i") );
-            ("ts_ns", Json.Int (Int64.to_int e.ts_ns));
-            ("tid", Json.Int e.tid);
-          ]
-         @
-         match e.args with
-         | [] -> []
-         | args ->
-             [
-               ( "args",
-                 Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) args) );
-             ]))
-
-  let to_jsonl () =
-    String.concat "\n" (List.map jsonl_of_event (events ())) ^ "\n"
-
   let write_chrome path =
     let oc = open_out path in
     Fun.protect
@@ -749,60 +720,6 @@ module Trace = struct
         output_string oc (to_chrome_json ());
         output_string oc "\n")
 
-  (* Folded stacks (flamegraph.pl / inferno): replay each domain's
-     Begin/End stream, charging self time (duration minus child time)
-     to the semicolon-joined stack.  Weights are nanoseconds. *)
-  let to_folded () =
-    let tbl : (string, int64) Hashtbl.t = Hashtbl.create 64 in
-    let charge key self =
-      let prev = Option.value ~default:0L (Hashtbl.find_opt tbl key) in
-      Hashtbl.replace tbl key (Int64.add prev self)
-    in
-    List.iter
-      (fun st ->
-        let evs =
-          List.init st.elen (fun i -> st.ebuf.(i)) @ synthetic_ends_of st
-        in
-        (* replay stack: (name, begin ts, accumulated child ns) *)
-        let stack = ref [] in
-        List.iter
-          (fun e ->
-            match e.ph with
-            | Instant -> ()
-            | Begin -> stack := (e.name, e.ts_ns, ref 0L) :: !stack
-            | End -> (
-                match !stack with
-                | (name, t0, child) :: rest when String.equal name e.name ->
-                    stack := rest;
-                    let dur = Int64.max 0L (Int64.sub e.ts_ns t0) in
-                    let self = Int64.max 0L (Int64.sub dur !child) in
-                    (match rest with
-                    | (_, _, pchild) :: _ -> pchild := Int64.add !pchild dur
-                    | [] -> ());
-                    let key =
-                      String.concat ";"
-                        (List.rev_map (fun (n, _, _) -> n) ((name, t0, child) :: rest))
-                    in
-                    charge key self
-                | _ -> (* unbalanced End: drop it *) ()))
-          evs)
-      (all_states ());
-    let lines =
-      Hashtbl.fold
-        (fun key self acc ->
-          if Int64.compare self 0L > 0 then
-            Printf.sprintf "%s %Ld" key self :: acc
-          else acc)
-        tbl []
-      |> List.sort compare
-    in
-    match lines with [] -> "" | ls -> String.concat "\n" ls ^ "\n"
-
-  let write_folded path =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (to_folded ()))
 end
 
 (* --- stats ------------------------------------------------------------- *)
@@ -976,7 +893,7 @@ module Stats = struct
 
 (* --- OpenMetrics exposition -------------------------------------------- *)
 
-(* The text format pathctld will mount: every counter family as
+(* The [--metrics] text format: every counter family as
    [<name>_total], gauges verbatim, histograms with cumulative
    [_bucket{le=...}] series, span aggregates as three derived counter
    families, terminated by [# EOF]. *)
@@ -1124,10 +1041,4 @@ module Openmetrics = struct
     line "%sobs_dropped_events_total %d" prefix (Trace.dropped ());
     Buffer.add_string b "# EOF\n";
     Buffer.contents b
-
-  let write path =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (render ()))
 end

@@ -1,7 +1,7 @@
 (** Domain-safe observability core: sharded counters, histograms and
     gauges, labeled metric families, nested spans over a monotonic
-    clock, an OpenMetrics renderer, a decision audit journal and
-    folded-stack export.
+    clock, a Chrome trace export, an OpenMetrics renderer and a
+    decision audit journal.
 
     Every decision procedure in this repository carries a complexity
     claim from the paper's Table 1 (PTIME local-extent checking, the
@@ -31,9 +31,14 @@
 
     Enable metrics with {!enable}, buffer span events for export with
     {!enable_tracing}, and read results through {!Stats} (aggregates),
-    {!Trace} (the event stream, as Chrome [trace_event] JSON,
-    JSON-lines or folded stacks), {!Openmetrics} (Prometheus text
-    exposition) or {!Audit} (the per-decision JSONL journal). *)
+    {!Trace} (the event stream, as Chrome [trace_event] JSON, which
+    Perfetto also draws as a flame chart), {!Openmetrics} (Prometheus
+    text exposition) or {!Audit} (the per-decision JSONL journal).
+    These are the only exports; [pathctl]'s [--stats], [--trace],
+    [--metrics] and [--audit] flags write them after each run, the
+    command's own work under a [pathctl.<cmd>] root span with its
+    input parsing under [layer.parse] and its report under
+    [layer.render]. *)
 
 module Json = Json
 
@@ -228,20 +233,8 @@ module Trace : sig
       synthetically at the current clock so the file is always
       well-formed. *)
 
-  val to_jsonl : unit -> string
-  (** One JSON object per event per line, nanosecond timestamps. *)
-
   val write_chrome : string -> unit
   (** [to_chrome_json] to a file. *)
-
-  val to_folded : unit -> string
-  (** Folded stacks for flamegraph.pl / inferno: one line per distinct
-      span stack, [root;child;leaf <self-nanoseconds>], sorted.  Spans
-      still open at export are closed synthetically; each domain's
-      stream is folded independently. *)
-
-  val write_folded : string -> unit
-  (** [to_folded] to a file. *)
 end
 
 (** The decision audit journal: one structured record per decision
@@ -265,8 +258,6 @@ module Audit : sig
 
   val to_jsonl : unit -> string
   (** One record per line; [""] when empty. *)
-
-  val write : string -> unit
 
   val validate : Json.t -> (unit, string) result
   (** Schema check: the [seq]/[ts_ns]/[event] envelope on every record;
@@ -298,5 +289,4 @@ end
     [# EOF].  Metric names are sanitized (dots become underscores). *)
 module Openmetrics : sig
   val render : unit -> string
-  val write : string -> unit
 end

@@ -605,17 +605,33 @@ let test_config_file () =
   Sys.remove cfg;
   Alcotest.(check int) "escalated severity exits 1" 1 code;
   check_contains out "error[PC505]";
-  (* a config that does not parse is PC003, an error *)
+  (* a config that does not parse is PC003, an error, positioned at
+     the line it stops at, in text and in SARIF *)
   let cfg = write_temp ".toml" "[passes]\nredundancy = maybe\n" in
   let code, out =
     run
       (Printf.sprintf "lint -s %s --config %s" (Filename.quote p)
          (Filename.quote cfg))
   in
-  Sys.remove cfg;
   Alcotest.(check int) "bad config exits 1" 1 code;
-  check_contains out "error[PC003]";
-  check_contains out "line 2"
+  check_contains out (cfg ^ ":2:1: error[PC003] bad boolean");
+  let cfg3 = write_temp ".toml" "[lint]\nexplain = true\nbogus = 1\n" in
+  let _, out =
+    run
+      (Printf.sprintf "lint -s %s --config %s" (Filename.quote p)
+         (Filename.quote cfg3))
+  in
+  check_contains out
+    (cfg3 ^ ":3:1: error[PC003] unknown key \"bogus\" in [lint]");
+  let _, sarif =
+    run
+      (Printf.sprintf "lint -s %s --config %s --format sarif" (Filename.quote p)
+         (Filename.quote cfg3))
+  in
+  Sys.remove cfg;
+  Sys.remove cfg3;
+  check_contains sarif "\"ruleId\":\"PC003\"";
+  check_contains sarif "\"region\":{\"startLine\":3"
 
 (* --- --max-warnings: the severity-threshold exit policy -------------------- *)
 

@@ -366,15 +366,65 @@ let test_jobs_env_default () =
   check_int "exit under PATHCTL_JOBS=4" code1 code_env;
   check_string "report under PATHCTL_JOBS=4" out1 out_env
 
-let test_profile_jobs_sweep () =
+(* An output file that cannot be written is reported on stderr, the
+   other outputs are still written, and the run exits 124 after printing
+   its result; an exception from the command itself still surfaces. *)
+let test_unwritable_outputs () =
+  let bad name = Filename.concat "/nonexistent" name in
+  let says out name =
+    contains out (Printf.sprintf "pathctl: cannot write %s: " (bad name))
+  in
+  let sigma0 = Filename.quote (data_fixture "sigma0.constraints") in
+  let audit = Filename.temp_file "pathctl_audit" ".jsonl" in
+  Sys.remove audit;
   let code, out =
     run
       (Printf.sprintf
-         "profile -s %s --workload lint -n 1 -j 2 --format text" sigma_words)
+         "chase -s %s \"book.ref.author -> person\" --metrics %s --trace %s \
+          --audit %s"
+         sigma0 (bad "m.prom") (bad "t.json") (Filename.quote audit))
   in
-  check_int "exit" 0 code;
-  check_bool "prints the sweep table" true (contains out "jobs sweep");
-  check_bool "has the 2-domain row" true (contains out "speedup")
+  check_int "chase: exit 124" 124 code;
+  check_bool "chase: verdict still printed" true (contains out "refuted");
+  check_bool "chase: --metrics reported" true (says out "m.prom");
+  check_bool "chase: --trace reported" true (says out "t.json");
+  check_bool "chase: no uncaught exception" false (contains out "internal error");
+  check_bool "chase: --audit still written" true
+    (Sys.file_exists audit
+    && contains (In_channel.with_open_text audit In_channel.input_all) "decision");
+  Sys.remove audit;
+  let code, out =
+    run (Printf.sprintf "chase -s %s \"a -> a\" --audit %s" sigma0 (bad "a.jsonl"))
+  in
+  check_int "chase --audit: exit 124" 124 code;
+  check_bool "chase --audit: reported" true (says out "a.jsonl");
+  let code, out =
+    run (Printf.sprintf "lint -s %s -o %s" sigma_words (bad "report.txt"))
+  in
+  check_int "lint -o: exit 124" 124 code;
+  check_bool "lint -o: reported" true (says out "report.txt");
+  let code, out =
+    run
+      (Printf.sprintf
+         "implies-typed -s %s --schema %s --emit-cert %s \"book.author.wrote -> book\""
+         sigma_inverse schema_file (bad "cert.sexp"))
+  in
+  check_int "--emit-cert: exit 124" 124 code;
+  check_bool "--emit-cert: answer printed" true (contains out "true");
+  check_bool "--emit-cert: reported" true (says out "cert.sexp");
+  (* the flush never hides what the command raised *)
+  let out_file = Filename.temp_file "pathctl_out" ".txt" in
+  let code =
+    Sys.command
+      (Printf.sprintf "PATHCTL_FAULT=cli.read:1:crash %s lint -s %s --metrics %s > %s 2>&1"
+         (Filename.quote pathctl) sigma_words (bad "m.prom")
+         (Filename.quote out_file))
+  in
+  let out = In_channel.with_open_text out_file In_channel.input_all in
+  Sys.remove out_file;
+  check_int "crash: internal error status kept" 125 code;
+  check_bool "crash: the exception surfaces" true (contains out "Fault.Crash");
+  check_bool "crash: the write failure too" true (says out "m.prom")
 
 let test_optimize () =
   let code, out =
@@ -545,6 +595,44 @@ let test_cli_read_fault_is_pc001 () =
         "query lint " ^ Filename.quote (data_fixture "query/clean.query") );
     ]
 
+(* The layer spans leave the root span of a lint run little self time:
+   reading and parsing the inputs, the passes and the report are each
+   attributed.  The least share of three runs is taken, so one
+   descheduled run on a loaded host does not decide it. *)
+let test_lint_root_self_share () =
+  let share () =
+    let err_file = Filename.temp_file "pathctl_err" ".json" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s lint -s %s --schema %s --stats json > /dev/null 2> %s"
+           (Filename.quote pathctl)
+           (Filename.quote (data_fixture "bibliography.constraints"))
+           (Filename.quote (data_fixture "bibliography.schema"))
+           (Filename.quote err_file))
+    in
+    let err = In_channel.with_open_text err_file In_channel.input_all in
+    Sys.remove err_file;
+    check_int "lint exit" 0 code;
+    let root =
+      match Obs.Json.parse (String.trim err) with
+      | Ok j -> (
+          match
+            Option.bind (Obs.Json.member "spans" j) (Obs.Json.member "pathctl.lint")
+          with
+          | Some r -> r
+          | None -> Alcotest.fail "no pathctl.lint span")
+      | Error m -> Alcotest.fail ("--stats json does not parse: " ^ m)
+    in
+    let ns name =
+      match Obs.Json.member name root with
+      | Some (Obs.Json.Int n) -> float_of_int n
+      | _ -> Alcotest.fail ("root span has no " ^ name)
+    in
+    ns "self_ns" /. ns "total_ns"
+  in
+  let best = List.fold_left Float.min 1. (List.init 3 (fun _ -> share ())) in
+  check_bool (Printf.sprintf "root self share %.3f < 0.05" best) true (best < 0.05)
+
 let () =
   Alcotest.run "cli"
     [
@@ -579,8 +667,8 @@ let () =
             test_chase_jobs_identical;
           Alcotest.test_case "PATHCTL_JOBS default" `Quick
             test_jobs_env_default;
-          Alcotest.test_case "profile --jobs sweep" `Quick
-            test_profile_jobs_sweep;
+          Alcotest.test_case "unwritable output paths" `Quick
+            test_unwritable_outputs;
         ] );
       ( "analyzer",
         [
@@ -594,5 +682,7 @@ let () =
             test_cli_read_fault_is_pc001;
           Alcotest.test_case "repeated field label is PC002" `Quick
             test_schema_repeated_field_is_pc002;
+          Alcotest.test_case "lint --stats attributes its layers" `Quick
+            test_lint_root_self_share;
         ] );
     ]

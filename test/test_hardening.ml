@@ -162,7 +162,8 @@ let example_parsers =
     ( "Config.parse",
       [ "lint/pathctl.toml" ],
       fun s ->
-        Result.map_error (fun _ -> None)
+        Result.map_error
+          (fun (line, _) -> Some (line, 1))
           (Result.map ignore (Analysis.Config.parse s)) );
   ]
 

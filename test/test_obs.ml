@@ -1,6 +1,8 @@
 (* The observability layer: span nesting, counter semantics, Chrome
-   trace export, the disabled-mode no-op guarantee, and a golden
-   --stats json fixture for a small chase run through the CLI. *)
+   trace export, the disabled-mode no-op guarantee, golden --stats json
+   and --metrics fixtures for a small chase and a lint run through the
+   CLI (layer spans included), and one audit record per decision
+   route. *)
 
 open Testutil
 
@@ -235,6 +237,13 @@ let run_stderr args =
   Sys.remove err_file;
   (code, err)
 
+let lint_fixture name =
+  Filename.quote
+    (Filename.concat
+       (Filename.dirname (Filename.dirname Sys.executable_name))
+       (Filename.concat "examples"
+          (Filename.concat "data" (Filename.concat "lint" name))))
+
 let test_golden_stats_json () =
   let sigma =
     write_temp ".constraints"
@@ -285,7 +294,32 @@ let test_golden_stats_json () =
     (List.mem_assoc "semidecide.implies" spans);
   (* the chase route's store pre-filter is timed on its own *)
   check_bool "pre-filter span present" true
-    (List.mem_assoc "decide.prefilter" spans)
+    (List.mem_assoc "decide.prefilter" spans);
+  (* the inputs are parsed inside the bracket, once *)
+  (match List.assoc_opt "layer.parse" spans with
+  | Some s ->
+      check_bool "one layer.parse" true
+        (Obs.Json.member "count" s = Some (Obs.Json.Int 1))
+  | None -> Alcotest.fail "no layer.parse span");
+  (* an analyzer command also attributes its report *)
+  let code, err =
+    run_stderr
+      (Printf.sprintf "lint -s %s --stats json" (lint_fixture "redundant.constraints"))
+  in
+  check_int "lint: warnings only, exit 0" 0 code;
+  let spans =
+    match Obs.Json.parse (String.trim err) with
+    | Ok j -> (
+        match Option.bind (Obs.Json.member "spans" j) Obs.Json.as_obj with
+        | Some o -> o
+        | None -> Alcotest.fail "lint: no spans object")
+    | Error m -> Alcotest.fail ("lint --stats json does not parse: " ^ m)
+  in
+  List.iter
+    (fun name ->
+      check_bool ("lint: " ^ name ^ " span present") true
+        (List.mem_assoc name spans))
+    [ "pathctl.lint"; "layer.parse"; "layer.render" ]
 
 let test_trace_flag_writes_valid_file () =
   let sigma =
@@ -367,9 +401,29 @@ let test_golden_openmetrics () =
       "pathcons_decision_latency_ns_count{route=\"chase\"} 1";
       "pathcons_span_calls_total{span=\"pathctl.chase\"} 1";
       "pathcons_span_calls_total{span=\"decide.prefilter\"} 1";
+      "pathcons_span_calls_total{span=\"layer.parse\"} 1";
       "# TYPE pathcons_decision_latency_ns histogram";
       "# TYPE pathcons_store_paths gauge";
-    ]
+    ];
+  (* an analyzer command exposes its parse and render layers too *)
+  let metrics_file = Filename.temp_file "obs_metrics" ".txt" in
+  let code, _ =
+    run_stderr
+      (Printf.sprintf "lint -s %s --metrics %s"
+         (lint_fixture "redundant.constraints")
+         (Filename.quote metrics_file))
+  in
+  check_int "lint: warnings only, exit 0" 0 code;
+  let doc = In_channel.with_open_text metrics_file In_channel.input_all in
+  Sys.remove metrics_file;
+  validate_openmetrics doc;
+  List.iter
+    (fun span ->
+      let prefix = Printf.sprintf "pathcons_span_calls_total{span=%S} " span in
+      check_bool ("lint: exposes " ^ span) true
+        (List.exists (String.starts_with ~prefix)
+           (String.split_on_char '\n' doc)))
+    [ "pathctl.lint"; "layer.parse"; "layer.render" ]
 
 (* --- audit journal through the CLI ------------------------------------- *)
 
@@ -429,12 +483,7 @@ let test_audit_roundtrip () =
 (* Every decision of a lint run is one audit record and one count in the
    route family, in a single record shape. *)
 let test_lint_decisions_match_routes () =
-  let lint_dir =
-    Filename.concat
-      (Filename.dirname (Filename.dirname Sys.executable_name))
-      (Filename.concat "examples" (Filename.concat "data" "lint"))
-  in
-  let fixture name = Filename.quote (Filename.concat lint_dir name) in
+  let fixture = lint_fixture in
   List.iter
     (fun schema ->
       let audit_file = Filename.temp_file "obs_lint_audit" ".jsonl" in
@@ -491,45 +540,95 @@ let test_lint_decisions_match_routes () =
         (List.length decisions))
     [ None; Some "lint.schema" ]
 
-(* --- folded stacks from a real chase trace ----------------------------- *)
+(* --- one audit record per route ------------------------------------------ *)
 
-let test_folded_stacks () =
-  Obs.enable_tracing ();
-  Obs.reset ();
-  let sigma = [ c_bwd "eps" "a" "b"; c_bwd "eps" "b" "a" ] in
-  let phi = c_word "a.b" "eps" in
-  ignore (Core.Semidecide.implies ~sigma phi);
-  let folded = Obs.Trace.to_folded () in
-  Obs.disable ();
-  let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' folded)
+(* Each of the six routes [Decide] records is pinned by one decision:
+   the record passes the schema check and names its route, its
+   pre-filter outcome and its verdict. *)
+let test_audit_every_route () =
+  let module D = Core.Decide in
+  let budget =
+    Core.Engine.Budget.v ~max_steps:100 ~max_nodes:100 ~timeout:10. ()
   in
-  check_bool "folded output is non-empty" true (lines <> []);
+  let ctl () = Core.Engine.start budget in
+  let bib = Schema.Mschema.bib_m in
+  let cases =
+    [
+      ( "store-prefilter",
+        (fun () ->
+          ignore
+            (D.chase ~ctl:(ctl ())
+               ~sigma:[ c_word "a" "b"; c_word "b" "c" ]
+               (c_word "a" "c"))),
+        "hit",
+        "implied" );
+      ( "word",
+        (fun () ->
+          ignore (D.word ~sigma:[ c_word "a" "b" ] (c_word "a.c" "b.c"))),
+        "skipped",
+        "implied" );
+      ( "typed-m",
+        (fun () ->
+          ignore (D.typed_m bib ~sigma:[] (c_word "book" "book.ref"))),
+        "skipped",
+        "refuted" );
+      ( "chase",
+        (fun () ->
+          ignore
+            (D.chase ~ctl:(ctl ())
+               ~sigma:
+                 [
+                   c_bwd "book" "author" "wrote"; c_bwd "person" "wrote" "author";
+                 ]
+               (c_word "book.author.wrote" "book"))),
+        "miss",
+        "refuted" );
+      (* the chase of a -> a.a never ends; a two-node enumeration
+         refutes *)
+      ( "enum",
+        (fun () ->
+          ignore
+            (D.chase ~ctl:(ctl ()) ~sigma:[ c_word "a" "a.a" ]
+               (c_word "a" "b"))),
+        "miss",
+        "refuted" );
+      ( "typed-search",
+        (fun () ->
+          ignore
+            (D.typed_search ~ctl:(ctl ()) bib ~sigma:[]
+               (c_word "book" "book.ref"))),
+        "skipped",
+        "refuted" );
+    ]
+  in
+  Obs.Audit.enable ();
   List.iter
-    (fun l ->
-      match String.rindex_opt l ' ' with
-      | None -> Alcotest.fail ("no weight separator in: " ^ l)
-      | Some i ->
-          let stack = String.sub l 0 i in
-          let weight = String.sub l (i + 1) (String.length l - i - 1) in
-          (match int_of_string_opt weight with
-          | Some w -> check_bool ("positive weight: " ^ l) true (w > 0)
-          | None -> Alcotest.fail ("non-integer weight in: " ^ l));
-          check_bool ("non-empty stack: " ^ l) true (stack <> "");
-          List.iter
-            (fun frame ->
-              check_bool ("non-empty frame in: " ^ l) true (frame <> ""))
-            (String.split_on_char ';' stack))
-    lines;
-  (* the chase actually shows up, as a child of the solver entry point *)
-  check_bool "solver root frame present" true
-    (List.exists
-       (fun l ->
-         String.length l >= 17 && String.sub l 0 17 = "semidecide.implies")
-       lines
-    || List.exists (fun l -> contains l "semidecide.implies") lines);
-  check_bool "chase frame nested under solver" true
-    (List.exists (fun l -> contains l "semidecide.implies;chase.implies") lines)
+    (fun (route, decide, prefilter, verdict) ->
+      Obs.reset ();
+      decide ();
+      let decisions =
+        List.filter
+          (fun r ->
+            Option.bind (Obs.Json.member "event" r) Obs.Json.as_string
+            = Some "decision")
+          (Obs.Audit.records ())
+      in
+      check_int (route ^ ": one decision record") 1 (List.length decisions);
+      let d = List.hd decisions in
+      (match Obs.Audit.validate d with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s: record invalid: %s" route m);
+      let field name =
+        match Option.bind (Obs.Json.member name d) Obs.Json.as_string with
+        | Some s -> s
+        | None -> Alcotest.failf "%s: record has no %s" route name
+      in
+      check_string (route ^ ": route") route (field "route");
+      check_string (route ^ ": prefilter") prefilter (field "prefilter");
+      check_string (route ^ ": verdict") verdict (field "verdict"))
+    cases;
+  Obs.Audit.disable ();
+  Obs.reset ()
 
 let () =
   Alcotest.run "obs"
@@ -568,7 +667,9 @@ let () =
           Alcotest.test_case "lint decisions match the route family" `Quick
             test_lint_decisions_match_routes;
         ] );
-      ( "flame",
-        [ Alcotest.test_case "folded stacks from a chase" `Quick
-            test_folded_stacks ] );
+      ( "audit",
+        [
+          Alcotest.test_case "one decision record per route" `Quick
+            test_audit_every_route;
+        ] );
     ]
