@@ -275,6 +275,11 @@ let check_cmd =
 
 (* --- implies (word, untyped) ------------------------------------------- *)
 
+(* the word procedure's one input error, shared by implies and optimize *)
+let not_word (Core.Word_untyped.Not_word_constraint c) =
+  die "not a word constraint: %a (use 'chase' for general P_c)"
+    Pathlang.Constr.pp c
+
 let implies_cmd =
   let proof_arg =
     Arg.(
@@ -297,9 +302,7 @@ let implies_cmd =
               | Ok (Error m) -> Printf.printf "(no certificate: %s)\n" m
               | Error _ -> ());
             `Ok ()
-        | Error (Core.Word_untyped.Not_word_constraint c) ->
-            die "not a word constraint: %a (use 'chase' for general P_c)"
-              Pathlang.Constr.pp c)
+        | Error e -> not_word e)
   in
   Cmd.v
     (Cmd.info "implies"
@@ -794,10 +797,13 @@ let optimize_cmd =
     | Error m -> die "%s" m
     | Ok sigma -> (
         match
-          List.map Pathlang.Path.of_string (String.split_on_char ',' query)
+          ( Core.Word_untyped.check_word sigma,
+            List.map Pathlang.Path.of_string (String.split_on_char ',' query)
+          )
         with
         | exception Invalid_argument m -> die "%s" m
-        | paths ->
+        | Error e, _ -> not_word e
+        | Ok (), paths ->
             let pruned = Core.Query.prune_union ~sigma paths in
             let best =
               List.map (Core.Query.cheapest_equivalent ~sigma) pruned
@@ -1074,15 +1080,13 @@ let max_warnings_arg ~doc =
           ("Exit 1 when more than $(docv) warning-severity diagnostics fire \
             (errors always exit 1)" ^ doc ^ "."))
 
-(* the warning threshold may come from the config file; the explicit
-   flag wins *)
-let max_warnings_or_config ~config = function
-  | Some _ as n -> n
-  | None ->
-      parsing (fun () ->
-          Option.bind config (fun path ->
-              Option.bind (Analysis.Config.load path) (fun c ->
-                  c.Analysis.Config.max_warnings)))
+(* the warning threshold may come from the config file, which the
+   driver hands back as it loads it; the explicit flag wins.  The pair
+   is the driver's [on_config] and the threshold, read after the run. *)
+let warning_threshold flag =
+  let from_config = ref None in
+  ( (fun c -> from_config := c.Analysis.Config.max_warnings),
+    fun () -> match flag with Some _ -> flag | None -> !from_config )
 
 (* lint and interact: the budget of the best-effort passes, cancelled by
    SIGINT; the term yields the bracket that runs an analysis under it *)
@@ -1186,7 +1190,7 @@ let lint_cmd =
       cache report with_budget jobs obs =
     exit
     @@ with_obs ~cmd:"lint" ~always:true obs (fun () ->
-           let max_warnings = max_warnings_or_config ~config max_warnings in
+           let on_config, max_warnings = warning_threshold max_warnings in
            let finish diags =
              render report diags;
              if
@@ -1200,7 +1204,7 @@ let lint_cmd =
                   budget (PC302); its timings below are a lower bound";
              (* exit codes: 0 clean (warnings under the threshold allowed),
                 1 an error-severity diagnostic or too many warnings *)
-             Analysis.Lint.exit_code ?max_warnings diags
+             Analysis.Lint.exit_code ?max_warnings:(max_warnings ()) diags
            in
            with_budget (fun budget ->
                Par.with_pool ~jobs (fun pool ->
@@ -1209,7 +1213,7 @@ let lint_cmd =
                    let lint () =
                      Analysis.Lint.lint_paths ~budget ?pool ?schema_file ?phi
                        ?config_file:config ?cache_dir:cache ~explain ~interact
-                       ~sigma_file ()
+                       ~on_config ~sigma_file ()
                    in
                    if fix then (
                      match Analysis.Fix.fix_file ~lint ~sigma_file () with
@@ -1382,15 +1386,15 @@ let query_lint_cmd =
       jobs obs =
     exit
     @@ with_obs ~cmd:"query.lint" ~always:true obs (fun () ->
-           let max_warnings = max_warnings_or_config ~config max_warnings in
+           let on_config, max_warnings = warning_threshold max_warnings in
            let diags =
              Par.with_pool ~jobs (fun pool ->
                  Analysis.Querycheck.lint_queries ?pool ?schema_file
-                   ?config_file:config ?cache_dir:cache ~explain ~query_file
-                   ())
+                   ?config_file:config ?cache_dir:cache ~explain ~on_config
+                   ~query_file ())
            in
            render report diags;
-           Analysis.Lint.exit_code ?max_warnings diags)
+           Analysis.Lint.exit_code ?max_warnings:(max_warnings ()) diags)
   in
   Cmd.v
     (Cmd.info "lint"

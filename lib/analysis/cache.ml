@@ -63,25 +63,6 @@ let severity_of_string = function
   | "hint" -> Some Diagnostic.Hint
   | _ -> None
 
-let diag_to_json (d : Diagnostic.t) =
-  Json.Obj
-    ([
-       ("code", Json.String d.Diagnostic.code);
-       ( "severity",
-         Json.String (Diagnostic.severity_to_string d.Diagnostic.severity) );
-       ("file", Json.String d.Diagnostic.file);
-       ("message", Json.String d.Diagnostic.message);
-     ]
-    @
-    match d.Diagnostic.span with
-    | None -> []
-    | Some s ->
-        [
-          ("line", Json.Int s.Pathlang.Span.line);
-          ("startColumn", Json.Int s.Pathlang.Span.start_col);
-          ("endColumn", Json.Int s.Pathlang.Span.end_col);
-        ])
-
 let diag_of_json j =
   let str k = Option.bind (Json.member k j) Json.as_string in
   let int k = Option.bind (Json.member k j) Json.as_int in
@@ -101,7 +82,8 @@ let diag_of_json j =
           | exception Invalid_argument _ -> None))
   | _ -> None
 
-let to_entry diags = Json.Obj [ ("diagnostics", Json.List (List.map diag_to_json diags)) ]
+let to_entry diags =
+  Json.Obj [ ("diagnostics", Json.List (List.map Diagnostic.to_json diags)) ]
 
 let of_entry j =
   match Option.bind (Json.member "diagnostics" j) Json.as_list with

@@ -193,8 +193,3 @@ let parse src =
                         key)))
   in
   go 1 "" default lines
-
-let load path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | src -> Result.to_option (parse src)
-  | exception Sys_error _ -> None

@@ -50,7 +50,3 @@ val severity_override : t -> string -> Diagnostic.severity option option
 
 val parse : string -> (t, int * string) result
 (** The error is the 1-based line it stops at and the message. *)
-
-val load : string -> t option
-(** Read and {!parse}; [None] when the file cannot be read or does not
-    parse. *)

@@ -125,54 +125,35 @@ let render_text ds =
 
 (* --- JSON ---------------------------------------------------------------- *)
 
-(* A minimal JSON emitter; the repo deliberately has no JSON dependency. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Obs.Json
 
-let jstr s = "\"" ^ json_escape s ^ "\""
-
-let jobj fields =
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields)
-  ^ "}"
-
-let jarr items = "[" ^ String.concat "," items ^ "]"
-
-let json_of_diag d =
-  let base =
-    [
-      ("code", jstr d.code);
-      ("severity", jstr (severity_to_string d.severity));
-      ("file", jstr d.file);
-    ]
-  in
+let to_json d =
   let pos =
     match d.span with
     | None -> []
     | Some s ->
-        [
-          ("line", string_of_int s.Span.line);
-          ("startColumn", string_of_int s.Span.start_col);
-          ("endColumn", string_of_int s.Span.end_col);
-        ]
+        Json.
+          [
+            ("line", Int s.Span.line);
+            ("startColumn", Int s.Span.start_col);
+            ("endColumn", Int s.Span.end_col);
+          ]
   in
-  jobj (base @ pos @ [ ("message", jstr d.message) ])
+  Json.(
+    Obj
+      ((("code", String d.code)
+       :: ("severity", String (severity_to_string d.severity))
+       :: ("file", String d.file) :: pos)
+      @ [ ("message", String d.message) ]))
 
 let render_json ds =
-  String.concat "" (List.map (fun d -> json_of_diag d ^ "\n") (sorted ds))
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun d ->
+      Json.write buf (to_json d);
+      Buffer.add_char buf '\n')
+    (sorted ds);
+  Buffer.contents buf
 
 (* --- SARIF 2.1.0 --------------------------------------------------------- *)
 
@@ -181,69 +162,84 @@ let sarif_level = function
   | Warning -> "warning"
   | Info | Hint -> "note"
 
-let sarif_rule (code, severity, descr) =
-  jobj
-    [
-      ("id", jstr code);
-      ("shortDescription", jobj [ ("text", jstr descr) ]);
-      ( "defaultConfiguration",
-        jobj [ ("level", jstr (sarif_level severity)) ] );
-    ]
+let text s = Json.(Obj [ ("text", String s) ])
 
 let sarif_result d =
-  let location =
-    let region =
-      match d.span with
-      | Some s ->
+  let region =
+    match d.span with
+    | None -> []
+    | Some s ->
+        Json.
           [
             ( "region",
-              jobj
+              Obj
                 [
-                  ("startLine", string_of_int s.Span.line);
-                  ("startColumn", string_of_int s.Span.start_col);
-                  ("endLine", string_of_int s.Span.line);
-                  ("endColumn", string_of_int s.Span.end_col);
+                  ("startLine", Int s.Span.line);
+                  ("startColumn", Int s.Span.start_col);
+                  ("endLine", Int s.Span.line);
+                  ("endColumn", Int s.Span.end_col);
                 ] );
           ]
-      | None -> []
-    in
-    jobj
-      [
-        ( "physicalLocation",
-          jobj
-            ([ ("artifactLocation", jobj [ ("uri", jstr d.file) ]) ] @ region)
-        );
-      ]
   in
-  jobj
-    [
-      ("ruleId", jstr d.code);
-      ("level", jstr (sarif_level d.severity));
-      ("message", jobj [ ("text", jstr d.message) ]);
-      ("locations", jarr [ location ]);
-    ]
-
-let render_sarif ds =
-  let driver =
-    jobj
+  let artifact = ("artifactLocation", Json.(Obj [ ("uri", String d.file) ])) in
+  Json.(
+    Obj
       [
-        ("name", jstr "pathctl");
-        ("informationUri", jstr "https://github.com/pathcons/pathcons");
-        ("version", jstr "1.0.0");
-        ("rules", jarr (List.map sarif_rule rules));
-      ]
+        ("ruleId", String d.code);
+        ("level", String (sarif_level d.severity));
+        ("message", text d.message);
+        ( "locations",
+          List [ Obj [ ("physicalLocation", Obj (artifact :: region)) ] ] );
+      ])
+
+(* Everything but the results is constant, so it is rendered once: the
+   document with no results ends in the results' [[]] and the closers of
+   the run, the runs and the document ([]}]}]); a report writes its
+   results between the two halves. *)
+let sarif_head, sarif_tail =
+  let rule (code, severity, descr) =
+    Json.(
+      Obj
+        [
+          ("id", String code);
+          ("shortDescription", text descr);
+          ( "defaultConfiguration",
+            Obj [ ("level", String (sarif_level severity)) ] );
+        ])
+  in
+  let driver =
+    Json.(
+      Obj
+        [
+          ("name", String "pathctl");
+          ("informationUri", String "https://github.com/pathcons/pathcons");
+          ("version", String "1.0.0");
+          ("rules", List (List.map rule rules));
+        ])
   in
   let run =
-    jobj
-      [
-        ("tool", jobj [ ("driver", driver) ]);
-        ("results", jarr (List.map sarif_result (sorted ds)));
-      ]
+    Json.(Obj [ ("tool", Obj [ ("driver", driver) ]); ("results", List []) ])
   in
-  jobj
-    [
-      ("$schema", jstr "https://json.schemastore.org/sarif-2.1.0.json");
-      ("version", jstr "2.1.0");
-      ("runs", jarr [ run ]);
-    ]
-  ^ "\n"
+  let empty =
+    Json.(
+      to_string
+        (Obj
+           [
+             ( "$schema",
+               String "https://json.schemastore.org/sarif-2.1.0.json" );
+             ("version", String "2.1.0");
+             ("runs", List [ run ]);
+           ]))
+  in
+  (String.sub empty 0 (String.length empty - 4), "]}]}\n")
+
+let render_sarif ds =
+  let buf = Buffer.create (String.length sarif_head + 1024) in
+  Buffer.add_string buf sarif_head;
+  List.iteri
+    (fun i d ->
+      if i > 0 then Buffer.add_char buf ',';
+      Json.write buf (sarif_result d))
+    (sorted ds);
+  Buffer.add_string buf sarif_tail;
+  Buffer.contents buf

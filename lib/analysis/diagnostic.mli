@@ -3,7 +3,8 @@
     Every finding of [pathctl lint] is a {!t}: a stable code from the
     {!rules} table, a severity, a message, and an optional source span.
     Three renderers are provided: human-readable text, JSON lines (one
-    object per diagnostic), and SARIF 2.1.0 for CI annotation.
+    object per diagnostic), and SARIF 2.1.0 for CI annotation.  The two
+    JSON forms are {!Obs.Json} values written into one buffer.
 
     Codes are stable across releases — tools may match on them:
     {ul
@@ -63,12 +64,18 @@ val render_text : t list -> string
 (** Sorted diagnostics, one per line, plus a trailing summary line
     ([N error(s), M warning(s), ...]). *)
 
+val to_json : t -> Obs.Json.t
+(** One diagnostic as an object with fields [code], [severity], [file],
+    when located [line], [startColumn], [endColumn] (1-based,
+    end-exclusive), and [message].  The line of {!render_json} and the
+    record of a lint cache entry. *)
+
 val render_json : t list -> string
-(** JSON lines: one object per diagnostic with fields [code],
-    [severity], [message], [file] and, when located, [line],
-    [startColumn], [endColumn] (1-based, end-exclusive). *)
+(** JSON lines: {!to_json} of each sorted diagnostic. *)
 
 val render_sarif : t list -> string
 (** A complete SARIF 2.1.0 document: one run of the [pathctl] driver
     with the full {!rules} table and one result per diagnostic.
-    Severities map to SARIF levels [error]/[warning]/[note]. *)
+    Severities map to SARIF levels [error]/[warning]/[note].  Everything
+    before the results is rendered once per process; a report writes
+    only its results into one buffer. *)

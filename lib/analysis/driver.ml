@@ -150,11 +150,12 @@ let analyze kind ~config ~explain ~file src schema =
   ( finish ~file ~config (kind.pragmas doc) findings,
     not (List.exists cut_short findings) )
 
-let run kind ?schema_file ?config_file ?cache_dir ?(explain = false) ~file
-    () =
+let run kind ?schema_file ?config_file ?cache_dir ?(explain = false)
+    ?(on_config = ignore) ~file () =
   match parsing (fun () -> load_config config_file) with
   | Error d -> [ d ]
   | Ok (config_src, config) -> (
+      on_config config;
       let explain = explain || config.Config.explain in
       let cache_dir =
         match cache_dir with Some _ -> cache_dir | None -> config.Config.cache_dir

@@ -98,12 +98,15 @@ val run :
   ?config_file:string ->
   ?cache_dir:string ->
   ?explain:bool ->
+  ?on_config:(Config.t -> unit) ->
   file:string ->
   unit ->
   Diagnostic.t list
 (** The whole pipeline over one document file.  [config_file] supplies
     severity overrides, pass selection and defaults for [explain] and
-    [cache_dir] (explicit arguments win).  With a cache directory, a
-    content hit returns the stored diagnostics and runs no pass.  A run
+    [cache_dir] (explicit arguments win); [on_config] receives it once
+    loaded, so the caller need not read it again.  With a cache
+    directory, a content hit returns the stored diagnostics and runs no
+    pass.  A run
     in which a pass hit its deadline or was cancelled (PC302, PC703) is
     not stored, since its findings depend on the host. *)

@@ -232,7 +232,8 @@ let kind ?budget ?pool ?phi ~interact () =
   }
 
 let lint_paths ?budget ?pool ?schema_file ?phi ?config_file ?cache_dir
-    ?(explain = false) ?(interact = false) ~sigma_file () =
+    ?(explain = false) ?(interact = false) ?on_config ~sigma_file () =
   Driver.run
     (kind ?budget ?pool ?phi ~interact ())
-    ?schema_file ?config_file ?cache_dir ~explain ~file:sigma_file ()
+    ?schema_file ?config_file ?cache_dir ~explain ?on_config
+    ~file:sigma_file ()

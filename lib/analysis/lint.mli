@@ -71,6 +71,7 @@ val lint_paths :
   ?cache_dir:string ->
   ?explain:bool ->
   ?interact:bool ->
+  ?on_config:(Config.t -> unit) ->
   sigma_file:string ->
   unit ->
   Diagnostic.t list
@@ -82,6 +83,7 @@ val lint_paths :
 
     [config_file] supplies severity overrides, pass selection and
     defaults for [explain], [cache_dir] and the warning threshold
-    (explicit arguments win).  With a [cache_dir] (from either source),
+    (explicit arguments win); [on_config] receives it as loaded, as in
+    {!Driver.run}.  With a [cache_dir] (from either source),
     results are memoized by content hash: a hit skips every pass and is
     observable via the [lint.cache.hits] counter. *)

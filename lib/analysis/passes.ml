@@ -247,14 +247,14 @@ let hygiene ~sigma_file ?schema ?schema_file ?schema_spans sigma =
      every delta (path containment is a right congruence: any witness z
      with beta(x,z) yields gamma(x,z), and appending delta to both sides
      preserves the inclusion), so the longer constraint is implied.
-     The scan queries the store's subsumption ordering (hash-consed
-     prefixes bucket the candidates) instead of the quadratic list walk
-     it replaced; the witness — first in input order — is unchanged. *)
-  let store = Store.of_constraints (List.map fst sigma) in
+     Candidates are bucketed by exact (hash-consed) prefix, so only
+     constraints with the same prefix are compared; the witness is the
+     first subsumer in input order. *)
+  let subsumer = Store.subsuming_member (List.map fst sigma) in
   let spans = Array.of_list (List.map snd sigma) in
   List.iter
     (fun (c, span) ->
-      match Store.subsuming_member store c with
+      match subsumer c with
       | None -> ()
       | Some (i, c', delta) ->
           add
@@ -289,7 +289,8 @@ let hygiene ~sigma_file ?schema ?schema_file ?schema_spans sigma =
   (match schema with
   | None -> ()
   | Some schema ->
-      let schema_labels = Schema_graph.labels schema in
+      let sorts = Schema_graph.sorts schema in
+      let schema_labels = Schema_graph.labels ~sorts schema in
       let reported = ref Label.Set.empty in
       List.iter
         (fun (c, span) ->
@@ -312,7 +313,7 @@ let hygiene ~sigma_file ?schema ?schema_file ?schema_spans sigma =
       let reachable =
         List.filter_map
           (function Mtype.Class c -> Some (Mtype.cname_name c) | _ -> None)
-          (Schema_graph.sorts schema)
+          sorts
       in
       let sfile = Option.value schema_file ~default:"<schema>" in
       List.iter

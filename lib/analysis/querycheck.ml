@@ -184,6 +184,6 @@ let kind ?pool () =
   }
 
 let lint_queries ?pool ?schema_file ?config_file ?cache_dir
-    ?(explain = false) ~query_file () =
+    ?(explain = false) ?on_config ~query_file () =
   Driver.run (kind ?pool ()) ?schema_file ?config_file ?cache_dir ~explain
-    ~file:query_file ()
+    ?on_config ~file:query_file ()

@@ -55,6 +55,7 @@ val lint_queries :
   ?config_file:string ->
   ?cache_dir:string ->
   ?explain:bool ->
+  ?on_config:(Config.t -> unit) ->
   query_file:string ->
   unit ->
   Diagnostic.t list

@@ -1,8 +1,9 @@
 (** A minimal JSON tree, printer and parser.
 
     The observability layer has to emit (Chrome [trace_event] files,
-    [--stats json], [BENCH_table1.json]) and re-read (the bench
-    regression gate, the trace validator in the test suite) JSON
+    [--stats json], [BENCH_table1.json], lint's JSON and SARIF) and
+    re-read (the bench regression gate, the trace validator in the
+    test suite) JSON
     without pulling a serialization dependency into every library that
     carries instrumentation.  This is a deliberately small, strict
     implementation: UTF-8 strings, no comments, no trailing commas. *)
@@ -15,6 +16,10 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+
+val write : Buffer.t -> t -> unit
+(** Append the compact rendering.  Strings use the short escapes where
+    JSON has one (including [\b], [\f]), [\u00XX] for other controls. *)
 
 val to_string : t -> string
 (** Compact (single-line) rendering.  Non-finite floats render as

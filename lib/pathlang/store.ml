@@ -183,13 +183,23 @@ let close_mutual g =
 
 (* --- the store ------------------------------------------------------------ *)
 
+(* Forward constraints and their input positions by exact (hash-consed)
+   prefix id; added last first, so [Hashtbl.find_all] is input order. *)
+let prefix_groups constrs =
+  let groups = Hashtbl.create 8 in
+  List.iter
+    (fun (i, c) ->
+      if Constr.kind c = Constr.Forward then
+        Hashtbl.add groups (Path.id (Constr.prefix c)) (i, c))
+    (List.rev (List.mapi (fun i c -> (i, c)) constrs));
+  groups
+
 type t = {
   typed : bool;
   constrs : Constr.t array;
   root : graph; (* root-anchored paths: word arcs (untyped) or full equalities (typed) *)
   buckets : (int, graph) Hashtbl.t; (* forward constraints, relative paths, keyed by root class id of the prefix *)
-  by_prefix : (int, (int * Constr.t) list) Hashtbl.t;
-      (* forward constraints grouped by the *exact* prefix path id, input order *)
+  by_prefix : (int, int * Constr.t) Hashtbl.t; (* [prefix_groups] *)
   backwards : (int * Constr.t) list; (* input order *)
 }
 
@@ -261,7 +271,7 @@ let of_constraints ?(typed = false) constrs =
       constrs = Array.of_list constrs;
       root = new_graph ();
       buckets = Hashtbl.create 8;
-      by_prefix = Hashtbl.create 8;
+      by_prefix = prefix_groups constrs;
       backwards = [];
     }
   in
@@ -301,9 +311,6 @@ let of_constraints ?(typed = false) constrs =
       match Constr.kind c with
       | Constr.Backward -> backwards := (i, c) :: !backwards
       | Constr.Forward ->
-          let exact = Path.id (Constr.prefix c) in
-          let group = Option.value ~default:[] (Hashtbl.find_opt st.by_prefix exact) in
-          Hashtbl.replace st.by_prefix exact (group @ [ (i, c) ]);
           let key = bucket_key st (Constr.prefix c) in
           let b =
             match Hashtbl.find_opt st.buckets key with
@@ -326,34 +333,33 @@ let constraints st = Array.to_list st.constrs
 let mem st c =
   match Constr.kind c with
   | Constr.Backward -> List.exists (fun (_, c') -> Constr.equal c c') st.backwards
-  | Constr.Forward -> (
-      match Hashtbl.find_opt st.by_prefix (Path.id (Constr.prefix c)) with
-      | None -> false
-      | Some group -> List.exists (fun (_, c') -> Constr.equal c c') group)
+  | Constr.Forward ->
+      List.exists
+        (fun (_, c') -> Constr.equal c c')
+        (Hashtbl.find_all st.by_prefix (Path.id (Constr.prefix c)))
 
 (* ecta's [hasSubsumingMember], specialized to right congruence: the
-   first stored forward constraint (input order) with the same prefix
-   from which [c] follows by appending one common non-empty suffix to
-   both paths.  Exactly the PC505 witness. *)
-let subsuming_member st c =
-  if Constr.kind c <> Constr.Forward then None
-  else
-    match Hashtbl.find_opt st.by_prefix (Path.id (Constr.prefix c)) with
-    | None -> None
-    | Some group ->
-        List.find_map
-          (fun (i, c') ->
-            if Constr.equal c c' then None
-            else
-              match
-                ( Path.strip_prefix ~prefix:(Constr.lhs c') (Constr.lhs c),
-                  Path.strip_prefix ~prefix:(Constr.rhs c') (Constr.rhs c) )
-              with
-              | Some d1, Some d2 when Path.equal d1 d2 && not (Path.is_empty d1)
-                ->
-                  Some (i, c', d1)
-              | _ -> None)
-          group
+   first forward constraint (input order) with the same prefix from
+   which [c] follows by appending one common non-empty suffix to both
+   paths.  Exactly the PC505 witness; it needs no store. *)
+let subsuming_member constrs =
+  let groups = prefix_groups constrs in
+  fun c ->
+    if Constr.kind c <> Constr.Forward then None
+    else
+      List.find_map
+        (fun (i, c') ->
+          if Constr.equal c c' then None
+          else
+            match
+              ( Path.strip_prefix ~prefix:(Constr.lhs c') (Constr.lhs c),
+                Path.strip_prefix ~prefix:(Constr.rhs c') (Constr.rhs c) )
+            with
+            | Some d1, Some d2 when Path.equal d1 d2 && not (Path.is_empty d1)
+              ->
+                Some (i, c', d1)
+            | _ -> None)
+        (Hashtbl.find_all groups (Path.id (Constr.prefix c)))
 
 (* ecta's [completedSubsumptionOrdering]: a linear extension of the
    subsumption partial order — a subsumer is strictly shorter than what

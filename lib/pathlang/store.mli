@@ -7,10 +7,9 @@
     theorem, a [false]/[None] answer means "not derivable by the cheap
     rules" — the caller falls through to a decision procedure (the
     PTIME word procedure, the cubic typed-M closure, or the budgeted
-    chase).  The analysis layer ([Analysis.Interact], the PC505 hygiene
-    pass) drives its scans through this module instead of ad-hoc list
-    walks, and the chase route of [Core.Decide] asks {!implies_syntactic}
-    first.  The exact routes need no pre-filter: their procedures derive
+    chase).  [Analysis.Interact] drives its scans through this module
+    instead of ad-hoc list walks, and the chase route of [Core.Decide]
+    asks {!implies_syntactic} first.  The exact routes need no pre-filter: their procedures derive
     everything the store does.
 
     Untyped mode reasons over {e all} semistructured structures with
@@ -37,13 +36,16 @@ val constraints : t -> Constr.t list
 val mem : t -> Constr.t -> bool
 (** Exact (syntactic) membership of a constraint in the set. *)
 
-val subsuming_member : t -> Constr.t -> (int * Constr.t * Path.t) option
-(** [subsuming_member st c] is [Some (i, c', delta)] when the stored
-    forward constraint [c'] (0-based input index [i], first such in
+val subsuming_member :
+  Constr.t list -> Constr.t -> (int * Constr.t * Path.t) option
+(** [subsuming_member sigma c] is [Some (i, c', delta)] when the forward
+    constraint [c'] of [sigma] (0-based input index [i], first such in
     input order) has the same prefix as [c] and appending the non-empty
     suffix [delta] to both of its paths yields [c] — so [c] is entailed
     by right congruence.  [c] itself never subsumes.  This is the
-    hygiene (PC505) witness; after ecta's [hasSubsumingMember]. *)
+    hygiene (PC505) witness; after ecta's [hasSubsumingMember].  It
+    builds no store: [subsuming_member sigma] groups [sigma]'s forward
+    constraints by exact prefix once, for every query. *)
 
 val completed_subsumption_ordering : Constr.t list -> (int * Constr.t) list
 (** A linear extension of the subsumption order on a constraint list,

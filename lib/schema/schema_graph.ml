@@ -62,13 +62,14 @@ let sorts schema =
   visit (Mschema.dbtype schema);
   Mtype.Set_of.elements !seen
 
-let labels schema =
+let labels ?sorts:ss schema =
   List.fold_left
     (fun acc tau ->
       List.fold_left
         (fun acc (l, _) -> Label.Set.add l acc)
         acc (out_edges schema tau))
-    Label.Set.empty (sorts schema)
+    Label.Set.empty
+    (match ss with Some ss -> ss | None -> sorts schema)
 
 (* The schema graph as an automaton over sorts: one state per member of
    T(Delta), a transition per edge of sigma(Delta), every state final

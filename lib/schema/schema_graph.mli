@@ -52,8 +52,9 @@ val check_constraint_paths :
 val sorts : Mschema.t -> Mtype.t list
 (** [T(Delta)]: all sorts reachable from [DBtype] (including it). *)
 
-val labels : Mschema.t -> Pathlang.Label.Set.t
-(** [E(Delta)]: all edge labels of reachable sorts. *)
+val labels : ?sorts:Mtype.t list -> Mschema.t -> Pathlang.Label.Set.t
+(** [E(Delta)]: all edge labels of reachable sorts.  [sorts] is
+    {!sorts}[ schema] when the caller already holds it. *)
 
 val automaton : Mschema.t -> Automata.Nfa.t * Mtype.t array * Automata.Nfa.state
 (** The schema graph as a finite automaton over sorts: states are the

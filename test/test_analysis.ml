@@ -24,11 +24,12 @@ let write_temp suffix contents =
       Out_channel.output_string oc contents);
   file
 
-let run args =
+let run ?cwd args =
   let out_file = Filename.temp_file "pathctl_out" ".txt" in
   let cmd =
-    Printf.sprintf "%s %s > %s 2>&1" (Filename.quote pathctl) args
-      (Filename.quote out_file)
+    Printf.sprintf "%s%s %s > %s 2>&1"
+      (match cwd with None -> "" | Some d -> "cd " ^ Filename.quote d ^ " && ")
+      (Filename.quote pathctl) args (Filename.quote out_file)
   in
   let code = Sys.command cmd in
   let out = In_channel.with_open_text out_file In_channel.input_all in
@@ -325,6 +326,101 @@ let test_sarif_structure () =
   List.iter
     (fun (code, _, _) -> check_contains out (Printf.sprintf "\"id\":%S" code))
     Diagnostic.rules
+
+(* Byte-exact reports: every lint fixture, with the schema the fixture
+   README runs it with, in each output format.  The expected bytes are
+   under test/golden/lint, named <fixture>[.<schema>].<format>.  The run
+   starts in the build root and names its inputs relatively, so the
+   reports carry the same paths wherever the tree is built. *)
+let golden_cases =
+  [
+    ("undecidable", None, 0);
+    ("vacuous", Some "lint", 0);
+    ("redundant", None, 0);
+    ("redundant", Some "mplus", 0);
+    ("contradictory", Some "lint", 1);
+    ("duplicates", None, 0);
+    ("subsumed", None, 0);
+    ("suppressed", None, 0);
+    ("deadpath", Some "lint", 0);
+    ("deadpath", Some "mplus", 0);
+    ("core", Some "lint", 1);
+    ("entailed", None, 0);
+    ("interaction", Some "lint", 0);
+  ]
+
+let test_renderer_goldens () =
+  List.iter
+    (fun (fixture, schema, exit) ->
+      let name, schema_arg =
+        match schema with
+        | None -> (fixture, "")
+        | Some s -> (fixture ^ "." ^ s, " --schema examples/data/lint/" ^ s ^ ".schema")
+      in
+      List.iter
+        (fun format ->
+          let code, out =
+            run ~cwd:build_root
+              (Printf.sprintf "lint -s examples/data/lint/%s.constraints%s --format %s"
+                 fixture schema_arg format)
+          in
+          let golden = Printf.sprintf "test/golden/lint/%s.%s" name format in
+          Alcotest.(check int) (golden ^ ": exit") exit code;
+          Alcotest.(check string) golden
+            (In_channel.with_open_bin (Filename.concat build_root golden)
+               In_channel.input_all)
+            out)
+        [ "text"; "json"; "sarif" ])
+    golden_cases
+
+(* In-process renders of a spanless diagnostic whose message and file
+   hold every character JSON must escape: both documents re-parse to the
+   original strings.  Backspace and form feed take their short escapes
+   ([\b], [\f]), other control characters [\u00XX]. *)
+let test_render_escapes () =
+  let message = "quote \" backslash \\ newline \n tab \t bs \b ff \012 soh \001" in
+  let d =
+    Diagnostic.make ~code:"PC100" ~severity:Diagnostic.Info ~file:"a\"b.c" message
+  in
+  let module Json = Obs.Json in
+  let parse what s =
+    match Json.parse s with
+    | Ok v -> v
+    | Error m -> Alcotest.failf "%s does not re-parse: %s" what m
+  in
+  let str v k = Option.bind (Json.member k v) Json.as_string in
+  let json = Diagnostic.render_json [ d ] in
+  Alcotest.(check bool) "one line" true
+    (String.index_opt json '\n' = Some (String.length json - 1));
+  let v = parse "JSON line" (String.trim json) in
+  Alcotest.(check (option string)) "JSON message" (Some message) (str v "message");
+  Alcotest.(check (option string)) "JSON file" (Some "a\"b.c") (str v "file");
+  Alcotest.(check bool) "spanless: no line" true (Json.member "line" v = None);
+  check_contains json {|bs \b ff \f soh \u0001"|};
+  let sarif = Diagnostic.render_sarif [ d ] in
+  let doc = parse "SARIF" sarif in
+  let result =
+    match
+      Option.bind (Json.member "runs" doc) Json.as_list
+      |> Option.map (List.map (fun run -> Json.member "results" run))
+    with
+    | Some [ Some (Json.List [ r ]) ] -> r
+    | _ -> Alcotest.fail "SARIF: expected one run with one result"
+  in
+  Alcotest.(check (option string)) "SARIF message" (Some message)
+    (Option.bind (Json.member "message" result) (fun m -> str m "text"));
+  let location =
+    match Option.bind (Json.member "locations" result) Json.as_list with
+    | Some [ l ] -> Option.get (Json.member "physicalLocation" l)
+    | _ -> Alcotest.fail "SARIF: expected one location"
+  in
+  Alcotest.(check (option string)) "SARIF uri" (Some "a\"b.c")
+    (Option.bind (Json.member "artifactLocation" location) (fun a -> str a "uri"));
+  Alcotest.(check bool) "spanless: no region" true
+    (Json.member "region" location = None);
+  check_contains sarif {|bs \b ff \f soh \u0001"|};
+  (* no results: the constant head and tail alone still form a document *)
+  ignore (parse "empty SARIF" (Diagnostic.render_sarif []))
 
 let test_sarif_via_output_flag () =
   let p = fixture "redundant.constraints" in
@@ -869,6 +965,9 @@ let () =
       ( "sarif",
         [
           Alcotest.test_case "document structure" `Quick test_sarif_structure;
+          Alcotest.test_case "byte-exact text, JSON and SARIF goldens" `Quick
+            test_renderer_goldens;
+          Alcotest.test_case "escapes re-parse" `Quick test_render_escapes;
           Alcotest.test_case "-o writes the report" `Quick
             test_sarif_via_output_flag;
         ] );

@@ -29,6 +29,18 @@ let run args =
   Sys.remove out_file;
   (code, String.trim out)
 
+(* [run] under a PATHCTL_FAULT spec, the output untrimmed *)
+let run_faulted spec args =
+  let out_file = Filename.temp_file "pathctl_out" ".txt" in
+  let code =
+    Sys.command
+      (Printf.sprintf "PATHCTL_FAULT=%s %s %s > %s 2>&1" spec
+         (Filename.quote pathctl) args (Filename.quote out_file))
+  in
+  let out = In_channel.with_open_text out_file In_channel.input_all in
+  Sys.remove out_file;
+  (code, out)
+
 let sigma_words =
   write_temp ".constraints"
     "book.author -> person\nperson.wrote -> book\nbook.ref -> book\n"
@@ -433,7 +445,53 @@ let test_optimize () =
   check_int "exit" 0 code;
   check_string "pruned" "person" out
 
+(* the word procedure decides containment; a Sigma it cannot read is an
+   input error, as for implies, not an uncaught exception *)
+let test_optimize_rejects_non_word () =
+  List.iter
+    (fun query ->
+      let code, out =
+        run (Printf.sprintf "optimize -s %s %S" sigma_inverse query)
+      in
+      check_int (query ^ ": exit 124") 124 code;
+      check_bool (query ^ ": names the constraint") true
+        (contains out "not a word constraint: book : author <- wrote"))
+    [ "book.ref.author,person"; "book" ]
+
 (* --- the analyzer front end: lint and query lint share one driver ------- *)
+
+(* The driver loads --config once, through the cli.read fault site, and
+   hands the loaded configuration back: its max-warnings still sets the
+   exit code of lint and query lint, and a failed read of it is PC003. *)
+let test_config_max_warnings () =
+  let cfg = write_temp ".toml" "[lint]\nmax-warnings = 0\n" in
+  let schema = Filename.quote (data_fixture "lint/lint.schema") in
+  List.iter
+    (fun (name, args) ->
+      let code, _ = run args in
+      check_int (name ^ ": warnings pass without a threshold") 0 code;
+      let code, _ = run (Printf.sprintf "%s --config %s" args cfg) in
+      check_int (name ^ ": the config's max-warnings = 0 fails") 1 code;
+      let code, _ =
+        run (Printf.sprintf "%s --config %s --max-warnings 5" args cfg)
+      in
+      check_int (name ^ ": the flag beats the config") 0 code;
+      let code, out =
+        run_faulted "cli.read:1:io" (Printf.sprintf "%s --config %s" args cfg)
+      in
+      check_int (name ^ ": unreadable config exits 1") 1 code;
+      check_bool (name ^ ": unreadable config is PC003") true
+        (contains out (cfg ^ ": error[PC003] injected I/O failure")))
+    [
+      ( "lint",
+        "lint -s " ^ Filename.quote (data_fixture "lint/subsumed.constraints")
+      );
+      ( "query lint",
+        Printf.sprintf "query lint %s --schema %s"
+          (Filename.quote (data_fixture "query/deadbranch.query"))
+          schema );
+    ];
+  Sys.remove cfg
 
 (* --fix lints through the caller's own lint call: --interact, --cache
    and -j reach it exactly as they reach a plain run *)
@@ -566,20 +624,9 @@ let test_schema_repeated_field_is_pc002 () =
 (* analyzer inputs are read through the cli.read fault site: an injected
    read failure is a PC001 diagnostic with exit 1, not an exception *)
 let test_cli_read_fault_is_pc001 () =
-  let fault args =
-    let out_file = Filename.temp_file "pathctl_out" ".txt" in
-    let code =
-      Sys.command
-        (Printf.sprintf "PATHCTL_FAULT=cli.read:1:io %s %s > %s 2>&1"
-           (Filename.quote pathctl) args (Filename.quote out_file))
-    in
-    let out = In_channel.with_open_text out_file In_channel.input_all in
-    Sys.remove out_file;
-    (code, out)
-  in
   List.iter
     (fun (name, file, args) ->
-      let code, out = fault args in
+      let code, out = run_faulted "cli.read:1:io" args in
       check_int (name ^ ": exit 1") 1 code;
       check_string (name ^ ": PC001 report")
         (file
@@ -661,6 +708,8 @@ let () =
           Alcotest.test_case "index" `Quick test_index;
           Alcotest.test_case "odl" `Quick test_odl;
           Alcotest.test_case "optimize" `Quick test_optimize;
+          Alcotest.test_case "optimize rejects non-word" `Quick
+            test_optimize_rejects_non_word;
           Alcotest.test_case "lint -j byte-identical" `Quick
             test_lint_jobs_identical;
           Alcotest.test_case "chase -j byte-identical" `Quick
@@ -680,6 +729,8 @@ let () =
             test_schema_error_position_parity;
           Alcotest.test_case "cli.read fault is PC001" `Quick
             test_cli_read_fault_is_pc001;
+          Alcotest.test_case "max-warnings from --config" `Quick
+            test_config_max_warnings;
           Alcotest.test_case "repeated field label is PC002" `Quick
             test_schema_repeated_field_is_pc002;
           Alcotest.test_case "lint --stats attributes its layers" `Quick

@@ -186,19 +186,49 @@ let arb_small_sigma =
     QCheck.Gen.(list_size (int_bound 6) gen_constraint)
     ~print:print_sigma
 
+(* the index's witness for every member of Sigma is the reference's *)
+let agrees_with_reference sigma =
+  let subsumer = Store.subsuming_member sigma in
+  List.for_all
+    (fun c ->
+      match (subsumer c, reference_subsuming sigma c) with
+      | None, None -> true
+      | Some (i, c', d), Some (i', c'', d') ->
+          i = i' && Constr.equal c' c'' && Path.equal d d'
+      | _ -> false)
+    sigma
+
 let prop_subsuming_member_parity =
   q ~count:300 "subsuming_member agrees with the reference scan"
     arb_small_sigma
-    (fun sigma ->
-      let st = Store.of_constraints sigma in
-      List.for_all
-        (fun c ->
-          match (Store.subsuming_member st c, reference_subsuming sigma c) with
-          | None, None -> true
-          | Some (i, c', d), Some (i', c'', d') ->
-              i = i' && Constr.equal c' c'' && Path.equal d d'
-          | _ -> false)
-        sigma)
+    agrees_with_reference
+
+(* Random Sigma seldom holds two subsumers of one constraint, so the
+   first-in-input-order rule goes untested above.  Here Sigma grows by
+   appending a common suffix to both paths of a forward member, so
+   extensions of extensions give chains with several subsumers, and is
+   then shuffled. *)
+let arb_subsumption_chains =
+  let open QCheck.Gen in
+  let extend sigma (pick, delta) =
+    match List.filter (fun c -> Constr.kind c = Constr.Forward) sigma with
+    | [] -> sigma
+    | fwd ->
+        let c = List.nth fwd (pick mod List.length fwd) in
+        Constr.forward ~prefix:(Constr.prefix c)
+          ~lhs:(Path.concat (Constr.lhs c) delta)
+          ~rhs:(Path.concat (Constr.rhs c) delta)
+        :: sigma
+  in
+  QCheck.make ~print:print_sigma
+    ( list_size (int_range 1 3) gen_constraint >>= fun base ->
+      list_size (int_range 1 5) (pair (int_bound 7) gen_nonempty_path)
+      >>= fun steps -> shuffle_l (List.fold_left extend base steps) )
+
+let prop_subsuming_member_first =
+  q ~count:300 "subsuming_member names the first subsumer on chains"
+    arb_subsumption_chains
+    agrees_with_reference
 
 (* --- soundness of the pre-filters ------------------------------------------ *)
 
@@ -314,6 +344,7 @@ let () =
       ( "properties",
         [
           prop_subsuming_member_parity;
+          prop_subsuming_member_first;
           prop_word_soundness;
           prop_untyped_soundness_vs_chase;
           prop_typed_soundness;
