@@ -39,7 +39,6 @@ let countermodel g ~sigma ~phi =
     in
     match try_nodes 0 with Some h -> node_pass h | None -> g
   in
-  let g = node_pass g in
   (* edge pass *)
   let rec edge_pass g =
     let rec try_edges = function
@@ -52,6 +51,15 @@ let countermodel g ~sigma ~phi =
     | Some h -> edge_pass h
     | None -> g
   in
-  let g = edge_pass g in
+  (* dropping edges can free a node, so alternate until a round of both
+     passes drops nothing *)
+  let rec rounds g =
+    let h = edge_pass (node_pass g) in
+    if Graph.node_count h = Graph.node_count g
+       && Graph.edge_count h = Graph.edge_count g
+    then h
+    else rounds h
+  in
+  let g = rounds g in
   assert (is_countermodel g ~sigma ~phi);
   g

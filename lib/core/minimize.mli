@@ -4,9 +4,10 @@
     carry irrelevant nodes and edges; smaller witnesses are easier to
     read (the paper's figures are all minimal).  [countermodel] deletes
     nodes and then edges greedily while the structure keeps satisfying
-    [Sigma /\ not phi]; the result is a local minimum (1-minimal: no
-    single deletion preserves the property), re-verified before being
-    returned. *)
+    [Sigma /\ not phi], and repeats both passes until a round deletes
+    nothing (dropping an edge can make a node deletable); the result is
+    a local minimum (1-minimal: no single node or edge deletion
+    preserves the property), re-verified before being returned. *)
 
 val countermodel :
   Sgraph.Graph.t ->

@@ -230,57 +230,115 @@ let build_state ?(certify = true) schema all_paths =
     paths;
   st
 
-(* Countermodel: congruence classes plus generic per-sort nodes. *)
-let countermodel schema st =
-  let g = Graph.create () in
-  let typed = Typecheck.make g [] in
-  let class_node = Hashtbl.create 16 in
-  let root_rep = find st 0 in
-  (* node 0 in [st] is the empty path: Path.Set orders by shortlex so eps
-     is always index 0. *)
-  assert (Path.is_empty st.paths.(0));
-  Hashtbl.replace class_node root_rep (Graph.root g);
-  Typecheck.set_type typed (Graph.root g) st.sorts.(root_rep);
-  Array.iteri
-    (fun i _ ->
-      let r = find st i in
-      if not (Hashtbl.mem class_node r) then begin
-        let n = Graph.add_node g in
-        Hashtbl.replace class_node r n;
-        Typecheck.set_type typed n st.sorts.(r)
-      end)
-    st.paths;
-  let generic = Hashtbl.create 16 in
-  let rec generic_node tau =
-    let key = Mtype.to_string tau in
-    match Hashtbl.find_opt generic key with
-    | Some n -> n
-    | None ->
-        let n = Graph.add_node g in
-        Hashtbl.replace generic key n;
-        Typecheck.set_type typed n tau;
-        List.iter
-          (fun (l, ft) -> Graph.add_edge g n l (generic_node ft))
-          (SG.out_edges schema tau);
-        n
-  in
-  Hashtbl.iter
-    (fun r gnode ->
-      let map = st.succ.(r) in
+(* ------------------------------------------------------------------ *)
+(* Countermodels: congruence classes plus generic per-sort nodes.  The
+   canonical model of a closed state is built once per context (the
+   base); a goal's model is a copy of the base patched with the classes
+   its paths add.                                                       *)
+(* ------------------------------------------------------------------ *)
+
+type model = {
+  typed : Typecheck.t;
+  class_node : int array;
+      (** rep -> node, over the closed state's indices; -1 off reps *)
+  generic : Graph.node Mtype.Map.t;  (** sort -> its generic node *)
+}
+
+let copy_typed (t : Typecheck.t) =
+  { Typecheck.graph = Graph.copy t.graph; typing = Hashtbl.copy t.typing }
+
+(* The generic node of [tau] in [typed], with its own out-edges to the
+   generic nodes of its field sorts, made on first use. *)
+let rec generic_node schema (typed : Typecheck.t) generic tau =
+  match Mtype.Map.find_opt tau !generic with
+  | Some n -> n
+  | None ->
+      let n = Graph.add_node typed.graph in
+      generic := Mtype.Map.add tau n !generic;
+      Typecheck.set_type typed n tau;
       List.iter
         (fun (l, ft) ->
-          match Label.Map.find_opt l map with
-          | Some (sn, _) -> Graph.add_edge g gnode l (Hashtbl.find class_node (find st sn))
-          | None -> Graph.add_edge g gnode l (generic_node ft))
-        (SG.out_edges schema st.sorts.(r)))
-    (Hashtbl.copy class_node);
+          Graph.add_edge typed.graph n l (generic_node schema typed generic ft))
+        (SG.out_edges schema tau);
+      n
+
+(* Adds to [typed] the classes of [st] from index [n0] on: one node per
+   class (the root class at the root), with an edge per field to the
+   class of its successor in [st], else to the generic node of the
+   field's sort.  [class_node] maps the reps below [n0] to nodes.
+   Returns the new classes' nodes, indexed from [n0], and the generic
+   map.
+
+   With [n0 = 0] this builds the canonical model of a closed state (the
+   base).  With the base's [n0], [st] is the base's closed state
+   extended with a goal's paths ([extend]), which merged no two base
+   classes: each new class whose parent class is a base class starts
+   where that parent had no [l]-successor, so the parent's [l]-edge
+   moves from the generic node of the new class's sort to the new node.
+   A generic node that loses its only in-edge stays, unreachable. *)
+let add_classes schema (typed : Typecheck.t) ~class_node ~generic ~n0 st =
+  let g = typed.graph in
+  let n = Array.length st.paths in
+  let fresh = Array.make (n - n0) (-1) in
+  let node_of r = if r < n0 then class_node.(r) else fresh.(r - n0) in
+  for i = n0 to n - 1 do
+    if find st i = i then begin
+      let v = if i = find st 0 then Graph.root g else Graph.add_node g in
+      fresh.(i - n0) <- v;
+      Typecheck.set_type typed v st.sorts.(i)
+    end
+  done;
+  let generic = ref generic in
+  for i = n0 to n - 1 do
+    if find st i = i then begin
+      let v = fresh.(i - n0) in
+      List.iter
+        (fun (l, ft) ->
+          Graph.add_edge g v l
+            (match Label.Map.find_opt l st.succ.(i) with
+            | Some (sn, _) -> node_of (find st sn)
+            | None -> generic_node schema typed generic ft))
+        (SG.out_edges schema st.sorts.(i));
+      match Path.split_last st.paths.(i) with
+      | None -> () (* the empty path *)
+      | Some (parent_path, l) ->
+          let r = find st (node st parent_path) in
+          if r < n0 then begin
+            let u = class_node.(r) in
+            Graph.remove_edge g u l (Mtype.Map.find st.sorts.(i) !generic);
+            Graph.add_edge g u l v
+          end
+    end
+  done;
+  (fresh, !generic)
+
+(* Node 0 in [st] is the empty path: Path.Set orders by shortlex. *)
+let base_model schema st =
+  assert (Path.is_empty st.paths.(0));
+  let typed = Typecheck.make (Graph.create ()) [] in
+  let class_node, generic =
+    add_classes schema typed ~class_node:[||] ~generic:Mtype.Map.empty ~n0:0 st
+  in
+  { typed; class_node; generic }
+
+(* [st] extends the closed state [base] was built from. *)
+let countermodel schema base st =
+  let typed = copy_typed base.typed in
+  ignore
+    (add_classes schema typed ~class_node:base.class_node
+       ~generic:base.generic ~n0:(Array.length base.class_node) st);
   typed
 
 (* ------------------------------------------------------------------ *)
 (* Decision contexts: the closure of Sigma, built once per Sigma.       *)
 (* ------------------------------------------------------------------ *)
 
-type closure = Closed of state | Clashed of string
+(* [base] is the canonical model of [st], built on the first goal that
+   needs a model: satisfiability and lint's questions read [st] alone.
+   Two domains forcing it at once both build one and keep the first. *)
+type closed = { st : state; base : model option Atomic.t }
+
+type closure = Closed of closed | Clashed of string
 
 type context = { schema : Mschema.t; closure : (closure, string) result }
 
@@ -332,7 +390,7 @@ let context schema ~sigma =
         match List.iter (fun (u, v, r) -> union st u v r) inputs with
         | () ->
             compress st;
-            Closed st
+            Closed { st; base = Atomic.make None }
         | exception Clash msg -> Clashed msg)
   in
   { schema; closure }
@@ -394,6 +452,14 @@ let extend schema st paths =
     st
   end
 
+let base_of schema c =
+  match Atomic.get c.base with
+  | Some m -> m
+  | None ->
+      let m = base_model schema c.st in
+      if Atomic.compare_and_set c.base None (Some m) then m
+      else Option.get (Atomic.get c.base)
+
 let memo = Memo.create ()
 
 let same_key (schema, sigma) (schema', sigma') =
@@ -415,8 +481,8 @@ let decide_with schema get ~phi =
       match (get ()).closure with
       | Error _ as e -> e
       | Ok (Clashed msg) -> Ok (Vacuous msg)
-      | Ok (Closed st) ->
-          let st = extend schema st [ s_path; t_path ] in
+      | Ok (Closed c) ->
+          let st = extend schema c.st [ s_path; t_path ] in
           let s = node st s_path and t = node st t_path in
           if find st s = find st t then begin
             let d =
@@ -429,7 +495,7 @@ let decide_with schema get ~phi =
             Ok
               (Not_implied
                  (Obs.Span.with_ "typed_m.countermodel" (fun () ->
-                      countermodel schema st)))))
+                      countermodel schema (base_of schema c) st)))))
 
 let decide_in ctx ~phi = decide_with ctx.schema (fun () -> ctx) ~phi
 
@@ -507,7 +573,7 @@ let equivalence_classes schema ~sigma ~max_len =
   match (memo_context schema ~sigma).closure with
   | Error e -> Error e
   | Ok (Clashed msg) -> Error ("unsatisfiable: " ^ msg)
-  | Ok (Closed st) ->
+  | Ok (Closed { st; _ }) ->
       let universe = SG.paths_up_to schema max_len in
       let st = extend schema st universe in
       let by_rep = Hashtbl.create 64 in
@@ -525,7 +591,7 @@ let canonical_model schema ~sigma =
   match (memo_context schema ~sigma).closure with
   | Error e -> Error e
   | Ok (Clashed msg) -> Error ("unsatisfiable: " ^ msg)
-  | Ok (Closed st) -> Ok (countermodel schema st)
+  | Ok (Closed c) -> Ok (copy_typed (base_of schema c).typed)
 
 (* ------------------------------------------------------------------ *)
 

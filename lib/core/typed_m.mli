@@ -28,7 +28,10 @@ type outcome =
       (** with an I_r derivation of [phi] from [Sigma] *)
   | Not_implied of Schema.Typecheck.t
       (** a finite abstract database satisfying
-          [Phi(Delta) /\ Sigma /\ not phi] *)
+          [Phi(Delta) /\ Sigma /\ not phi]: a fresh graph and typing
+          that the caller owns and may change.  Its node numbers are
+          not part of the contract, and it may hold generic nodes that
+          the root does not reach. *)
   | Vacuous of string
       (** [Sigma] forces two paths of different sorts to meet, so no
           structure in [U(Delta)] satisfies it and the implication holds
@@ -60,7 +63,21 @@ type context
     clash, or the validation error.  A goal's paths extend it without
     merging any two of its classes: a new node [p.l] joins the
     [l]-successor of [p]'s class or starts a class of its own.  A goal
-    whose paths are all there reads it and copies nothing. *)
+    whose paths are all there reads it and copies nothing.
+
+    A closed context also keeps the canonical model of [Sigma] (its
+    {e base}), built on the first goal that needs a model (span
+    [typed_m.countermodel]); {!satisfiable} and subset questions never
+    build it.  A refuted goal's countermodel is a copy of the base plus
+    one node per class the goal's paths add, with their out-edges; a
+    base class's edge that led to a generic node where a new class now
+    stands is moved to that class.  The base itself is never handed
+    out.
+
+    A context may be used from several domains at once: the closed
+    state is only read, and two domains that build the base together
+    both keep the first one stored.  The memo behind {!decide} holds one
+    context per domain. *)
 
 val context : Schema.Mschema.t -> sigma:Pathlang.Constr.t list -> context
 (** Builds a context, always (span [typed_m.closure]); {!decide}
@@ -130,7 +147,8 @@ val canonical_model :
 (** A finite structure in [U_f(Delta)] satisfying [Sigma] that is
     {e free}: it satisfies exactly the implied constraints among those
     whose paths it materializes (it is the countermodel construction
-    with no goal).  [Error] when [Sigma] is unsatisfiable over the
+    with no goal).  It is a copy of the context's base model, which the
+    caller owns.  [Error] when [Sigma] is unsatisfiable over the
     schema. *)
 
 val random_constraints :

@@ -17,6 +17,13 @@ let rec classes_mentioned = function
   | Mtype.Set t -> classes_mentioned t
   | Mtype.Record fields -> List.concat_map (fun (_, t) -> classes_mentioned t) fields
 
+let rec atomics_mentioned = function
+  | Mtype.Atomic b -> [ Mtype.atomic_name b ]
+  | Mtype.Class _ -> []
+  | Mtype.Set t -> atomics_mentioned t
+  | Mtype.Record fields ->
+      List.concat_map (fun (_, t) -> atomics_mentioned t) fields
+
 let m_ok_inner = function
   | Mtype.Atomic _ | Mtype.Class _ -> true
   | Mtype.Set _ | Mtype.Record _ -> false
@@ -54,8 +61,16 @@ let make ~kind ~classes ~dbtype =
   else
     let all_bodies = dbtype :: List.map snd classes in
     let mentioned = List.concat_map classes_mentioned all_bodies in
+    (* a name that is both would print alike for two sorts *)
+    let both =
+      List.find_opt
+        (fun b -> List.mem b names)
+        (List.concat_map atomics_mentioned all_bodies)
+    in
     if not (List.for_all (fun c -> class_declared classes c) mentioned) then
       Error "undeclared class mentioned in a type"
+    else if Option.is_some both then
+      Error (Option.get both ^ " names both a class and an atomic type")
     else if not (List.for_all distinct_fields all_bodies) then
       Error "a record type repeats a field label"
     else if kind = M && List.exists has_set all_bodies then

@@ -25,6 +25,9 @@ val make :
   (t, string) result
 (** Validates: distinct class names; every [nu(C)] and [DBtype] is a
     record or set type; every class mentioned anywhere is declared; no
+    class shares its name with an atomic type mentioned anywhere (the
+    two sorts would print alike, so a printed schema would re-parse
+    with the atomic turned into the class); no
     record type, at any depth, repeats a field label (labels are
     functional on records, so the schema graph is deterministic); the
     [M] restrictions when [kind = M]. *)

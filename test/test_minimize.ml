@@ -61,6 +61,24 @@ let prop_minimized_still_countermodel =
       end
       else true)
 
+(* A case QCheck found (edge insertion order matters): the first node
+   pass keeps a node that only becomes removable once the edge pass has
+   cut its edges, so the node pass must run again. *)
+let test_nodes_freed_by_edges () =
+  let g =
+    Graph.of_edges
+      [ (0, "b", 0); (0, "b", 1); (0, "c", 0); (0, "c", 2); (2, "c", 0) ]
+  in
+  let sigma = [] and phi = c_word "c" "c.b.b" in
+  let h = Minimize.countermodel g ~sigma ~phi in
+  check_bool "still countermodel" true (is_cm h sigma phi);
+  List.iter
+    (fun n ->
+      if n <> Graph.root h then
+        check_bool "no node can go" false
+          (is_cm (Minimize.drop_node h n) sigma phi))
+    (Graph.nodes h)
+
 let prop_one_minimal =
   q ~count:40 "result is 1-minimal on nodes"
     QCheck.(
@@ -89,6 +107,8 @@ let () =
           Alcotest.test_case "respects sigma" `Quick test_minimize_respects_sigma;
           Alcotest.test_case "rejects non-countermodel" `Quick
             test_rejects_non_countermodel;
+          Alcotest.test_case "nodes freed by the edge pass" `Quick
+            test_nodes_freed_by_edges;
           prop_minimized_still_countermodel;
           prop_one_minimal;
         ] );

@@ -103,6 +103,41 @@ let test_schema_repeated_field () =
   | Error e -> check_bool "ODL names the repeat" true
                  (contains e "repeats a field label")
 
+(* a class named like an atomic type would make two sorts print alike:
+   the schema is rejected, while the schema syntax resolves the name to
+   the class and so never builds both *)
+let test_schema_class_atomic_clash () =
+  let int_c = Mtype.cname "int" and k = Mtype.cname "K" in
+  (match
+     Mschema.make ~kind:Mschema.M
+       ~classes:
+         [
+           (int_c, Mtype.record [ ("x", int_t) ]);
+           (k, Mtype.record [ ("k", Mtype.Class int_c); ("z", int_t) ]);
+         ]
+       ~dbtype:(Mtype.record [ ("a", Mtype.Class k); ("b", Mtype.Class k) ])
+   with
+  | Ok _ -> Alcotest.fail "a class named like an atomic type must be rejected"
+  | Error e -> check_bool "names the clash" true (contains e "int names both"));
+  check_bool "an unused atomic name is no clash" true
+    (Result.is_ok
+       (Mschema.make ~kind:Mschema.M
+          ~classes:[ (int_c, Mtype.record [ ("x", str) ]) ]
+          ~dbtype:(Mtype.record [ ("a", Mtype.Class int_c) ])));
+  match
+    Schema.Schema_parser.of_string
+      "class int = [ x: int ]\nclass K = [ k: int; z: int ]\ndb = [ a: K; b: K ]\n"
+  with
+  | Error e -> Alcotest.fail e
+  | Ok schema ->
+      check_bool "the parser reads every int as the class" true
+        (Mtype.equal
+           (Mschema.class_body schema k)
+           (Mtype.record [ ("k", Mtype.Class int_c); ("z", Mtype.Class int_c) ]));
+      check_bool "and its print re-parses to the same schema" true
+        (Schema.Schema_parser.of_string (Schema.Schema_parser.to_string schema)
+        = Ok schema)
+
 (* --- schema graph / Paths(Delta) ------------------------------------------ *)
 
 let test_paths_bib_m () =
@@ -540,6 +575,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_schema_validation;
           Alcotest.test_case "repeated field label" `Quick
             test_schema_repeated_field;
+          Alcotest.test_case "class named like an atomic type" `Quick
+            test_schema_class_atomic_clash;
           Alcotest.test_case "random M" `Quick test_random_m_schema;
         ] );
       ( "schema-graph",

@@ -7,6 +7,10 @@ module Typecheck = Schema.Typecheck
 module Check = Sgraph.Check
 module TM = Core.Typed_m
 module Axioms = Core.Axioms
+module Mtype = Schema.Mtype
+module Graph = Sgraph.Graph
+module Label = Pathlang.Label
+module Reference = Oracle.Countermodel_reference
 
 let bib = Mschema.bib_m
 
@@ -201,6 +205,173 @@ let test_canonical_model () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected unsatisfiable"
 
+(* The schema of a class named like an atomic type, with the class
+   renamed (Mschema.make rejects the clash itself): the model of
+   [a -> b] needs the generic node of class [Int] and that of atomic
+   [int], which a table keyed by printed sort merged. *)
+let test_class_and_atomic_generic_nodes () =
+  let int_c = Mtype.cname "Int" and k = Mtype.cname "K" in
+  let int_t = Mtype.Atomic Mtype.int_ in
+  let classes name =
+    [
+      (name, Mtype.record [ ("x", int_t) ]);
+      (k, Mtype.record [ ("k", Mtype.Class name); ("z", int_t) ]);
+    ]
+  in
+  let dbtype = Mtype.record [ ("a", Mtype.Class k); ("b", Mtype.Class k) ] in
+  check_bool "the clashing spelling is rejected" true
+    (Result.is_error
+       (Mschema.make ~kind:Mschema.M ~classes:(classes (Mtype.cname "int"))
+          ~dbtype));
+  let schema = Mschema.make_exn ~kind:Mschema.M ~classes:(classes int_c) ~dbtype in
+  let phi = c_word "a" "b" in
+  match (TM.decide schema ~sigma:[] ~phi, Reference.decide schema ~sigma:[] ~phi) with
+  | Ok (TM.Not_implied t), Reference.Not_implied o ->
+      (match Typecheck.validate schema t with
+      | Ok () -> ()
+      | Error es -> Alcotest.fail (String.concat "; " es));
+      check_bool "refutes phi" false (Check.holds t.Typecheck.graph phi);
+      check_bool "matches the reference model" true
+        (Reference.reachable_isomorphic t o)
+  | _ -> Alcotest.fail "expected not implied"
+
+(* --- countermodels against the from-scratch construction ------------------------- *)
+
+(* Over M a constraint's sides end at one node, so extending both by a
+   common walk gives an implied goal. *)
+let derived_goal rng schema sigma =
+  let c = List.nth sigma (Random.State.int rng (List.length sigma)) in
+  let p, q = TM.to_word_equality c in
+  let tau = Option.get (SG.type_of_path schema p) in
+  let rec walk tau acc k =
+    match SG.out_edges schema tau with
+    | [] -> List.rev acc
+    | _ when k = 0 -> List.rev acc
+    | es ->
+        let l, tau' = List.nth es (Random.State.int rng (List.length es)) in
+        walk tau' (l :: acc) (k - 1)
+  in
+  let delta = Path.of_labels (walk tau [] (Random.State.int rng 3)) in
+  Constr.word ~lhs:(Path.concat p delta) ~rhs:(Path.concat q delta)
+
+let rec satisfiable_sigma rng schema ~count ~max_len fuel =
+  let sigma = TM.random_constraints ~rng ~schema ~count ~max_len in
+  if TM.satisfiable schema ~sigma = Ok true || fuel = 0 then sigma
+  else satisfiable_sigma rng schema ~count ~max_len (fuel - 1)
+
+let check_against_reference schema ~sigma ~phi outcome =
+  match (outcome, Reference.decide schema ~sigma ~phi) with
+  | Ok (TM.Implied d), Reference.Implied ->
+      check_bool "certificate proves phi" true (Axioms.proves ~sigma ~goal:phi d);
+      false
+  | Ok (TM.Not_implied t), Reference.Not_implied o ->
+      (match Typecheck.validate schema t with
+      | Ok () -> ()
+      | Error es ->
+          Alcotest.failf "%s: model not in U_f(Delta): %s"
+            (Constr.to_string phi) (String.concat "; " es));
+      check_bool "model satisfies sigma" true
+        (Check.holds_all t.Typecheck.graph sigma);
+      check_bool "model refutes phi" false (Check.holds t.Typecheck.graph phi);
+      if not (Reference.reachable_isomorphic t o) then
+        Alcotest.failf "%s: model differs from the reference"
+          (Constr.to_string phi);
+      true
+  | _ -> Alcotest.failf "%s: verdicts differ" (Constr.to_string phi)
+
+let test_countermodels_match_reference () =
+  let refuted = ref 0 in
+  for seed = 1 to 12 do
+    let rng = Random.State.make [| seed |] in
+    let schema =
+      Mschema.random_m ~rng ~classes:(3 + (seed mod 4)) ~fields:(2 + (seed mod 2))
+        ~atoms:(1 + (seed mod 2))
+    in
+    let sigma = satisfiable_sigma rng schema ~count:6 ~max_len:3 50 in
+    if TM.satisfiable schema ~sigma = Ok true then begin
+      let ctx = TM.context schema ~sigma in
+      (match (TM.canonical_model schema ~sigma, Reference.canonical_model schema ~sigma) with
+      | Ok t, Some o ->
+          check_bool "canonical model matches the reference" true
+            (Reference.reachable_isomorphic t o)
+      | _ -> Alcotest.fail "canonical model: verdicts differ");
+      for i = 1 to 60 do
+        let phi =
+          if i mod 3 = 0 then derived_goal rng schema sigma
+          else List.hd (TM.random_constraints ~rng ~schema ~count:1 ~max_len:4)
+        in
+        (* the memoised context and an explicit one, both reused *)
+        if check_against_reference schema ~sigma ~phi (TM.decide schema ~sigma ~phi)
+        then incr refuted;
+        ignore (check_against_reference schema ~sigma ~phi (TM.decide_in ctx ~phi))
+      done
+    end
+  done;
+  check_bool "at least 200 goals are refuted" true (!refuted >= 200)
+
+(* Every model handed out is the caller's: mutating one changes no later
+   answer. *)
+let snapshot (t : Typecheck.t) =
+  ( Graph.node_count t.graph,
+    List.sort compare
+      (List.map
+         (fun (x, l, y) -> (x, Label.to_string l, y))
+         (Graph.edges t.graph)),
+    List.sort compare
+      (Hashtbl.fold (fun n tau acc -> (n, Mtype.to_string tau) :: acc) t.typing []) )
+
+let test_models_are_owned () =
+  let sigma = [ c_word "book" "book.ref"; c_word "person" "person.wrote.author" ] in
+  let model phi =
+    match TM.decide bib ~sigma ~phi with
+    | Ok (TM.Not_implied t) -> t
+    | _ -> Alcotest.fail "expected not implied"
+  in
+  let canonical () = Result.get_ok (TM.canonical_model bib ~sigma) in
+  let fresh = c_word "book.author" "person.wrote.author.wrote.ref.author"
+  and known = c_word "person.wrote" "book" in
+  let expected = List.map (fun phi -> snapshot (model phi)) [ fresh; known ] in
+  let expected_canonical = snapshot (canonical ()) in
+  let vandalize (t : Typecheck.t) =
+    let g = t.graph in
+    let v = Graph.add_node g in
+    Graph.add_edge g (Graph.root g) (Label.make "book") v;
+    Graph.add_edge g v (Label.make "zap") (Graph.root g);
+    Typecheck.set_type t (Graph.root g) (Mtype.Atomic Mtype.int_);
+    Typecheck.set_type t 1 (Mtype.Atomic Mtype.string_)
+  in
+  List.iter vandalize [ model fresh; model known; canonical () ];
+  List.iter2
+    (fun phi e ->
+      check_bool (Constr.to_string phi ^ ": model unchanged") true
+        (snapshot (model phi) = e))
+    [ fresh; known ] expected;
+  check_bool "canonical model unchanged" true
+    (snapshot (canonical ()) = expected_canonical)
+
+(* A context's base model lives and dies with its memo slot: twenty
+   rounds of refuted goals against one Sigma, each closing and building
+   it anew after a switch to another Sigma, keep the live heap flat. *)
+let test_heap_flat_across_contexts () =
+  let rng = Random.State.make [| 7 |] in
+  let schema = Mschema.random_m ~rng ~classes:8 ~fields:3 ~atoms:2 in
+  let sigma = satisfiable_sigma rng schema ~count:32 ~max_len:4 50 in
+  let goals = TM.random_constraints ~rng ~schema ~count:64 ~max_len:4 in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).live_words
+  in
+  let rounds =
+    List.init 20 (fun _ ->
+        List.iter (fun phi -> ignore (TM.decide schema ~sigma ~phi)) goals;
+        ignore (TM.decide bib ~sigma:[] ~phi:(c_word "book" "book.ref"));
+        live ())
+  in
+  let lo = List.fold_left min max_int rounds
+  and hi = List.fold_left max 0 rounds in
+  if float_of_int hi > 1.05 *. float_of_int lo then
+    Alcotest.failf "live words grew from %d to %d" lo hi
+
 (* --- random cross-validation ------------------------------------------------------ *)
 
 let arb_typed_instance =
@@ -307,6 +478,14 @@ let () =
         [
           Alcotest.test_case "countermodels" `Quick
             test_not_implied_with_countermodel;
+          Alcotest.test_case "class and atomic generic nodes" `Quick
+            test_class_and_atomic_generic_nodes;
+          Alcotest.test_case "countermodels match the reference" `Quick
+            test_countermodels_match_reference;
+          Alcotest.test_case "models are owned by the caller" `Quick
+            test_models_are_owned;
+          Alcotest.test_case "heap flat across contexts" `Quick
+            test_heap_flat_across_contexts;
         ] );
       ( "edge-cases",
         [
