@@ -1,10 +1,11 @@
 (* The PC8xx pass: schema-aware static analysis of regular path
    queries, plus the query-file kind of the analyzer driver.
 
-   The engine is Rpq.Typecheck — the product of the query's Thompson
-   automaton with the schema automaton, with reachable and co-reachable
-   pairs projected onto every regex position.  This pass turns the
-   projection into diagnostics with token-anchored spans:
+   The engine is Rpq.Typecheck — the product of the query's Glushkov
+   automaton (one state per letter occurrence) with the schema
+   automaton, with reachable and co-reachable pairs read off every
+   subexpression's position sets.  This pass turns them into
+   diagnostics with token-anchored spans:
 
    - PC800 (empty query): L(query) does not intersect Paths(Delta) —
      equivalently, the product has no reachable accepting pair — with
@@ -12,8 +13,8 @@
      source order whose entry still types non-empty but whose exit
      types empty);
    - PC801 (dead subexpression): an Alt branch or Star/Plus/Opt body
-     of a non-empty query none of whose product pairs are both
-     reachable and co-reachable, so every schema-live match avoids it;
+     of a non-empty query that no accepting product run passes
+     through, so every schema-live match avoids it;
    - PC802 (ill-typed regular constraint): an [lhs -> rhs] whose two
      answer-sort sets are disjoint, so the inclusion can only hold
      vacuously;

@@ -2,9 +2,10 @@
     queries ([pathctl query lint]).
 
     Each query in a query file is typechecked against the schema by
-    {!Rpq.Typecheck} — the product of its Thompson automaton with the
-    schema automaton — and the reachable/co-reachable projection is
-    rendered as diagnostics:
+    {!Rpq.Typecheck} — the product of its Glushkov automaton with the
+    schema automaton, read per subexpression through its position
+    sets — and the reachable/co-reachable projection is rendered as
+    diagnostics:
 
     {ul
     {- [PC800] — the query is empty over the schema: no word of its
@@ -13,8 +14,8 @@
        whose exit sorts are empty — the token where every candidate
        match dies;}
     {- [PC801] — a dead subexpression of a non-empty query: an [Alt]
-       branch or [Star]/[Plus]/[Opt] body none of whose product states
-       are both reachable and co-reachable, spanned at the subtree;}
+       branch or [Star]/[Plus]/[Opt] body that lies on no match
+       inside Paths(Delta), spanned at the subtree;}
     {- [PC802] — an ill-typed regular constraint [lhs -> rhs]: both
        sides are non-empty but their answer-sort sets are disjoint, so
        the containment can only hold vacuously;}

@@ -9,8 +9,6 @@ type t = {
   delta : (state * Label.t, State_set.t) Hashtbl.t;
   eps : (state, State_set.t) Hashtbl.t;
   mutable final : State_set.t;
-  mutable trans_count : int;
-  mutable out_syms : (state, Label.Set.t) Hashtbl.t;
 }
 
 let create () =
@@ -19,8 +17,6 @@ let create () =
     delta = Hashtbl.create 64;
     eps = Hashtbl.create 16;
     final = State_set.empty;
-    trans_count = 0;
-    out_syms = Hashtbl.create 64;
   }
 
 let add_state a =
@@ -37,20 +33,14 @@ let targets a s k =
 let mem_trans a s k t = State_set.mem t (targets a s k)
 
 let add_trans a s k t =
-  if not (mem_trans a s k t) then begin
-    Hashtbl.replace a.delta (s, k) (State_set.add t (targets a s k));
-    let syms = Option.value ~default:Label.Set.empty (Hashtbl.find_opt a.out_syms s) in
-    Hashtbl.replace a.out_syms s (Label.Set.add k syms);
-    a.trans_count <- a.trans_count + 1
-  end
+  if not (mem_trans a s k t) then
+    Hashtbl.replace a.delta (s, k) (State_set.add t (targets a s k))
 
 let eps_targets a s = Option.value ~default:State_set.empty (Hashtbl.find_opt a.eps s)
 
 let add_eps a s t =
-  if not (State_set.mem t (eps_targets a s)) then begin
-    Hashtbl.replace a.eps s (State_set.add t (eps_targets a s));
-    a.trans_count <- a.trans_count + 1
-  end
+  if not (State_set.mem t (eps_targets a s)) then
+    Hashtbl.replace a.eps s (State_set.add t (eps_targets a s))
 
 let set_final a s = a.final <- State_set.add s a.final
 let is_final a s = State_set.mem s a.final
@@ -91,70 +81,10 @@ let eps_transitions a =
     (fun s ts acc -> State_set.fold (fun t acc -> (s, t) :: acc) ts acc)
     a.eps []
 
-let trans_count a = a.trans_count
-
-(* Synchronous product, restricted to the part reachable from [start].
-   A labeled transition of the product needs both factors to move; an
-   epsilon transition in one factor pairs with the other staying put.
-   The construction is itself the reachability fixpoint: a worklist of
-   discovered pairs, saturated until no new pair appears. *)
-let product a b ~start =
-  let prod = create () in
-  let index : (state * state, state) Hashtbl.t = Hashtbl.create 64 in
-  let pairs = ref [] in
-  let queue = Queue.create () in
-  let id pair =
-    match Hashtbl.find_opt index pair with
-    | Some i -> i
-    | None ->
-        let i = add_state prod in
-        Hashtbl.add index pair i;
-        pairs := pair :: !pairs;
-        Queue.add pair queue;
-        i
-  in
-  ignore (id start);
-  while not (Queue.is_empty queue) do
-    let (s, t) as pair = Queue.pop queue in
-    let i = Hashtbl.find index pair in
-    if is_final a s && is_final b t then set_final prod i;
-    let syms_a =
-      Option.value ~default:Label.Set.empty (Hashtbl.find_opt a.out_syms s)
-    in
-    let syms_b =
-      Option.value ~default:Label.Set.empty (Hashtbl.find_opt b.out_syms t)
-    in
-    Label.Set.iter
-      (fun k ->
-        State_set.iter
-          (fun s' ->
-            State_set.iter
-              (fun t' -> add_trans prod i k (id (s', t')))
-              (targets b t k))
-          (targets a s k))
-      (Label.Set.inter syms_a syms_b);
-    State_set.iter (fun s' -> add_eps prod i (id (s', t))) (eps_targets a s);
-    State_set.iter (fun t' -> add_eps prod i (id (s, t'))) (eps_targets b t)
-  done;
-  (prod, Array.of_list (List.rev !pairs))
-
 let copy a =
   {
     size = a.size;
     delta = Hashtbl.copy a.delta;
     eps = Hashtbl.copy a.eps;
     final = a.final;
-    trans_count = a.trans_count;
-    out_syms = Hashtbl.copy a.out_syms;
   }
-
-let pp ppf a =
-  Format.fprintf ppf "@[<v>nfa: %d states, finals {%s}@," a.size
-    (String.concat "," (List.map string_of_int (State_set.elements a.final)));
-  List.iter
-    (fun (s, k, t) -> Format.fprintf ppf "  %d -%a-> %d@," s Label.pp k t)
-    (transitions a);
-  List.iter
-    (fun (s, t) -> Format.fprintf ppf "  %d -eps-> %d@," s t)
-    (eps_transitions a);
-  Format.fprintf ppf "@]"

@@ -46,16 +46,4 @@ val accepts_from : t -> state -> Pathlang.Label.t list -> bool
 val transitions : t -> (state * Pathlang.Label.t * state) list
 val eps_transitions : t -> (state * state) list
 
-val trans_count : t -> int
-
-val product : t -> t -> start:state * state -> t * (state * state) array
-(** [product a b ~start] is the synchronous product of [a] and [b],
-    restricted to the pairs reachable from [start]: a labeled
-    transition fires when both factors take it, an epsilon transition
-    in either factor pairs with the other staying put.  Product state
-    [i] denotes the returned [pairs.(i)] (state 0 is [start]); a
-    product state is final iff both components are. *)
-
 val copy : t -> t
-
-val pp : Format.formatter -> t -> unit

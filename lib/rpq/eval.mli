@@ -1,16 +1,10 @@
 (** Regular path queries over semistructured graphs, and the regular
     word constraints of [4] as {e checkable} (not implied-over)
-    properties.  This module only compiles a query; the walk is
-    {!Sgraph.Eval.run}'s product BFS, in [O(|G| * |r|)] product pairs,
-    which polls every [interrupt] hook once per pair it dequeues and
-    raises {!Interrupted} when one fires. *)
-
-val compile : Automata.Nfa.t * Automata.Nfa.state -> Sgraph.Eval.nfa
-(** The ε-free form of an automaton from its start state, on the {e
-    same} state ids, so {!Typecheck.admit} stays valid on it.  Computes
-    each state's ε-closure once, and emits each state's moves as an
-    array carrying the labels' interned ids, so the product matches them
-    against the graph's runs with no conversion per call. *)
+    properties.  A query runs as its {!Glushkov} automaton, which is
+    ε-free: one state per letter occurrence plus a start state.  The
+    walk is {!Sgraph.Eval.run}'s product BFS, in [O(|G| * |r|)] product
+    pairs, which polls every [interrupt] hook once per pair it dequeues
+    and raises {!Interrupted} when one fires. *)
 
 val eval_from :
   ?interrupt:(unit -> bool) ->
@@ -27,8 +21,9 @@ val witnesses :
   Sgraph.Graph.node ->
   Regex.t ->
   (Sgraph.Graph.node * Pathlang.Path.t) list
-(** Every answer, ascending, with a shortest label sequence in [L(r)]
-    reaching it, all from one search. *)
+(** Every answer, ascending, with a label sequence in [L(r)] reaching
+    it, all from one search: the least in [Label.compare] order among
+    the shortest. *)
 
 val witness :
   Sgraph.Graph.t ->

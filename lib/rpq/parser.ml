@@ -22,9 +22,9 @@ let error_to_string e =
     Printf.sprintf "line %d, column %d: at %S: %s" e.line e.col e.token
       e.reason
 
-type ast = { node : node; span : Span.t }
+type ast = Ast.t = { node : node; span : Span.t }
 
-and node =
+and node = Ast.node =
   | Eps
   | Letter of Label.t
   | Concat of ast * ast

@@ -24,9 +24,9 @@ type error = {
 val error_to_string : error -> string
 (** ["line L, column C: at \"tok\": reason"]. *)
 
-type ast = { node : node; span : Pathlang.Span.t }
+type ast = Ast.t = { node : node; span : Pathlang.Span.t }
 
-and node =
+and node = Ast.node =
   | Eps
   | Letter of Pathlang.Label.t
   | Concat of ast * ast

@@ -1,6 +1,5 @@
 module Label = Pathlang.Label
 module Path = Pathlang.Path
-module Nfa = Automata.Nfa
 
 type t =
   | Eps
@@ -51,47 +50,28 @@ let rec labels_used = function
   | Concat (a, b) | Alt (a, b) -> Label.Set.union (labels_used a) (labels_used b)
   | Star a -> labels_used a
 
-(* --- Thompson construction ----------------------------------------------- *)
-
-let to_nfa r =
-  let a = Nfa.create () in
-  (* returns (entry, exit) *)
-  let rec build = function
-    | Eps ->
-        let s = Nfa.add_state a in
-        (s, s)
-    | Letter k ->
-        let s = Nfa.add_state a and t = Nfa.add_state a in
-        Nfa.add_trans a s k t;
-        (s, t)
-    | Concat (x, y) ->
-        let sx, tx = build x in
-        let sy, ty = build y in
-        Nfa.add_eps a tx sy;
-        (sx, ty)
-    | Alt (x, y) ->
-        let s = Nfa.add_state a and t = Nfa.add_state a in
-        let sx, tx = build x in
-        let sy, ty = build y in
-        Nfa.add_eps a s sx;
-        Nfa.add_eps a s sy;
-        Nfa.add_eps a tx t;
-        Nfa.add_eps a ty t;
-        (s, t)
-    | Star x ->
-        let s = Nfa.add_state a in
-        let sx, tx = build x in
-        Nfa.add_eps a s sx;
-        Nfa.add_eps a tx s;
-        (s, s)
+(* Every subexpression keeps an empty span: a plain term has no source
+   text. *)
+let to_ast r =
+  let span = Pathlang.Span.v ~line:1 ~start_col:1 ~end_col:1 in
+  let rec go r =
+    let node : Ast.node =
+      match r with
+      | Eps -> Eps
+      | Letter k -> Letter k
+      | Concat (a, b) -> Concat (go a, go b)
+      | Alt (a, b) -> Alt (go a, go b)
+      | Star a -> Star (go a)
+    in
+    { Ast.node; span }
   in
-  let start, stop = build r in
-  Nfa.set_final a stop;
-  (a, start)
+  go r
+
+let to_nfa r = Glushkov.to_nfa (Glushkov.make (to_ast r))
 
 let matches r w =
   let a, start = to_nfa r in
-  Nfa.accepts_from a start (Path.to_labels w)
+  Automata.Nfa.accepts_from a start (Path.to_labels w)
 
 let full_alphabet ?(alphabet = []) r1 r2 =
   Label.Set.elements

@@ -7,8 +7,9 @@
     consider here constraints defined in terms of regular expressions",
     Section 1), and so do we on the implication side — but the query
     side, regular path queries, is standard semistructured-data
-    machinery and is provided here: terms (parsed by {!Parser}), Thompson construction,
-    language tests, and graph evaluation (in {!Rpq}). *)
+    machinery and is provided here: terms (parsed by {!Parser}),
+    language tests on their {!Glushkov} automata, and graph evaluation
+    (in {!Eval}). *)
 
 type t =
   | Eps
@@ -39,9 +40,8 @@ val pp : Format.formatter -> t -> unit
 
 val labels_used : t -> Pathlang.Label.Set.t
 
-val to_nfa : t -> Automata.Nfa.t * Automata.Nfa.state
-(** Thompson construction; the returned state is the start state, final
-    states are marked in the automaton. *)
+val to_ast : t -> Ast.t
+(** The term as a syntax tree with empty spans, for {!Glushkov.make}. *)
 
 val matches : t -> Pathlang.Path.t -> bool
 

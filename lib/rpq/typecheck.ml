@@ -1,28 +1,33 @@
 (* Typing a regular path query against the schema graph.
 
    The engine is the same product fixpoint that powers the PC6xx type
-   flow: a pair (q, tau) of a query-automaton state and a sort of
-   T(Delta) is reachable iff some word drives the query automaton from
-   its start to q while walking the schema graph from DBtype to tau —
-   i.e. iff some member of Paths(Delta) is read by the query into q.
-   Where the PC6xx pass types the chain automaton of a single walk,
-   here the query is a full regex, so the Thompson construction is
-   redone over the span-annotated AST with fresh entry/exit states per
-   node (Regex.to_nfa shares states across Star, which would smear the
-   attribution): every subexpression owns its states, and projecting
-   the reachable product pairs onto them types every regex position.
+   flow: a pair (p, tau) of a state of the query's Glushkov automaton
+   and a sort of T(Delta) is reachable iff some word drives the query
+   automaton from its start to p while walking the schema graph from
+   DBtype to tau — i.e. iff some member of Paths(Delta) is read by the
+   query up to its letter occurrence p.  A position is a regex letter,
+   so the product needs no per-subexpression states: every node of the
+   query is typed from its position sets (Glushkov.sets).
 
-   On top of reachability, a backward pass over the product computes
-   co-reachability (can this pair still reach an accepting pair?).
-   The two together drive everything downstream:
+   - The sorts at a node's entry are those of the states that can
+     immediately precede it ([pre]).  The sorts after it are those of
+     its [last] positions, plus its entry sorts when it is nullable.
+   - A node lies on a schema-live match iff one of its [last] positions
+     has a pair that is reachable and co-reachable, or it is nullable
+     and a pair reachable at its entry can skip it: some position that
+     can follow it ([fol]) is co-reachable from that sort, or the query
+     can end there.  Co-reachability of [pre] alone is not enough: in
+     a.(b|eps).c, the pair after [a] can be co-reachable through [b]
+     while [c] is dead after [a].
+
+   The two passes drive everything downstream:
 
    - the query is empty over the schema iff no accepting product pair
      is reachable (PC800), and the first letter in source order whose
      entry types non-empty but whose exit types empty pinpoints the
      token where every matching walk leaves Paths(Delta);
-   - an Alt branch or Star/Plus/Opt body none of whose exit pairs are
-     both reachable and co-reachable contributes no schema-live word
-     (PC801);
+   - an Alt branch or Star/Plus/Opt body that lies on no schema-live
+     match contributes no schema-live word (PC801);
    - the pairs that survive both passes are exactly the product states
      a schema-conforming evaluation can inhabit, which is the typed
      pruning of Eval.eval_from_typed: dropping everything else cannot
@@ -39,168 +44,133 @@ module Nfa = Automata.Nfa
 let states_explored =
   Obs.Counter.make ~unit_:"states" "querycheck.product.states"
 
-(* --- fresh-state Thompson construction over the annotated AST ------------- *)
+(* --- the schema automaton as arrays ----------------------------------------- *)
 
-type frag = { entry : Nfa.state; exit_ : Nfa.state }
+(* Per sort state, its moves as (label id, sort state).  The table of
+   the last schema a domain typed against is kept, so a run of queries
+   against one schema builds it once. *)
+type table = { sorts : Mtype.t array; start : int; next : (int * int) array array }
 
-(* Build the NFA and record each AST node's fragment.  Nodes are keyed
-   by physical identity: the AST is immutable and we only ever look up
-   the exact nodes we walked. *)
-let build_nfa (ast : Parser.ast) =
-  let a = Nfa.create () in
-  let frags : (Parser.ast * frag) list ref = ref [] in
-  let rec build (n : Parser.ast) =
-    let entry = Nfa.add_state a and exit_ = Nfa.add_state a in
-    (match n.Parser.node with
-    | Parser.Eps -> Nfa.add_eps a entry exit_
-    | Parser.Letter k -> Nfa.add_trans a entry k exit_
-    | Parser.Concat (x, y) ->
-        let fx = build x and fy = build y in
-        Nfa.add_eps a entry fx.entry;
-        Nfa.add_eps a fx.exit_ fy.entry;
-        Nfa.add_eps a fy.exit_ exit_
-    | Parser.Alt (x, y) ->
-        let fx = build x and fy = build y in
-        Nfa.add_eps a entry fx.entry;
-        Nfa.add_eps a entry fy.entry;
-        Nfa.add_eps a fx.exit_ exit_;
-        Nfa.add_eps a fy.exit_ exit_
-    | Parser.Star x ->
-        let fx = build x in
-        Nfa.add_eps a entry exit_;
-        Nfa.add_eps a entry fx.entry;
-        Nfa.add_eps a fx.exit_ fx.entry;
-        Nfa.add_eps a fx.exit_ exit_
-    | Parser.Plus x ->
-        let fx = build x in
-        Nfa.add_eps a entry fx.entry;
-        Nfa.add_eps a fx.exit_ fx.entry;
-        Nfa.add_eps a fx.exit_ exit_
-    | Parser.Opt x ->
-        let fx = build x in
-        Nfa.add_eps a entry exit_;
-        Nfa.add_eps a entry fx.entry;
-        Nfa.add_eps a fx.exit_ exit_);
-    let f = { entry; exit_ } in
-    frags := (n, f) :: !frags;
-    f
-  in
-  let root = build ast in
-  Nfa.set_final a root.exit_;
-  (a, root, !frags)
+let table_of schema =
+  let snfa, sorts, start = Schema_graph.automaton schema in
+  let next = Array.make (Array.length sorts) [||] in
+  List.iter
+    (fun (s, k, t) -> next.(s) <- Array.append next.(s) [| (Label.id k, t) |])
+    (Nfa.transitions snfa);
+  { sorts; start; next }
+
+let last_table = Domain.DLS.new_key (fun () -> ref None)
+
+let table schema =
+  let slot = Domain.DLS.get last_table in
+  match !slot with
+  | Some (s, t) when s == schema -> t
+  | _ ->
+      let t = table_of schema in
+      slot := Some (schema, t);
+      t
 
 (* --- the product and its two reachability passes --------------------------- *)
 
+(* A pair (p, s) is [p * w + s] with [w = |sorts| + 1]; its byte in
+   [pairs] is [reached] or [live] (reachable and co-reachable), and the
+   byte at column [|sorts|] of row p is [live] when some pair of p is. *)
 type t = {
-  schema : Mschema.t;
   query : Parser.ast;
-  nfa : Nfa.t;
-  start : Nfa.state;
-  frags : (Parser.ast * frag) list;
-  reach_sorts : (Nfa.state, Mtype.Set_of.t) Hashtbl.t;
-      (* per query state: sorts of the reachable product pairs *)
-  sorts : Mtype.t array;  (* the schema automaton's states *)
-  live : Bytes.t;
-      (* over (query state q, sort state s), at [q * (|sorts| + 1) + s]:
-         the pair is reachable and co-reachable; column [|sorts|] holds
-         "some sort is" *)
+  glushkov : Glushkov.t;
+  table : table;
+  pairs : Bytes.t;
   empty : bool;
 }
 
-let width tc = Array.length tc.sorts + 1
+let reached = '\001'
+let live = '\003'
+let width tc = Array.length tc.table.sorts + 1
 
-let frag_of tc n =
-  match List.find_opt (fun (m, _) -> m == n) tc.frags with
-  | Some (_, f) -> f
-  | None -> invalid_arg "Typecheck: node is not part of the checked query"
-
-let sorts_of tbl q =
-  match Hashtbl.find_opt tbl q with
-  | None -> []
-  | Some s -> Mtype.Set_of.elements s
+(* [f] of every pair one step after pair [i] *)
+let succ (a : Sgraph.Eval.nfa) tb i f =
+  let w = Array.length tb.sorts + 1 in
+  let out = tb.next.(i mod w) in
+  Array.iter
+    (fun (m : Sgraph.Eval.move) ->
+      Array.iter (fun (id, t) -> if id = m.id then Array.iter (fun p -> f ((p * w) + t)) m.next) out)
+    a.delta.(i / w)
 
 let run schema (ast : Parser.ast) =
-  let nfa, root, frags = build_nfa ast in
-  let snfa, ssorts, sstart = Schema_graph.automaton schema in
-  let prod, pairs = Nfa.product nfa snfa ~start:(root.entry, sstart) in
-  Obs.Counter.add states_explored (Array.length pairs);
-  (* backward reachability from the accepting product pairs *)
-  let n = Array.length pairs in
-  let rev = Array.make n [] in
-  List.iter
-    (fun (src, _, dst) -> rev.(dst) <- src :: rev.(dst))
-    (Nfa.transitions prod);
-  List.iter (fun (src, dst) -> rev.(dst) <- src :: rev.(dst))
-    (Nfa.eps_transitions prod);
-  let coreach = Array.make n false in
-  let stack = ref [] in
-  Array.iteri
-    (fun i _ ->
-      if Nfa.is_final prod i then begin
-        coreach.(i) <- true;
-        stack := i :: !stack
-      end)
-    pairs;
-  let rec drain () =
-    match !stack with
-    | [] -> ()
-    | i :: rest ->
-        stack := rest;
-        List.iter
-          (fun p ->
-            if not coreach.(p) then begin
-              coreach.(p) <- true;
-              stack := p :: !stack
-            end)
-          rev.(i);
-        drain ()
+  let g = Glushkov.make ast in
+  let a = Glushkov.automaton g and tb = table schema in
+  let ns = Array.length tb.sorts and n = Glushkov.size g in
+  let w = ns + 1 in
+  let pairs = Bytes.make (n * w) '\000' in
+  let queue = Array.make (n * ns) 0 and len = ref 0 in
+  let succ = succ a tb in
+  let visit i =
+    if Bytes.get pairs i = '\000' then begin
+      Bytes.set pairs i reached;
+      queue.(!len) <- i;
+      incr len
+    end
   in
-  drain ();
-  let reach_sorts = Hashtbl.create 16 in
-  let width = Array.length ssorts + 1 in
-  let live = Bytes.make (Nfa.state_count nfa * width) '\000' in
-  Array.iteri
-    (fun i (q, s) ->
-      let cur =
-        Option.value ~default:Mtype.Set_of.empty (Hashtbl.find_opt reach_sorts q)
-      in
-      Hashtbl.replace reach_sorts q (Mtype.Set_of.add ssorts.(s) cur);
-      if coreach.(i) then begin
-        Bytes.set live ((q * width) + s) '\001';
-        Bytes.set live ((q * width) + width - 1) '\001'
-      end)
-    pairs;
-  let empty = not (Array.exists (fun i -> i) coreach) in
-  { schema; query = ast; nfa; start = root.entry; frags; reach_sorts;
-    sorts = ssorts; live; empty }
+  visit tb.start;
+  let head = ref 0 in
+  while !head < !len do
+    succ queue.(!head) visit;
+    incr head
+  done;
+  Obs.Counter.add states_explored !len;
+  (* co-reachability: sweep the reachable pairs latest first until no
+     pair changes (every sort state is final) *)
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for j = !len - 1 downto 0 do
+      let i = queue.(j) in
+      if Bytes.get pairs i = reached then begin
+        let goes_on = ref a.final.(i / w) in
+        if not !goes_on then succ i (fun k -> if Bytes.get pairs k = live then goes_on := true);
+        if !goes_on then begin
+          Bytes.set pairs i live;
+          Bytes.set pairs ((i / w * w) + ns) live;
+          changed := true
+        end
+      end
+    done
+  done;
+  { query = ast; glushkov = g; table = tb; pairs; empty = Bytes.get pairs ns <> live }
 
 (* --- queries over the result ----------------------------------------------- *)
 
+(* The sorts of the reachable pairs at any of the states [ps], in
+   [T(Delta)] order. *)
+let sorts_at tc ps =
+  let w = width tc in
+  List.filteri
+    (fun s _ -> List.exists (fun p -> Bytes.get tc.pairs ((p * w) + s) <> '\000') ps)
+    (Array.to_list tc.table.sorts)
+
 let empty_query tc = tc.empty
 
-let sorts_after tc n = sorts_of tc.reach_sorts (frag_of tc n).exit_
+let sorts_after tc n =
+  let st = Glushkov.sets tc.glushkov n in
+  sorts_at tc (if st.nullable then st.last @ st.pre else st.last)
 
-let answer_sorts tc =
-  sorts_of tc.reach_sorts (frag_of tc tc.query).exit_
-
-let state_live tc q = Bytes.get tc.live ((q * width tc) + width tc - 1) <> '\000'
-
-let nfa tc = (tc.nfa, tc.start)
+let answer_sorts tc = sorts_after tc tc.query
+let glushkov tc = tc.glushkov
 
 (* --- per-letter attribution ------------------------------------------------ *)
 
-(* Every letter occurrence in source order with the sorts its exit
-   state can carry — the regex-position analogue of a PC602 chain. *)
+let letters tc =
+  List.init (Glushkov.size tc.glushkov - 1) (fun i ->
+      let p = i + 1 in
+      let n = Glushkov.letter tc.glushkov p in
+      match n.Parser.node with
+      | Parser.Letter k -> (k, n, p)
+      | _ -> assert false)
+
+(* Every letter occurrence in source order with the sorts after it —
+   the regex-position analogue of a PC602 chain. *)
 let letter_chain tc =
-  let rec walk (n : Parser.ast) =
-    match n.Parser.node with
-    | Parser.Eps -> []
-    | Parser.Letter k ->
-        [ (k, n.Parser.span, sorts_of tc.reach_sorts (frag_of tc n).exit_) ]
-    | Parser.Concat (x, y) | Parser.Alt (x, y) -> walk x @ walk y
-    | Parser.Star x | Parser.Plus x | Parser.Opt x -> walk x
-  in
-  walk tc.query
+  List.map (fun (k, (n : Parser.ast), p) -> (k, n.span, sorts_at tc [ p ])) (letters tc)
 
 (* The first letter (in source order) whose entry still types non-empty
    but whose exit types empty: the token where every walk matching the
@@ -209,33 +179,43 @@ let letter_chain tc =
 let first_dead tc =
   if not tc.empty then None
   else
-    let letter_frames =
-      let rec walk (n : Parser.ast) =
-        match n.Parser.node with
-        | Parser.Eps -> []
-        | Parser.Letter k -> [ (k, n.Parser.span, frag_of tc n) ]
-        | Parser.Concat (x, y) | Parser.Alt (x, y) -> walk x @ walk y
-        | Parser.Star x | Parser.Plus x | Parser.Opt x -> walk x
-      in
-      walk tc.query
-    in
     List.find_map
-      (fun (k, span, f) ->
-        let entry_sorts = sorts_of tc.reach_sorts f.entry in
-        if entry_sorts <> [] && sorts_of tc.reach_sorts f.exit_ = [] then
-          Some (k, span, entry_sorts)
+      (fun (k, (n : Parser.ast), p) ->
+        let entry_sorts = sorts_at tc (Glushkov.sets tc.glushkov n).pre in
+        if entry_sorts <> [] && sorts_at tc [ p ] = [] then
+          Some (k, n.span, entry_sorts)
         else None)
-      letter_frames
+      (letters tc)
 
 (* --- dead subexpressions (PC801) ------------------------------------------- *)
 
+(* Whether some accepting match of the query passes through the end of
+   node [n]: through one of its last positions, or — when [n] is
+   nullable — by skipping it from a reachable entry pair that can go on
+   to a co-reachable following position or end the query there. *)
+let exit_live tc n =
+  let w = width tc and st = Glushkov.sets tc.glushkov n in
+  let is_live i = Bytes.get tc.pairs i = live in
+  let skips i =
+    let on = ref st.at_end in
+    succ (Glushkov.automaton tc.glushkov) tc.table i (fun k ->
+        if is_live k && List.mem (k / w) st.fol then on := true);
+    !on
+  in
+  List.exists (fun p -> is_live ((p * w) + w - 1)) st.last
+  || st.nullable
+     && List.exists
+          (fun q ->
+            List.exists
+              (fun s -> Bytes.get tc.pairs ((q * w) + s) <> '\000' && skips ((q * w) + s))
+              (List.init (w - 1) Fun.id))
+          st.pre
+
 (* Maximal Alt branches and Star/Plus/Opt bodies that contribute no
-   schema-live word: no product pair at the subtree's exit is both
-   reachable and co-reachable, so every accepted walk of the whole
-   query avoids the subtree.  Only meaningful on non-empty queries
-   (an empty query is all dead; PC800 owns that case). *)
+   schema-live word, so every accepted walk of the whole query avoids
+   the subtree.  Only meaningful on non-empty queries (an empty query
+   is all dead; PC800 owns that case). *)
 let dead_subexprs tc =
-  let live (n : Parser.ast) = state_live tc (frag_of tc n).exit_ in
   let out = ref [] in
   let report n = out := n :: !out in
   let rec walk (n : Parser.ast) =
@@ -245,10 +225,10 @@ let dead_subexprs tc =
         walk x;
         walk y
     | Parser.Alt (x, y) ->
-        if live x then walk x else report x;
-        if live y then walk y else report y
+        if exit_live tc x then walk x else report x;
+        if exit_live tc y then walk y else report y
     | Parser.Star x | Parser.Plus x | Parser.Opt x ->
-        if live x then walk x else report x
+        if exit_live tc x then walk x else report x
   in
   if not tc.empty then walk tc.query;
   List.rev !out
@@ -285,13 +265,8 @@ let typing_of schema g class_of =
    untyped, and the pruned evaluation treats them conservatively, so a
    partial typing degrades performance, not answers. *)
 let type_graph schema g =
-  let snfa, sorts, start = Schema_graph.automaton schema in
+  let { sorts; start; next } = table schema in
   let ns = Array.length sorts in
-  (* per sort state, its moves as (label id, sort state) *)
-  let next = Array.make ns [||] in
-  List.iter
-    (fun (s, k, t) -> next.(s) <- Array.append next.(s) [| (Label.id k, t) |])
-    (Nfa.transitions snfa);
   let n = Graph.node_count g in
   let seen = Bytes.make (((n * ns) + 7) lsr 3) '\000' in
   let sort = Array.make n (-1) and queue = Queue.create () in
@@ -321,16 +296,16 @@ let type_graph schema g =
   { sorts; sort = Array.map (fun s -> if s < 0 then ns else s) sort }
 
 let admit tc typing =
-  let w = width tc and live = tc.live in
+  let w = width tc and pairs = tc.pairs in
   let sort =
     match typing with
     | None -> [||]
     | Some t ->
-        if not (Array.length t.sorts = Array.length tc.sorts
-                && Array.for_all2 Mtype.equal t.sorts tc.sorts)
+        if not (Array.length t.sorts = Array.length tc.table.sorts
+                && Array.for_all2 Mtype.equal t.sorts tc.table.sorts)
         then invalid_arg "Typecheck.admit: the typing is over another schema";
         t.sort
   in
   fun v q ->
     let s = if v < Array.length sort then Array.unsafe_get sort v else w - 1 in
-    Bytes.unsafe_get live ((q * w) + s) <> '\000'
+    Bytes.unsafe_get pairs ((q * w) + s) = live

@@ -2,15 +2,16 @@
     engine, following the typed-RPQ discipline of Colazzo–Sartiani over
     the schema formalism of Section 3.2).
 
-    The product of the query's Thompson automaton with
-    [Schema_graph.automaton] is computed once; its {e reachable} pairs
-    type every regex position (which sorts of [T(Delta)] can a match
-    inhabit here?), and a backward pass marks the {e co-reachable}
-    pairs (can this position still finish the query inside
-    [Paths(Delta)]?).  The Thompson construction is redone over the
-    span-annotated {!Parser.ast} with fresh entry/exit states per node,
-    so every subexpression — not just every walk prefix, as in the
-    PC6xx chain automaton — owns its type set.
+    The product of the query's {!Glushkov} automaton with
+    [Schema_graph.automaton] is computed once, as positions × sorts in
+    arrays and bitsets.  Its {e reachable} pairs type every letter
+    occurrence (which sorts of [T(Delta)] can a match inhabit after
+    this token?), and a backward pass marks the {e co-reachable} pairs
+    (can this position still finish the query inside [Paths(Delta)]?).
+    A position is a regex letter, so every subexpression is typed from
+    its position sets ({!Glushkov.sets}): its entry from the states
+    that can precede it, its exit from its last positions (and its
+    entry, when it is nullable).
 
     The number of explored product pairs is exported through the
     [querycheck.product.states] counter. *)
@@ -19,8 +20,10 @@ type t
 
 val run : Schema.Mschema.t -> Parser.ast -> t
 (** Build the product and both reachability passes.  Cost is
-    [O(|query| * |T(Delta)| * |E(Delta)|)] — the query automaton and the
-    schema automaton are both linear in their sources. *)
+    [O(|moves| * |T(Delta)| * |E(Delta)|)], where the query automaton
+    has at most [|query|^2] moves and one state per letter occurrence.
+    The schema automaton of the last schema a domain typed against is
+    kept, so a run of queries against one schema builds it once. *)
 
 val empty_query : t -> bool
 (** [L(query) ∩ Paths(Delta) = ∅]: no accepting product pair is
@@ -37,8 +40,8 @@ val first_dead :
 
 val dead_subexprs : t -> Parser.ast list
 (** Maximal [Alt] branches and [Star]/[Plus]/[Opt] bodies contributing
-    no schema-live word (PC801): no product pair at the subtree's exit
-    is both reachable and co-reachable.  Empty on empty queries (PC800
+    no schema-live word (PC801): no accepting match over
+    [Paths(Delta)] passes through the subtree's end.  Empty on empty queries (PC800
     owns that case) — the list is in source order. *)
 
 val sorts_after : t -> Parser.ast -> Schema.Mtype.t list
@@ -56,10 +59,9 @@ val letter_chain :
     consuming it — the regex-position analogue of a PC602 chain, used
     by the PC803 [--explain] rendering. *)
 
-val nfa : t -> Automata.Nfa.t * Automata.Nfa.state
-(** The query automaton the checker built (fresh-state Thompson over
-    the annotated AST) and its start state; {!admit} is indexed by
-    {e its} states, so the typed evaluator must run this automaton. *)
+val glushkov : t -> Glushkov.t
+(** The query automaton the checker built; {!admit} is indexed by its
+    states. *)
 
 (** {1 Typing a data graph} *)
 
@@ -97,6 +99,6 @@ val admit : t -> typing option -> Sgraph.Graph.node -> Automata.Nfa.state -> boo
     inhabit query state [q] at [v] and still finish the query: when the
     product pair of [q] and [v]'s sort is reachable and co-reachable,
     or, for an untyped [v] (or no typing), when such a pair exists for
-    some sort.  The liveness of every (query state, sort) pair is one
+    some sort.  The liveness of every (position, sort) pair is one
     bitmap, so the predicate is two array reads.
     @raise Invalid_argument if the typing is over another schema. *)

@@ -61,12 +61,18 @@ let test_and_set b v =
    the nodes, allocated when q is first reached.  A pair is marked
    before [admit] is asked, so [admit] runs once per pair, and only an
    admitted pair is queued.  [hits] holds each answer's first final
-   pair.  With [parents], [from] and [via] give each queued pair the
-   position of the pair it was pushed from (-1 for a start pair) and
-   the index of that pair's move.  Pairs are queued in non-decreasing
-   distance from the start, so a first final pair ends a shortest run.
-   Push order: moves in [delta] order, targets in the order their edges
-   were added, states in [next] order. *)
+   pair.  Pairs are queued in non-decreasing distance from the start,
+   so a first final pair ends a shortest run.
+
+   With [parents] (the witness search), [from] and [via] give each
+   queued pair the position of the pair it was pushed from (-1 for a
+   start pair) and the index of that pair's move, and the queue is cut
+   into groups of pairs that one word reached, in ascending order of
+   that word.  A group reads its labels in ascending order, each label
+   for all its pairs before the next, so every group it pushes holds
+   one word and the groups stay in ascending order: the first final
+   pair of an answer ends the least of its shortest words, whatever
+   order the graph and the automaton list their edges in. *)
 type search = { queue : buf; hits : buf; from : buf; via : buf }
 
 let product ~parents admit interrupt g src a =
@@ -88,23 +94,52 @@ let product ~parents admit interrupt g src a =
       end
     end
   in
-  List.iter (fun q -> visit src q (-1) (-1)) a.start;
-  let head = ref 0 in
-  while !head < s.queue.len do
-    if stop () then raise Interrupted;
-    let p = s.queue.a.(!head) in
-    let moves = a.delta.(p mod n) in
-    for i = 0 to Array.length moves - 1 do
-      let m = moves.(i) in
-      let r = Graph.out_run g (p / n) m.id in
-      for e = 0 to r.len - 1 do
-        for j = 0 to Array.length m.next - 1 do
-          visit r.targets.(e) m.next.(j) !head i
-        done
+  (* the pair at queue position [i] reads its move [j] *)
+  let expand i j m =
+    let r = Graph.out_run g (s.queue.a.(i) / n) m.id in
+    for e = 0 to r.len - 1 do
+      for t = 0 to Array.length m.next - 1 do
+        visit r.targets.(e) m.next.(t) i j
       done
-    done;
-    incr head
-  done;
+    done
+  in
+  List.iter (fun q -> visit src q (-1) (-1)) a.start;
+  if not parents then begin
+    let head = ref 0 in
+    while !head < s.queue.len do
+      if stop () then raise Interrupted;
+      let moves = a.delta.(s.queue.a.(!head) mod n) in
+      for j = 0 to Array.length moves - 1 do
+        expand !head j moves.(j)
+      done;
+      incr head
+    done
+  end
+  else begin
+    let groups = buf () and gi = ref 0 in
+    push groups 0;
+    while !gi < groups.len do
+      let lo = groups.a.(!gi) in
+      let hi = if !gi + 1 < groups.len then groups.a.(!gi + 1) else s.queue.len in
+      let moves i = a.delta.(s.queue.a.(i) mod n) in
+      let labels =
+        List.init (hi - lo) (fun i -> Array.to_list (moves (lo + i)))
+        |> List.concat_map (List.map (fun m -> m.label))
+        |> List.sort_uniq Label.compare
+      in
+      List.iter
+        (fun k ->
+          let mark = s.queue.len in
+          for i = lo to hi - 1 do
+            Option.iter
+              (fun j -> expand i j (moves i).(j))
+              (Array.find_index (fun m -> Label.equal m.label k) (moves i))
+          done;
+          if s.queue.len > mark then push groups mark)
+        labels;
+      incr gi
+    done
+  end;
   s
 
 (* The node and state of the pair at queue position [i]. *)

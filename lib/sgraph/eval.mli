@@ -19,9 +19,7 @@ type nfa = {
   final : bool array;
 }
 (** An ε-free automaton on the states [0 .. Array.length delta - 1];
-    [delta.(q)] holds [q]'s moves by label, descending.  Array and list
-    orders are push orders: they pick the witness among equal-length
-    runs. *)
+    [delta.(q)] holds [q]'s moves, one per label. *)
 
 (** A word is the degenerate automaton, a chain of labels. *)
 type automaton = Chain of Pathlang.Label.t list | Nfa of nfa
@@ -64,10 +62,13 @@ val preimage :
 
 val witnesses :
   Graph.t -> Graph.node -> nfa -> (Graph.node * Pathlang.Path.t) list
-(** Every answer of {!run}, ascending, with a shortest word of [L(a)]
-    reaching it, read off one search's parent links.  Only this search
-    records them: each queued pair keeps the pair and the move it was
-    first pushed by. *)
+(** Every answer of {!run}, ascending, with the least word of [L(a)]
+    in [Label.compare] order among the shortest reaching it, read off
+    one search's parent links.  Only this search records them: each
+    queued pair keeps the pair and the move it was first pushed by.
+    The search expands the pairs one word reached together, label by
+    label in ascending order, so the witness does not depend on the
+    order of moves, states or edges. *)
 
 val eval_from : Graph.t -> Graph.node -> Pathlang.Path.t -> Graph.Node_set.t
 (** The chain case of {!run}, in [O(|rho| * |G|)]. *)

@@ -278,15 +278,15 @@ let test_parse_error_span () =
 
 (* --- PC800/PC801 vs independent Nfa emptiness on the product --------------- *)
 
-(* An independent emptiness oracle: the plain Regex Thompson automaton
-   (not the checker's) producted against the schema automaton; the
-   query is schema-empty iff no accepting pair is reachable.
-   [Nfa.product] keeps only reachable pairs, so emptiness is exactly
-   "no final state exists". *)
+(* An independent emptiness oracle: the oracle's Thompson automaton
+   (not the checker's Glushkov automaton) producted against the schema
+   automaton; the query is schema-empty iff no accepting pair is
+   reachable.  The product keeps only reachable pairs, so emptiness
+   is exactly "no final state exists". *)
 let product_empty schema ast =
-  let a, start = Regex.to_nfa (Qparser.regex_of ast) in
+  let a, start = Rpq_oracle.thompson (Qparser.regex_of ast) in
   let sa, _sorts, sstart = Schema_graph.automaton schema in
-  let prod, _pairs = Nfa.product a sa ~start:(start, sstart) in
+  let prod, _pairs = Oracle.Nfa_product.product a sa ~start:(start, sstart) in
   Nfa.State_set.is_empty (Nfa.finals prod)
 
 let test_empty_crosscheck_deterministic () =
@@ -377,6 +377,100 @@ let test_empty_crosscheck_random () =
       (product_empty schema ast)
       (Typecheck.empty_query tc)
   done
+
+(* --- attribution vs the fresh-state Thompson reference --------------------- *)
+
+(* Random queries in the surface syntax, with every node kind the
+   parser knows: [+], [?] and [eps] stay nodes of their own. *)
+let rec random_surface rng labels depth =
+  let letter () =
+    Label.to_string (List.nth labels (Random.State.int rng (List.length labels)))
+  in
+  let sub () = random_surface rng labels (depth - 1) in
+  if depth = 0 then if Random.State.int rng 8 = 0 then "eps" else letter ()
+  else
+    match Random.State.int rng 10 with
+    | 0 | 1 ->
+        let a = sub () in
+        let b = sub () in
+        Printf.sprintf "(%s.%s)" a b
+    | 2 | 3 ->
+        let a = sub () in
+        let b = sub () in
+        Printf.sprintf "(%s|%s)" a b
+    | 4 -> Printf.sprintf "(%s)*" (sub ())
+    | 5 -> Printf.sprintf "(%s)+" (sub ())
+    | 6 -> Printf.sprintf "(%s)?" (sub ())
+    | 7 -> "eps"
+    | _ -> letter ()
+
+let abc_schema =
+  "kind M\n\
+   class C = [ a: C; b: D ]\n\
+   class D = [ c: C; b: D ]\n\
+   db = [ a: C; c: D ]\n"
+
+let rec subterms (n : Qparser.ast) =
+  n
+  ::
+  (match n.Qparser.node with
+  | Qparser.Eps | Qparser.Letter _ -> []
+  | Qparser.Concat (x, y) | Qparser.Alt (x, y) -> subterms x @ subterms y
+  | Qparser.Star x | Qparser.Plus x | Qparser.Opt x -> subterms x)
+
+(* Rpq.Typecheck reads every PC8xx fact off the Glushkov automaton's
+   per-node position sets; the reference projects a fresh-state
+   Thompson product onto each node's own states.  Both must attribute
+   every node of every query identically. *)
+let test_attribution_matches_reference () =
+  let rng = Random.State.make [| 0x6105 |] in
+  let foreign = Label.make "zzz" in
+  let sorts = Alcotest.testable (Fmt.Dump.list Mtype.pp) (List.equal Mtype.equal) in
+  let chain =
+    Alcotest.(list (triple string string sorts))
+  in
+  let show_chain =
+    List.map (fun (k, sp, taus) -> (Label.to_string k, Span.to_string sp, taus))
+  in
+  let schemas =
+    [ ("bib_m", fun () -> Mschema.bib_m); ("abc", fun () -> mschema_of_string abc_schema);
+      ("random", fun () -> random_schema rng) ]
+  in
+  List.iter
+    (fun (name, schema) ->
+      for i = 1 to 150 do
+        let schema = schema () in
+        let labels = foreign :: schema_labels schema in
+        let src = random_surface rng labels (1 + Random.State.int rng 4) in
+        let ast = parse_q src in
+        let tc = Typecheck.run schema ast in
+        let rf = Oracle.Typecheck_reference.run schema ast in
+        let what s = Printf.sprintf "%s #%d %s: %s" name i src s in
+        Alcotest.(check bool) (what "empty_query")
+          (Oracle.Typecheck_reference.empty_query rf) (Typecheck.empty_query tc);
+        Alcotest.check sorts (what "answer_sorts")
+          (Oracle.Typecheck_reference.answer_sorts rf) (Typecheck.answer_sorts tc);
+        List.iter
+          (fun n ->
+            Alcotest.check sorts
+              (what ("sorts_after " ^ Regex.to_string (Qparser.regex_of n)))
+              (Oracle.Typecheck_reference.sorts_after rf n)
+              (Typecheck.sorts_after tc n))
+          (subterms ast);
+        Alcotest.check chain (what "letter_chain")
+          (show_chain (Oracle.Typecheck_reference.letter_chain rf))
+          (show_chain (Typecheck.letter_chain tc));
+        Alcotest.(check (option (triple string string sorts)))
+          (what "first_dead")
+          (Option.map (fun x -> List.hd (show_chain [ x ]))
+             (Oracle.Typecheck_reference.first_dead rf))
+          (Option.map (fun x -> List.hd (show_chain [ x ])) (Typecheck.first_dead tc));
+        Alcotest.(check bool) (what "dead_subexprs") true
+          (List.equal ( == )
+             (Oracle.Typecheck_reference.dead_subexprs rf)
+             (Typecheck.dead_subexprs tc))
+      done)
+    schemas
 
 (* PC801 soundness: pruning the reported dead subexpressions out of the
    query preserves its answers on every schema-conforming instance
@@ -727,6 +821,8 @@ let () =
             test_dead_branch_prune_preserves_answers;
           Alcotest.test_case "dead subexpression span" `Quick
             test_dead_subexprs_deterministic;
+          Alcotest.test_case "attribution = Thompson reference" `Quick
+            test_attribution_matches_reference;
         ] );
       ( "eval",
         [

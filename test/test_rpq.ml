@@ -6,6 +6,9 @@ module Regex = Rpq.Regex
 module Rpq_ = Rpq.Eval
 module NS = Graph.Node_set
 
+(* The library's automaton of a plain term. *)
+let glushkov r = Rpq.Glushkov.make (Regex.to_ast r)
+
 let parse_result s =
   Result.map Rpq.Parser.regex_of (Rpq.Parser.parse s)
 
@@ -151,7 +154,7 @@ let prop_inclusion_sound_on_words =
 
 let test_minimize () =
   let to_min r =
-    let a, start = Regex.to_nfa (parse r) in
+    let a, start = Rpq.Glushkov.to_nfa (glushkov (parse r)) in
     Automata.Dfa.minimize
       (Automata.Dfa.of_nfa ~alphabet:labels a ~start)
   in
@@ -168,7 +171,7 @@ let prop_minimize_preserves_language =
     QCheck.(pair arb_path arb_path)
     (fun (p1, p2) ->
       let r = Regex.alt (Regex.of_path p1) (Regex.star (Regex.of_path p2)) in
-      let a, start = Regex.to_nfa r in
+      let a, start = Rpq.Glushkov.to_nfa (glushkov r) in
       let d = Automata.Dfa.of_nfa ~alphabet:labels a ~start in
       let m = Automata.Dfa.minimize d in
       Automata.Dfa.size m <= Automata.Dfa.size d
@@ -218,10 +221,11 @@ let prop_eval_union_is_union =
         (NS.union (Sgraph.Eval.eval g p1) (Sgraph.Eval.eval g p2)))
 
 (* The length of a shortest word of L(r) leading from [src] to [dst],
-   by layered simulation: layer n holds the (node, state) pairs reached
-   after exactly n letters.  No BFS, no visited set. *)
+   by layered simulation of the oracle's Thompson automaton: layer n
+   holds the (node, state) pairs reached after exactly n letters.  No
+   BFS, no visited set. *)
 let shortest_len g src r dst =
-  let a, start = Regex.to_nfa r in
+  let a, start = Rpq_oracle.thompson r in
   let module PS = Set.Make (struct
     type t = int * int
 
@@ -281,7 +285,17 @@ let test_witness () =
   | Some p -> check_int "shortest" 1 (Path.length p)
   | None -> Alcotest.fail "no witness");
   check_bool "unreachable" true (Rpq_.witness g 2 any 1 = None);
-  check_bool "self" true (Rpq_.witness g 1 any 1 = Some Path.empty)
+  check_bool "self" true (Rpq_.witness g 1 any 1 = Some Path.empty);
+  (* nodes 1 and 2 are both reached by [a]; the word through the later
+     one is the least, so a search that expands pair by pair, even in
+     ascending label order, would pick a.c.d *)
+  let g =
+    Graph.of_edges
+      [ (0, "a", 1); (0, "a", 2); (1, "c", 3); (2, "b", 4); (3, "d", 5); (4, "d", 5) ]
+  in
+  let r = parse "(a|b|c|d)*" in
+  check_bool "least of the shortest" true (Rpq_.witness g 0 r 5 = Some (path "a.b.d"));
+  check_bool "as the oracle's" true (Rpq_oracle.witness g 0 r 5 = Some (path "a.b.d"))
 
 let prop_witness_sound =
   q ~count:100 "witness paths really connect" arb_graph (fun g ->
@@ -314,7 +328,7 @@ let prop_chain_is_general =
       let chain = Sgraph.Eval.run g 0 (Sgraph.Eval.chain p) in
       let general =
         Sgraph.Eval.run g 0
-          (Sgraph.Eval.Nfa (Rpq_.compile (Regex.to_nfa (Regex.of_path p))))
+          (Sgraph.Eval.Nfa (Rpq.Glushkov.automaton (glushkov (Regex.of_path p))))
       in
       let fo =
         List.filter
@@ -447,9 +461,11 @@ let prop_runs_after_mutation =
            ops)
 
 (* A graph that does not conform to [abc_schema]: nodes 1 and 2 are
-   reached under both C and D, so they stay untyped, and the typed
-   answers of [c*.a|b] are the untyped {2} under each of the 720 orders
-   its edges can be added in. *)
+   reached under both C and D, so they stay untyped.  The one match of
+   [c*.a|b] is 0 -b-> 2, but [db] has no [b] edge, so the position of
+   that [b] is never reachable over Paths(Delta): the typed answers are
+   {} under each of the 720 orders the edges can be added in, while
+   the untyped answers are {2}. *)
 let test_typing_order_free () =
   let edges = [ (0, "b", 2); (0, "c", 2); (0, "c", 1); (1, "c", 3); (1, "c", 2); (2, "c", 1) ] in
   let r = parse "c*.a|b" in
@@ -465,11 +481,25 @@ let test_typing_order_free () =
       let g = Graph.of_edges es in
       let class_of = Rpq.Typecheck.type_graph abc_schema g in
       check_bool "untyped {2}" true (NS.elements (Rpq_.eval g r) = [ 2 ]);
-      check_bool "typed {2}" true (NS.elements (Rpq_.eval_typed ~class_of tc g) = [ 2 ]);
+      check_bool "typed {}" true (NS.elements (Rpq_.eval_typed ~class_of tc g) = []);
       check_bool "1 and 2 untyped, 3 is C" true
         (List.map (Rpq.Typecheck.sort_of class_of) [ 1; 2; 3 ]
         = [ None; None; Some (Schema.Mtype.Class (Schema.Mtype.cname "C")) ]))
     orders
+
+(* On graphs that need not conform to [abc_schema], the typed answers
+   lie between the matches witnessed inside Paths(Delta) and the
+   untyped answers: every match the oracle's graph x Thompson x schema
+   search finds is a typed answer (the node typing only coarsens the
+   sorts), and every typed answer is an untyped one. *)
+let prop_typed_sandwich =
+  q ~count:200 "oracle in Paths(Delta) <= typed <= untyped"
+    QCheck.(pair arb_graph (QCheck.make (gen_regex_smart 3) ~print:Regex.to_string))
+    (fun (g, r) ->
+      let class_of = Rpq.Typecheck.type_graph abc_schema g in
+      let typed = Rpq_.eval_typed ~class_of (typecheck r) g in
+      NS.subset (Rpq_oracle.eval_in_schema abc_schema g r) typed
+      && NS.subset typed (Rpq_.eval g r))
 
 (* Marking a pair before admitting it: [admit] sees each pair at most
    once, even one it rejects, and the interrupt hook is polled once per
@@ -479,7 +509,7 @@ let prop_admit_once =
     QCheck.(
       triple arb_graph (QCheck.make (gen_regex_smart 3) ~print:Regex.to_string) small_nat)
     (fun (g, r, salt) ->
-      let a = Rpq_.compile (Regex.to_nfa r) in
+      let a = Rpq.Glushkov.automaton (glushkov r) in
       let asked = Hashtbl.create 16 and admitted = ref 0 and polls = ref 0 in
       let admit v q =
         Hashtbl.replace asked (v, q) (1 + Option.value ~default:0 (Hashtbl.find_opt asked (v, q)));
@@ -591,6 +621,7 @@ let () =
           prop_runs_after_mutation;
           prop_admit_once;
           Alcotest.test_case "typing ignores edge order" `Quick test_typing_order_free;
+          prop_typed_sandwich;
           Alcotest.test_case "shared graph, four domains" `Quick
             test_shared_graph_domains;
         ] );

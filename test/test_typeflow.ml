@@ -198,7 +198,7 @@ let product_projection schema p =
   List.iteri (fun i k -> Nfa.add_trans chain i k (i + 1)) labels;
   Nfa.set_final chain n;
   let snfa, ssorts, sstart = Schema_graph.automaton schema in
-  let _, pairs = Nfa.product chain snfa ~start:(0, sstart) in
+  let _, pairs = Oracle.Nfa_product.product chain snfa ~start:(0, sstart) in
   let at = Array.make (n + 1) [] in
   Array.iter (fun (q, s) -> at.(q) <- ssorts.(s) :: at.(q)) pairs;
   (at, Array.length pairs)
