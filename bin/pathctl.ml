@@ -988,7 +988,7 @@ let odl_cmd =
     | Error m -> die "%s" m
     | Ok src -> (
         match Schema.Odl.parse src with
-        | Error m -> die "%s" m
+        | Error e -> die "%s" (Pathlang.Parser.error_to_string e)
         | Ok spec ->
             print_endline "# type constraint (the schema, in pathcons syntax):";
             print_string (Schema.Schema_parser.to_string spec.Schema.Odl.schema);

@@ -103,7 +103,12 @@ let unquote s =
 
 let parse src =
   let lines = String.split_on_char '\n' src in
-  let err n fmt = Printf.ksprintf (fun m -> Error (n, m)) fmt in
+  let err n fmt =
+    Printf.ksprintf
+      (fun reason ->
+        Error { Pathlang.Parser.line = n; col = 1; token = ""; reason })
+      fmt
+  in
   let rec go n section acc = function
     | [] -> Ok acc
     | line :: rest -> (

@@ -48,5 +48,5 @@ val severity_override : t -> string -> Diagnostic.severity option option
     ([PCnxx]) entry; among family entries the first in file order
     wins. *)
 
-val parse : string -> (t, int * string) result
-(** The error is the 1-based line it stops at and the message. *)
+val parse : string -> (t, Pathlang.Parser.error) result
+(** The error is positioned at column 1 of the line it stops at. *)

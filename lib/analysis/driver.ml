@@ -38,7 +38,7 @@ let fs_cli_read = Fault.site "cli.read"
 
 let read_file path = Fault.Io.read_file ~site:fs_cli_read path
 
-let parse_error ~line ~col ~token ~reason =
+let parse_error { Pathlang.Parser.line; col; token; reason } =
   ( Span.v ~line ~start_col:col ~end_col:(col + String.length token),
     if token = "" then reason else Printf.sprintf "at %S: %s" token reason )
 
@@ -106,8 +106,8 @@ let load_config = function
       | Ok src -> (
           match Config.parse src with
           | Ok c -> Ok (src, c)
-          | Error (line, m) ->
-              let span = Span.v ~line ~start_col:1 ~end_col:1 in
+          | Error e ->
+              let span, m = parse_error e in
               Error (input_error "PC003" ~file:path ~span m)))
 
 let load_schema = function
@@ -119,12 +119,7 @@ let load_schema = function
       | Ok (schema, schema_spans) ->
           Ok (Some { schema; schema_file = path; schema_spans })
       | Error e ->
-          let span, m =
-            parse_error ~line:e.Schema.Schema_parser.line
-              ~col:e.Schema.Schema_parser.col
-              ~token:e.Schema.Schema_parser.token
-              ~reason:e.Schema.Schema_parser.reason
-          in
+          let span, m = parse_error e in
           Error (input_error "PC002" ~file:path ~span m))
 
 (* A pass that hit its wall-clock deadline or was cancelled says so

@@ -56,9 +56,7 @@ val rendering : (unit -> 'a) -> 'a
 (** Run under the [layer.render] span: shaping findings into a
     report. *)
 
-val parse_error :
-  line:int -> col:int -> token:string -> reason:string ->
-  Pathlang.Span.t * string
+val parse_error : Pathlang.Parser.error -> Pathlang.Span.t * string
 (** The span and message of a token-shaped parse error: the span covers
     the offending token, the message quotes it. *)
 

@@ -169,10 +169,7 @@ let load_sigma_src src =
   else
     match Parser.document_of_string src with
     | Ok doc -> Ok doc
-    | Error e ->
-        Error
-          (Driver.parse_error ~line:e.Parser.line ~col:e.Parser.col
-             ~token:e.Parser.token ~reason:e.Parser.reason)
+    | Error e -> Error (Driver.parse_error e)
 
 let budget_fingerprint (budget : Core.Engine.Budget.t option) =
   match budget with

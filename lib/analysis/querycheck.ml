@@ -166,11 +166,7 @@ let kind ?pool () =
     Driver.tag = "querycheck";
     parse =
       (fun src ->
-        Result.map_error
-          (fun (e : Qparser.error) ->
-            Driver.parse_error ~line:e.line ~col:e.col ~token:e.token
-              ~reason:e.reason)
-          (Qparser.document_of_string src));
+        Result.map_error Driver.parse_error (Qparser.document_of_string src));
     pragmas = (fun doc -> doc.Qparser.pragmas);
     key_parts =
       (fun config -> [ (if enabled config then "pass=on" else "pass=off") ]);

@@ -1,18 +1,18 @@
 type t = string
 
-let forbidden = [ '.'; '('; ')'; '['; ']'; ':'; '>'; '<'; '-'; '='; ',' ]
-
-let valid_char c =
-  (not (List.mem c forbidden))
-  && (not (c = ' ' || c = '\t' || c = '\n' || c = '\r'))
+let valid_char = function
+  | '.' | '(' | ')' | '[' | ']' | ':' | '>' | '<' | '-' | '=' | ','
+  | ' ' | '\t' | '\n' | '\r' ->
+      false
+  | _ -> true
 
 let make s =
   if String.length s = 0 then invalid_arg "Label.make: empty label";
-  String.iter
-    (fun c ->
-      if not (valid_char c) then
-        invalid_arg (Printf.sprintf "Label.make: forbidden character %C in %S" c s))
-    s;
+  for i = 0 to String.length s - 1 do
+    let c = s.[i] in
+    if not (valid_char c) then
+      invalid_arg (Printf.sprintf "Label.make: forbidden character %C in %S" c s)
+  done;
   s
 
 let of_string = make

@@ -6,7 +6,8 @@ type error = {
 }
 
 let error_to_string e =
-  if e.token = "" then
+  if e.line = 0 then e.reason
+  else if e.token = "" then
     Printf.sprintf "line %d, column %d: %s" e.line e.col e.reason
   else
     Printf.sprintf "line %d, column %d: at %S: %s" e.line e.col e.token e.reason
@@ -37,19 +38,9 @@ type document = {
   pragmas : pragma list;
 }
 
-let is_ws c = c = ' ' || c = '\t' || c = '\r'
+(* --- scanning --------------------------------------------------------- *)
 
-(* Find the first occurrence of the token [tok] in [s] within [i, j);
-   tokens never occur inside labels (Label.make forbids their
-   characters). *)
-let find_sub tok s i j =
-  let tlen = String.length tok in
-  let rec find i =
-    if i + tlen > j then None
-    else if String.sub s i tlen = tok then Some i
-    else find (i + 1)
-  in
-  find i
+let is_ws = function ' ' | '\t' | '\r' -> true | _ -> false
 
 (* Trim the bounds [i, j) of [s] to the enclosed non-whitespace region. *)
 let trim_bounds s i j =
@@ -58,21 +49,33 @@ let trim_bounds s i j =
   while !j > !i && is_ws s.[!j - 1] do decr j done;
   (!i, !j)
 
+(* The offset of the first [c] in [s] within [i, j), or [j] when there
+   is none. *)
+let rec find_char c s i j =
+  if i >= j || s.[i] = c then i else find_char c s (i + 1) j
+
+(* The offset of the first two-character token [c1 c2] in [s] within
+   [i, j), or [j] when there is none.  Tokens never occur inside labels
+   (Label.make forbids their characters). *)
+let rec find_pair c1 c2 s i j =
+  if i + 2 > j then j
+  else if s.[i] = c1 && s.[i + 1] = c2 then i
+  else find_pair c1 c2 s (i + 1) j
+
+(* --- constraints ------------------------------------------------------ *)
+
 (* Parse the substring [i, j) of [line] as a path, reporting the exact
    column and text of the offending label on failure.  Also returns the
    span of each label, in path order (empty for the empty path). *)
 let path_at ~line_no line i j =
   let i, j = trim_bounds line i j in
-  let s = String.sub line i (j - i) in
-  if s = "" || s = "eps" then Ok (Path.empty, [])
+  let eps =
+    j - i = 3 && line.[i] = 'e' && line.[i + 1] = 'p' && line.[i + 2] = 's'
+  in
+  if i = j || eps then Ok (Path.empty, [])
   else begin
-    (* split on '.' by hand, keeping each label's offset in [line] *)
     let rec go start acc spans =
-      let stop =
-        match String.index_from_opt line start '.' with
-        | Some d when d < j -> d
-        | _ -> j
-      in
+      let stop = find_char '.' line start j in
       let tok = String.sub line start (stop - start) in
       match Label.make tok with
       | l ->
@@ -89,68 +92,55 @@ let path_at ~line_no line i j =
     go i [] []
   end
 
-(* Parse one constraint from [line] (which must contain one); [line_no]
+(* Parse the constraint in [line]'s trimmed region [s0, e0); [line_no]
    is its 1-based position in the enclosing document. *)
-let constraint_of_line ~line_no line =
-  let s0, e0 = trim_bounds line 0 (String.length line) in
-  let span = Span.v ~line:line_no ~start_col:(s0 + 1) ~end_col:(e0 + 1) in
-  let whole = String.sub line s0 (e0 - s0) in
+let constraint_at ~line_no line s0 e0 =
   if s0 = e0 then
     Error { line = line_no; col = 1; token = ""; reason = "empty constraint" }
   else
-    (* [prefix :] body, where body is [lhs -> rhs] or [lhs <- rhs] *)
-    let pstart, pstop, bstart =
-      match find_sub ":" line s0 e0 with
-      | Some i -> (s0, i, i + 1)
-      | None -> (s0, s0, s0)
-    in
-    let kind, lstart, lstop, rstart =
-      match find_sub "->" line bstart e0 with
-      | Some i -> (Some Constr.Forward, bstart, i, i + 2)
-      | None -> (
-          match find_sub "<-" line bstart e0 with
-          | Some i -> (Some Constr.Backward, bstart, i, i + 2)
-          | None -> (None, bstart, bstart, bstart))
-    in
-    match kind with
-    | None ->
-        Error
-          {
-            line = line_no;
-            col = s0 + 1;
-            token = whole;
-            reason = "no '->' or '<-' found";
-          }
-    | Some kind -> (
-        match
-          ( path_at ~line_no line pstart pstop,
-            path_at ~line_no line lstart lstop,
-            path_at ~line_no line rstart e0 )
-        with
-        | Ok (prefix, prefix_spans), Ok (lhs, lhs_spans), Ok (rhs, rhs_spans)
-          ->
-            Ok
-              {
-                constr = Constr.make kind ~prefix ~lhs ~rhs;
-                span;
-                tokens = { prefix_spans; lhs_spans; rhs_spans };
-              }
-        | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e)
+    (* [prefix :] body, where body is [lhs -> rhs] or [lhs <- rhs]: the
+       first ':' ends the prefix, and a '->' anywhere in the body wins
+       over a '<-' *)
+    let colon = find_char ':' line s0 e0 in
+    let pstop, bstart = if colon < e0 then (colon, colon + 1) else (s0, s0) in
+    let fwd = find_pair '-' '>' line bstart e0 in
+    let arrow = if fwd < e0 then fwd else find_pair '<' '-' line bstart e0 in
+    if arrow = e0 then
+      Error
+        {
+          line = line_no;
+          col = s0 + 1;
+          token = String.sub line s0 (e0 - s0);
+          reason = "no '->' or '<-' found";
+        }
+    else
+      let kind = if fwd < e0 then Constr.Forward else Constr.Backward in
+      match
+        ( path_at ~line_no line s0 pstop,
+          path_at ~line_no line bstart arrow,
+          path_at ~line_no line (arrow + 2) e0 )
+      with
+      | Ok (prefix, prefix_spans), Ok (lhs, lhs_spans), Ok (rhs, rhs_spans) ->
+          Ok
+            {
+              constr = Constr.make kind ~prefix ~lhs ~rhs;
+              span = Span.v ~line:line_no ~start_col:(s0 + 1) ~end_col:(e0 + 1);
+              tokens = { prefix_spans; lhs_spans; rhs_spans };
+            }
+      | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
 
-let constraint_of_string_spanned line =
-  match constraint_of_line ~line_no:1 line with
-  | Ok { constr; span; _ } -> Ok (constr, span)
-  | Error e -> Error e
+(* --- line documents --------------------------------------------------- *)
 
+(* Blank and comment lines.  The test is String.trim's, which also
+   strips form feeds, so a form-feed-only line stays blank. *)
 let is_blank line =
   let t = String.trim line in
   t = "" || t.[0] = '#'
 
-(* A comment line of the form [# pathctl-disable CODE ...] (next
-   constraint) or [# pathctl-disable-file CODE ...] (whole file).
-   Returns [None] for ordinary comments. *)
-let pragma_of_line ~line_no line =
-  let s0, e0 = trim_bounds line 0 (String.length line) in
+(* A comment line of the form [# pathctl-disable CODE ...] (next item)
+   or [# pathctl-disable-file CODE ...] (whole file), trimmed to
+   [s0, e0).  Returns [None] for ordinary comments. *)
+let pragma_at ~line_no line s0 e0 =
   if s0 >= e0 || line.[s0] <> '#' then None
   else begin
     let i = ref (s0 + 1) in
@@ -189,64 +179,51 @@ let pragma_of_line ~line_no line =
           }
   end
 
-let document_of_string doc =
-  let lines = String.split_on_char '\n' doc in
+let read_document item doc =
+  (* entries in reverse document order *)
   let rec go n acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
+    | [] -> Ok acc
+    | line :: rest -> (
+        let s0, e0 = trim_bounds line 0 (String.length line) in
         if is_blank line then
-          match pragma_of_line ~line_no:n line with
+          match pragma_at ~line_no:n line s0 e0 with
           | Some p -> go (n + 1) (`P p :: acc) rest
           | None -> go (n + 1) acc rest
-        else (
-          match constraint_of_line ~line_no:n line with
-          | Ok c -> go (n + 1) (`C c :: acc) rest
+        else
+          match item ~line_no:n line s0 e0 with
+          | Ok it -> go (n + 1) (`I (n, it) :: acc) rest
           | Error e -> Error e)
   in
-  match go 1 [] lines with
+  match go 1 [] (String.split_on_char '\n' doc) with
   | Error e -> Error e
-  | Ok items ->
-      (* a next-line pragma governs the next constraint in the document *)
-      let rec resolve = function
-        | [] -> []
-        | `P p :: rest when not p.file_wide ->
-            let applies_to =
-              List.find_map
-                (function
-                  | `C c -> Some c.span.Span.line
-                  | `P _ -> None)
-                rest
-            in
-            { p with applies_to } :: resolve rest
-        | `P p :: rest -> p :: resolve rest
-        | `C _ :: rest -> resolve rest
+  | Ok rev_entries ->
+      (* walking backwards, [next] is the line of the item after the
+         current entry: the one a next-line pragma governs *)
+      let items, pragmas, _ =
+        List.fold_left
+          (fun (items, pragmas, next) -> function
+            | `I (n, it) -> (it :: items, pragmas, Some n)
+            | `P p ->
+                let p = if p.file_wide then p else { p with applies_to = next } in
+                (items, p :: pragmas, next))
+          ([], [], None) rev_entries
       in
-      Ok
-        {
-          constraints =
-            List.filter_map (function `C c -> Some c | `P _ -> None) items;
-          pragmas = resolve items;
-        }
+      Ok (items, pragmas)
 
-let constraints_of_string_spanned doc =
-  match document_of_string doc with
-  | Ok { constraints; _ } ->
-      Ok (List.map (fun { constr; span; _ } -> (constr, span)) constraints)
+let document_of_string doc =
+  match read_document constraint_at doc with
+  | Ok (constraints, pragmas) -> Ok { constraints; pragmas }
   | Error e -> Error e
 
-(* --- legacy string-error wrappers ------------------------------------- *)
-
-let path_of_string s =
-  match Path.of_string s with
-  | p -> Ok p
-  | exception Invalid_argument msg -> Error msg
+(* --- string-error entry points ---------------------------------------- *)
 
 let constraint_of_string line =
-  match constraint_of_string_spanned line with
-  | Ok (c, _) -> Ok c
+  let s0, e0 = trim_bounds line 0 (String.length line) in
+  match constraint_at ~line_no:1 line s0 e0 with
+  | Ok { constr; _ } -> Ok constr
   | Error e -> Error (error_to_string e)
 
 let constraints_of_string doc =
-  match constraints_of_string_spanned doc with
-  | Ok cs -> Ok (List.map fst cs)
+  match document_of_string doc with
+  | Ok { constraints; _ } -> Ok (List.map (fun l -> l.constr) constraints)
   | Error e -> Error (error_to_string e)

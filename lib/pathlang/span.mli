@@ -3,7 +3,7 @@
     A span locates a region of a source file: a 1-based line number and
     a 1-based, end-exclusive column range on that line.  Spans are
     produced by the span-carrying parser entry points
-    ({!Parser.constraints_of_string_spanned},
+    ({!Parser.document_of_string}, [Rpq.Parser.document_of_string],
     [Schema.Schema_parser.of_string_spanned]) and consumed by the static
     analyzer's diagnostics. *)
 

@@ -17,13 +17,10 @@ let witness g src r dst = List.assoc_opt dst (witnesses g src r)
 
 (* Pairs no schema-conforming run can inhabit and still finish the
    query are never enqueued (Typecheck.admit). *)
-let eval_from_typed ?interrupt ?class_of tc g src =
-  let admit = Typecheck.admit tc class_of in
-  Eval.run ~admit ?interrupt g src
-    (Eval.Nfa (Glushkov.automaton (Typecheck.glushkov tc)))
-
 let eval_typed ?interrupt ?class_of tc g =
-  eval_from_typed ?interrupt ?class_of tc g (Graph.root g)
+  let admit = Typecheck.admit tc class_of in
+  Eval.run ~admit ?interrupt g (Graph.root g)
+    (Eval.Nfa (Glushkov.automaton (Typecheck.glushkov tc)))
 
 type constr = { lhs : Regex.t; rhs : Regex.t }
 

@@ -36,30 +36,23 @@ val witness :
 exception Interrupted
 (** {!Sgraph.Eval.Interrupted}: an [interrupt] hook fired. *)
 
-val eval_from_typed :
-  ?interrupt:(unit -> bool) ->
-  ?class_of:Typecheck.typing ->
-  Typecheck.t ->
-  Sgraph.Graph.t ->
-  Sgraph.Graph.node ->
-  Sgraph.Graph.Node_set.t
-(** Type-pruned evaluation: {!eval_from} on the checker's automaton,
-    exploring a pair [(v, q)] only if {!Typecheck.admit} admits it
-    under the node typing [class_of] (e.g. {!Typecheck.type_graph}; by
-    default every node is untyped).  On a graph that validates against the
-    schema the answers equal {!eval_from}'s; on others they are the
-    matches witnessed inside [Paths(Delta)].  A step budget in
-    [interrupt] counts admitted pairs.
-    @raise Invalid_argument if [class_of] types the graph against
-    another schema than the checker's. *)
-
 val eval_typed :
   ?interrupt:(unit -> bool) ->
   ?class_of:Typecheck.typing ->
   Typecheck.t ->
   Sgraph.Graph.t ->
   Sgraph.Graph.Node_set.t
-(** {!eval_from_typed} from the root. *)
+(** Type-pruned evaluation from the root: {!eval} on the checker's
+    automaton, exploring a pair [(v, q)] only if {!Typecheck.admit}
+    admits it under the node typing [class_of] (e.g.
+    {!Typecheck.type_graph}; by default every node is untyped).  On a
+    graph that validates against the schema the answers equal
+    {!eval}'s; on others they are the matches witnessed inside
+    [Paths(Delta)].  A step budget in [interrupt] counts admitted
+    pairs.  Only the root: the typing product starts at the root's
+    sort, the database type.
+    @raise Invalid_argument if [class_of] types the graph against
+    another schema than the checker's. *)
 
 (** Regular word constraints (the constraint language of [4]):
     [forall x (r1(root, x) -> r2(root, x))] with [r1], [r2] regular.

@@ -13,14 +13,9 @@ module Label = Pathlang.Label
 module Span = Pathlang.Span
 module Pparser = Pathlang.Parser
 
-type error = { line : int; col : int; token : string; reason : string }
+type error = Pparser.error
 
-let error_to_string e =
-  if e.token = "" then
-    Printf.sprintf "line %d, column %d: %s" e.line e.col e.reason
-  else
-    Printf.sprintf "line %d, column %d: at %S: %s" e.line e.col e.token
-      e.reason
+let error_to_string = Pparser.error_to_string
 
 type ast = Ast.t = { node : node; span : Span.t }
 
@@ -57,18 +52,21 @@ let rec letters a =
 
 exception Err of error
 
-let meta = [ '('; ')'; '|'; '*'; '+'; '?'; '.' ]
-let is_ws c = c = ' ' || c = '\t'
+let is_meta = function
+  | '(' | ')' | '|' | '*' | '+' | '?' | '.' -> true
+  | _ -> false
 
 (* Parses [line.[i..j)] as one regex at source line [line_no], columns
    taken from the absolute offsets so the spans survive embedding in a
    longer line (constraints use this for their rhs). *)
 let ast_at ~line_no line i j =
   let pos = ref i in
-  let err ?(token = "") ~col reason = raise (Err { line = line_no; col; token; reason }) in
+  let err ?(token = "") ~col reason =
+    raise (Err { Pparser.line = line_no; col; token; reason })
+  in
   let peek () = if !pos < j then Some line.[!pos] else None in
   let skip_ws () =
-    while !pos < j && is_ws line.[!pos] do
+    while !pos < j && Pparser.is_ws line.[!pos] do
       incr pos
     done
   in
@@ -76,7 +74,7 @@ let ast_at ~line_no line i j =
   let label () =
     let start = !pos in
     while
-      !pos < j && (not (List.mem line.[!pos] meta)) && not (is_ws line.[!pos])
+      !pos < j && (not (is_meta line.[!pos])) && not (Pparser.is_ws line.[!pos])
     do
       incr pos
     done;
@@ -188,120 +186,22 @@ type located = { item : item; span : Span.t }
 
 type document = { items : located list; pragmas : Pparser.pragma list }
 
-let trim_bounds line i j =
-  let i = ref i and j = ref j in
-  while !i < !j && is_ws line.[!i] do
-    incr i
-  done;
-  while !j > !i && is_ws line.[!j - 1] do
-    decr j
-  done;
-  (!i, !j)
-
-let is_blank line =
-  let t = String.trim line in
-  t = "" || t.[0] = '#'
-
-(* Same pragma comments as constraint files: [# pathctl-disable CODE
-   ...] governs the next query line, [# pathctl-disable-file CODE ...]
-   the whole file.  Values are Pathlang.Parser pragmas so the whole
-   Suppress machinery (family patterns, PC510 staleness) applies to
-   query files unchanged. *)
-let pragma_of_line ~line_no line =
-  let s0, e0 = trim_bounds line 0 (String.length line) in
-  if s0 >= e0 || line.[s0] <> '#' then None
-  else begin
-    let i = ref (s0 + 1) in
-    while !i < e0 && is_ws line.[!i] do
-      incr i
-    done;
-    let starts kw =
-      let n = String.length kw in
-      !i + n <= e0
-      && String.sub line !i n = kw
-      && (!i + n = e0 || is_ws line.[!i + n])
-    in
-    let keyword =
-      if starts "pathctl-disable-file" then Some true
-      else if starts "pathctl-disable" then Some false
-      else None
-    in
-    match keyword with
-    | None -> None
-    | Some file_wide ->
-        let kwlen =
-          String.length
-            (if file_wide then "pathctl-disable-file" else "pathctl-disable")
-        in
-        let rest = String.sub line (!i + kwlen) (e0 - !i - kwlen) in
-        let codes =
-          String.map (fun c -> if c = ',' || c = '\t' then ' ' else c) rest
-          |> String.split_on_char ' '
-          |> List.filter (fun s -> s <> "")
-        in
-        Some
-          {
-            Pparser.codes;
-            file_wide;
-            applies_to = None;
-            pragma_span =
-              Span.v ~line:line_no ~start_col:(s0 + 1) ~end_col:(e0 + 1);
-          }
-  end
-
 (* One item per line: a bare query, or a regular word constraint
    [lhs -> rhs] (both sides full regexes). *)
-let item_of_line ~line_no line =
-  let s0, e0 = trim_bounds line 0 (String.length line) in
+let item_at ~line_no line s0 e0 =
   let span = Span.v ~line:line_no ~start_col:(s0 + 1) ~end_col:(e0 + 1) in
-  let arrow =
-    let rec find i =
-      if i + 2 > e0 then None
-      else if line.[i] = '-' && i + 1 < e0 && line.[i + 1] = '>' then Some i
-      else find (i + 1)
-    in
-    find s0
-  in
-  match arrow with
-  | None -> { item = Query (ast_at ~line_no line s0 e0); span }
-  | Some k ->
-      let lhs = ast_at ~line_no line s0 k in
-      let rhs = ast_at ~line_no line (k + 2) e0 in
-      { item = Constr { lhs; rhs }; span }
+  let arrow = Pparser.find_pair '-' '>' line s0 e0 in
+  match
+    if arrow = e0 then Query (ast_at ~line_no line s0 e0)
+    else
+      let lhs = ast_at ~line_no line s0 arrow in
+      let rhs = ast_at ~line_no line (arrow + 2) e0 in
+      Constr { lhs; rhs }
+  with
+  | item -> Ok { item; span }
+  | exception Err e -> Error e
 
 let document_of_string doc =
-  let lines = String.split_on_char '\n' doc in
-  let rec go n acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-        if is_blank line then
-          match pragma_of_line ~line_no:n line with
-          | Some p -> go (n + 1) (`P p :: acc) rest
-          | None -> go (n + 1) acc rest
-        else (
-          match item_of_line ~line_no:n line with
-          | it -> go (n + 1) (`I it :: acc) rest
-          | exception Err e -> Error e)
-  in
-  match go 1 [] lines with
+  match Pparser.read_document item_at doc with
+  | Ok (items, pragmas) -> Ok { items; pragmas }
   | Error e -> Error e
-  | Ok entries ->
-      let rec resolve = function
-        | [] -> []
-        | `P p :: rest when not p.Pparser.file_wide ->
-            let applies_to =
-              List.find_map
-                (function
-                  | `I it -> Some it.span.Span.line
-                  | `P _ -> None)
-                rest
-            in
-            { p with Pparser.applies_to } :: resolve rest
-        | `P p :: rest -> p :: resolve rest
-        | `I _ :: rest -> resolve rest
-      in
-      Ok
-        {
-          items = List.filter_map (function `I i -> Some i | `P _ -> None) entries;
-          pragmas = resolve entries;
-        }

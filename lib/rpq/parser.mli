@@ -7,22 +7,21 @@
     ({!Typecheck}, [Analysis.Querycheck]) pinpoint the exact token
     where a query leaves [Paths(Delta)].
 
-    Query {e documents} are line-oriented, like constraint files: one
-    query (or one regular word constraint [lhs -> rhs]) per line, [#]
-    comments, and the same suppression pragmas ([# pathctl-disable
-    CODE ...]) — pragma values are [Pathlang.Parser.pragma], so the
-    whole [Analysis.Suppress] machinery applies to query files
-    unchanged. *)
+    Query {e documents} are line-oriented, like constraint files, and
+    are read by the same {!Pathlang.Parser.read_document}: one query
+    (or one regular word constraint [lhs -> rhs]) per line, [#]
+    comments, the same whitespace rule (space, tab, ['\r']) and the
+    same suppression pragmas ([# pathctl-disable CODE ...]) — pragma
+    values are [Pathlang.Parser.pragma], so the whole
+    [Analysis.Suppress] machinery applies to query files unchanged.
+    Entry points: {!parse} for one expression, {!document_of_string}
+    for a query file. *)
 
-type error = {
-  line : int;  (** 1-based line of the offending token *)
-  col : int;  (** 1-based column of the offending token *)
-  token : string;  (** the offending token ([""] when not token-shaped) *)
-  reason : string;  (** what is wrong, without position information *)
-}
+type error = Pathlang.Parser.error
+(** The one positioned parse error. *)
 
 val error_to_string : error -> string
-(** ["line L, column C: at \"tok\": reason"]. *)
+(** {!Pathlang.Parser.error_to_string}. *)
 
 type ast = Ast.t = { node : node; span : Pathlang.Span.t }
 

@@ -30,7 +30,7 @@
      match contributes no schema-live word (PC801);
    - the pairs that survive both passes are exactly the product states
      a schema-conforming evaluation can inhabit, which is the typed
-     pruning of Eval.eval_from_typed: dropping everything else cannot
+     pruning of Eval.eval_typed: dropping everything else cannot
      lose answers on a graph that validates against the schema. *)
 
 module Label = Pathlang.Label

@@ -94,7 +94,7 @@ val sort_of : typing -> Sgraph.Graph.node -> Schema.Mtype.t option
 
 val admit : t -> typing option -> Sgraph.Graph.node -> Automata.Nfa.state -> bool
 (** [admit tc typing]: the pruning predicate of
-    {!Eval.eval_from_typed}, for {!Sgraph.Eval.run}'s [?admit].  It
+    {!Eval.eval_typed}, for {!Sgraph.Eval.run}'s [?admit].  It
     admits a pair [(v, q)] when a schema-conforming evaluation may
     inhabit query state [q] at [v] and still finish the query: when the
     product pair of [q] and [v]'s sort is reachable and co-reachable,

@@ -269,14 +269,11 @@ let build ifaces =
 let parse src =
   match build (parse_interfaces ~eof:(String.length src) (tokenize src)) with
   | spec -> Ok spec
-  | exception Err m -> Error m
+  | exception Err reason ->
+      Error { Pathlang.Parser.line = 0; col = 0; token = ""; reason }
   | exception Err_at (pos, token, reason) ->
       let line, col = Pathlang.Span.of_offset src pos in
-      if token = "" then
-        Error (Printf.sprintf "line %d, column %d: %s" line col reason)
-      else
-        Error
-          (Printf.sprintf "line %d, column %d: at %S: %s" line col token reason)
+      Error { Pathlang.Parser.line; col; token; reason }
 
 (* --- rendering --------------------------------------------------------------- *)
 

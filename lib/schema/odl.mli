@@ -38,7 +38,10 @@ type spec = {
   inverse_constraints : Pathlang.Constr.t list;
 }
 
-val parse : string -> (spec, string) result
+val parse : string -> (spec, Pathlang.Parser.error) result
+(** Syntax errors carry the offending token's position; declaration
+    errors found after parsing (no extent, an undeclared interface, an
+    invalid schema) have none ([line = 0]). *)
 
 val render : spec -> string
 (** Renders back to ODL (with the extent/inverse declarations

@@ -1,14 +1,9 @@
 (* Hand-rolled recursive descent over a cursor, mirroring Xmlrep.Xml. *)
 
 module Span = Pathlang.Span
+module Pparser = Pathlang.Parser
 
-type error = { line : int; col : int; token : string; reason : string }
-
-let error_to_string e =
-  if e.token = "" then
-    Printf.sprintf "line %d, column %d: %s" e.line e.col e.reason
-  else
-    Printf.sprintf "line %d, column %d: at %S: %s" e.line e.col e.token e.reason
+type error = Pparser.error
 
 type spans = {
   class_spans : (string * Span.t) list;
@@ -21,7 +16,7 @@ exception Err of error
 
 let error_at src pos token reason =
   let line, col = Span.of_offset src pos in
-  { line; col; token; reason }
+  { Pparser.line; col; token; reason }
 
 let fail_at cur pos token reason = raise (Err (error_at cur.src pos token reason))
 
@@ -138,7 +133,7 @@ let rec resolve class_names = function
 
 (* schema-level validation errors from [Mschema.make] carry no source
    position; anchor them at the start of the document *)
-let no_position reason = { line = 1; col = 1; token = ""; reason }
+let no_position reason = { Pparser.line = 1; col = 1; token = ""; reason }
 
 let of_string_spanned src =
   let cur = { src; pos = 0 } in
@@ -211,17 +206,12 @@ let of_string_spanned src =
 let of_string src =
   match of_string_spanned src with
   | Ok (s, _) -> Ok s
-  | Error e -> Error (error_to_string e)
-
-let load_spanned path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | s -> of_string_spanned s
-  | exception Sys_error m -> Error (no_position m)
+  | Error e -> Error (Pparser.error_to_string e)
 
 let load path =
-  match load_spanned path with
-  | Ok (s, _) -> Ok s
-  | Error e -> Error (error_to_string e)
+  match In_channel.with_open_text path In_channel.input_all with
+  | src -> of_string src
+  | exception Sys_error m -> Error (Pparser.error_to_string (no_position m))
 
 let rec type_to_string = function
   | Mtype.Atomic b -> Mtype.atomic_name b

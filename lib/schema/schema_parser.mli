@@ -14,17 +14,10 @@
     is optional; when omitted the kind is inferred ([M] when the schema
     satisfies the M restrictions, [M+] otherwise). *)
 
-type error = {
-  line : int;  (** 1-based line of the offending token *)
-  col : int;  (** 1-based column of the offending token *)
-  token : string;  (** the offending token ([""] when not token-shaped) *)
-  reason : string;  (** what is wrong, without position information *)
-}
-(** A structured parse error.  Schema-level validation failures (from
-    [Mschema.make]) carry no source position and are anchored at 1:1. *)
-
-val error_to_string : error -> string
-(** ["line L, column C: at \"tok\": reason"]. *)
+type error = Pathlang.Parser.error
+(** The one positioned parse error.  Schema-level validation failures
+    (from [Mschema.make]) carry no source position and are anchored at
+    1:1. *)
 
 type spans = {
   class_spans : (string * Pathlang.Span.t) list;
@@ -36,11 +29,12 @@ type spans = {
 
 val of_string_spanned : string -> (Mschema.t * spans, error) result
 
-val load_spanned : string -> (Mschema.t * spans, error) result
-
 val of_string : string -> (Mschema.t, string) result
+(** {!of_string_spanned} with the error rendered by
+    {!Pathlang.Parser.error_to_string}. *)
 
 val load : string -> (Mschema.t, string) result
+(** {!of_string} of a file's contents. *)
 
 val to_string : Mschema.t -> string
 (** Renders in the same syntax; [of_string (to_string s)] reproduces

@@ -93,13 +93,22 @@ let mplus_schema =
 
 (* --- satellite: parser errors carry line / column / token ---------------- *)
 
+(* each constraint of a document with the span of its text *)
+let spanned_of_string src =
+  match Parser.document_of_string src with
+  | Ok doc ->
+      List.map
+        (fun (l : Parser.located) -> (l.constr, l.span))
+        doc.Parser.constraints
+  | Error e -> Alcotest.failf "parse: %s" (Parser.error_to_string e)
+
 let test_parser_error_spans () =
-  (match Parser.constraint_of_string_spanned "book..author -> person" with
+  (match Parser.document_of_string "book..author -> person" with
   | Ok _ -> Alcotest.fail "empty label should not parse"
   | Error e ->
       Alcotest.(check int) "line" 1 e.Parser.line;
       Alcotest.(check int) "col" 6 e.Parser.col);
-  (match Parser.constraints_of_string_spanned "a.b -> c\n\nx : y -> z ->" with
+  (match Parser.document_of_string "a.b -> c\n\nx : y -> z ->" with
   | Ok _ -> Alcotest.fail "double arrow should not parse"
   | Error e ->
       Alcotest.(check int) "error on line 3" 3 e.Parser.line;
@@ -116,22 +125,19 @@ let test_schema_parser_error_spans () =
   with
   | Ok _ -> Alcotest.fail "missing colon should not parse"
   | Error e ->
-      Alcotest.(check int) "line" 2 e.Schema.Schema_parser.line;
-      Alcotest.(check bool) "column is positive" true
-        (e.Schema.Schema_parser.col >= 1);
+      Alcotest.(check int) "line" 2 e.Parser.line;
+      Alcotest.(check bool) "column is positive" true (e.Parser.col >= 1);
       Alcotest.(check bool) "token is reported" true
-        (String.length e.Schema.Schema_parser.token > 0)
+        (String.length e.Parser.token > 0)
 
 let test_spanned_parse_roundtrip () =
-  match
-    Parser.constraints_of_string_spanned
+  let spanned =
+    spanned_of_string
       "# comment\nbook.author -> person\n\nperson : wrote <- author\n"
-  with
-  | Error e -> Alcotest.failf "parse: %s" (Parser.error_to_string e)
-  | Ok spanned ->
-      Alcotest.(check int) "two constraints" 2 (List.length spanned);
-      let lines = List.map (fun (_, s) -> s.Span.line) spanned in
-      Alcotest.(check (list int)) "1-based physical lines" [ 2; 4 ] lines
+  in
+  Alcotest.(check int) "two constraints" 2 (List.length spanned);
+  let lines = List.map (fun (_, s) -> s.Span.line) spanned in
+  Alcotest.(check (list int)) "1-based physical lines" [ 2; 4 ] lines
 
 (* --- satellite: Fragment.errors_all -------------------------------------- *)
 
@@ -455,12 +461,7 @@ let test_redundancy_cross_check_untyped () =
   let flagged = pc300_lines diags in
   Alcotest.(check (list int)) "exactly line 6 flagged" [ 6 ] flagged;
   let spanned =
-    match
-      Parser.constraints_of_string_spanned
-        (In_channel.with_open_text p In_channel.input_all)
-    with
-    | Ok cs -> cs
-    | Error e -> Alcotest.failf "parse: %s" (Parser.error_to_string e)
+    spanned_of_string (In_channel.with_open_text p In_channel.input_all)
   in
   (* every flagged constraint really is implied by the others, per the
      independent PTIME word procedure *)
@@ -506,12 +507,7 @@ let test_redundancy_cross_check_typed () =
     mschema_of_string (In_channel.with_open_text s In_channel.input_all)
   in
   let spanned =
-    match
-      Parser.constraints_of_string_spanned
-        (In_channel.with_open_text p In_channel.input_all)
-    with
-    | Ok cs -> cs
-    | Error e -> Alcotest.failf "parse: %s" (Parser.error_to_string e)
+    spanned_of_string (In_channel.with_open_text p In_channel.input_all)
   in
   List.iteri
     (fun i (phi, sp) ->
@@ -610,12 +606,7 @@ let test_subsumed_fixture () =
   (* soundness: the flagged constraint really is implied by the rest,
      per the independent PTIME word procedure *)
   let spanned =
-    match
-      Parser.constraints_of_string_spanned
-        (In_channel.with_open_text p In_channel.input_all)
-    with
-    | Ok cs -> cs
-    | Error e -> Alcotest.failf "parse: %s" (Parser.error_to_string e)
+    spanned_of_string (In_channel.with_open_text p In_channel.input_all)
   in
   let flagged =
     List.filter_map

@@ -136,35 +136,45 @@ let example_root =
     (Filename.dirname (Filename.dirname Sys.executable_name))
     (Filename.concat "examples" "data")
 
-(* each parser's error position, when it has one *)
+(* Every line, schema, ODL, query and configuration parser, with its
+   shipped inputs and the error texts it gives over their variants: the
+   number of errors and the md5 of their {!Pathlang.Parser.error_to_string}
+   texts, one per line, pinned so any change to a message, a position
+   or a token shows. *)
 let example_parsers =
-  let pos (e : Schema.Schema_parser.error) = Some (e.line, e.col) in
-  let rpq_pos (e : Rpq.Parser.error) = Some (e.line, e.col) in
+  let err r = Result.map ignore r in
   [
+    ( "Pathlang.Parser.document_of_string",
+      [
+        "bibliography.constraints"; "sigma0.constraints";
+        "lint/contradictory.constraints"; "lint/core.constraints";
+        "lint/deadpath.constraints"; "lint/duplicates.constraints";
+        "lint/entailed.constraints"; "lint/interaction.constraints";
+        "lint/redundant.constraints"; "lint/subsumed.constraints";
+        "lint/suppressed.constraints"; "lint/undecidable.constraints";
+        "lint/vacuous.constraints";
+      ],
+      (16640, "d2612e963077b3987628a5106e47554f"),
+      fun s -> err (Pathlang.Parser.document_of_string s) );
     ( "Schema_parser.of_string_spanned",
       [ "bibliography.schema"; "lint/lint.schema"; "lint/mplus.schema" ],
-      fun s ->
-        Result.map_error pos
-          (Result.map ignore (Schema.Schema_parser.of_string_spanned s)) );
+      (12579, "da998beaa00fca702eaf75308513e058"),
+      fun s -> err (Schema.Schema_parser.of_string_spanned s) );
     ( "Odl.parse",
       [ "bibliography.odl" ],
-      fun s ->
-        Result.map_error (fun _ -> None)
-          (Result.map ignore (Schema.Odl.parse s)) );
+      (6473, "a17dd35eb85743e54489dae57b555a37"),
+      fun s -> err (Schema.Odl.parse s) );
     ( "Rpq.Parser.document_of_string",
       [
         "query/clean.query"; "query/deadbranch.query"; "query/empty.query";
         "query/illtyped.query"; "query/suppressed.query";
       ],
-      fun s ->
-        Result.map_error rpq_pos
-          (Result.map ignore (Rpq.Parser.document_of_string s)) );
+      (3660, "c0610c03f380898163c120c83e9e74ba"),
+      fun s -> err (Rpq.Parser.document_of_string s) );
     ( "Config.parse",
       [ "lint/pathctl.toml" ],
-      fun s ->
-        Result.map_error
-          (fun (line, _) -> Some (line, 1))
-          (Result.map ignore (Analysis.Config.parse s)) );
+      (2385, "939e96e4b0982b5ac028655a76ead24e"),
+      fun s -> err (Analysis.Config.parse s) );
   ]
 
 (* line is 1-based over the input's lines; col is 1-based and may sit
@@ -197,31 +207,56 @@ let variants doc =
   in
   prefixes @ deletions @ replacements
 
+let read_example file =
+  In_channel.with_open_bin (Filename.concat example_root file)
+    In_channel.input_all
+
 let test_example_mutations_total () =
   List.iter
-    (fun (name, files, parse) ->
+    (fun (name, files, _, parse) ->
       List.iter
         (fun file ->
-          let doc =
-            In_channel.with_open_bin (Filename.concat example_root file)
-              In_channel.input_all
-          in
+          let doc = read_example file in
           (match parse doc with
           | Ok () -> ()
           | Error _ -> Alcotest.failf "%s rejects the shipped %s" name file);
           List.iter
             (fun input ->
               match parse input with
-              | Ok () | Error None -> ()
-              | Error (Some (line, col)) ->
-                  if not (inside input (line, col)) then
-                    Alcotest.failf "%s: position %d:%d outside %S" name line
-                      col input
+              | Ok () -> ()
+              | Error (e : Pathlang.Parser.error) ->
+                  (* line 0: an ODL declaration error, unpositioned *)
+                  if e.line <> 0 && not (inside input (e.line, e.col)) then
+                    Alcotest.failf "%s: position %d:%d outside %S" name
+                      e.line e.col input
               | exception e ->
                   Alcotest.failf "%s raised %s on a variant of %s: %S" name
                     (Printexc.to_string e) file input)
             (variants doc))
         files)
+    example_parsers
+
+let test_example_error_texts_pinned () =
+  List.iter
+    (fun (name, files, (count, digest), parse) ->
+      let buf = Buffer.create 4096 and n = ref 0 in
+      List.iter
+        (fun file ->
+          List.iter
+            (fun input ->
+              match parse input with
+              | Ok () -> ()
+              | Error e ->
+                  incr n;
+                  Buffer.add_string buf (Pathlang.Parser.error_to_string e);
+                  Buffer.add_char buf '\n')
+            (variants (read_example file)))
+        files;
+      check_int (name ^ ": errors") count !n;
+      Alcotest.(check string)
+        (name ^ ": md5 of the error texts")
+        digest
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
     example_parsers
 
 (* --- engine: deadlines ------------------------------------------------ *)
@@ -388,6 +423,8 @@ let () =
               test_prefix_truncation_total;
             Alcotest.test_case "example mutations total, positions inside"
               `Quick test_example_mutations_total;
+            Alcotest.test_case "example error texts pinned" `Quick
+              test_example_error_texts_pinned;
           ] );
       ( "engine governance",
         [

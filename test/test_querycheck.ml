@@ -276,6 +276,72 @@ let test_parse_error_span () =
   check_contains out "error[PC001]";
   check_contains out ":1:"
 
+(* A CRLF file lints like its LF original: every shipped constraint and
+   query fixture, copied with "\r\n" line ends, gives the same exit code
+   and the same text report once the copy's name is put back.  (The
+   line syntaxes share one whitespace rule, which counts '\r'.) *)
+let test_crlf_fixtures_lint_alike () =
+  let crlf file =
+    let src = In_channel.with_open_bin file In_channel.input_all in
+    let copy = write_temp (Filename.extension file) "" in
+    Out_channel.with_open_bin copy (fun oc ->
+        String.split_on_char '\n' src
+        |> String.concat "\r\n"
+        |> Out_channel.output_string oc);
+    copy
+  in
+  let replace ~sub ~by s =
+    let n = String.length sub in
+    let b = Buffer.create (String.length s) in
+    let rec go i =
+      if i >= String.length s then ()
+      else if i + n <= String.length s && String.sub s i n = sub then (
+        Buffer.add_string b by;
+        go (i + n))
+      else (
+        Buffer.add_char b s.[i];
+        go (i + 1))
+    in
+    go 0;
+    Buffer.contents b
+  in
+  let schema = lint_fixture "lint.schema" in
+  let cases =
+    List.map
+      (fun name ->
+        let schema_args =
+          match name with
+          | "vacuous" | "contradictory" | "deadpath" | "core" | "interaction"
+            ->
+              " --schema " ^ Filename.quote schema
+          | _ -> ""
+        in
+        ("lint -s", lint_fixture (name ^ ".constraints"), schema_args))
+      [
+        "contradictory"; "core"; "deadpath"; "duplicates"; "entailed";
+        "interaction"; "redundant"; "subsumed"; "suppressed"; "undecidable";
+        "vacuous";
+      ]
+    @ List.map
+        (fun name ->
+          ( "query lint",
+            fixture (name ^ ".query"),
+            " --schema " ^ Filename.quote schema ))
+        [ "clean"; "deadbranch"; "empty"; "illtyped"; "suppressed" ]
+  in
+  List.iter
+    (fun (cmd, file, args) ->
+      let lint f = run (Printf.sprintf "%s %s%s" cmd (Filename.quote f) args) in
+      let copy = crlf file in
+      let code, out = lint file and crlf_code, crlf_out = lint copy in
+      Sys.remove copy;
+      Alcotest.(check int) (file ^ ": CRLF exit") code crlf_code;
+      Alcotest.(check string)
+        (file ^ ": CRLF report")
+        out
+        (replace ~sub:copy ~by:file crlf_out))
+    cases
+
 (* --- PC800/PC801 vs independent Nfa emptiness on the product --------------- *)
 
 (* An independent emptiness oracle: the oracle's Thompson automaton
@@ -810,6 +876,8 @@ let () =
           Alcotest.test_case "suppressed fixture" `Quick test_suppressed_golden;
           Alcotest.test_case "PC001 parse error span" `Quick
             test_parse_error_span;
+          Alcotest.test_case "CRLF fixtures lint alike" `Quick
+            test_crlf_fixtures_lint_alike;
         ] );
       ( "crosscheck",
         [

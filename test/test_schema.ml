@@ -101,7 +101,7 @@ let test_schema_repeated_field () =
   with
   | Ok _ -> Alcotest.fail "repeated ODL member must not parse"
   | Error e -> check_bool "ODL names the repeat" true
-                 (contains e "repeats a field label")
+                 (contains e.Pathlang.Parser.reason "repeats a field label")
 
 (* a class named like an atomic type would make two sorts print alike:
    the schema is rejected, while the schema syntax resolves the name to
@@ -464,7 +464,7 @@ let prop_random_instances_roundtrip =
 
 let test_odl_paper_example () =
   match Schema.Odl.parse Schema.Odl.paper_example with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Pathlang.Parser.error_to_string e)
   | Ok spec ->
       check_int "two classes" 2 (List.length (Mschema.classes spec.Schema.Odl.schema));
       check_bool "M+" true (Mschema.kind spec.Schema.Odl.schema = Mschema.M_plus);
@@ -490,11 +490,11 @@ let test_odl_paper_example () =
 
 let test_odl_render_roundtrip () =
   match Schema.Odl.parse Schema.Odl.paper_example with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Pathlang.Parser.error_to_string e)
   | Ok spec -> (
       let rendered = Schema.Odl.render spec in
       match Schema.Odl.parse rendered with
-      | Error e -> Alcotest.failf "re-parse: %s\n%s" e rendered
+      | Error e -> Alcotest.failf "re-parse: %s\n%s" (Pathlang.Parser.error_to_string e) rendered
       | Ok spec' ->
           check_bool "same schema" true
             (Mtype.equal
@@ -513,7 +513,7 @@ let test_odl_instance_satisfies () =
   (* a hand-built instance of the ODL schema satisfying the generated
      constraints, checked through Lemma 3.1 *)
   match Schema.Odl.parse Schema.Odl.paper_example with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Pathlang.Parser.error_to_string e)
   | Ok spec ->
       let book = Mtype.cname "Book" and person = Mtype.cname "Person" in
       let inst =
