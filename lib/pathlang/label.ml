@@ -1,8 +1,11 @@
 type t = string
 
+(* Control characters (NUL to US, and DEL) are never part of a label:
+   a stray form feed or NUL would otherwise make a label distinct from
+   the one it looks like. *)
 let valid_char = function
-  | '.' | '(' | ')' | '[' | ']' | ':' | '>' | '<' | '-' | '=' | ','
-  | ' ' | '\t' | '\n' | '\r' ->
+  | '.' | '(' | ')' | '[' | ']' | ':' | '>' | '<' | '-' | '=' | ',' | ' '
+  | '\000' .. '\031' | '\127' ->
       false
   | _ -> true
 

@@ -3,16 +3,19 @@
     A label is the name of a binary relation symbol in the signature
     [sigma = (r, E)] of Section 2.1 of the paper: an edge label of a
     rooted edge-labeled directed graph.  Labels are non-empty strings that
-    contain neither whitespace nor the path separator ['.'] nor the
-    reserved delimiters used by the constraint DSL. *)
+    contain no whitespace or other control character, no path separator
+    ['.'] and none of the reserved delimiters used by the constraint
+    DSL. *)
 
 type t = private string
 
 val make : string -> t
 (** [make s] validates [s] and returns it as a label.
     @raise Invalid_argument if [s] is empty or contains a forbidden
-    character (whitespace, ['.'], ['('], [')'], ['['], [']'], [':'],
-    ['>'], ['<'], ['-'], ['='], [','])). *)
+    character (space, a control character — tab, newline, CR, form
+    feed, NUL and the rest of ['\000'..'\031'], and DEL — ['.'],
+    ['('], [')'], ['['], [']'], [':'], ['>'], ['<'], ['-'], ['='],
+    [','])). *)
 
 val of_string : string -> t
 (** Alias of {!make}. *)

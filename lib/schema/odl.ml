@@ -62,6 +62,7 @@ type member =
   | Rel of {
       set : bool;
       target : string;
+      target_at : int;  (** the target's offset, for declaration errors *)
       field : string;
       inverse : (string * string) option;
     }
@@ -84,11 +85,12 @@ let parse_interfaces ~eof toks =
     | Punct p', _ when p' = p -> ()
     | t, pos -> raise (Err_at (pos, tok_text t, Printf.sprintf "expected '%s'" p))
   in
-  let expect_ident () =
+  let expect_ident_at () =
     match next_at () with
-    | Ident s, _ -> s
+    | Ident s, pos -> (s, pos)
     | Punct p, pos -> raise (Err_at (pos, p, "expected an identifier"))
   in
+  let expect_ident () = fst (expect_ident_at ()) in
   let parse_member () =
     match next_at () with
     | Ident "attribute", _ ->
@@ -97,14 +99,14 @@ let parse_interfaces ~eof toks =
         expect_punct ";";
         Attr (ty, field)
     | Ident "relationship", _ ->
-        let set, target =
+        let set, (target, target_at) =
           match next_at () with
           | Ident "set", _ ->
               expect_punct "<";
-              let t = expect_ident () in
+              let t = expect_ident_at () in
               expect_punct ">";
               (true, t)
-          | Ident t, _ -> (false, t)
+          | Ident t, pos -> (false, (t, pos))
           | Punct p, pos ->
               raise (Err_at (pos, p, "unexpected punctuation after relationship"))
         in
@@ -120,7 +122,7 @@ let parse_interfaces ~eof toks =
           | _ -> None
         in
         expect_punct ";";
-        Rel { set; target; field; inverse }
+        Rel { set; target; target_at; field; inverse }
     | Ident other, pos -> raise (Err_at (pos, other, "unknown member kind"))
     | Punct p, pos -> raise (Err_at (pos, p, "unexpected punctuation"))
   in
@@ -187,9 +189,9 @@ let build ifaces =
           List.map
             (function
               | Attr (ty, f) -> (Label.make f, Mtype.Atomic (atomic_of_odl ty))
-              | Rel { set; target; field; _ } ->
+              | Rel { set; target; target_at; field; _ } ->
                   if not (declared target) then
-                    raise (Err ("undeclared interface " ^ target));
+                    raise (Err_at (target_at, target, "undeclared interface"));
                   let t = Mtype.Class (Mtype.cname target) in
                   (Label.make field, if set then Mtype.Set t else t))
             i.members

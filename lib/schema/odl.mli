@@ -39,9 +39,10 @@ type spec = {
 }
 
 val parse : string -> (spec, Pathlang.Parser.error) result
-(** Syntax errors carry the offending token's position; declaration
-    errors found after parsing (no extent, an undeclared interface, an
-    invalid schema) have none ([line = 0]). *)
+(** Syntax errors and an undeclared relationship target carry the
+    offending token's position; the other declaration errors found after
+    parsing (no interfaces, no extent, an invalid schema) have none
+    ([line = 0]). *)
 
 val render : spec -> string
 (** Renders back to ODL (with the extent/inverse declarations

@@ -313,6 +313,36 @@ let test_odl () =
   check_bool "inverse part" true (contains out "book.* : author.* <- wrote.*");
   Sys.remove odl
 
+(* An undeclared relationship target is reported at its token, as a
+   syntax error is; the declaration errors without a token keep no
+   position. *)
+let test_odl_errors () =
+  let odl_error src =
+    let f = write_temp ".odl" src in
+    let r = run (Printf.sprintf "odl --odl %s" f) in
+    Sys.remove f;
+    r
+  in
+  let code, out =
+    odl_error "interface A (extent a) {\n  relationship B f;\n};\n"
+  in
+  check_int "undeclared: exit" 124 code;
+  check_string "undeclared: positioned"
+    "pathctl: line 2, column 16: at \"B\": undeclared interface" out;
+  let code, out =
+    odl_error "interface A (extent a) {\n  relationship set<Bee> f;\n};\n"
+  in
+  check_int "undeclared set target: exit" 124 code;
+  check_string "undeclared set target: positioned"
+    "pathctl: line 2, column 20: at \"Bee\": undeclared interface" out;
+  let code, out = odl_error "interface A {\n  attribute String x;\n};\n" in
+  check_int "no extent: exit" 124 code;
+  check_string "no extent: bare reason"
+    "pathctl: no interface declares an extent" out;
+  let code, out = odl_error "// nothing\n" in
+  check_int "no interfaces: exit" 124 code;
+  check_string "no interfaces: bare reason" "pathctl: no interfaces" out
+
 let test_index () =
   let code, out = run (Printf.sprintf "index -g %s" graph_file) in
   check_int "exit" 0 code;
@@ -707,6 +737,7 @@ let () =
           Alcotest.test_case "compare" `Quick test_compare;
           Alcotest.test_case "index" `Quick test_index;
           Alcotest.test_case "odl" `Quick test_odl;
+          Alcotest.test_case "odl error positions" `Quick test_odl_errors;
           Alcotest.test_case "optimize" `Quick test_optimize;
           Alcotest.test_case "optimize rejects non-word" `Quick
             test_optimize_rejects_non_word;

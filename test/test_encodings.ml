@@ -264,6 +264,41 @@ let test_pwalpha_countermodel () =
     (Check.holds t.Typecheck.graph
        (Pwa.encode_test enc (path "a.a.a", Path.empty)))
 
+(* The encodings whose chase exhausts a 500-step, 500-node budget fall
+   back to enumeration; on each, the mask search returns the
+   graph-per-mask reference's witness byte for byte, at 1, 2 and 4
+   jobs, over the alphabet and size cap the fallback uses. *)
+let test_exhausted_enumeration_matches_reference () =
+  let budget = Engine.Budget.steps_nodes 500 500 in
+  let exhausted =
+    List.concat_map
+      (fun (_, pres) ->
+        let sigma = Pwk.encode pres in
+        List.filter_map
+          (fun test ->
+            let phi, _ = Pwk.encode_test test in
+            match
+              Core.Semidecide.implies ~ctl:(Engine.start budget) ~enum_nodes:0
+                ~sigma phi
+            with
+            | Verdict.Unknown _ -> Some (sigma, phi)
+            | Verdict.Implied | Verdict.Refuted _ -> None)
+          (Examples.sample_tests pres))
+      Examples.catalog
+  in
+  check_int "encodings that exhaust the budget" 16 (List.length exhausted);
+  List.iter
+    (fun (sigma, phi) ->
+      let labels =
+        Label.Set.elements
+          (List.fold_left
+             (fun acc c -> Label.Set.union acc (Constr.labels_used c))
+             (Constr.labels_used phi) sigma)
+      in
+      let max_nodes = if List.length labels > 2 then 2 else 3 in
+      enumeration_matches_reference ~max_nodes ~labels ~sigma ~phi)
+    exhausted
+
 let () =
   Alcotest.run "encodings"
     [
@@ -280,6 +315,8 @@ let () =
           Alcotest.test_case "demo agreement" `Quick test_pwk_demo_agreement;
           Alcotest.test_case "free commutative" `Quick test_pwk_free_commutative;
           prop_figure2_always_valid;
+          Alcotest.test_case "exhausted chases: enumeration = reference"
+            `Quick test_exhausted_enumeration_matches_reference;
         ] );
       ( "mplus (Lemma 5.4)",
         [

@@ -97,6 +97,38 @@ let test_io_still_accepts_normal () =
   | Ok g -> check_int "nodes" 3 (Graph.node_count g)
   | Error e -> Alcotest.failf "normal edge list must parse: %s" e
 
+(* A control character is never part of a label: Label.make rejects
+   every one, and a stray one after a label (a form feed before the
+   newline, a NUL) is a positioned parse error at that label, not a
+   label distinct from the one it looks like.  Tab, newline and CR
+   delimit tokens, so the parser never hands them to a label. *)
+let test_control_chars_not_labels () =
+  let controls = List.init 32 Char.chr @ [ '\127' ] in
+  List.iter
+    (fun c ->
+      let tok = "b" ^ String.make 1 c in
+      (match Label.make tok with
+      | _ -> Alcotest.failf "Label.make accepted %S" tok
+      | exception Invalid_argument _ -> ());
+      if not (List.mem c [ '\t'; '\n'; '\r' ]) then
+        match Pathlang.Parser.document_of_string ("a -> " ^ tok ^ "\n") with
+        | Ok _ -> Alcotest.failf "the parser accepted the label %S" tok
+        | Error e ->
+            check_int (Printf.sprintf "%C: line" c) 1 e.line;
+            check_int (Printf.sprintf "%C: column" c) 6 e.col;
+            Alcotest.(check string) (Printf.sprintf "%C: token" c) tok e.token)
+    controls;
+  (* bytes above 127 (UTF-8 names) stay valid *)
+  ignore (Label.make "caf\195\169");
+  match Pathlang.Parser.document_of_string "a -> b\012\n" with
+  | Error e ->
+      Alcotest.(check string)
+        "form feed message"
+        "line 1, column 6: at \"b\\012\": Label.make: forbidden character \
+         '\\012' in \"b\\012\""
+        (Pathlang.Parser.error_to_string e)
+  | Ok _ -> Alcotest.fail "a -> b<FF> must not parse"
+
 (* truncation totality: a partial write or a [Fault.mangle]d read hands
    the parser an arbitrary prefix of a valid document; every prefix
    must come back Ok or Error, never an exception *)
@@ -154,7 +186,7 @@ let example_parsers =
         "lint/suppressed.constraints"; "lint/undecidable.constraints";
         "lint/vacuous.constraints";
       ],
-      (16640, "d2612e963077b3987628a5106e47554f"),
+      (17411, "fc8e8dfc7cbd766259d2ad711e3830bc"),
       fun s -> err (Pathlang.Parser.document_of_string s) );
     ( "Schema_parser.of_string_spanned",
       [ "bibliography.schema"; "lint/lint.schema"; "lint/mplus.schema" ],
@@ -162,14 +194,14 @@ let example_parsers =
       fun s -> err (Schema.Schema_parser.of_string_spanned s) );
     ( "Odl.parse",
       [ "bibliography.odl" ],
-      (6473, "a17dd35eb85743e54489dae57b555a37"),
+      (6473, "99d178aa56436a27d6c730b0389941d8"),
       fun s -> err (Schema.Odl.parse s) );
     ( "Rpq.Parser.document_of_string",
       [
         "query/clean.query"; "query/deadbranch.query"; "query/empty.query";
         "query/illtyped.query"; "query/suppressed.query";
       ],
-      (3660, "c0610c03f380898163c120c83e9e74ba"),
+      (3806, "afb1818473e70aa7b29c152c767da5f1"),
       fun s -> err (Rpq.Parser.document_of_string s) );
     ( "Config.parse",
       [ "lint/pathctl.toml" ],
@@ -421,6 +453,8 @@ let () =
               test_io_still_accepts_normal;
             Alcotest.test_case "prefix truncation total" `Quick
               test_prefix_truncation_total;
+            Alcotest.test_case "control characters are not labels" `Quick
+              test_control_chars_not_labels;
             Alcotest.test_case "example mutations total, positions inside"
               `Quick test_example_mutations_total;
             Alcotest.test_case "example error texts pinned" `Quick

@@ -369,6 +369,84 @@ let test_enumerate_respects_sigma () =
        ~sigma:[ c_word "a" "b" ] ~phi:(c_word "a" "b") ()
     = None)
 
+(* The mask model check is [Check.holds] on the graph the mask stands
+   for.  Constraints are drawn over a, b, c with paths of length 0..2
+   (ε prefixes, lhs and rhs included); alphabets leave labels out, list
+   them in either order, or list one twice.  Every mask is checked for
+   n <= 2, 64 sampled masks for n = 3. *)
+let prop_mask_check_is_check =
+  let alphabets =
+    List.map (List.map Label.make)
+      [ []; [ "a" ]; [ "b" ]; [ "a"; "b" ]; [ "b"; "a" ]; [ "a"; "a" ] ]
+  in
+  let gen =
+    QCheck.Gen.(
+      let path = gen_path_len 2 in
+      bool >>= fun forward ->
+      path >>= fun prefix ->
+      path >>= fun lhs ->
+      path >>= fun rhs ->
+      oneofl alphabets >>= fun labels ->
+      int_range 1 3 >>= fun nodes ->
+      list_repeat 64 (int_bound ((1 lsl (List.length labels * 9)) - 1))
+      >>= fun sample ->
+      return
+        ( (if forward then Constr.forward else Constr.backward)
+            ~prefix ~lhs ~rhs,
+          labels,
+          nodes,
+          sample ))
+  in
+  q ~count:300 "mask check = Check.holds on the mask's graph"
+    (QCheck.make gen ~print:(fun (c, labels, nodes, _) ->
+         Printf.sprintf "%s over [%s], %d nodes" (Constr.to_string c)
+           (String.concat ";" (List.map Label.to_string labels))
+           nodes))
+    (fun (c, labels, nodes, sample) ->
+      let holds = Sgraph.Enumerate.holds ~nodes ~labels c in
+      let masks =
+        if nodes < 3 then
+          match Sgraph.Enumerate.count ~nodes ~labels with
+          | Some total -> List.init total Fun.id
+          | None -> []
+        else sample
+      in
+      List.for_all
+        (fun mask ->
+          holds mask
+          = Check.holds (Sgraph.Enumerate.graph ~nodes ~labels mask) c)
+        masks)
+
+let test_enumerate_reference_instances () =
+  let ab = [ Label.make "a"; Label.make "b" ] in
+  enumeration_matches_reference ~max_nodes:2 ~labels:ab ~sigma:[] ~phi:(c_word "a" "b");
+  enumeration_matches_reference ~max_nodes:2 ~labels:ab ~sigma:[ c_word "a" "b" ]
+    ~phi:(c_word "a" "b");
+  (* test_chase's ε-rhs incompleteness witness: a full 3-node scan *)
+  enumeration_matches_reference ~max_nodes:3
+    ~labels:[ Label.make "a"; Label.make "c" ]
+    ~sigma:[ c_word "a" "eps"; c_word "a.c" "eps" ]
+    ~phi:(c_word "a.c.c" "c.a.c");
+  (* a backward constraint with an ε lhs and a goal over a label
+     outside the alphabet *)
+  enumeration_matches_reference ~max_nodes:2 ~labels:ab
+    ~sigma:
+      [
+        Constr.backward ~prefix:(Path.of_strings [ "a" ]) ~lhs:Path.empty
+          ~rhs:(Path.of_strings [ "b" ]);
+      ]
+    ~phi:(c_word "a.b" "c")
+
+let prop_enumerate_matches_reference =
+  q ~count:40 "find_countermodel = graph-per-mask reference, 1/2/4 jobs"
+    QCheck.(pair (list_of_size (QCheck.Gen.int_range 0 3) arb_constraint)
+              arb_constraint)
+    (fun (sigma, phi) ->
+      enumeration_matches_reference ~max_nodes:2
+        ~labels:[ Label.make "a"; Label.make "b" ]
+        ~sigma ~phi;
+      true)
+
 (* --- generators / dot ----------------------------------------------------- *)
 
 let test_random_reachable () =
@@ -498,6 +576,10 @@ let () =
             test_enumerate_finds_countermodel;
           Alcotest.test_case "respects sigma" `Quick
             test_enumerate_respects_sigma;
+          prop_mask_check_is_check;
+          Alcotest.test_case "reference instances" `Quick
+            test_enumerate_reference_instances;
+          prop_enumerate_matches_reference;
         ] );
       ( "gen",
         [

@@ -166,3 +166,23 @@ let check_string = Alcotest.(check string)
 
 let constr_testable = Alcotest.testable Constr.pp Constr.equal
 let path_testable = Alcotest.testable Path.pp Path.equal
+
+(* [Enumerate.find_countermodel] returns the graph-per-mask reference's
+   witness byte for byte, sequentially and at 2 and 4 jobs *)
+let enumeration_matches_reference ~max_nodes ~labels ~sigma ~phi =
+  let show = function None -> "None" | Some g -> Sgraph.Io.to_string g in
+  let expected =
+    show
+      (Oracle.Enumerate_reference.find_countermodel ~max_nodes ~labels ~sigma
+         ~phi)
+  in
+  List.iter
+    (fun jobs ->
+      Par.with_pool ~jobs (fun pool ->
+          check_string
+            (Printf.sprintf "%s at %d jobs" (Constr.to_string phi) jobs)
+            expected
+            (show
+               (Sgraph.Enumerate.find_countermodel ?pool ~max_nodes ~labels
+                  ~sigma ~phi ()))))
+    [ 1; 2; 4 ]
