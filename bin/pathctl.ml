@@ -1089,7 +1089,11 @@ let warning_threshold flag =
     fun () -> match flag with Some _ -> flag | None -> !from_config )
 
 (* lint and interact: the budget of the best-effort passes, cancelled by
-   SIGINT; the term yields the bracket that runs an analysis under it *)
+   SIGINT; the term yields the bracket that runs an analysis under it.
+   The commands open it outside [with_obs]: installing and restoring the
+   two signal handlers is process set-up, like enabling the counters,
+   and would otherwise be the largest share of the root span's self
+   time, which no layer claims. *)
 let analysis_budget_term ~timeout_doc =
   let timeout_arg =
     Arg.(value & opt float 5. & info [ "timeout" ] ~docv:"SECS" ~doc:timeout_doc)
@@ -1189,24 +1193,24 @@ let lint_cmd =
   let run sigma_file schema_file phi config fix explain interact max_warnings
       cache report with_budget jobs obs =
     exit
-    @@ with_obs ~cmd:"lint" ~always:true obs (fun () ->
-           let on_config, max_warnings = warning_threshold max_warnings in
-           let finish diags =
-             render report diags;
-             if
-               obs.stats <> None
-               && List.exists
-                    (fun d -> d.Analysis.Diagnostic.code = "PC302")
-                    diags
-             then
-               prerr_endline
-                 "lint: warning: the redundancy pass was truncated by its \
-                  budget (PC302); its timings below are a lower bound";
-             (* exit codes: 0 clean (warnings under the threshold allowed),
-                1 an error-severity diagnostic or too many warnings *)
-             Analysis.Lint.exit_code ?max_warnings:(max_warnings ()) diags
-           in
-           with_budget (fun budget ->
+    @@ with_budget (fun budget ->
+           with_obs ~cmd:"lint" ~always:true obs (fun () ->
+               let on_config, max_warnings = warning_threshold max_warnings in
+               let finish diags =
+                 render report diags;
+                 if
+                   obs.stats <> None
+                   && List.exists
+                        (fun d -> d.Analysis.Diagnostic.code = "PC302")
+                        diags
+                 then
+                   prerr_endline
+                     "lint: warning: the redundancy pass was truncated by its \
+                      budget (PC302); its timings below are a lower bound";
+                 (* exit codes: 0 clean (warnings under the threshold allowed),
+                    1 an error-severity diagnostic or too many warnings *)
+                 Analysis.Lint.exit_code ?max_warnings:(max_warnings ()) diags
+               in
                Par.with_pool ~jobs (fun pool ->
                    (* --fix lints through this very call, so a fixing run
                       analyzes exactly as a plain one *)
@@ -1288,8 +1292,8 @@ let interact_cmd =
   in
   let run sigma_file schema_file config explain report with_budget jobs obs =
     exit
-    @@ with_obs ~cmd:"interact" ~always:true obs (fun () ->
-           with_budget (fun budget ->
+    @@ with_budget (fun budget ->
+           with_obs ~cmd:"interact" ~always:true obs (fun () ->
                let diags =
                  Par.with_pool ~jobs (fun pool ->
                      Analysis.Lint.lint_paths ~budget ?pool ?schema_file

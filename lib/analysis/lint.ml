@@ -203,7 +203,10 @@ let kind ?budget ?pool ?phi ~interact () =
         ]);
     passes =
       (fun ~file ~config ~explain schema doc ->
-        let parse s = Result.map Option.some (Parser.constraint_of_string s) in
+        let parse s =
+          Driver.parsing (fun () ->
+              Result.map Option.some (Parser.constraint_of_string s))
+        in
         match Option.fold ~none:(Ok None) ~some:parse phi with
         | Error m ->
             Error
