@@ -557,7 +557,10 @@ let exhaust_cells () =
     "exhausted chase on the bicyclic/0 encoding, budget n steps and nodes"
     (shrink [ 125; 250; 500; 1000 ])
     (fun n -> measure (chase_exhaust "bicyclic" 0 n));
-  (* hub-degree head walks and the goal test keep this one near 2 *)
+  (* fits about 1.4-1.5 (budgets 125-1000, 2-vCPU host; 1.65-1.73 with
+     Node_set frontiers): the edges a walk scans per repair grow with
+     the graph, in the goal test's forward walk, the head checks and
+     the body walks alike *)
   record_cell ~cell_name:"pc-chase-exhaust-symmetric3"
     ~claim:"semi-decision (Thm 4.1); merge-heavy exhaustion, not gated"
     "exhausted chase on the symmetric3/0 encoding, budget n steps and nodes"

@@ -35,10 +35,16 @@ let fs_fixpoint = Fault.site "chase.fixpoint"
 
 type outcome = Fixpoint of Graph.t | Exhausted of Graph.t * Verdict.exhaustion
 
-let conclusion_holds g phi x y =
-  match Constr.kind phi with
-  | Constr.Forward -> Eval.holds_between g x (Constr.rhs phi) y
-  | Constr.Backward -> Eval.holds_between g y (Constr.rhs phi) x
+(* The goal test, compiled once: does phi's conclusion hold between
+   the tracked nodes?  A forward walk of gamma from x (from y for a
+   backward phi). *)
+let conclusion phi =
+  let w = Eval.word (Constr.rhs phi) and forward = Constr.kind phi = Constr.Forward in
+  fun g x y ->
+    let src, dst = if forward then (x, y) else (y, x) in
+    let f = Eval.start g src in
+    Eval.image g f w 0 (Array.length w);
+    Eval.mem f dst
 
 (* ------------------------------------------------------------------ *)
 (* Incremental engine                                                  *)
@@ -73,7 +79,7 @@ type state = {
   mg : Mg.t;
   sigma : Constr.t array;
   index : Violations.t;
-  by_label : (Label.t, int list) Hashtbl.t;
+  by_label : int list array;  (** by label id, the constraints using it *)
   dirty : bool array;
   mutable ndirty : int;  (** set bits in [dirty]; mirrored to a gauge *)
   mutable steps : int;  (** successful repairs so far; drives the cursor *)
@@ -81,15 +87,15 @@ type state = {
 
 let make_state mg sigma_list =
   let sigma = Array.of_list sigma_list in
-  let by_label = Hashtbl.create 16 in
+  let used = Array.map Constr.labels_used sigma in
+  let size =
+    Array.fold_left (fun m ks -> Label.Set.fold (fun k m -> max m (Label.id k + 1)) ks m) 0 used
+  in
+  let by_label = Array.make size [] in
   Array.iteri
-    (fun i c ->
-      Label.Set.iter
-        (fun k ->
-          let l = Option.value ~default:[] (Hashtbl.find_opt by_label k) in
-          Hashtbl.replace by_label k (i :: l))
-        (Constr.labels_used c))
-    sigma;
+    (fun i ks ->
+      Label.Set.iter (fun k -> let l = Label.id k in by_label.(l) <- i :: by_label.(l)) ks)
+    used;
   let n = Array.length sigma in
   Obs.Gauge.set g_worklist n;
   {
@@ -112,13 +118,15 @@ let settle st i =
 let mark_dirty st touched =
   Label.Set.iter
     (fun k ->
-      List.iter
-        (fun i ->
-          if not st.dirty.(i) then begin
-            st.dirty.(i) <- true;
-            st.ndirty <- st.ndirty + 1
-          end)
-        (Option.value ~default:[] (Hashtbl.find_opt st.by_label k)))
+      let l = Label.id k in
+      if l < Array.length st.by_label then
+        List.iter
+          (fun i ->
+            if not st.dirty.(i) then begin
+              st.dirty.(i) <- true;
+              st.ndirty <- st.ndirty + 1
+            end)
+          st.by_label.(l))
     touched;
   Obs.Gauge.set g_worklist st.ndirty
 
@@ -504,10 +512,9 @@ let implies ?ctl ?park ?resume ~sigma phi =
         audit_park ~ctl ~why st;
         f (Snapshot.of_state ~fingerprint ~ctl ~tracked:[ x; y ] st)
   in
+  let holds = conclusion phi in
   let rec go () =
-    if
-      conclusion_holds (Mg.graph st.mg) phi (Mg.find st.mg x) (Mg.find st.mg y)
-    then Verdict.Implied
+    if holds (Mg.graph st.mg) (Mg.find st.mg x) (Mg.find st.mg y) then Verdict.Implied
     else if not (Engine.tick ctl ~nodes:(Mg.live_count st.mg) ()) then begin
       park_now ~why:"budget" ();
       Verdict.Unknown (Engine.exhaustion ctl)

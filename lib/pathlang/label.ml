@@ -1,4 +1,6 @@
-type t = string
+(* [name] comes first, so polymorphic [compare] on labels orders them
+   by name, as {!compare} does. *)
+type t = { name : string; id : int }
 
 (* Control characters (NUL to US, and DEL) are never part of a label:
    a stray form feed or NUL would otherwise make a label distinct from
@@ -9,6 +11,24 @@ let valid_char = function
       false
   | _ -> true
 
+(* Interning: one record per distinct name, with a dense id assigned on
+   first use.  The id is what graph runs, the hash-consed path layer and
+   the constraint store key on, so label comparison on the hot paths is
+   an integer test instead of a string walk.  Ids are stable within a
+   process, not across runs; nothing durable may depend on them.  Reads
+   are locked too once parallel mode is armed: a concurrent
+   [Hashtbl.add] can resize the table under a reader's feet. *)
+let table : (string, t) Hashtbl.t = Hashtbl.create 64
+
+let intern s =
+  Intern_lock.with_lock (fun () ->
+      match Hashtbl.find_opt table s with
+      | Some k -> k
+      | None ->
+          let k = { name = s; id = Hashtbl.length table } in
+          Hashtbl.add table s k;
+          k)
+
 let make s =
   if String.length s = 0 then invalid_arg "Label.make: empty label";
   for i = 0 to String.length s - 1 do
@@ -16,34 +36,22 @@ let make s =
     if not (valid_char c) then
       invalid_arg (Printf.sprintf "Label.make: forbidden character %C in %S" c s)
   done;
-  s
+  intern s
 
 let of_string = make
-let to_string s = s
-let equal = String.equal
-let compare = String.compare
-let hash = Hashtbl.hash
-let pp = Format.pp_print_string
+let to_string k = k.name
+let id k = k.id
+let interned () = Intern_lock.with_lock (fun () -> Hashtbl.length table)
+let equal = ( == )
+let compare a b = if a == b then 0 else String.compare a.name b.name
+let hash k = k.id
+let pp ppf k = Format.pp_print_string ppf k.name
 
-(* Interning: a dense integer per distinct label, assigned on first
-   use.  The id is what the hash-consed path layer and the constraint
-   store key their tries on, so label comparison on the hot paths is an
-   integer test instead of a string walk.  Ids are stable within a
-   process, not across runs; nothing durable may depend on them. *)
-let intern : (string, int) Hashtbl.t = Hashtbl.create 64
-let next_id = ref 0
+module Ord = struct
+  type nonrec t = t
 
-(* Reads must be locked too once parallel mode is armed: a concurrent
-   [Hashtbl.add] can resize the table under a reader's feet. *)
-let id s =
-  Intern_lock.with_lock (fun () ->
-      match Hashtbl.find_opt intern s with
-      | Some i -> i
-      | None ->
-          let i = !next_id in
-          incr next_id;
-          Hashtbl.add intern s i;
-          i)
+  let compare = compare
+end
 
-module Set = Set.Make (String)
-module Map = Map.Make (String)
+module Set = Set.Make (Ord)
+module Map = Map.Make (Ord)

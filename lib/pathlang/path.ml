@@ -31,9 +31,9 @@ end)
 let table = HC.create 1024
 let next_id = ref 0
 
-(* The hash fold stays outside the critical section ([Label.id] locks
-   internally when armed); only the weak-set probe and the id
-   assignment need the interning lock. *)
+(* The hash fold reads label ids (field reads) outside the critical
+   section; only the weak-set probe and the id assignment need the
+   interning lock. *)
 let make labels =
   let len, h =
     List.fold_left

@@ -12,26 +12,83 @@ exception Interrupted
 let move label next = { label; id = Label.id label; next = Array.of_list next }
 let chain rho = Chain (Path.to_labels rho)
 
-(* The chain case.  A word's automaton is acyclic, so its product needs
-   no visited set: layer r is the frontier after r letters.  Words are
-   evaluated thousands of times per chase step on tiny graphs, where any
-   fixed cost per call would dominate. *)
-let rec walk ~back g frontier = function
-  | [] -> frontier
-  | k :: rest ->
-      let id = Label.id k in
-      let step x acc =
-        let r : Graph.run = if back then Graph.in_run g x id else Graph.out_run g x id in
-        let acc = ref acc in
-        for i = 0 to r.len - 1 do
-          acc := NS.add r.targets.(i) !acc
-        done;
-        !acc
-      in
-      walk ~back g (NS.fold step frontier NS.empty) rest
+(* The chain walker.  A word's automaton is acyclic, so its product
+   needs no visited set: layer r is the frontier after r letters.  Words
+   are walked thousands of times per chase step on tiny graphs, where
+   any fixed cost per walk would dominate, so the frontier is flat: the
+   nodes [cur.(0 .. len-1)], each stamped with the current generation in
+   [stamp], which dedups a layer without clearing anything between
+   layers or walks.  One frontier per domain, grown with the largest
+   graph walked, serves every walk. *)
+type frontier = {
+  mutable stamp : int array;  (** per node, the last generation that reached it *)
+  mutable gen : int;
+  mutable cur : int array;
+  mutable nxt : int array;
+  mutable len : int;
+}
 
-let image g xs ks = walk ~back:false g xs ks
-let preimage g ys ks = walk ~back:true g ys ks
+let scratch =
+  Domain.DLS.new_key (fun () -> { stamp = [||]; gen = 0; cur = [||]; nxt = [||]; len = 0 })
+
+let check_node g x = if not (Graph.mem_node g x) then invalid_arg "Eval.run: unknown node"
+
+let start g x =
+  check_node g x;
+  let f = Domain.DLS.get scratch in
+  let n = Graph.node_count g in
+  if Array.length f.stamp < n then begin
+    (* stamps are all below the next generation, so fresh zeros do *)
+    let cap = max n (2 * Array.length f.stamp) in
+    f.stamp <- Array.make cap 0;
+    f.cur <- Array.make cap 0;
+    f.nxt <- Array.make cap 0
+  end;
+  f.gen <- f.gen + 1;
+  f.stamp.(x) <- f.gen;
+  f.cur.(0) <- x;
+  f.len <- 1;
+  f
+
+(* One letter: the frontier's successors (predecessors with [back])
+   over the runs labelled [id].  An empty frontier stays empty, and no
+   node holds its generation. *)
+let step ~back g f id =
+  if f.len > 0 then begin
+    f.gen <- f.gen + 1;
+    let gen = f.gen and stamp = f.stamp and cur = f.cur and nxt = f.nxt in
+    let n = ref 0 in
+    for i = 0 to f.len - 1 do
+      let r : Graph.run = if back then Graph.in_run g cur.(i) id else Graph.out_run g cur.(i) id in
+      let ts = r.targets in
+      for e = 0 to r.len - 1 do
+        let t = ts.(e) in
+        if stamp.(t) <> gen then begin
+          stamp.(t) <- gen;
+          nxt.(!n) <- t;
+          incr n
+        end
+      done
+    done;
+    f.cur <- nxt;
+    f.nxt <- cur;
+    f.len <- !n
+  end
+
+let image g f w lo hi =
+  for q = lo to hi - 1 do
+    step ~back:false g f w.(q)
+  done
+
+let preimage g f w lo hi =
+  for q = hi - 1 downto lo do
+    step ~back:true g f w.(q)
+  done
+
+let size f = f.len
+let get f i = f.cur.(i)
+let mem f x = f.stamp.(x) = f.gen
+let word rho = Array.of_list (List.map Label.id (Path.to_labels rho))
 
 (* A growable int array. *)
 type buf = { mutable a : int array; mutable len : int }
@@ -76,7 +133,7 @@ let test_and_set b v =
 type search = { queue : buf; hits : buf; from : buf; via : buf }
 
 let product ~parents admit interrupt g src a =
-  if not (Graph.mem_node g src) then invalid_arg "Eval.run: unknown node";
+  check_node g src;
   let nodes = Graph.node_count g in
   let n = Array.length a.delta in
   let visited = Array.make n Bytes.empty and answered = bits nodes in
@@ -147,7 +204,14 @@ let node a s i = s.queue.a.(i) / Array.length a.delta
 let state a s i = s.queue.a.(i) mod Array.length a.delta
 
 let run ?admit ?interrupt g x = function
-  | Chain ks -> image g (NS.singleton x) ks
+  | Chain ks ->
+      let f = start g x in
+      List.iter (fun k -> step ~back:false g f (Label.id k)) ks;
+      let s = ref NS.empty in
+      for i = 0 to f.len - 1 do
+        s := NS.add f.cur.(i) !s
+      done;
+      !s
   | Nfa a ->
       let s = product ~parents:false admit interrupt g x a in
       NS.of_seq (Seq.init s.hits.len (fun i -> node a s s.hits.a.(i)))

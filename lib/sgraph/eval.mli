@@ -38,7 +38,8 @@ val run :
 (** Every node some word of [L(a)] leads to from [x], by BFS over the
     product of [g] and [a].  An [Nfa]'s pair [(v, q)] is explored only
     if [admit v q], and [interrupt] is polled once per pair dequeued.
-    A chain takes [|a|] frontier steps, neither pruned nor polled.
+    A chain is walked by the chain walker below, neither pruned nor
+    polled, and converted to a set at the end.
 
     Both cases read [g]'s runs ({!Graph.out_run}) by label id, so a
     walk needs no set-up beyond its visited sets.  An [Nfa]'s visited
@@ -48,17 +49,46 @@ val run :
     to [admit], so [admit] is called at most once per pair; only
     admitted pairs are queued, and only they answer.
     @raise Interrupted when [interrupt] fires.
-    @raise Invalid_argument if [x] is not a node of [g] (an [Nfa] only). *)
+    @raise Invalid_argument ["Eval.run: unknown node"] if [x] is not a
+    node of [g]. *)
 
-val image : Graph.t -> Graph.Node_set.t -> Pathlang.Label.t list -> Graph.Node_set.t
-(** [image g xs ks]: the nodes the word [ks] leads to from some node of
-    [xs] (the chain case of {!run}, from a set). *)
+(** {1 The chain walker}
 
-val preimage :
-  Graph.t -> Graph.Node_set.t -> Pathlang.Label.t list -> Graph.Node_set.t
-(** [preimage g ys ks]: the nodes from which the word [List.rev ks]
-    leads to some node of [ys]; the walk follows edges backwards, so
-    [ks] lists the word's labels from its far end. *)
+    Words as arrays of label ids ({!word}), walked a letter at a time
+    over a flat frontier: an array of nodes deduplicated by generation
+    stamps, so a step allocates nothing.  Each domain has one frontier,
+    grown with the largest graph it walked and reused by every walk:
+    {!start} resets it, so a frontier read after the next {!start} in
+    the same domain reads that walk.  Copy out what must outlive it.
+    The graph must not change during a walk. *)
+
+type frontier
+
+val word : Pathlang.Path.t -> int array
+(** The path's label ids, first letter first. *)
+
+val start : Graph.t -> Graph.node -> frontier
+(** This domain's frontier, reset to [{x}] and sized for [g].
+    @raise Invalid_argument ["Eval.run: unknown node"] if [x] is not a
+    node of [g]. *)
+
+val image : Graph.t -> frontier -> int array -> int -> int -> unit
+(** [image g f w lo hi] replaces [f] by the nodes the word
+    [w.(lo) .. w.(hi - 1)] leads to from some node of [f]. *)
+
+val preimage : Graph.t -> frontier -> int array -> int -> int -> unit
+(** [preimage g f w lo hi] replaces [f] by the nodes from which the word
+    [w.(lo) .. w.(hi - 1)] leads to some node of [f]: it reads
+    [w.(hi - 1)] first and follows edges backwards. *)
+
+val size : frontier -> int
+
+val get : frontier -> int -> Graph.node
+(** [get f i], [0 <= i < size f]: the frontier's nodes, in no set
+    order. *)
+
+val mem : frontier -> Graph.node -> bool
+(** Membership, O(1); the node must be a node of the walked graph. *)
 
 val witnesses :
   Graph.t -> Graph.node -> nfa -> (Graph.node * Pathlang.Path.t) list

@@ -1,7 +1,5 @@
 module Constr = Pathlang.Constr
 module Label = Pathlang.Label
-module Path = Pathlang.Path
-module NS = Graph.Node_set
 module Mg = Merge_graph
 
 let c_delta =
@@ -63,53 +61,87 @@ let heap_pop h =
   in
   down 0
 
-(* One constraint, compiled when first asked.  Its body is the word
-   alpha.beta, with x at position [split] = |alpha|; body position q is
-   the q-th letter. *)
+(* One constraint, compiled when first asked into label-id words.  Its
+   body is the word alpha.beta, with x at position [split] = |alpha|;
+   body position q is the q-th letter. *)
 type entry = {
   c : Constr.t;
-  body : Label.t array;
+  forward : bool;
+  body : int array;
   split : int;
-  alpha_back : Label.t list;  (** from x back to the root *)
-  beta : Label.t list;
-  head_back : Label.t list;  (** gamma, from its far end *)
+  head : int array;  (** gamma *)
   heap : int buf;
   mutable read : int;  (** delta edges read so far *)
 }
 
 (* The delta log holds every edge the graph gained since [create], in
-   order: [ends] the packed endpoints, [labels] the labels; each entry
-   reads it from where it last stopped.  A constraint not yet asked
-   starts from a full scan, so short chases pay only for the
-   constraints they touch. *)
+   order: [ends] the packed endpoints, [labels] the label ids; each
+   entry reads it from where it last stopped.  A constraint not yet
+   asked starts from a full scan, so short chases pay only for the
+   constraints they touch.  [xs], [ys] and [mids] hold walk results
+   that must outlive the next walk: {!Eval}'s frontier is one per
+   domain. *)
 type t = {
   mg : Mg.t;
   sigma : Constr.t array;
   ends : int buf;
-  labels : Label.t buf;
+  labels : int buf;
   entries : entry option array;
+  xs : int buf;
+  ys : int buf;
+  mids : int buf;
 }
 
 let compile t c =
-  let alpha = Path.to_labels (Constr.prefix c) and beta = Path.to_labels (Constr.lhs c) in
+  let alpha = Eval.word (Constr.prefix c) and beta = Eval.word (Constr.lhs c) in
   {
     c;
-    body = Array.of_list (alpha @ beta);
-    split = List.length alpha;
-    alpha_back = List.rev alpha;
-    beta;
-    head_back = List.rev (Path.to_labels (Constr.rhs c));
+    forward = Constr.kind c = Constr.Forward;
+    body = Array.append alpha beta;
+    split = Array.length alpha;
+    head = Eval.word (Constr.rhs c);
     heap = buf ();
     read = t.ends.n;
   }
 
 let create mg sigma =
-  { mg; sigma; ends = buf (); labels = buf (); entries = Array.make (Array.length sigma) None }
+  {
+    mg;
+    sigma;
+    ends = buf ();
+    labels = buf ();
+    entries = Array.make (Array.length sigma) None;
+    xs = buf ();
+    ys = buf ();
+    mids = buf ();
+  }
 
 let record t u k v =
   Obs.Counter.incr c_delta;
   push t.ends (pack u v);
-  push t.labels k
+  push t.labels (Label.id k)
+
+(* [b] := the frontier's nodes *)
+let keep b f =
+  b.n <- 0;
+  for i = 0 to Eval.size f - 1 do
+    push b (Eval.get f i)
+  done
+
+(* The nodes the word [w.(lo) .. w.(hi-1)] leads to from [x] (forward)
+   or from which it leads to [x] (backward). *)
+let walk g x w lo hi =
+  let f = Eval.start g x in
+  Eval.image g f w lo hi;
+  f
+
+let walk_back g x w lo hi =
+  let f = Eval.start g x in
+  Eval.preimage g f w lo hi;
+  f
+
+(* The nodes from which gamma leads to [z]. *)
+let head_back g e z = walk_back g z e.head 0 (Array.length e.head)
 
 (* Offer every pair of [xs] x [ys] whose head fails.  The head is
    checked by a backward walk from its far end (y for a forward
@@ -117,51 +149,52 @@ let record t u k v =
    forward from x would build gamma's whole image of x, which for
    [K.l -> K] is the whole graph. *)
 let offer_product g e xs ys =
-  match Constr.kind e.c with
-  | Constr.Forward ->
-      NS.iter
-        (fun y ->
-          let ok = Eval.preimage g (NS.singleton y) e.head_back in
-          NS.iter (fun x -> if not (NS.mem x ok) then heap_add e.heap (pack x y)) xs)
-        ys
-  | Constr.Backward ->
-      NS.iter
-        (fun x ->
-          let ok = Eval.preimage g (NS.singleton x) e.head_back in
-          NS.iter (fun y -> if not (NS.mem y ok) then heap_add e.heap (pack x y)) ys)
-        xs
-
-(* The labels of body positions [i .. j-1], last first. *)
-let back_factor body i j =
-  let rec go q acc = if q >= j then acc else go (q + 1) (body.(q) :: acc) in
-  go i []
-
-let factor body i j = List.rev (back_factor body i j)
+  let far, near = if e.forward then (ys, xs) else (xs, ys) in
+  for i = 0 to far.n - 1 do
+    let z = far.a.(i) in
+    let ok = head_back g e z in
+    for j = 0 to near.n - 1 do
+      let w = near.a.(j) in
+      if not (Eval.mem ok w) then
+        heap_add e.heap (if e.forward then pack w z else pack z w)
+    done
+  done
 
 (* Every body match through the edge (u, k, v) at body position [q]:
    walk from u back to x (q >= split) or to the root (q < split), and
    from v on to y (q >= split) or to x (q < split). *)
-let delta g e u v q =
+let delta t g e u v q =
   let root = Graph.root g and m = Array.length e.body in
-  let image xs ks = Eval.image g xs ks and preimage xs ks = Eval.preimage g xs ks in
   if q >= e.split then begin
-    let xs =
-      NS.filter
-        (fun x -> NS.mem root (preimage (NS.singleton x) e.alpha_back))
-        (preimage (NS.singleton u) (back_factor e.body e.split q))
-    in
-    if not (NS.is_empty xs) then
-      offer_product g e xs (image (NS.singleton v) (factor e.body (q + 1) m))
+    keep t.xs (walk_back g u e.body e.split q);
+    let xs = t.xs and n = ref 0 in
+    for i = 0 to xs.n - 1 do
+      let x = xs.a.(i) in
+      if Eval.mem (walk_back g x e.body 0 e.split) root then begin
+        xs.a.(!n) <- x;
+        incr n
+      end
+    done;
+    xs.n <- !n;
+    if xs.n > 0 then begin
+      keep t.ys (walk g v e.body (q + 1) m);
+      offer_product g e xs t.ys
+    end
   end
-  else if NS.mem root (preimage (NS.singleton u) (back_factor e.body 0 q)) then
-    NS.iter
-      (fun x -> offer_product g e (NS.singleton x) (image (NS.singleton x) e.beta))
-      (image (NS.singleton v) (factor e.body (q + 1) e.split))
+  else if Eval.mem (walk_back g u e.body 0 q) root then begin
+    keep t.mids (walk g v e.body (q + 1) e.split);
+    for i = 0 to t.mids.n - 1 do
+      let x = t.mids.a.(i) in
+      t.xs.n <- 0;
+      push t.xs x;
+      keep t.ys (walk g x e.body e.split m);
+      offer_product g e t.xs t.ys
+    done
+  end
 
 let head_holds g e x y =
-  match Constr.kind e.c with
-  | Constr.Forward -> NS.mem x (Eval.preimage g (NS.singleton y) e.head_back)
-  | Constr.Backward -> NS.mem y (Eval.preimage g (NS.singleton x) e.head_back)
+  let far, near = if e.forward then (y, x) else (x, y) in
+  Eval.mem (head_back g e far) near
 
 (* Bring the entry's heap up to date: the first query compiles the
    constraint and seeds its heap with one full scan, later ones match
@@ -187,10 +220,11 @@ let sync t i =
   | Some e ->
       for j = e.read to t.ends.n - 1 do
         let u = src_of t.ends.a.(j) and v = dst_of t.ends.a.(j) in
+        let k = t.labels.a.(j) in
         if Mg.find t.mg u = u && Mg.find t.mg v = v then
-          Array.iteri
-            (fun q k -> if Label.equal k t.labels.a.(j) then delta g e u v q)
-            e.body
+          for q = 0 to Array.length e.body - 1 do
+            if e.body.(q) = k then delta t g e u v q
+          done
       done;
       e.read <- t.ends.n;
       (e, false)

@@ -19,6 +19,54 @@ let test_label_validation () =
           with Invalid_argument _ -> raise (Invalid_argument "")))
     [ ""; "a.b"; "a b"; "x:y"; "p->q"; "(z)"; "a,b" ]
 
+(* Labels are interned: one value per name, ids in order of first
+   use, order by name bytes.  The two labels below are made nowhere
+   else, so the later-made "aa" name gets the larger id. *)
+let test_label_interning () =
+  check_bool "make interns" true (Label.make "book" == Label.make "book");
+  let zz = Label.make "zz_interning_probe" in
+  let aa = Label.make "aa_interning_probe" in
+  check_bool "ids in order of first use" true (Label.id zz < Label.id aa);
+  check_bool "compare is name order" true (Label.compare aa zz < 0 && Label.compare zz aa > 0);
+  check_int "compare equal" 0 (Label.compare zz (Label.make "zz_interning_probe"));
+  check_bool "polymorphic compare agrees" true (compare aa zz < 0);
+  check_int "hash is the id" (Label.id aa) (Label.hash aa);
+  check_bool "set elements in name order" true
+    (Label.Set.elements (Label.Set.of_list [ zz; aa ]) = [ aa; zz ]);
+  let g = Sgraph.Graph.create () in
+  let v = Sgraph.Graph.add_node g in
+  Sgraph.Graph.add_edge g 0 zz v;
+  Sgraph.Graph.add_edge g 0 aa v;
+  check_bool "graph runs in name order" true
+    (Array.to_list (Array.map (fun (r : Sgraph.Graph.run) -> r.label) (Sgraph.Graph.out_runs g 0))
+    = [ aa; zz ]);
+  check_bool "edges in name order" true
+    (List.map (fun (_, k, _) -> k) (Sgraph.Graph.edges g) = [ aa; zz ])
+
+(* Interning keeps one entry per distinct name: reading the same corpus
+   again adds none. *)
+let test_label_table_flat () =
+  let dir =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      "examples/data/lint"
+  in
+  let parse () =
+    Array.iter
+      (fun f ->
+        let text = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+        if Filename.check_suffix f ".constraints" then
+          ignore (Parser.document_of_string text)
+        else if Filename.check_suffix f ".schema" then
+          ignore (Schema.Schema_parser.of_string text))
+      (Sys.readdir dir)
+  in
+  parse ();
+  let n = Label.interned () in
+  check_bool "corpus interns labels" true (n > 0);
+  parse ();
+  check_int "second parse interns nothing" n (Label.interned ())
+
 (* --- paths ----------------------------------------------------------- *)
 
 let test_path_string () =
@@ -255,7 +303,11 @@ let () =
   Alcotest.run "pathlang"
     [
       ( "label",
-        [ Alcotest.test_case "validation" `Quick test_label_validation ] );
+        [
+          Alcotest.test_case "validation" `Quick test_label_validation;
+          Alcotest.test_case "interning" `Quick test_label_interning;
+          Alcotest.test_case "intern table flat" `Quick test_label_table_flat;
+        ] );
       ( "path",
         [
           Alcotest.test_case "strings" `Quick test_path_string;

@@ -278,6 +278,65 @@ let prop_eval_matches_fo =
           fo = NS.mem n via_eval)
         (Graph.nodes g))
 
+(* Both cases of [run] reject a source outside the graph, even one that
+   falls in the spare capacity of the graph's arrays. *)
+let test_eval_unknown_node () =
+  let g = Graph.create () in
+  let unknown = Invalid_argument "Eval.run: unknown node" in
+  let raises name f = Alcotest.check_raises name unknown (fun () -> ignore (f ())) in
+  raises "spare capacity" (fun () -> Eval.eval_from g 5 (path "a"));
+  raises "empty word" (fun () -> Eval.eval_from g 5 Path.empty);
+  raises "beyond capacity" (fun () -> Eval.eval_from g 100 (path "a"));
+  raises "negative" (fun () -> Eval.eval_from g (-1) Path.empty);
+  raises "holds_between" (fun () -> Eval.holds_between g 5 (path "a") 0);
+  raises "automaton" (fun () ->
+      Eval.run g 5 (Eval.Nfa { start = [ 0 ]; delta = [| [||] |]; final = [| true |] }));
+  raises "start" (fun () -> Eval.start g 1)
+
+(* The flat id walk answers the label-list walk of [Oracle.Walk_reference]
+   on every factor [w.(lo) .. w.(hi-1)] of the word (the empty ones
+   included), forward and backward, from every node; [mem] agrees with
+   the frontier's nodes. *)
+let walks_agree g p =
+  let ks = Array.of_list (Path.to_labels p) and w = Eval.word p in
+  let n = Array.length w in
+  let factors =
+    List.concat_map (fun lo -> List.init (n - lo + 1) (fun d -> (lo, lo + d))) (List.init (n + 1) Fun.id)
+  in
+  let answers f =
+    let s = List.fold_left (fun s i -> NS.add (Eval.get f i) s) NS.empty (List.init (Eval.size f) Fun.id) in
+    (s, List.for_all (fun v -> Eval.mem f v = NS.mem v s) (Graph.nodes g), Eval.size f = NS.cardinal s)
+  in
+  let agree walk reference x (lo, hi) =
+    let f = Eval.start g x in
+    walk g f w lo hi;
+    let s, mem_ok, no_dups = answers f in
+    mem_ok && no_dups
+    && NS.equal s (reference g (NS.singleton x) (Array.to_list (Array.sub ks lo (hi - lo))))
+  in
+  List.for_all
+    (fun x ->
+      List.for_all
+        (fun r ->
+          agree Eval.image Oracle.Walk_reference.image x r
+          && agree Eval.preimage Oracle.Walk_reference.preimage x r)
+        factors)
+    (Graph.nodes g)
+
+let prop_walk_matches_reference =
+  q ~count:200 "id walk = label-list walk"
+    QCheck.(pair arb_graph arb_path)
+    (fun (g, p) -> walks_agree g p)
+
+let prop_walk_after_merges =
+  q ~count:200 "id walk = label-list walk after merges"
+    QCheck.(triple arb_graph arb_path (list_of_size (QCheck.Gen.int_bound 3) (pair small_nat small_nat)))
+    (fun (g, p, merges) ->
+      let mg = Sgraph.Merge_graph.of_graph (Graph.copy g) in
+      let node i = Sgraph.Merge_graph.find mg (i mod Graph.node_count g) in
+      List.iter (fun (a, b) -> ignore (Sgraph.Merge_graph.union mg (node a) (node b))) merges;
+      walks_agree (Sgraph.Merge_graph.graph mg) p)
+
 (* --- constraint checking ------------------------------------------------ *)
 
 let prop_check_matches_fo =
@@ -557,7 +616,10 @@ let () =
         [
           Alcotest.test_case "eval" `Quick test_eval;
           Alcotest.test_case "reachable" `Quick test_reachable;
+          Alcotest.test_case "unknown source node" `Quick test_eval_unknown_node;
           prop_eval_matches_fo;
+          prop_walk_matches_reference;
+          prop_walk_after_merges;
         ] );
       ( "check",
         [
