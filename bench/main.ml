@@ -688,16 +688,14 @@ let analyzer_cell () =
 (* A satisfiable random base over the bibliography schema (every
    generated constraint's two sides end at the same sort) plus one
    planted cross-sort clash, so core extraction always has a core to
-   minimize.  The measured quantity is the tentpole path: building the
-   hash-consed typed store and running the deletion-minimized PC700
-   search, whose per-deletion satisfiability tests are short-circuited
-   by the store's sort-clash pre-filter. *)
+   minimize.  The measured quantity is the deletion-minimized PC700
+   search: one memoised satisfiability closure, then one typed-M subset
+   context whose keep-set questions are the per-deletion tests. *)
 let interact_cell () =
   record_cell ~cell_name:"analyzer-interact"
-    ~claim:"core extraction is a linear number of store-prefiltered cubic \
-            sat checks"
-    "hash-consed store build + PC700 minimal-core extraction under the M \
-     schema, |Sigma| = n (one planted cross-sort clash)"
+    ~claim:"core extraction is a linear number of cubic sat checks"
+    "PC700 minimal-core extraction under the M schema, |Sigma| = n (one \
+     planted cross-sort clash)"
     (shrink [ 8; 16; 32; 64 ])
     (fun n ->
       let rng = rng () in
@@ -711,7 +709,6 @@ let interact_cell () =
       in
       let sigma = base @ [ clash ] in
       measure (fun () ->
-          ignore (Pathlang.Store.of_constraints ~typed:true sigma);
           match Analysis.Interact.unsat_core ~schema:Mschema.bib_m sigma with
           | Some _ -> ()
           | None -> failwith "bench interact workload must be unsatisfiable"))

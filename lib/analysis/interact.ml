@@ -1,18 +1,19 @@
 (* The constraint-interaction analyzer: the PC7xx family.
 
    Three whole-set analyses over one parsed constraint set, all driven
-   through the hash-consed {!Pathlang.Store} and the decision router
+   through the typed-M closure ({!Core.Typed_m}) and the decision router
    {!Core.Decide}:
 
    - PC700: a minimal unsatisfiable core of Sigma over the schema,
-     found by deletion-based minimization with the store's typed sort
-     conflict as a syntactic pre-filter (a clash means "still
-     unsatisfiable" without running the typed closure).  Under a kind-M
-     schema cores are in fact always singletons — congruence merges
-     propagate only to same-sorted children, so an unsatisfiable set
-     contains a constraint unsatisfiable on its own (DESIGN.md §13) —
-     but the minimizer does not assume this: it isolates one culprit
-     among possibly several independently unsatisfiable constraints.
+     found by deletion-based minimization; every deletion is a keep-set
+     question to one {!Core.Typed_m.subsets} context over Sigma, and
+     [--explain] reads the core's clashing pair from the same context.
+     Under a kind-M schema cores are in fact always singletons —
+     congruence merges propagate only to same-sorted children, so an
+     unsatisfiable set contains a constraint unsatisfiable on its own
+     (DESIGN.md §13) — but the minimizer does not assume this: it
+     isolates one culprit among possibly several independently
+     unsatisfiable constraints.
 
    - PC701: the implication DAG.  Each constraint entailed by the rest
      of Sigma is reported together with a minimal witnessing antecedent
@@ -36,7 +37,6 @@
 
 module Path = Pathlang.Path
 module Constr = Pathlang.Constr
-module Store = Pathlang.Store
 module Mschema = Schema.Mschema
 module Mtype = Schema.Mtype
 module Schema_graph = Schema.Schema_graph
@@ -48,45 +48,44 @@ let diag ~file ?span code severity msg =
 
 (* --- minimal unsatisfiable core -------------------------------------------- *)
 
-let sat schema cs =
-  match Core.Typed_m.satisfiable schema ~sigma:cs with
-  | Ok b -> b
-  | Error _ -> true
-
-(* The syntactic pre-filter: a sort clash in the typed store's
-   congruence classes is a sound unsatisfiability witness, so the
-   expensive typed closure only runs when the store sees no clash. *)
-let unsat_prefiltered schema cs =
-  let st = Store.of_constraints ~typed:true cs in
-  Store.find_conflict st
-    ~key:(fun p -> Schema_graph.type_of_path schema p)
-    ~eq:Mtype.equal
-  <> None
-  || not (sat schema cs)
-
-let unsat_core ?budget ~schema constrs =
-  if Mschema.kind schema <> Mschema.M then None
-  else if sat schema constrs then None
+(* Deletion minimization over one subset context: drop each constraint
+   whose removal keeps the set unsatisfiable; what survives is a minimal
+   core.  The context is built only once Sigma is known to be
+   unsatisfiable, so a satisfiable file closes nothing beyond the
+   memoised satisfiability check. *)
+let core_in ?budget ~schema constrs =
+  let sat =
+    Mschema.kind schema <> Mschema.M
+    || Core.Typed_m.satisfiable schema ~sigma:constrs <> Ok false
+  in
+  if sat then None
   else begin
+    let subsets = Core.Typed_m.subsets schema ~sigma:constrs in
+    let unsat keep =
+      match Core.Typed_m.clash_subset subsets ~keep with
+      | Ok (Some _) -> true
+      | Ok None | Error _ -> false
+    in
     let budget = Option.value budget ~default:Engine.Budget.default in
     let clock = Decide.clock budget in
-    (* deletion minimization: drop each constraint whose removal keeps
-       the set unsatisfiable; what survives is a minimal core *)
-    let core = ref (List.mapi (fun i c -> (i, c)) constrs) in
+    let core = ref (List.init (List.length constrs) Fun.id) in
     let complete = ref true in
     List.iteri
       (fun i _ ->
         if Decide.expired clock then complete := false
         else begin
-          let without = List.filter (fun (j, _) -> j <> i) !core in
-          if
-            List.length without < List.length !core
-            && unsat_prefiltered schema (List.map snd without)
-          then core := without
+          let without = List.filter (fun j -> j <> i) !core in
+          if List.length without < List.length !core && unsat without then
+            core := without
         end)
       constrs;
-    Some (List.map fst !core, !complete)
+    Some (subsets, !core, !complete)
   end
+
+let unsat_core ?budget ~schema constrs =
+  Option.map
+    (fun (_, core, complete) -> (core, complete))
+    (core_in ?budget ~schema constrs)
 
 (* The class declarations the typed derivation walks: the sorts at the
    proper prefixes of every root-anchored path of the witness set and
@@ -148,9 +147,9 @@ let pass ~sigma_file ?schema ?budget ?(explain = false) spanned =
               (List.mapi (fun i x -> (i, x)) spanned)
           in
           let clean_constrs = List.map (fun i -> fst arr.(i)) clean_idx in
-          match unsat_core ?budget:(Some budget) ~schema:s clean_constrs with
+          match core_in ~budget ~schema:s clean_constrs with
           | None -> false
-          | Some (core, complete) ->
+          | Some (subsets, core, complete) ->
               let core_orig =
                 List.map (List.nth clean_idx) core
               in
@@ -158,20 +157,12 @@ let pass ~sigma_file ?schema ?budget ?(explain = false) spanned =
               let clash =
                 if not explain then ""
                 else
-                  let st =
-                    Store.of_constraints ~typed:true
-                      (List.map (fun i -> fst arr.(i)) core_orig)
-                  in
-                  match
-                    Store.find_conflict st
-                      ~key:(fun p -> Schema_graph.type_of_path s p)
-                      ~eq:Mtype.equal
-                  with
-                  | Some (p, q) ->
+                  match Core.Typed_m.clash_subset subsets ~keep:core with
+                  | Ok (Some (p, q)) ->
                       Printf.sprintf
                         "; the closure forces %s and %s together across sorts"
                         (Path.to_string p) (Path.to_string q)
-                  | None -> ""
+                  | Ok None | Error _ -> ""
               in
               List.iter
                 (fun i ->

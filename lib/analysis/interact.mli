@@ -2,8 +2,8 @@
 
     A whole-constraint-set static analysis of how the constraints of
     Sigma interact — with each other and with the schema's type
-    constraints — driven through the hash-consed {!Pathlang.Store}
-    (syntactic pre-filters) and the decision router {!Core.Decide}:
+    constraints — driven through the typed-M closure ({!Core.Typed_m})
+    and the decision router {!Core.Decide}:
 
     - [PC700] (error): each member of a {e minimal unsatisfiable core}
       of Sigma over a kind-M schema, found by deletion-based
@@ -36,8 +36,9 @@ val unsat_core :
   (int list * bool) option
 (** [Some (indices, complete)] when Sigma is unsatisfiable over the
     kind-M schema: the 0-based indices of a minimal unsatisfiable core
-    (deletion-minimized, each test pre-filtered by the typed store's
-    sort-clash scan), and whether minimization finished within the
+    (deletion-minimized, each test a keep-set question to one
+    {!Core.Typed_m.subsets} context built once Sigma is known to be
+    unsatisfiable), and whether minimization finished within the
     budget ([false] = the surviving set may not be minimal yet).
     [None] when Sigma is satisfiable, the schema is not of kind M, or
     some constraint walks outside [Paths(Delta)].  Exposed for the

@@ -184,19 +184,21 @@ let inconsistency ~sigma_file ~schema sigma =
                   " (too many constraints to isolate a contradictory pair)"
                 else ""))
         in
-        let sat cs =
-          match Core.Typed_m.satisfiable schema ~sigma:cs with
-          | Ok b -> b
-          | Error _ -> true
-        in
         let pinpointed =
           if n > pairwise_cap then []
           else begin
+            (* one subset context answers every single and pair *)
+            let subsets = Core.Typed_m.subsets schema ~sigma:constrs in
+            let sat keep =
+              match Core.Typed_m.clash_subset subsets ~keep with
+              | Ok (Some _) -> false
+              | Ok None | Error _ -> true
+            in
             let found = ref [] in
             let arr = Array.of_list clean in
             for i = 0 to n - 1 do
               let ci, _ = arr.(i) in
-              if not (sat [ ci ]) then
+              if not (sat [ i ]) then
                 found :=
                   diag ~file:sigma_file
                     ~span:(snd arr.(i))
@@ -206,8 +208,8 @@ let inconsistency ~sigma_file ~schema sigma =
                   :: !found
               else
                 for j = i + 1 to n - 1 do
-                  let cj, spanj = arr.(j) in
-                  if sat [ cj ] && not (sat [ ci; cj ]) then
+                  let _, spanj = arr.(j) in
+                  if sat [ j ] && not (sat [ i; j ]) then
                     found :=
                       diag ~file:sigma_file ~span:spanj "PC401"
                         Diagnostic.Error

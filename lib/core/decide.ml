@@ -45,16 +45,17 @@ let cell ?schema cs =
 
 (* Table 1 cell -> (route, exact).  The word procedure decides
    rule-derivability, which is implication only without eps conclusions
-   (equality-generating constraints): with one present its "no" is not a
-   refutation, so a refutation is asked of the chase, whose [Refuted]
-   carries a countermodel.  Off the typed-M cell a schema only narrows
-   the structures, so the untyped route stays sound but is no longer
+   (equality-generating constraints): with one present its "yes" is
+   sound but its "no" is not a refutation, so the row is not exact and
+   a refutation is asked of the chase, whose [Refuted] carries a
+   countermodel.  Off the typed-M cell a schema only narrows the
+   structures, so the untyped route stays sound but is no longer
    complete. *)
 let rec route_of question = function
   | Untyped_word -> (Word, true)
   | Untyped_word_eps -> (
       match question with
-      | Entailment -> (Word, true)
+      | Entailment -> (Word, false)
       | Refutation -> (Chase, false))
   | Untyped_general -> (Chase, false)
   | M_typed -> (Typed_m, true)
@@ -313,16 +314,16 @@ type t = {
   decide : keep:int list -> Constr.t -> bool option;
 }
 
-(* The exact routes answer from one subset context per plan: typed-M
-   from one materialised prefix closure, the word route from masked pre*
-   saturations in which Sigma and every Sigma minus one position share
-   one fixpoint (other keep-sets get their own context).  Both run
-   without the store pre-filter: every store inference — reflexivity,
-   transitivity inside a bucket, right congruence, and the merges
-   mutual containment forces — is a rule of the word calculus, and the
-   typed store's merges are the typed-M closure's own, so a store hit
-   is always a yes from the route's procedure.  Only the chase keeps
-   it, in [chase]. *)
+(* The word and typed-M routes answer from one subset context per plan:
+   typed-M from one materialised prefix closure, the word route from
+   masked pre* saturations in which Sigma and every Sigma minus one
+   position share one fixpoint (other keep-sets get their own context).
+   Both run without the store pre-filter: every store inference —
+   reflexivity, transitivity inside a bucket, right congruence, and the
+   merges mutual containment forces — is a rule of the word calculus,
+   which the typed-M closure also derives, so a store hit is always a
+   yes from the route's procedure.  Only the chase keeps it, in
+   [chase]. *)
 let plan ?schema ?(question = Entailment) clock constrs =
   let route, exact = route_of question (cell ?schema constrs) in
   let sublist keep =

@@ -83,8 +83,9 @@ val exact : t -> bool
 val decide : t -> keep:int list -> Pathlang.Constr.t -> bool option
 (** [decide t ~keep phi] asks [S |= phi] for the [S] made of the members
     of the plan's [Sigma] at the 0-based positions [keep] (in any
-    order): [Some true] implied, [Some false] not implied, [None] when
-    the procedure could not tell (budget, or it does not apply to
+    order): [Some true] implied, [Some false] not implied (on a plan
+    that is not {!exact}, only "the route found no derivation"), [None]
+    when the procedure could not tell (budget, or it does not apply to
     [phi]).  [phi] should lie in the plan's cell, as a member of [Sigma]
     does.  Raises [Invalid_argument] on a position outside [Sigma].
 

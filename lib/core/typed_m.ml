@@ -51,7 +51,17 @@ type state = {
   mutable clock : int;
 }
 
-exception Clash of string
+(* Two paths of different sorts forced into one class.  Sorts are uniform
+   within a class, so [p_sort]/[q_sort] are also the sorts of the two
+   classes being merged. *)
+type clash = { p : Path.t; p_sort : Mtype.t; q : Path.t; q_sort : Mtype.t }
+
+exception Clash of clash
+
+let clash_message c =
+  Format.asprintf "paths %a (sort %s) and %a (sort %s) are forced equal"
+    Path.pp c.p (Mtype.to_string c.p_sort) Path.pp c.q
+    (Mtype.to_string c.q_sort)
 
 (* Compresses paths, but writes nothing once [n]'s parent is a root:
    the closed state of a context is only read (see [compress]). *)
@@ -86,12 +96,12 @@ let rec union st a b reason =
     if not (Mtype.equal st.sorts.(ra) st.sorts.(rb)) then
       raise
         (Clash
-           (Format.asprintf
-              "paths %a (sort %s) and %a (sort %s) are forced equal"
-              Path.pp st.paths.(a)
-              (Mtype.to_string st.sorts.(ra))
-              Path.pp st.paths.(b)
-              (Mtype.to_string st.sorts.(rb))));
+           {
+             p = st.paths.(a);
+             p_sort = st.sorts.(ra);
+             q = st.paths.(b);
+             q_sort = st.sorts.(rb);
+           });
     if st.certify then forest_add st a b reason;
     let big, small = if st.rank.(ra) >= st.rank.(rb) then (ra, rb) else (rb, ra) in
     st.parent.(small) <- big;
@@ -391,7 +401,7 @@ let context schema ~sigma =
         | () ->
             compress st;
             Closed { st; base = Atomic.make None }
-        | exception Clash msg -> Clashed msg)
+        | exception Clash c -> Clashed (clash_message c))
   in
   { schema; closure }
 
@@ -528,40 +538,58 @@ let subsets schema ~sigma =
           (st, Array.of_list inputs));
   }
 
-(* A copy of the universe's union-find, closed under the kept inputs
-   only, then extended with [phi]'s paths.  Closing is order-independent
-   (one least congruence, clash or not), so [keep]'s order is free. *)
+(* A copy of the universe's union-find, closed under the kept inputs in
+   ascending position order (a repeated input merges nothing).  Closing
+   is order-independent (one least congruence, clash or not), but the
+   clash raised is the first one met, so this order names the pair a
+   fresh closure of the kept sublist names.  Callers mostly pass keep
+   lists in ascending order already, which are not copied. *)
+let close (base, inputs) keep =
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> a <= b && ascending rest
+    | _ -> true
+  in
+  let keep = if ascending keep then keep else List.sort Int.compare keep in
+  let st =
+    {
+      base with
+      parent = Array.copy base.parent;
+      rank = Array.copy base.rank;
+      succ = Array.copy base.succ;
+    }
+  in
+  List.iter
+    (fun i ->
+      let u, v, r = inputs.(i) in
+      union st u v r)
+    keep;
+  st
+
 let implies_subset ss ~keep ~phi =
   match ss.universe with
   | Error _ as e -> e
-  | Ok (base, inputs) -> (
+  | Ok universe -> (
       match SG.check_constraint_paths ss.sub_schema phi with
       | Error rho -> Error (path_error phi rho)
       | Ok () ->
           Obs.Span.with_ "typed_m.decide" (fun () ->
-              let st =
-                {
-                  base with
-                  parent = Array.copy base.parent;
-                  rank = Array.copy base.rank;
-                  succ = Array.copy base.succ;
-                }
-              in
-              match
-                List.iter
-                  (fun i ->
-                    let u, v, r = inputs.(i) in
-                    union st u v r)
-                  keep
-              with
+              match close universe keep with
               | exception Clash _ -> Ok Unsatisfiable
-              | () ->
+              | st ->
                   let s_path, t_path = to_word_equality phi in
                   let st = extend ss.sub_schema st [ s_path; t_path ] in
                   Ok
                     (if find st (node st s_path) = find st (node st t_path)
                      then Entailed
                      else Not_entailed)))
+
+let clash_subset ss ~keep =
+  Result.map
+    (fun universe ->
+      match close universe keep with
+      | exception Clash c -> Some (c.p, c.q)
+      | _ -> None)
+    ss.universe
 
 let satisfiable schema ~sigma =
   match (memo_context schema ~sigma).closure with

@@ -113,6 +113,18 @@ val implies_subset :
     same [Error]s.  Raises [Invalid_argument] on a position outside
     [Sigma]. *)
 
+val clash_subset :
+  subsets ->
+  keep:int list ->
+  ((Pathlang.Path.t * Pathlang.Path.t) option, string) result
+(** [clash_subset ss ~keep] is [Some (p, q)] when the members of [Sigma]
+    at the positions [keep] are unsatisfiable over [U(Delta)]: the
+    closure forces [p] and [q], of different sorts, together.  The kept
+    inputs are closed in ascending position order, so [(p, q)] is the
+    pair that [decide] on the kept sublist names in its [Vacuous _]
+    message.  [None] when the kept members are satisfiable; [Error] as
+    for {!implies_subset}. *)
+
 val implies :
   Schema.Mschema.t ->
   sigma:Pathlang.Constr.t list ->

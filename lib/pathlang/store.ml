@@ -11,14 +11,15 @@
 
    Everything here is *syntactic* and cheap — near-linear build, O(set)
    queries — and *sound only*: [implies_syntactic] true means the
-   constraint really is entailed, false means "don't know"; a conflict
-   from [find_conflict] means Sigma really is unsatisfiable over the
-   schema.  They serve as pre-filters that short-circuit the budgeted
-   chase (entailment) and the typed-M closure (satisfiability).
+   constraint really is entailed, false means "don't know".  It serves
+   as the pre-filter that short-circuits the budgeted chase.  The typed
+   reading of a constraint set (Lemmas 4.7/4.8) is not here: its
+   congruence closure is [Core.Typed_m], the one place that decides
+   typed entailment and satisfiability.
 
-   Soundness of the three inference steps encoded in the untyped mode
-   (over all semistructured structures, per Abiteboul-Vianu's complete
-   rule set for P_w, restated in Section 4.2 of the paper):
+   Soundness of the three inference steps encoded here (over all
+   semistructured structures, per Abiteboul-Vianu's complete rule set
+   for P_w, restated in Section 4.2 of the paper):
    - membership and reflexivity are immediate;
    - transitivity of containment arcs within a bucket of constraints
      sharing one prefix [alpha]: for each [alpha]-endpoint the inclusion
@@ -27,15 +28,7 @@
      [beta.delta -> gamma.delta]; mutual containment ([p -> q] and
      [q -> p]) makes the endpoint sets equal, and equality of endpoint
      sets propagates to any common suffix, which is exactly the trie
-     merge with child propagation.
-
-   In typed mode ([~typed:true]) the store instead encodes the kind-M
-   reading (Lemmas 4.7/4.8: a constraint is an equality between the
-   endpoints of two root-anchored paths) and merges the full paths of
-   every constraint — the congruence closure of the cubic procedure,
-   minus the schema typing, which the caller supplies to
-   [find_conflict] as a key function.  Typed-mode conclusions are sound
-   over U(Delta) only. *)
+     merge with child propagation. *)
 
 type node = {
   nid : int;
@@ -195,24 +188,11 @@ let prefix_groups constrs =
   groups
 
 type t = {
-  typed : bool;
-  constrs : Constr.t array;
-  root : graph; (* root-anchored paths: word arcs (untyped) or full equalities (typed) *)
+  root : graph; (* root-anchored paths and the forward constraints' arcs *)
   buckets : (int, graph) Hashtbl.t; (* forward constraints, relative paths, keyed by root class id of the prefix *)
   by_prefix : (int, int * Constr.t) Hashtbl.t; (* [prefix_groups] *)
   backwards : (int * Constr.t) list; (* input order *)
 }
-
-(* The Lemma 4.7/4.8 translation, locally (the store cannot depend on
-   [Core]): the pair of root-anchored paths whose endpoint equality is
-   equivalent to the constraint over U(Delta). *)
-let word_equality c =
-  let prefix = Constr.prefix c in
-  match Constr.kind c with
-  | Constr.Forward ->
-      (Path.concat prefix (Constr.lhs c), Path.concat prefix (Constr.rhs c))
-  | Constr.Backward ->
-      (prefix, Path.concat (Path.concat prefix (Constr.lhs c)) (Constr.rhs c))
 
 let bucket_key st prefix =
   (find (intern st.root prefix)).nid
@@ -264,11 +244,9 @@ let publish_gauges st =
     Obs.Gauge.set g_max_bucket s.max_bucket
   end
 
-let of_constraints ?(typed = false) constrs =
+let of_constraints constrs =
   let st =
     {
-      typed;
-      constrs = Array.of_list constrs;
       root = new_graph ();
       buckets = Hashtbl.create 8;
       by_prefix = prefix_groups constrs;
@@ -277,36 +255,31 @@ let of_constraints ?(typed = false) constrs =
   in
   (* root graph: intern every root-anchored path the constraints walk,
      then the semantic edges *)
-  Array.iter
+  List.iter
     (fun c -> List.iter (fun p -> ignore (intern st.root p)) (Constr.paths_used c))
-    st.constrs;
-  Array.iter
+    constrs;
+  List.iter
     (fun c ->
-      if typed then begin
-        let p, q = word_equality c in
-        union st.root (intern st.root p) (intern st.root q)
-      end
-      else
-        match Constr.kind c with
-        | Constr.Forward ->
-            (* [alpha : beta -> gamma] gives
-               endpoints(alpha.beta) ⊆ endpoints(alpha.gamma): the
-               pointwise inclusions union over the alpha endpoints. *)
-            let prefix = Constr.prefix c in
-            add_arc
-              (intern st.root (Path.concat prefix (Constr.lhs c)))
-              (intern st.root (Path.concat prefix (Constr.rhs c)))
-        | Constr.Backward ->
-            (* no sound root-set inclusion untyped: the return path
-               only covers alpha endpoints that have a beta successor *)
-            ())
-    st.constrs;
-  if not typed then close_mutual st.root;
+      match Constr.kind c with
+      | Constr.Forward ->
+          (* [alpha : beta -> gamma] gives
+             endpoints(alpha.beta) ⊆ endpoints(alpha.gamma): the
+             pointwise inclusions union over the alpha endpoints. *)
+          let prefix = Constr.prefix c in
+          add_arc
+            (intern st.root (Path.concat prefix (Constr.lhs c)))
+            (intern st.root (Path.concat prefix (Constr.rhs c)))
+      | Constr.Backward ->
+          (* no sound root-set inclusion untyped: the return path only
+             covers alpha endpoints that have a beta successor *)
+          ())
+    constrs;
+  close_mutual st.root;
   (* per-prefix buckets of forward constraints, relative to the prefix;
      bucketed by the prefix's *class* so constraints whose prefixes
      Sigma proved coextensive share one bucket *)
   let backwards = ref [] in
-  Array.iteri
+  List.iteri
     (fun i c ->
       match Constr.kind c with
       | Constr.Backward -> backwards := (i, c) :: !backwards
@@ -321,14 +294,11 @@ let of_constraints ?(typed = false) constrs =
                 b
           in
           add_arc (intern b (Constr.lhs c)) (intern b (Constr.rhs c)))
-    st.constrs;
+    constrs;
   Hashtbl.iter (fun _ b -> close_mutual b) st.buckets;
   let st = { st with backwards = List.rev !backwards } in
   publish_gauges st;
   st
-
-let size st = Array.length st.constrs
-let constraints st = Array.to_list st.constrs
 
 let mem st c =
   match Constr.kind c with
@@ -380,87 +350,32 @@ let completed_subsumption_ordering constrs =
          match Int.compare w1 w2 with 0 -> Int.compare i1 i2 | c -> c)
        weighted)
 
-(* Endpoint-set equality of two root-anchored paths, as far as the
-   syntactic closure sees it. *)
-let same_class st p q =
-  Path.equal p q || find (intern st.root p) == find (intern st.root q)
-
 let implies_syntactic st phi =
-  if st.typed then
-    let p, q = word_equality phi in
-    same_class st p q
-  else
-    match Constr.kind phi with
-    | Constr.Backward -> mem st phi
-    | Constr.Forward -> (
-        let lhs = Constr.lhs phi and rhs = Constr.rhs phi in
-        Path.equal lhs rhs (* reflexivity *)
-        ||
-        match Hashtbl.find_opt st.buckets (bucket_key st (Constr.prefix phi)) with
-        | None -> false
-        | Some b ->
-            (* try every common-suffix split: right congruence lifts a
-               derivation of the stripped pair to the full one *)
-            let rl = List.rev (Path.to_labels lhs)
-            and rr = List.rev (Path.to_labels rhs) in
-            let rec strip rl rr =
-              (match
-                 ( lookup b (Path.rev (Path.of_labels rl)),
-                   lookup b (Path.rev (Path.of_labels rr)) )
-               with
-              | Some u, Some v -> leq u v
-              | _ -> false)
-              ||
-              match (rl, rr) with
-              | a :: rl', b' :: rr' when Label.equal a b' -> strip rl' rr'
-              | _ -> false
-            in
-            strip rl rr)
-
-(* Scan the e-classes of the root graph for two members whose keys
-   disagree: with [key] = the schema's path typing, a hit is a sort
-   clash, i.e. a sound unsatisfiability witness over U(Delta). *)
-let find_conflict st ~key ~eq =
-  let by_class = Hashtbl.create 16 in
-  List.iter
-    (fun n ->
-      let r = find n in
-      Hashtbl.replace by_class r.nid
-        (n :: Option.value ~default:[] (Hashtbl.find_opt by_class r.nid)))
-    st.root.all;
-  let exception Found of (Path.t * Path.t) in
-  try
-    Hashtbl.iter
-      (fun _ members ->
-        match members with
-        | [] | [ _ ] -> ()
-        | _ ->
-            let first = ref None in
-            List.iter
-              (fun n ->
-                match key n.path with
-                | None -> ()
-                | Some k -> (
-                    match !first with
-                    | None -> first := Some (n.path, k)
-                    | Some (p0, k0) ->
-                        if not (eq k0 k) then raise (Found (p0, n.path))))
-              members)
-      by_class;
-    None
-  with Found pair -> Some pair
-
-let eclasses st =
-  let by_class = Hashtbl.create 16 in
-  List.iter
-    (fun n ->
-      let r = find n in
-      Hashtbl.replace by_class r.nid
-        (n.path :: Option.value ~default:[] (Hashtbl.find_opt by_class r.nid)))
-    st.root.all;
-  Hashtbl.fold
-    (fun _ paths acc ->
-      match paths with [] | [ _ ] -> acc | ps -> List.sort Path.compare ps :: acc)
-    by_class []
-  |> List.sort (fun a b -> Path.compare (List.hd a) (List.hd b))
-
+  match Constr.kind phi with
+  | Constr.Backward -> mem st phi
+  | Constr.Forward -> (
+      let lhs = Constr.lhs phi and rhs = Constr.rhs phi in
+      Path.equal lhs rhs (* reflexivity *)
+      ||
+      match
+        Hashtbl.find_opt st.buckets (bucket_key st (Constr.prefix phi))
+      with
+      | None -> false
+      | Some b ->
+          (* try every common-suffix split: right congruence lifts a
+             derivation of the stripped pair to the full one *)
+          let rl = List.rev (Path.to_labels lhs)
+          and rr = List.rev (Path.to_labels rhs) in
+          let rec strip rl rr =
+            (match
+               ( lookup b (Path.rev (Path.of_labels rl)),
+                 lookup b (Path.rev (Path.of_labels rr)) )
+             with
+            | Some u, Some v -> leq u v
+            | _ -> false)
+            ||
+            match (rl, rr) with
+            | a :: rl', b' :: rr' when Label.equal a b' -> strip rl' rr'
+            | _ -> false
+          in
+          strip rl rr)

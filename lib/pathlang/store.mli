@@ -5,33 +5,22 @@
     containment arcs the constraints induce.  All queries are
     {e syntactic, cheap and sound-only}: a [true]/[Some _] answer is a
     theorem, a [false]/[None] answer means "not derivable by the cheap
-    rules" — the caller falls through to a decision procedure (the
-    PTIME word procedure, the cubic typed-M closure, or the budgeted
-    chase).  [Analysis.Interact] drives its scans through this module
-    instead of ad-hoc list walks, and the chase route of [Core.Decide]
-    asks {!implies_syntactic} first.  The exact routes need no pre-filter: their procedures derive
+    rules" — the caller falls through to the budgeted chase.  The
+    chase route of [Core.Decide] asks {!implies_syntactic} first; the
+    exact routes need no pre-filter, since their procedures derive
     everything the store does.
 
-    Untyped mode reasons over {e all} semistructured structures with
+    The store reasons over {e all} semistructured structures with
     membership, reflexivity, per-prefix transitivity, right congruence
     (appending a common suffix to both paths of a forward constraint)
-    and mutual-containment collapse.  Typed mode ([~typed:true])
-    additionally reads every constraint as a root-anchored endpoint
-    equality (Lemmas 4.7/4.8, sound over U(Delta) for kind-M schemas)
-    and congruence-closes the equalities. *)
+    and mutual-containment collapse.  The typed reading of a
+    constraint as a root-anchored endpoint equality (Lemmas 4.7/4.8)
+    is [Core.Typed_m]'s closure, not a mode of this store. *)
 
 type t
 
-val of_constraints : ?typed:bool -> Constr.t list -> t
-(** Build the store for a constraint set.  [typed] (default [false])
-    selects the kind-M equality reading; conclusions of a typed store
-    are sound only over unfoldings of an M-schema. *)
-
-val size : t -> int
-(** Number of stored constraints. *)
-
-val constraints : t -> Constr.t list
-(** The stored constraints, in input order. *)
+val of_constraints : Constr.t list -> t
+(** Build the store for a constraint set. *)
 
 val mem : t -> Constr.t -> bool
 (** Exact (syntactic) membership of a constraint in the set. *)
@@ -58,27 +47,8 @@ val completed_subsumption_ordering : Constr.t list -> (int * Constr.t) list
 
 val implies_syntactic : t -> Constr.t -> bool
 (** Sound pre-filter for entailment: [true] means Sigma entails the
-    constraint (over all structures untyped; over U(Delta) typed);
-    [false] means unknown.  After ecta's [constraintsImply]. *)
-
-val same_class : t -> Path.t -> Path.t -> bool
-(** [same_class st p q]: the closure proved the two root-anchored paths
-    have equal endpoint sets. *)
-
-val find_conflict :
-  t ->
-  key:(Path.t -> 'k option) ->
-  eq:('k -> 'k -> bool) ->
-  (Path.t * Path.t) option
-(** [find_conflict st ~key ~eq] scans the e-classes for two members
-    whose keys exist and disagree.  With [key] = the schema's
-    path-typing function this is a sort clash: a sound witness (in a
-    typed store) that Sigma is unsatisfiable over U(Delta), returned as
-    the two clashing paths. *)
-
-val eclasses : t -> Path.t list list
-(** The non-trivial e-classes of root-anchored paths (each sorted, the
-    list sorted by first member) — for [--explain] output and tests. *)
+    constraint over all structures; [false] means unknown.  After
+    ecta's [constraintsImply]. *)
 
 type stats = {
   paths : int;

@@ -153,6 +153,39 @@ let test_word_masked () =
   check_bool "variants drawn" true (!variants_drawn > 250);
   check_bool "both answers drawn" true (!yes > 400 && !no > 400)
 
+(* A word context lives and dies with its memo slot: twenty rounds of
+   goals against one Sigma, each saturating it anew after a switch to
+   another Sigma, keep the live heap flat. *)
+let test_word_heap_flat () =
+  let rng = Random.State.make [| 7 |] in
+  let sigma =
+    List.init 32 (fun _ ->
+        Constr.word
+          ~lhs:(random_path rng sigma_labels 3)
+          ~rhs:(random_path rng sigma_labels 3))
+  in
+  let goals =
+    List.init 64 (fun _ ->
+        Constr.word
+          ~lhs:(random_path rng goal_labels 4)
+          ~rhs:(random_path rng goal_labels 4))
+  in
+  let other = [ c_word "a" "b" ] in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).live_words
+  in
+  let rounds =
+    List.init 20 (fun _ ->
+        List.iter (fun phi -> ignore (WU.implies ~sigma phi)) goals;
+        ignore (WU.implies ~sigma:other (List.hd other));
+        live ())
+  in
+  let lo = List.fold_left min max_int rounds
+  and hi = List.fold_left max 0 rounds in
+  if float_of_int hi > 1.05 *. float_of_int lo then
+    Alcotest.failf "live words grew from %d to %d" lo hi
+
 (* Sigma longer than one 62-position block: every leave-one-out
    question, on either side of the boundary, and Sigma itself answer as
    a fresh context over the kept members; two blocks, two saturations. *)
@@ -428,6 +461,8 @@ let () =
             test_word_masked;
           Alcotest.test_case "subsets across a block boundary" `Quick
             test_word_blocks;
+          Alcotest.test_case "heap flat across contexts" `Quick
+            test_word_heap_flat;
         ] );
       ( "typed",
         [

@@ -47,9 +47,7 @@ let ref_make_decider ?schema ~budget ~clock sigma_all =
                 Result.is_ok (Schema_graph.check_constraint_paths s c))
               sigma_all ->
       let decide phi rest =
-        if Store.implies_syntactic (Store.of_constraints ~typed:true rest) phi
-        then Some true
-        else of_result (Core.Typed_m.implies s ~sigma:rest ~phi)
+        of_result (Core.Typed_m.implies s ~sigma:rest ~phi)
       in
       (decide, true, "cubic typed-M procedure, Theorem 4.2")
   | _ ->
@@ -59,7 +57,11 @@ let ref_make_decider ?schema ~budget ~clock sigma_all =
             Some true
           else of_result (Core.Word_untyped.implies ~sigma:rest phi)
         in
-        (decide, schema = None, "PTIME word procedure")
+        (* the word procedure is complete only without eps conclusions *)
+        let eps_free =
+          List.for_all (fun c -> not (Path.is_empty (Constr.rhs c))) sigma_all
+        in
+        (decide, schema = None && eps_free, "PTIME word procedure")
       else
         let decide phi rest =
           match
@@ -233,9 +235,10 @@ let test_table_covers_regions () =
 (* --- subset plans ---------------------------------------------------------
 
    One plan per Sigma answers questions about any subset of it, named by
-   positions; the exact routes skip the store pre-filter.  Reference: a
-   fresh store pre-filter and a fresh procedure on the materialized
-   sublist, as [ref_make_decider] asks them. *)
+   positions; the word and typed-M routes skip the store pre-filter.
+   Reference: a fresh procedure on the materialized sublist, behind a
+   fresh store pre-filter on the word route, as [ref_make_decider] asks
+   them. *)
 
 type instance = {
   schema : Mschema.t option;
@@ -358,7 +361,10 @@ let ref_decider i =
 (* several questions to one plan, so no question sees another's merges *)
 let prop_subset_decide i =
   let plan = Decide.plan ?schema:i.schema (Decide.clock budget) i.sigma in
-  Decide.exact plan
+  let _, ref_exact, _ =
+    ref_make_decider ?schema:i.schema ~budget ~clock:(clock_of budget) i.sigma
+  in
+  Decide.exact plan = ref_exact
   && List.for_all
        (fun keep ->
          let sub = List.filteri (fun j _ -> List.mem j keep) i.sigma in

@@ -295,24 +295,26 @@ let clashers =
 
 let arb_planted = QCheck.make QCheck.Gen.(int_bound 1_000_000) ~print:string_of_int
 
+(* The constraint set of one seed, and the generator state after it. *)
+let planted seed =
+  let rng = Random.State.make [| seed |] in
+  let base = Typed_m.random_constraints ~rng ~schema:bib ~count:5 ~max_len:3 in
+  let planted = List.filter (fun _ -> Random.State.bool rng) clashers in
+  (* splice the planted clashes at random positions *)
+  let cs =
+    List.fold_left
+      (fun acc c ->
+        let i = Random.State.int rng (List.length acc + 1) in
+        List.filteri (fun j _ -> j < i) acc @ [ c ]
+        @ List.filteri (fun j _ -> j >= i) acc)
+      base planted
+  in
+  (rng, cs)
+
 let test_core_minimality_property =
   q ~count:60 "every complete PC700 core is genuinely minimal" arb_planted
     (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let base =
-        Typed_m.random_constraints ~rng ~schema:bib ~count:5 ~max_len:3
-      in
-      let planted = List.filter (fun _ -> Random.State.bool rng) clashers in
-      (* splice the planted clashes at random positions *)
-      let cs =
-        List.fold_left
-          (fun acc c ->
-            let i = Random.State.int rng (List.length acc + 1) in
-            List.filteri (fun j _ -> j < i) acc
-            @ [ c ]
-            @ List.filteri (fun j _ -> j >= i) acc)
-          base planted
-      in
+      let _, cs = planted seed in
       match Interact.unsat_core ~schema:bib cs with
       | None -> satisfiable bib cs
       | Some (_, false) -> QCheck.assume_fail ()
@@ -325,6 +327,96 @@ let test_core_minimality_property =
                    (List.map (List.nth cs)
                       (List.filter (fun j -> j <> i) core)))
                core)
+
+(* --- PC700 and PC401 against fresh closures of every sublist ------------- *)
+
+let sublist cs keep = List.filteri (fun i _ -> List.mem i keep) cs
+
+(* The deletion loop with a fresh satisfiability closure per sublist. *)
+let ref_unsat_core cs =
+  if satisfiable bib cs then None
+  else
+    let core =
+      List.fold_left
+        (fun core i ->
+          let without = List.filter (( <> ) i) core in
+          if List.length without < List.length core
+             && not (satisfiable bib (sublist cs without))
+          then without
+          else core)
+        (List.init (List.length cs) Fun.id)
+        (List.init (List.length cs) Fun.id)
+    in
+    Some (core, true)
+
+(* PC401's singles and pairs, each pair (i, j) with i < j, by fresh
+   closures; a single is (i, i). *)
+let ref_pinpointed cs =
+  let n = List.length cs in
+  let sat keep = satisfiable bib (sublist cs keep) in
+  List.concat_map
+    (fun i ->
+      if not (sat [ i ]) then [ (i, i) ]
+      else
+        List.filter_map
+          (fun j ->
+            if j > i && sat [ j ] && not (sat [ i; j ]) then Some (i, j)
+            else None)
+          (List.init n Fun.id))
+    (List.init n Fun.id)
+
+(* The same pairs read back from PC401 diagnostics on lines 1..n. *)
+let pinpointed cs =
+  let spanned =
+    List.mapi
+      (fun i c -> (c, Pathlang.Span.v ~line:(i + 1) ~start_col:1 ~end_col:1))
+      cs
+  in
+  List.filter_map
+    (fun (d : Diagnostic.t) ->
+      match (d.code, d.span) with
+      | "PC401", Some span ->
+          let j = span.Pathlang.Span.line - 1 in
+          if contains d.message "unsatisfiable on its own" then Some (j, j)
+          else
+            Scanf.sscanf d.message "contradicts the constraint at line %d"
+              (fun l -> Some (l - 1, j))
+      | _ -> None)
+    (Analysis.Passes.inconsistency ~sigma_file:"f" ~schema:bib spanned)
+  |> List.sort compare
+
+let test_core_and_pairs_differential =
+  q ~count:100 "PC700 core and PC401 pairs = fresh closures per sublist"
+    arb_planted
+    (fun seed ->
+      let rng, cs = planted seed in
+      let keep =
+        List.filter (fun _ -> Random.State.bool rng)
+          (List.init (List.length cs) Fun.id)
+      in
+      (* a subset question names the pair a fresh closure names *)
+      let named =
+        match
+          Typed_m.clash_subset (Typed_m.subsets bib ~sigma:cs) ~keep
+        with
+        | Ok None -> satisfiable bib (sublist cs keep)
+        | Ok (Some (p, q)) -> (
+            match
+              Typed_m.decide bib ~sigma:(sublist cs keep)
+                ~phi:(c_word "book" "book")
+            with
+            | Ok (Typed_m.Vacuous msg) ->
+                String.starts_with
+                  ~prefix:(Printf.sprintf "paths %s (sort " (Path.to_string p))
+                  msg
+                && contains msg
+                     (Printf.sprintf " and %s (sort " (Path.to_string q))
+            | _ -> false)
+        | Error _ -> false
+      in
+      named
+      && Interact.unsat_core ~schema:bib cs = ref_unsat_core cs
+      && pinpointed cs = List.sort compare (ref_pinpointed cs))
 
 (* --- satellite: the cache key covers the whole rule table ------------------ *)
 
@@ -420,6 +512,7 @@ let () =
           Alcotest.test_case "two independent clashes, singleton core" `Quick
             test_core_minimality_fixture;
           test_core_minimality_property;
+          test_core_and_pairs_differential;
         ] );
       ( "cache",
         [

@@ -1,18 +1,13 @@
 (* The hash-consed constraint store: unit coverage of the trie /
    union-find / containment machinery, and the soundness property tests
-   the PC7xx analyzer relies on — every [true] from the syntactic
-   pre-filters must be confirmed by the corresponding decision
-   procedure. *)
+   the chase route's pre-filter relies on — every [true] from
+   [implies_syntactic] must be confirmed by a decision procedure. *)
 
 open Testutil
 module Store = Pathlang.Store
 module WU = Core.Word_untyped
 module Chase = Core.Chase
 module Verdict = Core.Verdict
-module Typed_m = Core.Typed_m
-module Mschema = Schema.Mschema
-module Mtype = Schema.Mtype
-module Schema_graph = Schema.Schema_graph
 
 let extent () = Xmlrep.Bib.extent_constraints ()
 
@@ -45,7 +40,6 @@ let prop_hashcons_roundtrip =
 let test_mem () =
   let sigma = extent () in
   let st = Store.of_constraints sigma in
-  check_int "size" (List.length sigma) (Store.size st);
   List.iter
     (fun c -> check_bool (Constr.to_string c) true (Store.mem st c))
     sigma;
@@ -88,16 +82,11 @@ let test_implies_transitive_chain () =
 
 let test_mutual_containment_merges () =
   let st = Store.of_constraints [ c_word "a" "b"; c_word "b" "a" ] in
-  check_bool "same class" true (Store.same_class st (path "a") (path "b"));
   check_bool "both directions" true
     (Store.implies_syntactic st (c_word "b" "a")
     && Store.implies_syntactic st (c_word "a" "b"));
   let stats = Store.stats st in
-  check_bool "at least one merge" true (stats.Store.merges >= 1);
-  check_bool "eclass listed" true
-    (List.exists
-       (fun cls -> List.mem (path "a") cls && List.mem (path "b") cls)
-       (Store.eclasses st))
+  check_bool "at least one merge" true (stats.Store.merges >= 1)
 
 let test_forward_prefix_bucket () =
   let st = Store.of_constraints [ c_fwd "p" "a" "b"; c_fwd "p" "b" "c" ] in
@@ -105,42 +94,6 @@ let test_forward_prefix_bucket () =
     (Store.implies_syntactic st (c_fwd "p" "a" "c"));
   check_bool "other prefix unaffected" false
     (Store.implies_syntactic st (c_fwd "q" "a" "c"))
-
-let test_typed_mode_equalities () =
-  (* under kind M a forward constraint is an endpoint equality, so it
-     implies its own converse *)
-  let st = Store.of_constraints ~typed:true [ c_word "book.ref" "book" ] in
-  check_bool "converse implied (typed)" true
-    (Store.implies_syntactic st (c_word "book" "book.ref"));
-  let st_u = Store.of_constraints [ c_word "book.ref" "book" ] in
-  check_bool "converse not syntactic untyped" false
-    (Store.implies_syntactic st_u (c_word "book" "book.ref"))
-
-let test_typed_backward_translation () =
-  (* backward alpha: beta <- gamma is alpha ~ alpha.beta.gamma *)
-  let st = Store.of_constraints ~typed:true [ c_bwd "book" "ref" "ref" ] in
-  check_bool "book ~ book.ref.ref" true
-    (Store.same_class st (path "book") (path "book.ref.ref"))
-
-let test_find_conflict () =
-  (* force book.year (int) and book.title (string) together *)
-  let schema = Mschema.bib_m in
-  let sigma =
-    [ c_word "book.year" "book.title"; c_word "book.title" "book.year" ]
-  in
-  let st = Store.of_constraints ~typed:true sigma in
-  (match
-     Store.find_conflict st
-       ~key:(fun p -> Schema_graph.type_of_path schema p)
-       ~eq:Mtype.equal
-   with
-  | Some (p, q) ->
-      check_bool "clashing paths differ" false (Path.equal p q)
-  | None -> Alcotest.fail "expected a sort clash");
-  (* sanity: the typed procedure agrees *)
-  match Typed_m.satisfiable schema ~sigma with
-  | Ok b -> check_bool "typed_m agrees unsat" false b
-  | Error e -> Alcotest.failf "typed_m error: %s" e
 
 let test_subsumption_ordering () =
   let sigma =
@@ -254,49 +207,6 @@ let prop_untyped_soundness_vs_chase =
       | Verdict.Refuted _ -> false
       | Verdict.Implied | Verdict.Unknown _ -> true)
 
-let prop_typed_soundness =
-  q ~count:150 "typed implies_syntactic sound vs the cubic typed-M procedure"
-    (QCheck.make
-       QCheck.Gen.(int_bound 1_000_000)
-       ~print:string_of_int)
-    (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let schema = Mschema.bib_m in
-      let sigma =
-        Typed_m.random_constraints ~rng ~schema ~count:4 ~max_len:3
-      in
-      let phi =
-        match Typed_m.random_constraints ~rng ~schema ~count:1 ~max_len:3 with
-        | [ c ] -> c
-        | _ -> QCheck.assume_fail ()
-      in
-      let st = Store.of_constraints ~typed:true sigma in
-      (not (Store.implies_syntactic st phi))
-      ||
-      match Typed_m.implies schema ~sigma ~phi with
-      | Ok b -> b
-      | Error _ -> false)
-
-let prop_conflict_soundness =
-  q ~count:150 "find_conflict sound vs typed-M satisfiability"
-    (QCheck.make
-       QCheck.Gen.(int_bound 1_000_000)
-       ~print:string_of_int)
-    (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let schema = Mschema.bib_m in
-      let sigma =
-        Typed_m.random_constraints ~rng ~schema ~count:5 ~max_len:3
-      in
-      let st = Store.of_constraints ~typed:true sigma in
-      match
-        Store.find_conflict st
-          ~key:(fun p -> Schema_graph.type_of_path schema p)
-          ~eq:Mtype.equal
-      with
-      | None -> true
-      | Some _ -> Typed_m.satisfiable schema ~sigma = Ok false)
-
 (* --- untyped store is conservative: membership of sigma always implied ----- *)
 
 let prop_members_implied =
@@ -304,12 +214,10 @@ let prop_members_implied =
     arb_small_sigma
     (fun sigma ->
       let st = Store.of_constraints sigma in
-      let st_t = Store.of_constraints ~typed:true sigma in
       List.for_all
         (fun c ->
           Store.mem st c
-          && (Constr.kind c = Constr.Backward || Store.implies_syntactic st c)
-          && Store.implies_syntactic st_t c)
+          && (Constr.kind c = Constr.Backward || Store.implies_syntactic st c))
         sigma)
 
 let () =
@@ -333,11 +241,6 @@ let () =
           Alcotest.test_case "mutual containment" `Quick
             test_mutual_containment_merges;
           Alcotest.test_case "prefix buckets" `Quick test_forward_prefix_bucket;
-          Alcotest.test_case "typed equalities" `Quick
-            test_typed_mode_equalities;
-          Alcotest.test_case "typed backward" `Quick
-            test_typed_backward_translation;
-          Alcotest.test_case "find_conflict" `Quick test_find_conflict;
           Alcotest.test_case "subsumption ordering" `Quick
             test_subsumption_ordering;
         ] );
@@ -347,8 +250,6 @@ let () =
           prop_subsuming_member_first;
           prop_word_soundness;
           prop_untyped_soundness_vs_chase;
-          prop_typed_soundness;
-          prop_conflict_soundness;
           prop_members_implied;
         ] );
     ]
