@@ -1,19 +1,15 @@
 (* The constraint-interaction analyzer: the PC7xx family.
 
-   Three whole-set analyses over one parsed constraint set, all driven
-   through the typed-M closure ({!Core.Typed_m}) and the decision router
-   {!Core.Decide}:
+   Three whole-set analyses over one parsed constraint set, driven
+   through {!Core.Typed_m} and the decision router {!Core.Decide}:
 
-   - PC700: a minimal unsatisfiable core of Sigma over the schema,
-     found by deletion-based minimization; every deletion is a keep-set
-     question to one {!Core.Typed_m.subsets} context over Sigma, and
-     [--explain] reads the core's clashing pair from the same context.
-     Under a kind-M schema cores are in fact always singletons —
-     congruence merges propagate only to same-sorted children, so an
-     unsatisfiable set contains a constraint unsatisfiable on its own
-     (DESIGN.md §13) — but the minimizer does not assume this: it
-     isolates one culprit among possibly several independently
-     unsatisfiable constraints.
+   - PC700: a minimal unsatisfiable core of Sigma over the schema.
+     Under a kind-M schema every core is a singleton: congruence merges
+     propagate only to same-sorted children, so Sigma is unsatisfiable
+     iff one member's two sides differ in sort ({!Core.Typed_m.clash},
+     DESIGN.md §13).  The core is the last clashing member in input
+     order, the one deletion-based minimization keeps, and [--explain]
+     names its clashing pair.
 
    - PC701: the implication DAG.  Each constraint entailed by the rest
      of Sigma is reported together with a minimal witnessing antecedent
@@ -48,44 +44,24 @@ let diag ~file ?span code severity msg =
 
 (* --- minimal unsatisfiable core -------------------------------------------- *)
 
-(* Deletion minimization over one subset context: drop each constraint
-   whose removal keeps the set unsatisfiable; what survives is a minimal
-   core.  The context is built only once Sigma is known to be
-   unsatisfiable, so a satisfiable file closes nothing beyond the
-   memoised satisfiability check. *)
-let core_in ?budget ~schema constrs =
-  let sat =
-    Mschema.kind schema <> Mschema.M
-    || Core.Typed_m.satisfiable schema ~sigma:constrs <> Ok false
-  in
-  if sat then None
-  else begin
-    let subsets = Core.Typed_m.subsets schema ~sigma:constrs in
-    let unsat keep =
-      match Core.Typed_m.clash_subset subsets ~keep with
-      | Ok (Some _) -> true
-      | Ok None | Error _ -> false
-    in
-    let budget = Option.value budget ~default:Engine.Budget.default in
-    let clock = Decide.clock budget in
-    let core = ref (List.init (List.length constrs) Fun.id) in
-    let complete = ref true in
-    List.iteri
-      (fun i _ ->
-        if Decide.expired clock then complete := false
-        else begin
-          let without = List.filter (fun j -> j <> i) !core in
-          if List.length without < List.length !core && unsat without then
-            core := without
-        end)
-      constrs;
-    Some (subsets, !core, !complete)
-  end
+(* The last clashing member, with its position and pair.  Deletion
+   minimization in input order drops every member before it (a later
+   clash keeps the rest unsatisfiable) and every member after it (none
+   clashes), so this is the one member it keeps. *)
+let last_clash schema constrs =
+  List.fold_left
+    (fun (i, last) c ->
+      ( i + 1,
+        match Core.Typed_m.clash schema c with
+        | Some pq -> Some (i, pq)
+        | None -> last ))
+    (0, None) constrs
+  |> snd
 
-let unsat_core ?budget ~schema constrs =
-  Option.map
-    (fun (_, core, complete) -> (core, complete))
-    (core_in ?budget ~schema constrs)
+let unsat_core ~schema constrs =
+  match Core.Typed_m.satisfiable schema ~sigma:constrs with
+  | Ok false -> Option.map (fun (i, _) -> [ i ]) (last_clash schema constrs)
+  | Ok true | Error _ -> None
 
 (* The class declarations the typed derivation walks: the sorts at the
    proper prefixes of every root-anchored path of the witness set and
@@ -132,61 +108,30 @@ let pass ~sigma_file ?schema ?budget ?(explain = false) spanned =
     let out = ref [] in
     let add d = out := d :: !out in
     let gave_up = ref 0 in
-    (* (a) PC700: minimal unsatisfiable core, on the subset the typed
-       closure accepts (constraints walking outside Paths(Delta) are
-       vacuity findings, not core candidates) *)
+    (* (a) PC700: the minimal unsatisfiable core (constraints walking
+       outside Paths(Delta) are vacuity findings: [clash] names none) *)
     let unsat =
       match schema with
       | Some s when Mschema.kind s = Mschema.M -> (
-          let clean_idx =
-            List.concat_map
-              (fun (i, (c, _)) ->
-                if Result.is_ok (Schema_graph.check_constraint_paths s c)
-                then [ i ]
-                else [])
-              (List.mapi (fun i x -> (i, x)) spanned)
-          in
-          let clean_constrs = List.map (fun i -> fst arr.(i)) clean_idx in
-          match core_in ~budget ~schema:s clean_constrs with
+          match last_clash s constrs with
           | None -> false
-          | Some (subsets, core, complete) ->
-              let core_orig =
-                List.map (List.nth clean_idx) core
-              in
-              let size = List.length core_orig in
+          | Some (k, (p, q)) ->
               let clash =
                 if not explain then ""
                 else
-                  match Core.Typed_m.clash_subset subsets ~keep:core with
-                  | Ok (Some (p, q)) ->
-                      Printf.sprintf
-                        "; the closure forces %s and %s together across sorts"
-                        (Path.to_string p) (Path.to_string q)
-                  | Ok None | Error _ -> ""
+                  Printf.sprintf
+                    "; the closure forces %s and %s together across sorts"
+                    (Path.to_string p) (Path.to_string q)
               in
-              List.iter
-                (fun i ->
-                  let others =
-                    List.filter (fun j -> j <> i) core_orig
-                  in
-                  let companions =
-                    if others = [] then ""
-                    else
-                      Printf.sprintf
-                        ", with the constraint(s) at line(s) %s"
-                        (join_lines (lines_of spanned others))
-                  in
-                  add
-                    (diag ~file:sigma_file ~span:(snd arr.(i)) "PC700"
-                       Diagnostic.Error
-                       (Printf.sprintf
-                          "member of a minimal unsatisfiable core (%d \
-                           constraint(s)%s): the core is unsatisfiable over \
-                           U(Delta) and dropping any member makes it \
-                           satisfiable%s"
-                          size companions clash)))
-                core_orig;
-              if not complete then incr gave_up;
+              add
+                (diag ~file:sigma_file ~span:(snd arr.(k)) "PC700"
+                   Diagnostic.Error
+                   (Printf.sprintf
+                      "member of a minimal unsatisfiable core (1 \
+                       constraint(s)): the core is unsatisfiable over \
+                       U(Delta) and dropping any member makes it \
+                       satisfiable%s"
+                      clash));
               true)
       | _ -> false
     in

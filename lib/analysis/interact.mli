@@ -2,17 +2,16 @@
 
     A whole-constraint-set static analysis of how the constraints of
     Sigma interact — with each other and with the schema's type
-    constraints — driven through the typed-M closure ({!Core.Typed_m})
-    and the decision router {!Core.Decide}:
+    constraints — driven through {!Core.Typed_m} and the decision router
+    {!Core.Decide}:
 
-    - [PC700] (error): each member of a {e minimal unsatisfiable core}
-      of Sigma over a kind-M schema, found by deletion-based
-      minimization; the core is unsatisfiable and every proper subset
-      of it is satisfiable (Sigma may still contain further independent
-      cores, surfaced once this one is fixed).  Under
-      kind M cores are always singletons (DESIGN.md §13), so this
-      isolates one culprit per run among possibly several independently
-      unsatisfiable constraints.
+    - [PC700] (error): the member of a {e minimal unsatisfiable core}
+      of Sigma over a kind-M schema.  Under kind M every core is a
+      singleton, one constraint whose two sides differ in sort
+      ({!Core.Typed_m.clash}, DESIGN.md §13); the core reported is the
+      last such member in input order, the one deletion-based
+      minimization keeps.  Sigma may contain further independent cores,
+      surfaced once this one is fixed.
     - [PC701] (warning): a constraint entailed by the rest of Sigma,
       with a {e minimal witnessing antecedent subset} — the incoming
       edges of the constraint in the implication DAG.
@@ -30,19 +29,14 @@
     --interact], [pathctl interact], or [[passes] interact = true]. *)
 
 val unsat_core :
-  ?budget:Core.Engine.Budget.t ->
-  schema:Schema.Mschema.t ->
-  Pathlang.Constr.t list ->
-  (int list * bool) option
-(** [Some (indices, complete)] when Sigma is unsatisfiable over the
-    kind-M schema: the 0-based indices of a minimal unsatisfiable core
-    (deletion-minimized, each test a keep-set question to one
-    {!Core.Typed_m.subsets} context built once Sigma is known to be
-    unsatisfiable), and whether minimization finished within the
-    budget ([false] = the surviving set may not be minimal yet).
-    [None] when Sigma is satisfiable, the schema is not of kind M, or
-    some constraint walks outside [Paths(Delta)].  Exposed for the
-    bench's core-extraction cell and the minimality property tests. *)
+  schema:Schema.Mschema.t -> Pathlang.Constr.t list -> int list option
+(** [Some indices] when Sigma is unsatisfiable over the kind-M schema:
+    the 0-based indices of a minimal unsatisfiable core, the last member
+    that {!Core.Typed_m.clash}es, alone.  It is one sort check per
+    constraint.  [None] when Sigma is satisfiable, the schema is not of
+    kind M, or some constraint walks outside [Paths(Delta)].  Exposed
+    for the bench's core-extraction cell and the minimality property
+    tests. *)
 
 val pass :
   sigma_file:string ->

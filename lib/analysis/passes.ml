@@ -156,76 +156,29 @@ let redundancy ~sigma_file ?schema ?(budget = Engine.Budget.default) sigma =
 
 (* --- inconsistency --------------------------------------------------------- *)
 
-let pairwise_cap = 50
-
 let inconsistency ~sigma_file ~schema sigma =
   if Mschema.kind schema <> Mschema.M then []
-  else begin
+  else
     (* constraints with paths outside Paths(Delta) are vacuity findings;
-       the typed closure rejects them, so analyze the clean remainder *)
-    let clean =
+       [clash] names none of them.  Sigma is unsatisfiable iff one of its
+       members is (DESIGN.md §13). *)
+    match
       List.filter
-        (fun (c, _) ->
-          Result.is_ok (Schema_graph.check_constraint_paths schema c))
+        (fun (c, _) -> Option.is_some (Core.Typed_m.clash schema c))
         sigma
-    in
-    let constrs = List.map fst clean in
-    match Core.Typed_m.satisfiable schema ~sigma:constrs with
-    | Ok true | Error _ -> []
-    | Ok false ->
-        let n = List.length clean in
-        let summary =
-          diag ~file:sigma_file "PC400" Diagnostic.Error
-            (Printf.sprintf
-               "Sigma is unsatisfiable over U(Delta): the congruence closure \
-                forces two paths of different sorts together; every \
-                implication from it holds vacuously%s"
-               (if n > pairwise_cap then
-                  " (too many constraints to isolate a contradictory pair)"
-                else ""))
-        in
-        let pinpointed =
-          if n > pairwise_cap then []
-          else begin
-            (* one subset context answers every single and pair *)
-            let subsets = Core.Typed_m.subsets schema ~sigma:constrs in
-            let sat keep =
-              match Core.Typed_m.clash_subset subsets ~keep with
-              | Ok (Some _) -> false
-              | Ok None | Error _ -> true
-            in
-            let found = ref [] in
-            let arr = Array.of_list clean in
-            for i = 0 to n - 1 do
-              let ci, _ = arr.(i) in
-              if not (sat [ i ]) then
-                found :=
-                  diag ~file:sigma_file
-                    ~span:(snd arr.(i))
-                    "PC401" Diagnostic.Error
-                    "unsatisfiable on its own: it forces two paths of \
-                     different sorts to meet"
-                  :: !found
-              else
-                for j = i + 1 to n - 1 do
-                  let _, spanj = arr.(j) in
-                  if sat [ j ] && not (sat [ i; j ]) then
-                    found :=
-                      diag ~file:sigma_file ~span:spanj "PC401"
-                        Diagnostic.Error
-                        (Printf.sprintf
-                           "contradicts the constraint at line %d (%s): no \
-                            structure in U(Delta) satisfies both"
-                           (snd arr.(i)).Pathlang.Span.line
-                           (Constr.to_string ci))
-                      :: !found
-                done
-            done;
-            List.rev !found
-          end
-        in
-        summary :: pinpointed
-  end
+    with
+    | [] -> []
+    | clashing ->
+        diag ~file:sigma_file "PC400" Diagnostic.Error
+          "Sigma is unsatisfiable over U(Delta): the congruence closure \
+           forces two paths of different sorts together; every implication \
+           from it holds vacuously"
+        :: List.map
+             (fun (_, span) ->
+               diag ~file:sigma_file ~span "PC401" Diagnostic.Error
+                 "unsatisfiable on its own: it forces two paths of different \
+                  sorts to meet")
+             clashing
 
 (* --- hygiene --------------------------------------------------------------- *)
 

@@ -52,10 +52,13 @@ val redundancy :
 val inconsistency :
   sigma_file:string -> schema:Schema.Mschema.t -> spanned -> Diagnostic.t list
 (** Over a kind-M schema: [PC400] when Sigma is unsatisfiable over
-    [U(Delta)] (decided by the typed congruence closure), plus [PC401]
-    naming directly contradictory pairs (and singletons unsatisfiable on
-    their own).  Empty for M+ schemas (satisfiability is not decided
-    there); pure path constraints are always satisfiable untyped. *)
+    [U(Delta)], plus one [PC401] per constraint unsatisfiable on its
+    own.  Under M those are the same question: Sigma is unsatisfiable
+    iff a member's two sides differ in sort ({!Core.Typed_m.clash}), so
+    the pass is one sort check per constraint and builds no closure.
+    Constraints walking outside [Paths(Delta)] are left to the vacuity
+    pass.  Empty for M+ schemas (satisfiability is not decided there);
+    pure path constraints are always satisfiable untyped. *)
 
 val hygiene :
   sigma_file:string ->

@@ -51,12 +51,21 @@ type state = {
   mutable clock : int;
 }
 
-(* Two paths of different sorts forced into one class.  Sorts are uniform
-   within a class, so [p_sort]/[q_sort] are also the sorts of the two
-   classes being merged. *)
+(* A constraint whose two sides have different sorts.  Under M every
+   class of the closure has one sort (DESIGN.md §13): a congruence
+   merges the [l]-children of two classes of one sort [tau], and both
+   have sort [tau.l].  So Sigma forces two sorts together iff one of its
+   members does, and this lookup is the whole satisfiability check. *)
 type clash = { p : Path.t; p_sort : Mtype.t; q : Path.t; q_sort : Mtype.t }
 
-exception Clash of clash
+let sort_clash schema c =
+  let p, q = to_word_equality c in
+  match (SG.type_of_path schema p, SG.type_of_path schema q) with
+  | Some p_sort, Some q_sort when not (Mtype.equal p_sort q_sort) ->
+      Some { p; p_sort; q; q_sort }
+  | _ -> None
+
+let clash schema c = Option.map (fun k -> (k.p, k.q)) (sort_clash schema c)
 
 let clash_message c =
   Format.asprintf "paths %a (sort %s) and %a (sort %s) are forced equal"
@@ -93,15 +102,8 @@ let rec union st a b reason =
     (match reason with
     | By_congruence _ -> Obs.Counter.incr c_congruences
     | By_input _ -> ());
-    if not (Mtype.equal st.sorts.(ra) st.sorts.(rb)) then
-      raise
-        (Clash
-           {
-             p = st.paths.(a);
-             p_sort = st.sorts.(ra);
-             q = st.paths.(b);
-             q_sort = st.sorts.(rb);
-           });
+    (* callers union no clashing input, and congruences keep sorts *)
+    assert (Mtype.equal st.sorts.(ra) st.sorts.(rb));
     if st.certify then forest_add st a b reason;
     let big, small = if st.rank.(ra) >= st.rank.(rb) then (ra, rb) else (rb, ra) in
     st.parent.(small) <- big;
@@ -356,11 +358,7 @@ let path_error c rho =
   Format.asprintf "constraint %a mentions %a, not in Paths(Delta)" Constr.pp c
     Path.pp rho
 
-(* Validate Sigma, then materialize (span [typed_m.closure]) the prefix
-   closure of its endpoint pairs and hand [f] the state with each
-   input's pair of nodes.  The empty path is always materialized so that
-   the root class exists even for empty inputs. *)
-let with_universe ?certify schema ~sigma f =
+let validate schema ~sigma =
   if Mschema.kind schema <> Mschema.M then
     Error "Typed_m: schema is not of kind M"
   else
@@ -373,35 +371,43 @@ let with_universe ?certify schema ~sigma f =
         sigma
     with
     | Some e -> Error e
-    | None ->
-        let inputs =
-          List.map (fun c -> (to_word_equality c, input_derivation c)) sigma
-        in
-        Obs.Span.with_ "typed_m.closure"
-          ~args:[ ("sigma", string_of_int (List.length sigma)) ]
-          (fun () ->
-            let st =
-              build_state ?certify schema
-                (Path.empty
-                :: List.concat_map (fun ((u, v), _) -> [ u; v ]) inputs)
-            in
-            Obs.Counter.add c_classes (Array.length st.paths);
-            Ok
-              (f st
-                 (List.map
-                    (fun ((u, v), d) -> (node st u, node st v, By_input d))
-                    inputs)))
+    | None -> Ok ()
 
-(* Validate, convert, materialize, saturate: everything that depends on
-   Sigma alone.  The closed state is compressed and then only read. *)
+(* Materialize (span [typed_m.closure]) the prefix closure of a valid
+   Sigma's endpoint pairs: the unmerged state and each input's pair of
+   nodes.  The empty path is always materialized so that the root class
+   exists even for empty inputs. *)
+let universe ?certify schema ~sigma =
+  let inputs =
+    List.map (fun c -> (to_word_equality c, input_derivation c)) sigma
+  in
+  Obs.Span.with_ "typed_m.closure"
+    ~args:[ ("sigma", string_of_int (List.length sigma)) ]
+    (fun () ->
+      let st =
+        build_state ?certify schema
+          (Path.empty :: List.concat_map (fun ((u, v), _) -> [ u; v ]) inputs)
+      in
+      Obs.Counter.add c_classes (Array.length st.paths);
+      ( st,
+        List.map (fun ((u, v), d) -> (node st u, node st v, By_input d)) inputs
+      ))
+
+(* Validate, check sorts, convert, materialize, saturate: everything
+   that depends on Sigma alone.  A clashing Sigma closes nothing; the
+   closed state is compressed and then only read. *)
 let context schema ~sigma =
   let closure =
-    with_universe schema ~sigma (fun st inputs ->
-        match List.iter (fun (u, v, r) -> union st u v r) inputs with
-        | () ->
+    Result.map
+      (fun () ->
+        match List.find_map (sort_clash schema) sigma with
+        | Some c -> Clashed (clash_message c)
+        | None ->
+            let st, inputs = universe schema ~sigma in
+            List.iter (fun (u, v, r) -> union st u v r) inputs;
             compress st;
-            Closed { st; base = Atomic.make None }
-        | exception Clash c -> Clashed (clash_message c))
+            Closed { st; base = Atomic.make None })
+      (validate schema ~sigma)
   in
   { schema; closure }
 
@@ -526,30 +532,30 @@ type answer = Entailed | Not_entailed | Unsatisfiable
 
 type subsets = {
   sub_schema : Mschema.t;
-  universe : (state * (int * int * reason) array, string) result;
-      (** Sigma's prefix closure, unmerged, and each input's node pair *)
+  universe : (state * (int * int * reason) array * bool array, string) result;
+      (** Sigma's prefix closure, unmerged, each input's node pair, and
+          whether each input clashes *)
 }
 
 let subsets schema ~sigma =
   {
     sub_schema = schema;
     universe =
-      with_universe ~certify:false schema ~sigma (fun st inputs ->
-          (st, Array.of_list inputs));
+      Result.map
+        (fun () ->
+          let st, inputs = universe ~certify:false schema ~sigma in
+          ( st,
+            Array.of_list inputs,
+            Array.of_list
+              (List.map (fun c -> Option.is_some (sort_clash schema c)) sigma)
+          ))
+        (validate schema ~sigma);
   }
 
-(* A copy of the universe's union-find, closed under the kept inputs in
-   ascending position order (a repeated input merges nothing).  Closing
-   is order-independent (one least congruence, clash or not), but the
-   clash raised is the first one met, so this order names the pair a
-   fresh closure of the kept sublist names.  Callers mostly pass keep
-   lists in ascending order already, which are not copied. *)
-let close (base, inputs) keep =
-  let rec ascending = function
-    | a :: (b :: _ as rest) -> a <= b && ascending rest
-    | _ -> true
-  in
-  let keep = if ascending keep then keep else List.sort Int.compare keep in
+(* A copy of the universe's union-find, closed under the kept inputs,
+   none of which clashes (a repeated input merges nothing).  Closing is
+   order-independent: the least congruence is unique. *)
+let close base inputs keep =
   let st =
     {
       base with
@@ -568,34 +574,26 @@ let close (base, inputs) keep =
 let implies_subset ss ~keep ~phi =
   match ss.universe with
   | Error _ as e -> e
-  | Ok universe -> (
+  | Ok (base, inputs, clashes) -> (
       match SG.check_constraint_paths ss.sub_schema phi with
       | Error rho -> Error (path_error phi rho)
       | Ok () ->
           Obs.Span.with_ "typed_m.decide" (fun () ->
-              match close universe keep with
-              | exception Clash _ -> Ok Unsatisfiable
-              | st ->
-                  let s_path, t_path = to_word_equality phi in
-                  let st = extend ss.sub_schema st [ s_path; t_path ] in
-                  Ok
-                    (if find st (node st s_path) = find st (node st t_path)
-                     then Entailed
-                     else Not_entailed)))
-
-let clash_subset ss ~keep =
-  Result.map
-    (fun universe ->
-      match close universe keep with
-      | exception Clash c -> Some (c.p, c.q)
-      | _ -> None)
-    ss.universe
+              if List.exists (fun i -> clashes.(i)) keep then Ok Unsatisfiable
+              else
+                let st = close base inputs keep in
+                let s_path, t_path = to_word_equality phi in
+                let st = extend ss.sub_schema st [ s_path; t_path ] in
+                Ok
+                  (if find st (node st s_path) = find st (node st t_path) then
+                     Entailed
+                   else Not_entailed)))
 
 let satisfiable schema ~sigma =
-  match (memo_context schema ~sigma).closure with
-  | Error e -> Error e
-  | Ok (Clashed _) -> Ok false
-  | Ok (Closed _) -> Ok true
+  Result.map
+    (fun () ->
+      List.for_all (fun c -> Option.is_none (sort_clash schema c)) sigma)
+    (validate schema ~sigma)
 
 let equivalence_classes schema ~sigma ~max_len =
   match (memo_context schema ~sigma).closure with

@@ -44,6 +44,18 @@ val to_word_equality : Pathlang.Constr.t -> Pathlang.Path.t * Pathlang.Path.t
 (** The Lemma 4.7/4.8 translation: the pair of root-anchored paths whose
     endpoint equality is equivalent to the constraint over [U(Delta)]. *)
 
+val clash :
+  Schema.Mschema.t ->
+  Pathlang.Constr.t ->
+  (Pathlang.Path.t * Pathlang.Path.t) option
+(** [clash schema c] is [Some (p, q)], the pair {!to_word_equality}
+    gives, when [p] and [q] have different sorts: [c] is unsatisfiable
+    over [U(Delta)] on its own.  [None] when the sorts agree (or a side
+    is outside [Paths(Delta)], which validation reports).  Under M every
+    class of the congruence closure has one sort, so a [Sigma] is
+    unsatisfiable iff one of its members clashes (DESIGN.md §13): this
+    is the whole satisfiability check of this module. *)
+
 val decide :
   Schema.Mschema.t ->
   sigma:Pathlang.Constr.t list ->
@@ -53,8 +65,8 @@ val decide :
     mentions a path outside [Paths(Delta)] (the offending path is
     named).  [decide] keeps the {!context} of the last (schema, [Sigma])
     it saw (one per domain, see {!Memo}), as do {!implies},
-    {!satisfiable}, {!equivalence_classes} and {!canonical_model}: a run
-    of goals against one [Sigma] closes it once. *)
+    {!equivalence_classes} and {!canonical_model}: a run of goals
+    against one [Sigma] closes it once. *)
 
 (** {2 Decision contexts} *)
 
@@ -80,8 +92,10 @@ type context
     context per domain. *)
 
 val context : Schema.Mschema.t -> sigma:Pathlang.Constr.t list -> context
-(** Builds a context, always (span [typed_m.closure]); {!decide}
-    reuses one. *)
+(** Builds a context, always; {!decide} reuses one.  A [Sigma] with a
+    {!clash} keeps the first clashing member's pair (in input order) as
+    its [Vacuous] message and closes nothing; any other valid [Sigma] is
+    closed (span [typed_m.closure]). *)
 
 val decide_in : context -> phi:Pathlang.Constr.t -> (outcome, string) result
 (** [decide_in ctx ~phi] is [decide schema ~sigma ~phi] for the schema
@@ -90,11 +104,13 @@ val decide_in : context -> phi:Pathlang.Constr.t -> (outcome, string) result
 (** {2 Subset contexts}
 
     Leave-one-out analyses ask "[S |= phi]" for many subsets [S] of one
-    [Sigma].  A subset context validates [Sigma] and materializes the
-    prefix closure, sorts and successor maps of all its paths once (span
-    [typed_m.closure]).  Each question copies the unmerged union-find,
-    closes it under the kept inputs only and extends it with [phi]'s
-    paths; it builds no certificate and no countermodel. *)
+    [Sigma].  A subset context validates [Sigma], records which inputs
+    {!clash}, and materializes the prefix closure, sorts and successor
+    maps of all its paths once (span [typed_m.closure]).  A question
+    keeping a clashing input answers [Unsatisfiable] at once; any other
+    copies the unmerged union-find, closes it under the kept inputs only
+    and extends it with [phi]'s paths.  It builds no certificate and no
+    countermodel. *)
 
 type subsets
 
@@ -103,7 +119,8 @@ val subsets : Schema.Mschema.t -> sigma:Pathlang.Constr.t list -> subsets
 type answer =
   | Entailed  (** [decide] would answer [Implied _] *)
   | Not_entailed  (** [decide] would answer [Not_implied _] *)
-  | Unsatisfiable  (** the kept inputs clash: [decide]'s [Vacuous _] *)
+  | Unsatisfiable
+      (** a kept input {!clash}es: [decide]'s [Vacuous _] *)
 
 val implies_subset :
   subsets -> keep:int list -> phi:Pathlang.Constr.t -> (answer, string) result
@@ -112,18 +129,6 @@ val implies_subset :
     [keep] (in any order; a repeated position changes nothing), with the
     same [Error]s.  Raises [Invalid_argument] on a position outside
     [Sigma]. *)
-
-val clash_subset :
-  subsets ->
-  keep:int list ->
-  ((Pathlang.Path.t * Pathlang.Path.t) option, string) result
-(** [clash_subset ss ~keep] is [Some (p, q)] when the members of [Sigma]
-    at the positions [keep] are unsatisfiable over [U(Delta)]: the
-    closure forces [p] and [q], of different sorts, together.  The kept
-    inputs are closed in ascending position order, so [(p, q)] is the
-    pair that [decide] on the kept sublist names in its [Vacuous _]
-    message.  [None] when the kept members are satisfiable; [Error] as
-    for {!implies_subset}. *)
 
 val implies :
   Schema.Mschema.t ->
@@ -135,9 +140,10 @@ val implies :
 val satisfiable :
   Schema.Mschema.t -> sigma:Pathlang.Constr.t list -> (bool, string) result
 (** Whether some structure of [U(Delta)] satisfies [Sigma]: false
-    exactly when the congruence closure forces two paths of different
-    sorts together (the [Vacuous] case).  Over M this is decidable by
-    the same closure; a positive answer is witnessed by a finite model
+    exactly when a member {!clash}es (the [Vacuous] case), with the
+    same [Error]s as {!decide}.  It validates [Sigma] and looks up two
+    sorts per member; it builds no closure and no context.  A positive
+    answer is witnessed by a finite model, the {!canonical_model}
     (tested), so satisfiability and finite satisfiability coincide. *)
 
 val equivalence_classes :

@@ -16,10 +16,6 @@ let is_implied = function Implied -> true | Refuted _ | Unknown _ -> false
 let is_refuted = function Refuted _ -> true | Implied | Unknown _ -> false
 let is_unknown = function Unknown _ -> true | Implied | Refuted _ -> false
 
-let unknown_reason = function
-  | Unknown e -> Some e.reason
-  | Implied | Refuted _ -> None
-
 let elapsed_s e = Int64.to_float e.elapsed_ns /. 1e9
 
 let reason_keyword = function

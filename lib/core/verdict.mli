@@ -44,9 +44,6 @@ val is_implied : t -> bool
 val is_refuted : t -> bool
 val is_unknown : t -> bool
 
-val unknown_reason : t -> reason option
-(** [Some r] iff the verdict is [Unknown] with reason [r]. *)
-
 val elapsed_s : exhaustion -> float
 (** Elapsed wall-clock time in seconds. *)
 

@@ -29,7 +29,6 @@ let of_strings ~gens ~relations =
 
 let gens p = p.gens
 let relations p = p.relations
-let valid_word p = valid_word_in p.gens
 
 let parse src =
   let lines = String.split_on_char '\n' src in

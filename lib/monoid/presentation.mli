@@ -44,7 +44,4 @@ val parse : string -> (t, string) result
 val print : t -> string
 (** Renders in the {!parse} syntax. *)
 
-val valid_word : t -> Pathlang.Path.t -> bool
-(** The word only uses the presentation's generators. *)
-
 val pp : Format.formatter -> t -> unit

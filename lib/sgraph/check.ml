@@ -47,4 +47,3 @@ let holds g c =
   | exception Exit -> false
 
 let holds_all g cs = List.for_all (holds g) cs
-let first_violated g cs = List.find_opt (fun c -> not (holds g c)) cs

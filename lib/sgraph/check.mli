@@ -21,6 +21,3 @@ val first_violation :
     reference chase calls it, and {!Violations.first} answers the same
     pair from its index, so the two engines' repair sequences
     coincide. *)
-
-val first_violated :
-  Graph.t -> Pathlang.Constr.t list -> Pathlang.Constr.t option

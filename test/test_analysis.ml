@@ -265,6 +265,42 @@ let test_golden_contradictory_text () =
   in
   Alcotest.(check string) "golden text report" expected out
 
+(* Past 50 constraints PC401 still pinpoints the clashing member, and
+   PC400 carries no "too many constraints" suffix: the check is one sort
+   lookup per constraint. *)
+let test_inconsistency_past_50 () =
+  let p =
+    write_temp ".constraints"
+      (String.concat ""
+         (List.init 60 (fun i ->
+              if i = 30 then "book.title -> book.year\n"
+              else
+                Printf.sprintf "book%s -> book\n"
+                  (String.concat "" (List.init (i + 1) (fun _ -> ".ref"))))))
+  in
+  let code, out =
+    run
+      (Printf.sprintf "lint -s %s --schema %s" (Filename.quote p)
+         (Filename.quote (fixture "lint.schema")))
+  in
+  Sys.remove p;
+  Alcotest.(check int) "exit 1 (errors fired)" 1 code;
+  let expected =
+    p
+    ^ ": info[PC100] classified: fragment P_w under schema of kind M: \
+       decidable (Theorem 4.2); applicable procedure: cubic certified \
+       procedure (pathctl implies-typed)\n"
+    ^ p
+    ^ ": error[PC400] Sigma is unsatisfiable over U(Delta): the congruence \
+       closure forces two paths of different sorts together; every \
+       implication from it holds vacuously\n"
+    ^ p
+    ^ ":31:1: error[PC401] unsatisfiable on its own: it forces two paths of \
+       different sorts to meet\n"
+    ^ "2 error(s), 0 warning(s), 1 info, 0 hint(s)\n"
+  in
+  Alcotest.(check string) "60 constraints, one clash at line 31" expected out
+
 let test_vacuity_codes () =
   let p = fixture "vacuous.constraints" in
   let s = fixture "lint.schema" in
@@ -946,6 +982,8 @@ let () =
             test_golden_redundant_json;
           Alcotest.test_case "contradictory fixture, text" `Quick
             test_golden_contradictory_text;
+          Alcotest.test_case "PC400 and PC401 past 50 constraints" `Quick
+            test_inconsistency_past_50;
           Alcotest.test_case "vacuous fixture codes" `Quick test_vacuity_codes;
           Alcotest.test_case "duplicates fixture codes" `Quick
             test_duplicates_codes;

@@ -186,7 +186,7 @@ let example_parsers =
         "lint/suppressed.constraints"; "lint/undecidable.constraints";
         "lint/vacuous.constraints";
       ],
-      (17411, "fc8e8dfc7cbd766259d2ad711e3830bc"),
+      (17401, "9e2a96508862cc9f6316d237be3a2331"),
       fun s -> err (Pathlang.Parser.document_of_string s) );
     ( "Schema_parser.of_string_spanned",
       [ "bibliography.schema"; "lint/lint.schema"; "lint/mplus.schema" ],

@@ -54,8 +54,10 @@ let constraints_of_string s =
   | Ok cs -> cs
   | Error e -> Alcotest.failf "constraint fixture does not parse: %s" e
 
+(* A fresh closure: the naive congruence fixpoint that checks sorts on
+   every merge. *)
 let satisfiable schema sigma =
-  match Typed_m.satisfiable schema ~sigma with Ok b -> b | Error _ -> true
+  Option.is_some (Oracle.Countermodel_reference.canonical_model schema ~sigma)
 
 (* --- golden CLI output on the shipped fixtures --------------------------- *)
 
@@ -256,16 +258,15 @@ let test_family_severity_override () =
 let bib = Mschema.bib_m
 
 let test_core_minimality_fixture () =
-  (* both constraints are independently unsatisfiable; the minimizer
-     must isolate exactly one of them *)
+  (* both constraints are independently unsatisfiable; the core must
+     be exactly one of them, the last (the one a deletion loop keeps) *)
   let cs =
     constraints_of_string "book.title -> book.year\nbook.ref -> book.author"
   in
   match Interact.unsat_core ~schema:bib cs with
   | None -> Alcotest.fail "expected an unsatisfiable core"
-  | Some (core, complete) ->
-      Alcotest.(check bool) "minimization finished" true complete;
-      Alcotest.(check int) "singleton core" 1 (List.length core);
+  | Some core ->
+      Alcotest.(check (list int)) "the last clashing member" [ 1 ] core;
       let kept = List.map (List.nth cs) core in
       Alcotest.(check bool) "the core itself is unsat" false
         (satisfiable bib kept);
@@ -317,8 +318,7 @@ let test_core_minimality_property =
       let _, cs = planted seed in
       match Interact.unsat_core ~schema:bib cs with
       | None -> satisfiable bib cs
-      | Some (_, false) -> QCheck.assume_fail ()
-      | Some (core, true) ->
+      | Some core ->
           let kept = List.map (List.nth cs) core in
           (not (satisfiable bib kept))
           && List.for_all
@@ -347,7 +347,7 @@ let ref_unsat_core cs =
         (List.init (List.length cs) Fun.id)
         (List.init (List.length cs) Fun.id)
     in
-    Some (core, true)
+    Some core
 
 (* PC401's singles and pairs, each pair (i, j) with i < j, by fresh
    closures; a single is (i, i). *)
@@ -394,17 +394,14 @@ let test_core_and_pairs_differential =
         List.filter (fun _ -> Random.State.bool rng)
           (List.init (List.length cs) Fun.id)
       in
-      (* a subset question names the pair a fresh closure names *)
+      (* the first clashing kept member's pair is the pair a fresh
+         decision names *)
+      let kept = sublist cs keep in
       let named =
-        match
-          Typed_m.clash_subset (Typed_m.subsets bib ~sigma:cs) ~keep
-        with
-        | Ok None -> satisfiable bib (sublist cs keep)
-        | Ok (Some (p, q)) -> (
-            match
-              Typed_m.decide bib ~sigma:(sublist cs keep)
-                ~phi:(c_word "book" "book")
-            with
+        match List.find_map (Typed_m.clash bib) kept with
+        | None -> satisfiable bib kept
+        | Some (p, q) -> (
+            match Typed_m.decide bib ~sigma:kept ~phi:(c_word "book" "book") with
             | Ok (Typed_m.Vacuous msg) ->
                 String.starts_with
                   ~prefix:(Printf.sprintf "paths %s (sort " (Path.to_string p))
@@ -412,11 +409,38 @@ let test_core_and_pairs_differential =
                 && contains msg
                      (Printf.sprintf " and %s (sort " (Path.to_string q))
             | _ -> false)
-        | Error _ -> false
       in
       named
       && Interact.unsat_core ~schema:bib cs = ref_unsat_core cs
       && pinpointed cs = List.sort compare (ref_pinpointed cs))
+
+(* --- closures per lint run --------------------------------------------------- *)
+
+(* The [typed_m.closure] span count of [lint --interact --stats text]:
+   satisfiability is a sort check per constraint and closes nothing, so
+   an unsatisfiable file closes nothing at all and a satisfiable one
+   builds the redundancy pass's and the interact pass's subset
+   contexts. *)
+let test_closure_count () =
+  let closures f =
+    let _, out =
+      run
+        (Printf.sprintf "lint -s %s --schema %s --interact --stats text"
+           (Filename.quote (fixture f))
+           (Filename.quote (fixture "lint.schema")))
+    in
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l |> List.filter (( <> ) "") with
+        | "typed_m.closure" :: n :: _ -> int_of_string_opt n
+        | _ -> None)
+      (String.split_on_char '\n' out)
+    |> Option.value ~default:0
+  in
+  Alcotest.(check int) "unsatisfiable: no closure" 0
+    (closures "core.constraints");
+  Alcotest.(check int) "satisfiable: two subset contexts" 2
+    (closures "interaction.constraints")
 
 (* --- satellite: the cache key covers the whole rule table ------------------ *)
 
@@ -513,6 +537,11 @@ let () =
             test_core_minimality_fixture;
           test_core_minimality_property;
           test_core_and_pairs_differential;
+        ] );
+      ( "closures",
+        [
+          Alcotest.test_case "lint --interact closes only subset contexts"
+            `Quick test_closure_count;
         ] );
       ( "cache",
         [

@@ -455,6 +455,81 @@ let prop_random_schema_outcomes =
           && not (Check.holds t.Typecheck.graph phi)
       | Ok (TM.Vacuous _) -> true)
 
+(* --- satisfiability is one sort check per constraint ------------------------------- *)
+
+(* A random M schema and a Sigma that mixes [random_constraints] (whose
+   two sides always share a sort) with word constraints between
+   arbitrary paths of Paths(Delta): half of those pairs are resampled
+   towards one sort, the rest differ in sort as often as chance has it,
+   so Sigma clashes about as often as not, and same-sort pairs the
+   structured generator never makes drive the congruence. *)
+let mixed_sigma seed =
+  let rng = Random.State.make [| seed |] in
+  let schema =
+    Mschema.random_m ~rng ~classes:(2 + (seed mod 4)) ~fields:(1 + (seed mod 3))
+      ~atoms:(1 + (seed mod 2))
+  in
+  let sort p = Option.get (SG.type_of_path schema p) in
+  let rec walk tau acc k =
+    match SG.out_edges schema tau with
+    | es when k > 0 && es <> [] ->
+        let l, tau' = List.nth es (Random.State.int rng (List.length es)) in
+        walk tau' (l :: acc) (k - 1)
+    | _ -> Path.of_labels (List.rev acc)
+  in
+  let path () = walk (Mschema.dbtype schema) [] (Random.State.int rng 5) in
+  let word () =
+    let p = path () in
+    let rec same_sort k =
+      let q = path () in
+      if k = 0 || Mtype.equal (sort p) (sort q) then q else same_sort (k - 1)
+    in
+    let q = if Random.State.bool rng then same_sort 20 else path () in
+    Constr.word ~lhs:p ~rhs:q
+  in
+  let base =
+    TM.random_constraints ~rng ~schema ~count:(Random.State.int rng 5) ~max_len:3
+  in
+  let sigma =
+    List.fold_left
+      (fun acc c ->
+        let i = Random.State.int rng (List.length acc + 1) in
+        List.filteri (fun j _ -> j < i) acc
+        @ [ c ]
+        @ List.filteri (fun j _ -> j >= i) acc)
+      base
+      (List.init (1 + Random.State.int rng 3) (fun _ -> word ()))
+  in
+  (schema, sigma)
+
+let prop_satisfiable_vs_reference =
+  q ~count:1000 "satisfiable = the naive fixpoint, planted mismatches"
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000) ~print:string_of_int)
+    (fun seed ->
+      let schema, sigma = mixed_sigma seed in
+      match
+        (TM.satisfiable schema ~sigma, Reference.canonical_model schema ~sigma)
+      with
+      | Ok false, None -> true
+      | Ok true, Some o ->
+          (* the closure behind the model unions no two sorts *)
+          Reference.reachable_isomorphic
+            (Result.get_ok (TM.canonical_model schema ~sigma))
+            o
+      | _ -> false)
+
+let test_mixed_sigma_plants_mismatches () =
+  let unsat =
+    List.length
+      (List.filter
+         (fun seed ->
+           let schema, sigma = mixed_sigma seed in
+           TM.satisfiable schema ~sigma = Ok false)
+         (List.init 200 Fun.id))
+  in
+  if unsat < 50 || unsat > 150 then
+    Alcotest.failf "%d of 200 mixed Sigma are unsatisfiable" unsat
+
 let () =
   Alcotest.run "typed-m"
     [
@@ -498,6 +573,9 @@ let () =
           Alcotest.test_case "equivalence classes" `Quick
             test_equivalence_classes;
           Alcotest.test_case "canonical model" `Quick test_canonical_model;
+          Alcotest.test_case "mixed Sigma plants mismatches" `Quick
+            test_mixed_sigma_plants_mismatches;
+          prop_satisfiable_vs_reference;
         ] );
       ( "random",
         [
