@@ -293,8 +293,8 @@ let implies_cmd =
     match (load_constraints sigma_file, parse_constraint phi) with
     | Error m, _ | _, Error m -> die "%s" m
     | Ok sigma, Ok phi -> (
-        match Core.Word_untyped.implies ~sigma phi with
-        | Ok b ->
+        match Core.Decide.word ~sigma phi with
+        | Ok (Some b) ->
             Printf.printf "%b\n" b;
             if b && proof then (
               match Core.Word_untyped.derivation ~sigma phi with
@@ -302,13 +302,26 @@ let implies_cmd =
               | Ok (Error m) -> Printf.printf "(no certificate: %s)\n" m
               | Error _ -> ());
             `Ok ()
+        | Ok None ->
+            Printf.printf "unknown: %s\n" Core.Word_untyped.no_derivation;
+            `Ok ()
         | Error e -> not_word e)
   in
   Cmd.v
     (Cmd.info "implies"
        ~doc:
          "Decide word constraint implication on semistructured data (PTIME, \
-          implication = finite implication)")
+          implication = finite implication)"
+       ~man:
+         [
+           `S Manpage.s_description;
+           `P
+             "Prints $(b,true) or $(b,false).  The word rules are complete \
+              only without eps conclusions: when Sigma or the goal has one \
+              and no derivation exists, it prints $(b,unknown) and the \
+              reason (exit 0, as for $(b,false)); $(b,pathctl chase) gives \
+              sound verdicts there.";
+         ])
     Term.(ret (const run $ sigma_arg $ phi_arg $ proof_arg))
 
 (* --- implies-local -------------------------------------------------------- *)

@@ -20,15 +20,10 @@ val version : int
 (** Bumped whenever the entry format or diagnostic semantics change;
     part of every key, so stale stores depopulate themselves. *)
 
-val fingerprint_of_rules :
-  (string * Diagnostic.severity * string) list -> string
-(** Fingerprint of a rule table: every row's code, default severity and
-    description.  Exposed so the test suite can assert that mutating
-    any row of {!Diagnostic.rules} changes the cache key. *)
-
 val key : parts:string list -> string
 (** Hex digest of the length-framed parts (prefixed with {!version} and
-    {!fingerprint_of_rules} of {!Diagnostic.rules}). *)
+    a fingerprint of {!Diagnostic.rules}: every row's code, default
+    severity and description). *)
 
 val key_with_rules :
   rules:(string * Diagnostic.severity * string) list ->

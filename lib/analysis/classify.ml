@@ -2,172 +2,44 @@ module Path = Pathlang.Path
 module Label = Pathlang.Label
 module Constr = Pathlang.Constr
 module Fragment = Pathlang.Fragment
-module Bounded = Pathlang.Bounded
 module Mschema = Schema.Mschema
 module Mtype = Schema.Mtype
-
-type fragment =
-  | Word
-  | Prefix_bounded of Path.t * Label.t
-  | Word_prefixed of Path.t
-  | Full
-
-type model = Untyped | M | M_plus
-
-type procedure =
-  | Ptime_word
-  | Ptime_local
-  | Cubic_m
-  | Semidecision
-  | Bounded_refutation
-
-type cell = {
-  fragment : fragment;
-  model : model;
-  decidable : bool;
-  procedure : procedure;
-  provenance : string;
-}
-
-(* --- fragment ------------------------------------------------------------ *)
-
-let dedup_pairs pairs =
-  List.fold_left
-    (fun acc ((a, k) as p) ->
-      if
-        List.exists (fun (a', k') -> Path.equal a a' && Label.equal k k') acc
-      then acc
-      else p :: acc)
-    [] pairs
-  |> List.rev
-
-let prefix_bound ?phi sigma =
-  let candidates =
-    match phi with
-    | Some phi -> Bounded.infer_bound phi
-    | None -> dedup_pairs (List.concat_map Bounded.infer_bound sigma)
-  in
-  List.find_opt
-    (fun (alpha, k) -> Result.is_ok (Bounded.partition ~alpha ~k sigma))
-    candidates
-
-let word_prefix ?phi sigma =
-  let all = match phi with Some phi -> phi :: sigma | None -> sigma in
-  let nonempty_prefixes =
-    List.filter_map
-      (fun c ->
-        let p = Constr.prefix c in
-        if Path.is_empty p then None else Some p)
-      all
-  in
-  match nonempty_prefixes with
-  | [] -> None
-  | rho :: _ ->
-      if List.for_all (Fragment.in_pw_path ~rho) all then Some rho else None
-
-let fragment_of ?phi sigma =
-  let all = match phi with Some phi -> phi :: sigma | None -> sigma in
-  if List.for_all Fragment.in_pw all then Word
-  else
-    match prefix_bound ?phi sigma with
-    | Some (alpha, k) -> Prefix_bounded (alpha, k)
-    | None -> (
-        match word_prefix ?phi sigma with
-        | Some rho -> Word_prefixed rho
-        | None -> Full)
-
-(* --- the table ----------------------------------------------------------- *)
-
-let cell_of ?schema ?phi sigma =
-  let fragment = fragment_of ?phi sigma in
-  let model =
-    match schema with
-    | None -> Untyped
-    | Some s -> ( match Mschema.kind s with Mschema.M -> M | Mschema.M_plus -> M_plus)
-  in
-  match (model, fragment) with
-  | Untyped, Word ->
-      {
-        fragment;
-        model;
-        decidable = true;
-        procedure = Ptime_word;
-        provenance = "Abiteboul-Vianu, restated in Section 4.2";
-      }
-  | Untyped, Prefix_bounded _ ->
-      {
-        fragment;
-        model;
-        decidable = true;
-        procedure = Ptime_local;
-        provenance = "Theorem 5.1";
-      }
-  | Untyped, Word_prefixed rho ->
-      {
-        fragment;
-        model;
-        decidable = false;
-        procedure = Semidecision;
-        provenance =
-          (if Path.length rho = 1 then "Theorem 4.3" else "Theorem 6.1");
-      }
-  | Untyped, Full ->
-      {
-        fragment;
-        model;
-        decidable = false;
-        procedure = Semidecision;
-        provenance = "Theorem 4.1";
-      }
-  | M, _ ->
-      {
-        fragment;
-        model;
-        decidable = true;
-        procedure = Cubic_m;
-        provenance = "Theorem 4.2";
-      }
-  | M_plus, _ ->
-      {
-        fragment;
-        model;
-        decidable = false;
-        procedure = Bounded_refutation;
-        provenance = "Theorem 5.2";
-      }
+module Decide = Core.Decide
 
 (* --- rendering ----------------------------------------------------------- *)
 
 let fragment_to_string = function
-  | Word -> "P_w"
-  | Prefix_bounded (alpha, k) ->
+  | Decide.P_w | Decide.P_w_eps -> "P_w"
+  | Decide.Prefix_bounded (alpha, k) ->
       Printf.sprintf "prefix-bounded by (%s, %s)" (Path.to_string alpha)
         (Label.to_string k)
-  | Word_prefixed rho ->
+  | Decide.P_w_rho rho ->
       if Path.length rho = 1 then
         Printf.sprintf "P_w(%s)" (Path.to_string rho)
       else Printf.sprintf "P_w(alpha) with alpha = %s" (Path.to_string rho)
-  | Full -> "full P_c"
+  | Decide.P_c -> "full P_c"
 
 let model_to_string = function
-  | Untyped -> "untyped (semistructured)"
-  | M -> "schema of kind M"
-  | M_plus -> "schema of kind M+"
+  | Decide.Untyped -> "untyped (semistructured)"
+  | Decide.M | Decide.M_off_paths -> "schema of kind M"
+  | Decide.M_plus -> "schema of kind M+"
 
 let procedure_to_string = function
-  | Ptime_word -> "PTIME word procedure (pathctl implies)"
-  | Ptime_local -> "PTIME local-extent procedure (pathctl implies-local)"
-  | Cubic_m -> "cubic certified procedure (pathctl implies-typed)"
-  | Semidecision -> "budgeted chase semi-decision (pathctl chase)"
-  | Bounded_refutation -> "bounded countermodel search (pathctl compare)"
+  | Decide.Ptime_word -> "PTIME word procedure (pathctl implies)"
+  | Decide.Ptime_local ->
+      "PTIME local-extent procedure (pathctl implies-local)"
+  | Decide.Cubic_m -> "cubic certified procedure (pathctl implies-typed)"
+  | Decide.Semidecision -> "budgeted chase semi-decision (pathctl chase)"
+  | Decide.Bounded_refutation ->
+      "bounded countermodel search (pathctl compare)"
 
-let describe cell =
-  Printf.sprintf "fragment %s under %s: %s (%s); applicable procedure: %s"
-    (fragment_to_string cell.fragment)
-    (model_to_string cell.model)
-    (if cell.decidable then "decidable" else "undecidable")
-    cell.provenance
-    (procedure_to_string cell.procedure)
+(* a decidable row whose procedure is not complete for it *)
+let sound_only (cell : Decide.cell) =
+  if (not cell.decidable) || cell.exact then ""
+  else if cell.model = Decide.M_off_paths then
+    ", sound only: a path leaves Paths(Delta), out of the cubic \
+     procedure's reach"
+  else ", sound only: the word rules are incomplete with an eps conclusion"
 
 (* --- hints --------------------------------------------------------------- *)
 
@@ -224,7 +96,7 @@ let mplus_hints ~schema_file ~schema_spans schema =
   in
   class_hints @ db_hint
 
-let untyped_hints ~sigma_file ?phi sigma_spanned =
+let untyped_hints ~sigma_file ?phi (cell : Decide.cell) sigma_spanned =
   let sigma = List.map fst sigma_spanned in
   let all = match phi with Some phi -> phi :: sigma | None -> sigma in
   let hints = ref [] in
@@ -257,8 +129,8 @@ let untyped_hints ~sigma_file ?phi sigma_spanned =
     "supplying a schema of kind M (--schema) makes implication of full P_c \
      decidable in cubic time (Theorem 4.2)";
   (* is the instance close to prefix-bounded? *)
-  (match word_prefix ?phi sigma with
-  | Some rho when Path.length rho >= 1 ->
+  (match cell.fragment with
+  | Decide.P_w_rho rho ->
       add
         (Printf.sprintf
            "all prefixes equal %s: restructuring the set to satisfy the \
@@ -269,16 +141,23 @@ let untyped_hints ~sigma_file ?phi sigma_spanned =
   List.rev !hints
 
 let run ~sigma_file ?schema ?schema_file ?schema_spans ?phi sigma_spanned =
-  let sigma = List.map fst sigma_spanned in
-  let cell = cell_of ?schema ?phi sigma in
+  let cell = Decide.cell ?schema ?phi (List.map fst sigma_spanned) in
   let classified =
     Diagnostic.make ~code:"PC100" ~severity:Diagnostic.Info ~file:sigma_file
-      ("classified: " ^ describe cell)
+      (Printf.sprintf
+         "classified: fragment %s under %s: %s (%s); applicable procedure: \
+          %s%s"
+         (fragment_to_string cell.fragment)
+         (model_to_string cell.model)
+         (if cell.decidable then "decidable" else "undecidable")
+         cell.provenance
+         (procedure_to_string cell.procedure)
+         (sound_only cell))
   in
   if cell.decidable then [ classified ]
   else
     match cell.model with
-    | M_plus ->
+    | Decide.M_plus ->
         let schema = Option.get schema in
         (classified
         :: Diagnostic.make ~code:"PC102" ~severity:Diagnostic.Warning
@@ -298,4 +177,4 @@ let run ~sigma_file ?schema ?schema_file ?schema_spans ?phi sigma_spanned =
                  budget"
                 (fragment_to_string cell.fragment)
                 cell.provenance)
-        :: untyped_hints ~sigma_file ?phi sigma_spanned)
+        :: untyped_hints ~sigma_file ?phi cell sigma_spanned)

@@ -5,57 +5,10 @@
     whether implication is decidable at all — is determined by the shape
     of the input alone: the constraint fragment (P_w, prefix-bounded,
     P_w(K)/P_w(alpha), full P_c) and the schema model (untyped data, M,
-    M+).  This pass computes that cell, reports it ([PC100]), warns when
-    the instance lands in an undecidable cell ([PC101]/[PC102]), and
-    hints the nearest decidable route out ([PC103]). *)
-
-type fragment =
-  | Word  (** every constraint is in P_w (Definition 2.2) *)
-  | Prefix_bounded of Pathlang.Path.t * Pathlang.Label.t
-      (** prefix bounded by [(alpha, K)] (Definition 2.3) *)
-  | Word_prefixed of Pathlang.Path.t
-      (** [P_w(rho)]: word constraints plus [rho]-prefixed word
-          constraints, not satisfying the Definition 2.3 side
-          conditions; [P_w(K)] when [rho] is a single label *)
-  | Full  (** none of the above: all of P_c *)
-
-type model = Untyped | M | M_plus
-
-type procedure =
-  | Ptime_word  (** Abiteboul–Vianu PTIME procedure, [pathctl implies] *)
-  | Ptime_local  (** Theorem 5.1, [pathctl implies-local] *)
-  | Cubic_m  (** Theorem 4.2, [pathctl implies-typed] *)
-  | Semidecision  (** budgeted chase, [pathctl chase] — sound only *)
-  | Bounded_refutation
-      (** bounded countermodel search under M+ — refutations only *)
-
-type cell = {
-  fragment : fragment;
-  model : model;
-  decidable : bool;
-  procedure : procedure;  (** the best procedure available in the cell *)
-  provenance : string;  (** the theorem establishing the cell's status *)
-}
-
-val fragment_of :
-  ?phi:Pathlang.Constr.t -> Pathlang.Constr.t list -> fragment
-(** The least fragment of Table 1 containing [sigma] (and [phi] when
-    given).  Prefix-boundedness is checked before [P_w(rho)]: a set
-    satisfying the Definition 2.3 side conditions lands in the decidable
-    cell. *)
-
-val cell_of :
-  ?schema:Schema.Mschema.t ->
-  ?phi:Pathlang.Constr.t ->
-  Pathlang.Constr.t list ->
-  cell
-
-val fragment_to_string : fragment -> string
-val model_to_string : model -> string
-val procedure_to_string : procedure -> string
-
-val describe : cell -> string
-(** One line: fragment, model, decidability, procedure, provenance. *)
+    M+).  {!Core.Decide.cell} computes that cell; this pass reports it
+    ([PC100]), warns when the instance lands in an undecidable cell
+    ([PC101]/[PC102]), and hints the nearest decidable route out
+    ([PC103]). *)
 
 val run :
   sigma_file:string ->
@@ -65,7 +18,9 @@ val run :
   ?phi:Pathlang.Constr.t ->
   (Pathlang.Constr.t * Pathlang.Span.t) list ->
   Diagnostic.t list
-(** The lint pass: [PC100] (always), [PC101]/[PC102] on undecidable
-    cells, [PC103] hints naming the nearest decidable route (drop the
-    set type at a class to fall into M, restrict to P_w, supply an M
-    schema, restructure as prefix-bounded). *)
+(** The lint pass: [PC100] (always; on a decidable cell that is not
+    exact it calls the procedure sound only, and says why),
+    [PC101]/[PC102] on undecidable cells, [PC103] hints naming the
+    nearest decidable route (drop the set type at a class to fall into
+    M, restrict to P_w, supply an M schema, restructure as
+    prefix-bounded). *)

@@ -24,7 +24,12 @@
 type t = {
   severity : (string * Diagnostic.severity option) list;
       (** per-code overrides; [None] means the code is dropped *)
-  passes : (string * bool) list;  (** pass selection; absent = enabled *)
+  passes : (string * bool) list;
+      (** pass selection by identifier: [classify], [typeflow],
+          [vacuity], [redundancy], [inconsistency], [hygiene],
+          [interact], [querycheck] (the PC8xx pass of
+          [pathctl query lint]).  Absent = enabled, except [interact],
+          which runs only when opted in (here or with [--interact]). *)
   max_warnings : int option;
   explain : bool;
   cache_dir : string option;
@@ -32,13 +37,6 @@ type t = {
 
 val default : t
 (** Everything enabled, no overrides, no cache. *)
-
-val pass_names : string list
-(** The pass identifiers accepted in [[passes]]: [classify], [typeflow],
-    [vacuity], [redundancy], [inconsistency], [hygiene], [interact],
-    [querycheck].  All default to enabled except [interact], which runs
-    only when opted in (here or with [--interact]); [querycheck] is the
-    PC8xx pass of [pathctl query lint]. *)
 
 val pass_enabled : t -> string -> bool
 

@@ -20,8 +20,6 @@ type action = Delete | Comment_out
 
 type fix = { line : int; action : action; code : string }
 
-let fixable_codes = [ "PC500"; "PC503"; "PC504"; "PC505" ]
-
 let plan ~sigma_file diags =
   let raw =
     List.filter_map

@@ -14,9 +14,6 @@ type action = Delete | Comment_out
 
 type fix = { line : int; action : action; code : string }
 
-val fixable_codes : string list
-(** [PC500], [PC503], [PC504], [PC505]. *)
-
 val plan : sigma_file:string -> Diagnostic.t list -> fix list
 (** The fixes implied by a diagnostic stream: one per line (delete wins
     over comment-out), sorted by line; only findings on [sigma_file]

@@ -44,6 +44,7 @@ let vacuity ~sigma_file ~schema sigma =
 type redundancy_report = {
   removable : spanned;
   cover : Constr.t list;
+  route : Decide.route;
   exact : bool;
   gave_up : int;
 }
@@ -52,7 +53,7 @@ let redundancy_report ?schema ?(budget = Engine.Budget.default) sigma =
   let clock = Decide.clock budget in
   let constrs = List.map fst sigma in
   let plan = Decide.plan ?schema clock constrs in
-  let exact = Decide.exact plan in
+  let route = Decide.route plan and exact = Decide.exact plan in
   (* inconsistent Sigma makes every constraint "redundant"; leave that
      to the inconsistency pass *)
   let unsat =
@@ -63,7 +64,7 @@ let redundancy_report ?schema ?(budget = Engine.Budget.default) sigma =
         | _ -> false)
     | _ -> false
   in
-  if unsat then { removable = []; cover = constrs; exact; gave_up = 0 }
+  if unsat then { removable = []; cover = constrs; route; exact; gave_up = 0 }
   else begin
     let arr = Array.of_list constrs in
     let without i keep = List.filter (fun j -> j <> i) keep in
@@ -104,6 +105,7 @@ let redundancy_report ?schema ?(budget = Engine.Budget.default) sigma =
     {
       removable = List.rev !removable;
       cover = List.map (Array.get arr) !cover;
+      route;
       exact;
       gave_up = !gave_up;
     }
@@ -114,10 +116,6 @@ let redundancy ~sigma_file ?schema ?(budget = Engine.Budget.default) sigma =
   if n <= 1 then []
   else begin
     let report = redundancy_report ?schema ~budget sigma in
-    let route, exact =
-      Decide.route_of Decide.Entailment
-        (Decide.cell ?schema (List.map fst sigma))
-    in
     let per_constraint =
       List.map
         (fun (_, span) ->
@@ -125,8 +123,8 @@ let redundancy ~sigma_file ?schema ?(budget = Engine.Budget.default) sigma =
             (Printf.sprintf
                "implied by the rest of Sigma (%s)%s: removing it preserves \
                 the constraint theory"
-               (Decide.how route)
-               (if exact then "" else " — best-effort, sound")))
+               (Decide.how report.route)
+               (if report.exact then "" else " — best-effort, sound")))
         report.removable
     in
     let cover_diag =

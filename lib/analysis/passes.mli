@@ -21,6 +21,7 @@ type redundancy_report = {
       (** constraints implied by the rest of Sigma, in input order *)
   cover : Pathlang.Constr.t list;
       (** greedy minimal cover: a subset of Sigma implying all of it *)
+  route : Core.Decide.route;  (** the route that answered *)
   exact : bool;
       (** the verdicts come from a complete decision procedure for the
           instance's cell (word PTIME or cubic typed-M), not from the

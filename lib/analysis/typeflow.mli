@@ -41,10 +41,6 @@ val sort_label : Schema.Mschema.t -> Schema.Mtype.t -> string
 (** Reader-facing sort name: classes/atoms by name, sets braced, the db
     type as ["db"]. *)
 
-val explain_flow : Schema.Mschema.t -> flow -> string
-(** The inferred chain, e.g. ["db -[book]-> Book -[author]-> Person"];
-    dead steps render as ["(dead)"]. *)
-
 val pass :
   sigma_file:string ->
   schema:Schema.Mschema.t ->

@@ -11,55 +11,127 @@ let src =
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* --- the route table ------------------------------------------------------ *)
+(* --- Table 1 ---------------------------------------------------------------- *)
 
 type route = Word | Typed_m | Chase
 
-type cell =
-  | Untyped_word
-  | Untyped_word_eps
-  | Untyped_general
-  | M_typed
-  | M_off_paths of cell
-  | M_plus of cell
+type fragment =
+  | P_w
+  | P_w_eps
+  | Prefix_bounded of Path.t * Label.t
+  | P_w_rho of Path.t
+  | P_c
+
+type model = Untyped | M | M_off_paths | M_plus
+
+type procedure =
+  | Ptime_word
+  | Ptime_local
+  | Cubic_m
+  | Semidecision
+  | Bounded_refutation
+
+type cell = {
+  fragment : fragment;
+  model : model;
+  decidable : bool;
+  provenance : string;
+  procedure : procedure;
+  route : route;
+  exact : bool;
+}
 
 type question = Entailment | Refutation
 
-let untyped_cell cs =
-  if not (List.for_all Pathlang.Fragment.in_pw cs) then Untyped_general
-  else if List.exists (fun c -> Path.is_empty (Constr.rhs c)) cs then
-    Untyped_word_eps
-  else Untyped_word
+let has_eps cs = List.exists (fun c -> Path.is_empty (Constr.rhs c)) cs
 
-let cell ?schema cs =
+(* [P_w(rho)]: every constraint a word constraint or [rho]-prefixed one,
+   for the first nonempty prefix [rho] *)
+let word_prefix all =
+  match
+    List.find_opt (fun c -> not (Path.is_empty (Constr.prefix c))) all
+  with
+  | Some c ->
+      let rho = Constr.prefix c in
+      if List.for_all (Pathlang.Fragment.in_pw_path ~rho) all then Some rho
+      else None
+  | None -> None
+
+(* The least fragment containing [all] (Sigma and the goal).  Past P_w
+   only [~bound] refines it: the Definition 2.3 search runs before the
+   P_w(rho) shapes, so a prefix-bounded set lands in the decidable row. *)
+let fragment ~bound ?phi sigma all =
+  if List.for_all Pathlang.Fragment.in_pw all then
+    if has_eps all then P_w_eps else P_w
+  else if not bound then P_c
+  else
+    match Pathlang.Bounded.find_bound ?phi sigma with
+    | Some (alpha, k) -> Prefix_bounded (alpha, k)
+    | None -> (
+        match word_prefix all with Some rho -> P_w_rho rho | None -> P_c)
+
+let model ?schema all =
   match schema with
-  | None -> untyped_cell cs
+  | None -> Untyped
   | Some s when Mschema.kind s = Mschema.M ->
       if
         List.for_all
           (fun c -> Result.is_ok (SG.check_constraint_paths s c))
-          cs
-      then M_typed
-      else M_off_paths (untyped_cell cs)
-  | Some _ -> M_plus (untyped_cell cs)
+          all
+      then M
+      else M_off_paths
+  | Some _ -> M_plus
 
-(* Table 1 cell -> (route, exact).  The word procedure decides
-   rule-derivability, which is implication only without eps conclusions
-   (equality-generating constraints): with one present its "yes" is
-   sound but its "no" is not a refutation, so the row is not exact and
-   a refutation is asked of the chase, whose [Refuted] carries a
-   countermodel.  Off the typed-M cell a schema only narrows the
-   structures, so the untyped route stays sound but is no longer
-   complete. *)
-let rec route_of question = function
-  | Untyped_word -> (Word, true)
-  | Untyped_word_eps -> (
-      match question with
-      | Entailment -> (Word, false)
-      | Refutation -> (Chase, false))
-  | Untyped_general -> (Chase, false)
-  | M_typed -> (Typed_m, true)
-  | M_off_paths c | M_plus c -> (fst (route_of question c), false)
+(* The table.  The word procedure decides rule-derivability, which is
+   implication only without eps conclusions (equality-generating
+   constraints): with one present its "yes" is sound but its "no" is not
+   a refutation, so the row is not exact and a refutation is asked of
+   the chase, whose [Refuted] carries a countermodel.  Off the typed-M
+   row a schema only narrows the structures, so the untyped route stays
+   sound but is no longer complete. *)
+let rec row question ~eps model fragment =
+  let untyped = "Abiteboul-Vianu, restated in Section 4.2" in
+  let v ~decidable ~provenance ~procedure ~route ~exact =
+    { fragment; model; decidable; provenance; procedure; route; exact }
+  in
+  match (model, fragment) with
+  | Untyped, P_w ->
+      v ~decidable:true ~provenance:untyped ~procedure:Ptime_word ~route:Word
+        ~exact:true
+  | Untyped, P_w_eps ->
+      v ~decidable:true ~provenance:untyped ~procedure:Ptime_word
+        ~route:(if question = Refutation then Chase else Word)
+        ~exact:false
+  | Untyped, Prefix_bounded _ ->
+      v ~decidable:true ~provenance:"Theorem 5.1" ~procedure:Ptime_local
+        ~route:Chase ~exact:(not eps)
+  | Untyped, P_w_rho rho ->
+      v ~decidable:false
+        ~provenance:
+          (if Path.length rho = 1 then "Theorem 4.3" else "Theorem 6.1")
+        ~procedure:Semidecision ~route:Chase ~exact:false
+  | Untyped, P_c ->
+      v ~decidable:false ~provenance:"Theorem 4.1" ~procedure:Semidecision
+        ~route:Chase ~exact:false
+  | M, _ ->
+      v ~decidable:true ~provenance:"Theorem 4.2" ~procedure:Cubic_m
+        ~route:Typed_m ~exact:true
+  | M_off_paths, _ ->
+      let route = (row question ~eps Untyped fragment).route in
+      v ~decidable:true ~provenance:"Theorem 4.2"
+        ~procedure:(if route = Word then Ptime_word else Semidecision)
+        ~route ~exact:false
+  | M_plus, _ ->
+      v ~decidable:false ~provenance:"Theorem 5.2"
+        ~procedure:Bounded_refutation
+        ~route:(row question ~eps Untyped fragment).route ~exact:false
+
+let classify ~bound ?(question = Entailment) ?schema ?phi sigma =
+  let all = match phi with Some phi -> phi :: sigma | None -> sigma in
+  row question ~eps:(has_eps all) (model ?schema all)
+    (fragment ~bound ?phi sigma all)
+
+let cell ?schema ?phi sigma = classify ~bound:true ?schema ?phi sigma
 
 let how = function
   | Word -> "PTIME word procedure"
@@ -128,17 +200,24 @@ let prefilter_hit ~t0 ~ctl ~sigma phi =
 (* --- route runners -------------------------------------------------------- *)
 
 (* Only the chase consults the pre-filter; these record it skipped. *)
-let recorded_word ~t0 phi r =
-  (match r with
-  | Ok b ->
-      record ~t0 ~route:"word" ~prefilter:"skipped" phi
-        (if b then "implied" else "refuted")
-  | Error _ -> ());
-  r
+let record_word ~t0 phi v =
+  record ~t0 ~route:"word" ~prefilter:"skipped" phi
+    (match v with
+    | Some true -> "implied"
+    | Some false -> "refuted"
+    | None -> "unknown")
 
+(* a "no" is a refutation only on an exact row of Sigma and the goal *)
 let word ~sigma phi =
   let t0 = start () in
-  recorded_word ~t0 phi (Word_untyped.implies ~sigma phi)
+  Result.map
+    (fun b ->
+      let v =
+        if b || (classify ~bound:false ~phi sigma).exact then Some b else None
+      in
+      record_word ~t0 phi v;
+      v)
+    (Word_untyped.implies ~sigma phi)
 
 let typed_m schema ~sigma phi =
   let t0 = start () in
@@ -324,8 +403,10 @@ type t = {
    which the typed-M closure also derives, so a store hit is always a
    yes from the route's procedure.  Only the chase keeps it, in
    [chase]. *)
-let plan ?schema ?(question = Entailment) clock constrs =
-  let route, exact = route_of question (cell ?schema constrs) in
+let plan ?schema ?question clock constrs =
+  let ({ route; exact; _ } : cell) =
+    classify ~bound:false ?question ?schema constrs
+  in
   let sublist keep =
     let kept = Array.make (List.length constrs) false in
     List.iter (fun i -> kept.(i) <- true) keep;
@@ -346,13 +427,15 @@ let plan ?schema ?(question = Entailment) clock constrs =
           | Ok Typed_m.Unsatisfiable -> verdict "vacuous" true
           | Ok Typed_m.Not_entailed -> verdict "refuted" false
           | Error _ -> None)
-    | Word, _ ->
+    | Word, _ -> (
         let subsets = Word_untyped.subsets ~sigma:constrs in
         fun ~keep phi ->
           let t0 = start () in
-          Result.to_option
-            (recorded_word ~t0 phi
-               (Word_untyped.implies_subset subsets ~keep phi))
+          match Word_untyped.implies_subset subsets ~keep phi with
+          | Ok b ->
+              record_word ~t0 phi (Some b);
+              Some b
+          | Error _ -> None)
     | Chase, _ | Typed_m, None -> (
         fun ~keep phi ->
           match

@@ -82,9 +82,6 @@ module Budget = struct
     { max_steps = Some 2000; max_nodes = Some 2000;
       timeout = Some 10.; cancel = None }
 
-  let unlimited =
-    { max_steps = None; max_nodes = None; timeout = None; cancel = None }
-
   let steps_nodes s n = { default with max_steps = Some s; max_nodes = Some n }
 end
 

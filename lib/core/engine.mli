@@ -69,9 +69,6 @@ module Budget : sig
   (** 2000 steps / 2000 nodes (the historical chase budget) plus a 10 s
       deadline, so no governed entry point can hang by default. *)
 
-  val unlimited : t
-  (** No limits at all — divergence-prone; prefer a deadline. *)
-
   val steps_nodes : int -> int -> t
   (** [steps_nodes s n] is {!default} with the step/node caps replaced;
       the default deadline stays. *)

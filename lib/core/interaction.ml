@@ -11,21 +11,21 @@ type typed_outcome =
   | Typed_error of string
 
 type report = {
-  word_untyped : bool option;
+  word_untyped : bool option option;
   local_extent : (Path.t * Label.t * bool) option;
   chase : Verdict.t;
   typed : typed_outcome option;
 }
 
+(* the bound from the table's own search, then the Theorem 5.1
+   procedure under it *)
 let try_local ~sigma phi =
-  (* use the canonical bound inferred from phi (the split at its last
-     prefix label), if the whole set fits Definition 2.3 *)
-  List.find_map
-    (fun (alpha, k) ->
+  match Bounded.find_bound ~phi sigma with
+  | None -> None
+  | Some (alpha, k) -> (
       match Local_extent.implies ~alpha ~k ~sigma ~phi with
       | Ok b -> Some (alpha, k, b)
       | Error _ -> None)
-    (Bounded.infer_bound phi)
 
 (* The typed row: the cubic procedure under M; under M+ only a bounded
    refutation, implication itself being undecidable (Theorem 5.2). *)
@@ -70,8 +70,9 @@ let audit_compare r =
           ( "word",
             s
               (match r.word_untyped with
-              | Some true -> "implied"
-              | Some false -> "refuted"
+              | Some (Some true) -> "implied"
+              | Some (Some false) -> "refuted"
+              | Some None -> "unknown"
               | None -> "n/a") );
           ( "local_extent",
             s
@@ -125,7 +126,11 @@ let compare ?schema ?(budget = Engine.Budget.default) ?search_bounds ~sigma phi
 let pp ppf r =
   Format.fprintf ppf "@[<v>";
   (match r.word_untyped with
-  | Some b -> Format.fprintf ppf "word constraints, untyped (PTIME): %b@," b
+  | Some (Some b) ->
+      Format.fprintf ppf "word constraints, untyped (PTIME): %b@," b
+  | Some None ->
+      Format.fprintf ppf "word constraints, untyped (PTIME): unknown (%s)@,"
+        Word_untyped.no_derivation
   | None -> Format.fprintf ppf "word constraints, untyped: not applicable@,");
   (match r.local_extent with
   | Some (alpha, k, b) ->

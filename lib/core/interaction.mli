@@ -24,11 +24,14 @@ type typed_outcome =
   | Typed_error of string
 
 type report = {
-  word_untyped : bool option;
-      (** [None] when some constraint is not in P_w *)
+  word_untyped : bool option option;
+      (** [None] when some constraint is not in P_w; [Some None] when the
+          word rules find no derivation where they are incomplete (an
+          eps conclusion), see {!Decide.word} *)
   local_extent : (Pathlang.Path.t * Pathlang.Label.t * bool) option;
       (** the bound [(alpha, K)] used and the verdict, when the
-          instance is prefix-bounded *)
+          instance is prefix-bounded: the bound is the one
+          {!Decide.cell} finds, {!Pathlang.Bounded.find_bound} *)
   chase : Verdict.t;
   typed : typed_outcome option;  (** when a schema was supplied *)
 }

@@ -52,6 +52,5 @@ val reason_keyword : reason -> string
     ["cancelled"], ["crashed"]) for machine-readable surfaces — the
     audit journal and diagnostics JSON. *)
 
-val pp_reason : Format.formatter -> reason -> unit
 val pp_exhaustion : Format.formatter -> exhaustion -> unit
 val pp : Format.formatter -> t -> unit

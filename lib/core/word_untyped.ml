@@ -5,6 +5,10 @@ module PR = Automata.Prefix_rewrite
 
 type error = Not_word_constraint of Pathlang.Constr.t
 
+let no_derivation =
+  "no derivation; the word rules are incomplete with an eps conclusion, try \
+   pathctl chase"
+
 let c_systems = Obs.Counter.make ~unit_:"contexts" "word.systems_compiled"
 
 let check_word sigma =

@@ -34,9 +34,18 @@
     discovered.  The budgeted {!Chase} handles the general
     (EGD-including) semantics soundly; use it when [eps] right-hand
     sides are present.  All of the paper's word-constraint examples are
-    [eps]-free. *)
+    [eps]-free.
+
+    {!implies} answers derivability, so it says [false] there too.
+    {!Decide.word}, which [pathctl implies] and [pathctl compare] run,
+    reads the row of [Sigma ∪ {phi}] in Table 1 and turns such a
+    [false] into "unknown", with {!no_derivation} as the reason. *)
 
 type error = Not_word_constraint of Pathlang.Constr.t
+
+val no_derivation : string
+(** Why a "no" is not a refutation when [Sigma ∪ {phi}] has an [eps]
+    conclusion, in one line. *)
 
 val check_word : Pathlang.Constr.t list -> (unit, error) result
 

@@ -18,10 +18,6 @@ val bicyclic : Presentation.t
 val idempotent2 : Presentation.t
 (** Generators [a, b] with [a.a = a] and [b.b = b]. *)
 
-val klein_bottle_like : Presentation.t
-(** Generators [a, b] with [a.b = b.a.a]: a presentation whose
-    completion needs genuine critical-pair work. *)
-
 val klein_four : Presentation.t
 (** The Klein four-group: [a.a = eps], [b.b = eps], [a.b = b.a]. *)
 

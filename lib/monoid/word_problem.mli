@@ -29,14 +29,6 @@ type verdict =
           finite-implication side stays open). *)
   | Unknown
 
-val via_completion :
-  ?max_rules:int ->
-  Presentation.t ->
-  (Pathlang.Path.t -> Pathlang.Path.t -> bool, Rewriting.Srs.rule list) result
-(** [Ok equal] when completion converges: [equal] decides the word
-    problem of the presentation by normal forms.  [Error rules] returns
-    the partial (sound for provable equality, incomplete) system. *)
-
 val equational_search :
   ?max_words:int ->
   Presentation.t ->

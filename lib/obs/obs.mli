@@ -151,8 +151,6 @@ module Histogram : sig
   val count : t -> int
   val sum : t -> float
   val mean : t -> float
-  val min_ : t -> float
-  val max_ : t -> float
 
   val buckets : t -> (float * int) list
   (** Merged per-bound counts (non-cumulative), ending with the

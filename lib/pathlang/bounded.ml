@@ -56,3 +56,13 @@ let infer_bound phi =
      all positions anyway so that the function stays correct if the
      definition of boundedness is ever generalized. *)
   List.rev (splits [] [] (Path.to_labels prefix))
+
+let find_bound ?phi sigma =
+  let candidates =
+    match phi with
+    | Some phi -> infer_bound phi
+    | None -> List.concat_map infer_bound sigma
+  in
+  List.find_opt
+    (fun (alpha, k) -> Result.is_ok (partition ~alpha ~k sigma))
+    candidates

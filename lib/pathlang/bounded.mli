@@ -39,3 +39,9 @@ val infer_bound : Constr.t -> (Path.t * Label.t) list
     satisfies the side conditions.  (The paper determines [alpha] and [K]
     from the test constraint [phi]; the last split of its prefix is the
     canonical choice, but all valid splits are returned.) *)
+
+val find_bound : ?phi:Constr.t -> Constr.t list -> (Path.t * Label.t) option
+(** The first candidate bound under which [sigma] partitions: the
+    candidates are [infer_bound phi], or when no [phi] is given every
+    member's, in order.  [None] when [sigma] is not prefix bounded by
+    any of them. *)

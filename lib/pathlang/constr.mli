@@ -71,8 +71,4 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val pp_fo : Format.formatter -> t -> unit
-(** Renders the constraint as the first-order sentence of
-    Definition 2.1. *)
-
 val to_fo_string : t -> string

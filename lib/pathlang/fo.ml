@@ -12,14 +12,6 @@ type formula =
   | Forall of string * formula
   | Exists of string * formula
 
-let conj = function
-  | [] -> True
-  | f :: fs -> List.fold_left (fun acc g -> And (acc, g)) f fs
-
-let disj = function
-  | [] -> False
-  | f :: fs -> List.fold_left (fun acc g -> Or (acc, g)) f fs
-
 let of_path rho ~src ~dst =
   let counter = ref 0 in
   let fresh () =

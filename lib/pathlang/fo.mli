@@ -22,9 +22,6 @@ type formula =
   | Forall of string * formula
   | Exists of string * formula
 
-val conj : formula list -> formula
-val disj : formula list -> formula
-
 val of_path : Path.t -> src:term -> dst:term -> formula
 (** [of_path rho ~src ~dst] is the formula [rho(src, dst)] of
     Section 2.1, fully expanded: [Eq (src, dst)] for the empty path, and

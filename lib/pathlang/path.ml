@@ -62,9 +62,6 @@ let length p = p.len
 
 let head p = match p.labels with [] -> None | k :: _ -> Some k
 
-let uncons p =
-  match p.labels with [] -> None | k :: rest -> Some (k, make rest)
-
 let rec last_labels = function
   | [] -> None
   | [ k ] -> Some k

@@ -36,9 +36,6 @@ val length : t -> int
 val head : t -> Label.t option
 (** First label of the path, or [None] for epsilon. *)
 
-val uncons : t -> (Label.t * t) option
-(** [uncons (cons k rho) = Some (k, rho)]; [uncons empty = None]. *)
-
 val last : t -> Label.t option
 
 val split_last : t -> (t * Label.t) option
@@ -71,10 +68,6 @@ val compare : t -> t -> int
     lexicographic on labels.  This is the reduction order used by the
     Knuth-Bendix substrate, and a convenient canonical order everywhere
     else. *)
-
-val compare_lex : t -> t -> int
-(** Plain lexicographic order (used by sets that do not care about
-    shortlex). *)
 
 val hash : t -> int
 (** O(1): precomputed at interning time over the label ids. *)

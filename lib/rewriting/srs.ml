@@ -114,4 +114,3 @@ let critical_pairs rules =
 let is_locally_confluent rules =
   List.for_all (fun (u, v) -> joinable rules u v) (critical_pairs rules)
 
-let pp_rule ppf r = Format.fprintf ppf "%a -> %a" Path.pp r.lhs Path.pp r.rhs

@@ -40,4 +40,3 @@ val factor_at : word -> word -> int option
 (** [factor_at l w] is the position of the leftmost occurrence of [l] as
     a factor of [w], if any ([Some 0] when [l] is empty). *)
 
-val pp_rule : Format.formatter -> rule -> unit

@@ -54,5 +54,4 @@ val sat : t -> Pathlang.Constr.t -> bool
     checks it is stable under {!of_structure}/{!to_structure}
     round-trips). *)
 
-val pp_value : Format.formatter -> value -> unit
 val pp : Format.formatter -> t -> unit

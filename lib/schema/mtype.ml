@@ -32,8 +32,6 @@ let record fields =
   if not distinct then invalid_arg "Mtype.record: duplicate field label";
   Record (List.map (fun (l, tau) -> (Label.make l, tau)) fields)
 
-let is_atomic = function Atomic _ -> true | _ -> false
-
 let sort_fields fields =
   List.sort (fun (l1, _) (l2, _) -> Label.compare l1 l2) fields
 

@@ -34,8 +34,6 @@ val record : (string * t) list -> t
 (** Convenience constructor taking raw label names.
     @raise Invalid_argument on duplicate or invalid labels. *)
 
-val is_atomic : t -> bool
-
 val equal : t -> t -> bool
 (** Structural equality up to record field order. *)
 

@@ -107,4 +107,3 @@ let validate schema t =
     nodes;
   match List.rev !errors with [] -> Ok () | es -> Error es
 
-let is_abstract_database schema t = validate schema t = Ok ()

@@ -33,5 +33,3 @@ val validate : Mschema.t -> t -> (unit, string list) result
 
     Returns all violations (as human-readable strings). *)
 
-val is_abstract_database : Mschema.t -> t -> bool
-(** [validate] as a predicate: membership in [U_f(Delta)]. *)

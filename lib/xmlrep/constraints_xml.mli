@@ -21,7 +21,6 @@ val render : Pathlang.Constr.t list -> string
 val render_xml : Pathlang.Constr.t list -> Xml.t
 
 val parse : string -> (Pathlang.Constr.t list, string) result
-val of_xml : Xml.t -> (Pathlang.Constr.t list, string) result
 
 val parse_spanned :
   string -> ((Pathlang.Constr.t * Pathlang.Span.t) list, string) result

@@ -10,6 +10,4 @@
 
     Unreachable nodes are not serialized (XML documents are rooted). *)
 
-val xml_of_graph : ?root_name:string -> Sgraph.Graph.t -> Xml.t
-
 val to_string : ?root_name:string -> Sgraph.Graph.t -> string

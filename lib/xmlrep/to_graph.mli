@@ -19,10 +19,5 @@
     - pure text content adds no edge (string leaves are nodes with no
       outgoing edges, as in the paper's model). *)
 
-val graph_of_xml :
-  Xml.t -> (Sgraph.Graph.t * (string * Sgraph.Graph.node) list, string) result
-(** The graph plus the [id -> node] table.  [Error] on a dangling
-    reference. *)
-
 val graph_of_string :
   string -> (Sgraph.Graph.t * (string * Sgraph.Graph.node) list, string) result

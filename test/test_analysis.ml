@@ -158,27 +158,38 @@ let test_errors_all () =
 (* --- classifier: the Table 1 matrix -------------------------------------- *)
 
 let test_classifier_cells () =
+  let module D = Core.Decide in
   let words = constraints_of_string "book.author -> person\nperson.wrote -> book\n" in
   let full =
+    constraints_of_string
+      "book.author -> person\nbook : author <- wrote\nperson : wrote <- author\n"
+  in
+  let off_paths =
     constraints_of_string
       "book.author -> person\nbook : author <- wrote\nWarner.person : wrote <- author\n"
   in
   let m = mschema_of_string m_schema in
   let mplus = mschema_of_string mplus_schema in
-  let cell = Classify.cell_of words in
-  Alcotest.(check bool) "P_w / untyped decidable" true cell.Classify.decidable;
-  Alcotest.(check bool) "word fragment" true (cell.Classify.fragment = Classify.Word);
+  let cell = D.cell words in
+  Alcotest.(check bool) "P_w / untyped decidable" true cell.D.decidable;
+  Alcotest.(check bool) "word fragment" true (cell.D.fragment = D.P_w);
   Alcotest.(check bool) "PTIME word procedure" true
-    (cell.Classify.procedure = Classify.Ptime_word);
-  let cell = Classify.cell_of full in
+    (cell.D.procedure = D.Ptime_word);
+  let cell = D.cell full in
   Alcotest.(check bool) "full P_c / untyped undecidable" false
-    cell.Classify.decidable;
-  let cell = Classify.cell_of ~schema:m full in
-  Alcotest.(check bool) "full P_c / M decidable" true cell.Classify.decidable;
+    cell.D.decidable;
+  let cell = D.cell ~schema:m full in
+  Alcotest.(check bool) "full P_c / M decidable" true cell.D.decidable;
   Alcotest.(check bool) "cubic procedure" true
-    (cell.Classify.procedure = Classify.Cubic_m);
-  let cell = Classify.cell_of ~schema:mplus words in
-  Alcotest.(check bool) "P_w / M+ undecidable" false cell.Classify.decidable;
+    (cell.D.procedure = D.Cubic_m);
+  (* off Paths(Delta) the cubic procedure does not apply: the untyped
+     route runs, sound only *)
+  let cell = D.cell ~schema:m off_paths in
+  Alcotest.(check bool) "off Paths(Delta) / M: the chase, not exact" true
+    (cell.D.decidable && cell.D.procedure = D.Semidecision
+    && cell.D.route = D.Chase && not cell.D.exact);
+  let cell = D.cell ~schema:mplus words in
+  Alcotest.(check bool) "P_w / M+ undecidable" false cell.D.decidable;
   (* the Section 2.2 instance is prefix-bounded, hence decidable *)
   let sigma0 =
     constraints_of_string
@@ -190,12 +201,12 @@ let test_classifier_cells () =
     | Ok c -> c
     | Error e -> Alcotest.failf "phi: %s" e
   in
-  let cell = Classify.cell_of ~phi sigma0 in
+  let cell = D.cell ~phi sigma0 in
   Alcotest.(check bool) "prefix-bounded decidable (Theorem 5.1)" true
-    cell.Classify.decidable;
-  match cell.Classify.fragment with
-  | Classify.Prefix_bounded _ -> ()
-  | f -> Alcotest.failf "expected prefix-bounded, got %s" (Classify.fragment_to_string f)
+    cell.D.decidable;
+  match cell.D.fragment with
+  | D.Prefix_bounded _ -> ()
+  | _ -> Alcotest.fail "expected prefix-bounded"
 
 (* --- golden outputs per pass --------------------------------------------- *)
 

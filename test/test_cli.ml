@@ -294,6 +294,45 @@ let test_compare () =
   check_bool "chase row" true (contains out "refuted");
   check_bool "typed row" true (contains out "implied")
 
+(* {a -> eps; a.c -> eps} implies a.c.c -> c.a.c, but no prefix-rewriting
+   derivation exists: the word rules are incomplete with an eps
+   conclusion, so their "no" is "unknown", not "false" *)
+let sigma_eps = write_temp ".constraints" "a -> eps\na.c -> eps\n"
+
+let test_implies_eps_unknown () =
+  let code, out = run (Printf.sprintf "implies -s %s \"a.c.c -> c.a.c\"" sigma_eps) in
+  check_int "exit as for false" 0 code;
+  check_bool ("unknown with its reason: " ^ out) true
+    (String.starts_with ~prefix:"unknown: no derivation;" out);
+  let code, out =
+    run (Printf.sprintf "compare -s %s \"a.c.c -> c.a.c\"" sigma_eps)
+  in
+  check_int "compare exit" 0 code;
+  check_bool ("compare word row: " ^ out) true
+    (contains out "word constraints, untyped (PTIME): unknown (no derivation;");
+  check_bool "compare chase row" true
+    (contains out "general P_c, untyped (chase): implied");
+  (* the same goal over an eps-free Sigma is a refutation *)
+  let eps_free = write_temp ".constraints" "a -> b\na.c -> b\n" in
+  let code, out = run (Printf.sprintf "implies -s %s \"a.c.c -> c.a.c\"" eps_free) in
+  Sys.remove eps_free;
+  check_int "eps-free exit" 0 code;
+  check_string "eps-free answer" "false" out
+
+(* off Paths(Delta) the cubic procedure does not apply, so PC100 names
+   the route that runs instead of implies-typed *)
+let test_pc100_off_paths () =
+  let code, out =
+    run
+      (Printf.sprintf "lint -s %s --schema %s"
+         (Filename.quote (data_fixture "lint/deadpath.constraints"))
+         (Filename.quote (data_fixture "lint/lint.schema")))
+  in
+  check_int "exit" 0 code;
+  check_bool "PC100 present" true (contains out "[PC100]");
+  check_bool ("no implies-typed: " ^ out) false (contains out "implies-typed");
+  check_bool "sound only" true (contains out "sound only")
+
 let test_odl () =
   let odl =
     write_temp ".odl"
@@ -735,6 +774,10 @@ let () =
           Alcotest.test_case "rpq on xml" `Quick test_rpq_on_xml;
           Alcotest.test_case "rpq witnesses" `Quick test_rpq_witness;
           Alcotest.test_case "compare" `Quick test_compare;
+          Alcotest.test_case "implies/compare: eps gives unknown" `Quick
+            test_implies_eps_unknown;
+          Alcotest.test_case "PC100 off Paths(Delta)" `Quick
+            test_pc100_off_paths;
           Alcotest.test_case "index" `Quick test_index;
           Alcotest.test_case "odl" `Quick test_odl;
           Alcotest.test_case "odl error positions" `Quick test_odl_errors;

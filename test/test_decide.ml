@@ -207,13 +207,14 @@ let test_region (name, schema, sets) () =
         constrs)
     sets
 
-let row = function
-  | Decide.Untyped_word -> "untyped word"
-  | Decide.Untyped_word_eps -> "untyped word with eps"
-  | Decide.Untyped_general -> "untyped general"
-  | Decide.M_typed -> "M typed"
-  | Decide.M_off_paths _ -> "M off Paths(Delta)"
-  | Decide.M_plus _ -> "M+"
+let row c =
+  match (c.Decide.model, c.Decide.fragment) with
+  | Decide.Untyped, Decide.P_w -> "untyped word"
+  | Decide.Untyped, Decide.P_w_eps -> "untyped word with eps"
+  | Decide.Untyped, _ -> "untyped general"
+  | Decide.M, _ -> "M typed"
+  | Decide.M_off_paths, _ -> "M off Paths(Delta)"
+  | Decide.M_plus, _ -> "M+"
 
 let test_table_covers_regions () =
   let rows =
@@ -231,6 +232,38 @@ let test_table_covers_regions () =
   in
   check_int "six regions, six distinct rows" (List.length regions)
     (List.length (List.sort_uniq String.compare rows))
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* PC100 renders the row the plan routes on: "sound only" exactly on a
+   decidable row whose plan is not exact *)
+let test_pc100_sound_only () =
+  List.iter
+    (fun (name, schema, sets) ->
+      List.iter
+        (fun constrs ->
+          let pc100 =
+            match
+              Analysis.Classify.run ~sigma_file:"f" ?schema
+                (List.map
+                   (fun c -> (c, Pathlang.Span.point ~line:1 ~col:1))
+                   constrs)
+            with
+            | d :: _ when d.Analysis.Diagnostic.code = "PC100" ->
+                d.Analysis.Diagnostic.message
+            | _ -> Alcotest.failf "%s: no PC100 first" name
+          in
+          let plan = Decide.plan ?schema (Decide.clock budget) constrs in
+          check_bool
+            (name ^ ": " ^ pc100)
+            ((Decide.cell ?schema constrs).Decide.decidable
+            && not (Decide.exact plan))
+            (contains pc100 "sound only"))
+        sets)
+    instances
 
 (* --- subset plans ---------------------------------------------------------
 
@@ -438,6 +471,8 @@ let () =
         [
           Alcotest.test_case "covers every region once" `Quick
             test_table_covers_regions;
+          Alcotest.test_case "PC100 sound only iff decidable, not exact"
+            `Quick test_pc100_sound_only;
         ] );
       ("subsets", subset_tests);
     ]

@@ -26,7 +26,7 @@ let test_headline_interaction () =
 let test_word_route () =
   let sigma = Xmlrep.Bib.extent_constraints () in
   let r = I.compare ~sigma (c_word "book.ref.author" "person") in
-  check_bool "word decided" true (r.I.word_untyped = Some true);
+  check_bool "word decided" true (r.I.word_untyped = Some (Some true));
   check_bool "chase agrees" true (Core.Verdict.is_implied r.I.chase)
 
 let test_local_route () =

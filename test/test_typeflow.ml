@@ -89,8 +89,9 @@ let test_pc600_text_golden () =
   let expected =
     p
     ^ ": info[PC100] classified: fragment P_w under schema of kind M: \
-       decidable (Theorem 4.2); applicable procedure: cubic certified \
-       procedure (pathctl implies-typed)\n"
+       decidable (Theorem 4.2); applicable procedure: PTIME word procedure \
+       (pathctl implies), sound only: a path leaves Paths(Delta), out of the \
+       cubic procedure's reach\n"
     ^ p
     ^ ":7:1: warning[PC201] walks the path book.ref.publisher, which is \
        outside Paths(Delta): the schema's type graph admits no such walk \
@@ -177,12 +178,11 @@ let test_pc601_span_and_classifier_agreement () =
     | Ok cs -> cs
     | Error e -> Alcotest.failf "parse: %s" e
   in
-  let cell_mplus = Classify.cell_of ~schema:(mschema_of_string mplus_schema) sigma in
-  let cell_m = Classify.cell_of ~schema:(mschema_of_string m_schema) sigma in
+  let cell schema = Core.Decide.cell ~schema:(mschema_of_string schema) sigma in
   Alcotest.(check bool) "classifier: M+ cell undecidable" false
-    cell_mplus.Classify.decidable;
+    (cell mplus_schema).Core.Decide.decidable;
   Alcotest.(check bool) "classifier: M cell decidable" true
-    cell_m.Classify.decidable
+    (cell m_schema).Core.Decide.decidable
 
 (* --- the flow lattice agrees with the schema automaton ---------------------- *)
 
